@@ -16,13 +16,12 @@
 //!   dirty-node scheduling for the deterministic rules, incremental
 //!   clash detection, and a choice-point trail that undoes label
 //!   insertions, node spawns, and merges on backtrack;
-//! * the **reference engine** ([`Tableau::expand_reference`], forced
-//!   by `SUMMA_TABLEAU_REFERENCE=1` or
-//!   [`Tableau::with_reference_kernel`]): re-scans every node each
-//!   round and clones the completion state per alternative — slower,
-//!   deliberately simple, and kept as the differential-testing oracle
-//!   (mirroring what `classify_brute_force_governed` is to the
-//!   enhanced classifier).
+//! * the **reference engine** ([`Tableau::expand_reference`], selected
+//!   per reasoner with [`Tableau::with_reference_kernel`]): re-scans
+//!   every node each round and clones the completion state per
+//!   alternative — slower, deliberately simple, and kept as the
+//!   differential-testing oracle (mirroring what
+//!   `classify_brute_force_governed` is to the enhanced classifier).
 //!
 //! ABox consistency treats named individuals as root nodes under the
 //! unique-name assumption.
@@ -60,15 +59,6 @@ impl From<Interrupt> for Stop {
     }
 }
 
-/// Engine selection default: `SUMMA_TABLEAU_REFERENCE=1` forces every
-/// newly constructed reasoner onto the reference engine (the same
-/// escape-hatch idiom as `SUMMA_SERVE_COLD`). Tests and benches that
-/// compare engines pin the choice per-instance with
-/// [`Tableau::with_reference_kernel`] instead.
-fn reference_kernel_default() -> bool {
-    std::env::var("SUMMA_TABLEAU_REFERENCE").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Lift a metered result into a [`Governed`] outcome (boolean queries
 /// have no partial answer).
 fn governed_outcome<T>(r: std::result::Result<T, Interrupt>) -> Governed<T> {
@@ -104,8 +94,8 @@ pub struct Tableau {
     /// Run the pre-overhaul clone-per-disjunct engine
     /// ([`Tableau::expand_reference`]) instead of the agenda/trail
     /// kernel. Both walk the identical search tree with identical
-    /// charges, so the switch trades speed, never answers. Defaults
-    /// from the `SUMMA_TABLEAU_REFERENCE=1` escape hatch.
+    /// charges, so the switch trades speed, never answers. Off unless
+    /// [`Tableau::with_reference_kernel`] turns it on.
     use_reference: bool,
     /// Per-call node budget.
     budget: usize,
@@ -421,7 +411,7 @@ impl Tableau {
             interner,
             universal,
             absorbed,
-            use_reference: reference_kernel_default(),
+            use_reference: false,
             budget: DEFAULT_NODE_BUDGET,
             cache: FxHashMap::default(),
             shared: None,
@@ -449,7 +439,7 @@ impl Tableau {
             interner,
             universal,
             absorbed: BTreeMap::new(),
-            use_reference: reference_kernel_default(),
+            use_reference: false,
             budget: DEFAULT_NODE_BUDGET,
             cache: FxHashMap::default(),
             shared: None,
@@ -470,9 +460,8 @@ impl Tableau {
         self
     }
 
-    /// Force an expansion engine explicitly, overriding the
-    /// `SUMMA_TABLEAU_REFERENCE` default: `true` pins the reference
-    /// clone-based engine, `false` the agenda/trail kernel. The
+    /// Pick the expansion engine: `true` pins the reference clone-based
+    /// engine, `false` (the default) the agenda/trail kernel. The
     /// differential suite drives both sides through this switch.
     pub fn with_reference_kernel(mut self, reference: bool) -> Self {
         self.use_reference = reference;

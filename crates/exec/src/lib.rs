@@ -528,7 +528,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use summa_guard::{CancelToken, ExhaustionReason, FaultInjector, FaultKind, FaultPlan};
+    use summa_guard::{CancelToken, ExhaustionReason, FaultInjector, FaultKind, STEP_SITE};
 
     #[test]
     fn par_map_matches_sequential_at_any_thread_count() {
@@ -584,7 +584,12 @@ mod tests {
 
     #[test]
     fn one_shot_fault_in_one_worker_degrades_cleanly() {
-        let budget = Budget::new().with_fault(FaultPlan::fail_once_at_step(20));
+        let inj = std::sync::Arc::new(FaultInjector::new(0).with_fault_at(
+            STEP_SITE,
+            20,
+            FaultKind::Trip,
+        ));
+        let budget = Budget::new().with_injector(std::sync::Arc::clone(&inj));
         let items: Vec<u64> = (0..64).collect();
         let out = par_map(&items, &budget, 4, |m, _, &x| {
             m.charge(1)?;
@@ -597,6 +602,7 @@ mod tests {
         let decided = out.results.iter().flatten().count();
         assert!(decided < 64, "the fault cost at least one cell");
         assert!(decided >= 1, "siblings decided cells before the fault");
+        assert_eq!(inj.n_fired(), 1, "exactly one worker saw the fault");
     }
 
     #[test]
@@ -752,21 +758,28 @@ mod tests {
 
     #[test]
     fn injected_task_panic_is_retried_without_double_charge() {
-        for threads in [1, 4] {
-            let inj = std::sync::Arc::new(
-                FaultInjector::new(7).with_fault_at("exec.task", 5, FaultKind::Panic),
-            );
+        // A panic at the task site, or inside a step charge mid-task:
+        // either way the attempt's charges roll back.
+        let cases = [
+            ("exec.task", 1),
+            ("exec.task", 4),
+            (STEP_SITE, 1),
+            (STEP_SITE, 4),
+        ];
+        for (site, threads) in cases {
+            let inj =
+                std::sync::Arc::new(FaultInjector::new(7).with_fault_at(site, 5, FaultKind::Panic));
             let budget = Budget::unlimited().with_injector(inj);
             let items: Vec<u64> = (0..64).collect();
             let out = par_map(&items, &budget, threads, |m, _, &x| {
                 m.charge(1)?;
                 Ok(x + 1)
             });
-            assert!(out.is_complete(), "threads = {threads}");
-            assert_eq!(out.spend.retries, 1, "threads = {threads}");
+            assert!(out.is_complete(), "{site}, threads = {threads}");
+            assert_eq!(out.spend.retries, 1, "{site}, threads = {threads}");
             assert_eq!(
                 out.spend.steps, 64,
-                "retried attempt rolled back, no double charge"
+                "retried attempt rolled back, no double charge ({site})"
             );
             let expected: Vec<Option<u64>> = items.iter().map(|x| Some(x + 1)).collect();
             assert_eq!(out.results, expected);

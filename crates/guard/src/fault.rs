@@ -1,12 +1,12 @@
-//! Deterministic, site-tagged fault injection.
+//! Deterministic, site-tagged fault injection — the workspace's one
+//! fault mechanism.
 //!
-//! [`FaultPlan`] (PR 1) can only force *budget exhaustion* at a step
-//! count. A production resilience story needs to rehearse the failures
-//! that actually happen — a worker thread panicking, a cache shard
-//! returning garbage, a spurious cancellation — and it needs every
-//! rehearsal to be **replayable**: the same schedule must produce the
-//! same faults at the same places, so a chaos run that exposes a bug
-//! can be re-run under a debugger.
+//! A resilience story needs to rehearse the failures that actually
+//! happen — a worker thread panicking, a cache shard returning
+//! garbage, a spurious cancellation, a budget wall hit mid-search —
+//! and it needs every rehearsal to be **replayable**: the same schedule
+//! must produce the same faults at the same places, so a chaos run that
+//! exposes a bug can be re-run under a debugger.
 //!
 //! The [`FaultInjector`] is that schedule. Substrates register *named
 //! injection sites* (`exec.task`, `exec.worker`, `dl.sat`,
@@ -30,6 +30,14 @@
 //! storage sites (the shared [`SatCache`]) to corrupt an entry in a
 //! checksum-detectable way.
 //!
+//! The meter owns one site itself, [`STEP_SITE`] (`meter.step`): every
+//! [`Meter::charge`](crate::Meter::charge) that adds steps arrives
+//! there once. Engines charge one step per unit of work, so
+//! `meter.step@N=trip` forces exhaustion at exactly step N. Meters that
+//! share an injector share its arrival counters, so across the workers
+//! of a parallel run the N-th arrival is the N-th pooled step and the
+//! fault fires in exactly one worker.
+//!
 //! A whole process can be put under a schedule with two environment
 //! variables — `SUMMA_FAULT_PLAN="exec.task@3=panic;dl.cache.insert@2=poison"`
 //! and `SUMMA_FAULT_SEED=42` — which every [`Budget`](crate::Budget)
@@ -42,6 +50,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// The site [`Meter::charge`](crate::Meter::charge) arrives at once
+/// per charge that adds steps.
+pub const STEP_SITE: &str = "meter.step";
 
 /// What an injection site should do when its arrival is scheduled to
 /// fault.
@@ -131,8 +143,9 @@ pub struct FaultInjector {
     specs: Vec<FaultSpec>,
     /// Arrival counters per site. A plain mutex: injection is a chaos-
     /// test facility, never on an uninstrumented hot path (meters check
-    /// an `Option` and bail before locking when no injector is
-    /// attached).
+    /// an `Option`, or for [`STEP_SITE`] a flag resolved at build, and
+    /// [`arrive`](Self::arrive) bails before locking at unscheduled
+    /// sites).
     hits: Mutex<HashMap<String, u64>>,
     fired: Mutex<Vec<FiredFault>>,
     n_fired: AtomicU64,
@@ -236,11 +249,16 @@ impl FaultInjector {
         self.seed
     }
 
+    /// Does any spec target `site`?
+    pub(crate) fn schedules(&self, site: &str) -> bool {
+        self.specs.iter().any(|s| s.site == site)
+    }
+
     /// Register one arrival at `site` and return the fault, if this
     /// arrival is scheduled to have one. The first matching spec (in
     /// plan order) wins.
     pub fn arrive(&self, site: &str) -> Option<FaultKind> {
-        if self.specs.iter().all(|s| s.site != site) {
+        if !self.schedules(site) {
             // Unscheduled sites stay cheap-ish: no counter churn.
             return None;
         }

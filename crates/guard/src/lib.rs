@@ -13,8 +13,8 @@
 //!
 //! * [`Budget`] — an immutable resource envelope: step limit,
 //!   wall-clock deadline, memory proxy limit, a cooperative
-//!   [`CancelToken`], and an optional [`FaultPlan`] for failure
-//!   injection in tests.
+//!   [`CancelToken`], and an optional [`FaultInjector`] schedule for
+//!   failure injection in tests.
 //! * [`Meter`] — the mutable spend tracker an engine carries through
 //!   its inner loop. `meter.charge(n)?` is the single cheap call sites
 //!   make; it returns an [`Interrupt`] when the envelope is exceeded.
@@ -23,6 +23,10 @@
 //!   preserved where one exists.
 //! * [`Spend`] — how much of the envelope a computation actually used,
 //!   surfaced per-cell in the admission matrix report.
+//! * [`FaultInjector`] — the one fault-injection mechanism: a
+//!   deterministic schedule over named sites. Every charge that adds
+//!   steps arrives at the `meter.step` site, so `meter.step@N=trip`
+//!   forces exhaustion at exactly step N.
 //!
 //! The idiomatic plumbing pattern used across the substrates:
 //!
@@ -42,7 +46,7 @@ use std::time::{Duration, Instant};
 
 pub mod fault;
 
-pub use fault::{FaultInjector, FaultKind, FiredFault};
+pub use fault::{FaultInjector, FaultKind, FiredFault, STEP_SITE};
 
 /// Structured tracing and metrics (re-exported `summa-obs`).
 ///
@@ -92,101 +96,6 @@ impl CancelToken {
 }
 
 // ---------------------------------------------------------------------
-// FaultPlan
-// ---------------------------------------------------------------------
-
-/// Deterministic failure injection for testing degradation paths.
-///
-/// A plan can force exhaustion at an exact step
-/// ([`fail_at_step`](Self::fail_at_step)) and/or fail each charged
-/// step with a fixed probability drawn from a seeded generator
-/// ([`probabilistic`](Self::probabilistic)). Injected faults surface
-/// as [`ExhaustionReason::FaultInjected`] — never as a panic.
-///
-/// Plans are `Send + Sync` and cheap to clone, so one plan can be
-/// shared across every worker of a parallel run. By default each
-/// clone fires independently; [`fail_once_at_step`]
-/// (Self::fail_once_at_step) arms a *shared* one-shot trigger instead,
-/// so exactly one worker (whichever crosses the step mark first)
-/// observes the fault — the idiom for testing that a single poisoned
-/// worker degrades a parallel service cleanly.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    fail_at: Option<u64>,
-    /// Probability scaled to u64::MAX; 0 disables.
-    per_step_threshold: u64,
-    seed: u64,
-    /// When present, the fault fires at most once across *all* clones
-    /// of this plan: the flag starts `true` and the first claimant
-    /// swaps it to `false`.
-    armed: Option<Arc<AtomicBool>>,
-}
-
-impl FaultPlan {
-    /// Fail the computation once its step count reaches `step`.
-    pub fn fail_at_step(step: u64) -> Self {
-        FaultPlan {
-            fail_at: Some(step),
-            ..Default::default()
-        }
-    }
-
-    /// Fail exactly **one** holder of this plan (or its clones) when
-    /// its step count reaches `step`. Clones share the trigger: after
-    /// the first firing every other worker proceeds unfaulted.
-    pub fn fail_once_at_step(step: u64) -> Self {
-        FaultPlan {
-            fail_at: Some(step),
-            armed: Some(Arc::new(AtomicBool::new(true))),
-            ..Default::default()
-        }
-    }
-
-    /// Fail each charged step independently with probability `p`
-    /// (clamped to `[0, 1]`), using `seed` for reproducibility.
-    pub fn probabilistic(p: f64, seed: u64) -> Self {
-        let p = p.clamp(0.0, 1.0);
-        FaultPlan {
-            fail_at: None,
-            per_step_threshold: (p * u64::MAX as f64) as u64,
-            seed,
-            armed: None,
-        }
-    }
-
-    /// Has the shared one-shot trigger already fired? (Always `false`
-    /// for per-clone plans.)
-    pub fn fired(&self) -> bool {
-        self.armed
-            .as_ref()
-            .map(|a| !a.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
-    fn should_fail(&self, step: u64, rng_state: &mut u64) -> bool {
-        if let Some(at) = self.fail_at {
-            if step >= at {
-                // One-shot plans fire for the first claimant only.
-                if let Some(armed) = &self.armed {
-                    return armed.swap(false, Ordering::AcqRel);
-                }
-                return true;
-            }
-        }
-        if self.per_step_threshold > 0 {
-            // SplitMix64: deterministic stream from the seed.
-            *rng_state = rng_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = *rng_state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            return z < self.per_step_threshold;
-        }
-        false
-    }
-}
-
-// ---------------------------------------------------------------------
 // Budget
 // ---------------------------------------------------------------------
 
@@ -200,7 +109,6 @@ pub struct Budget {
     max_duration: Option<Duration>,
     max_memory: Option<u64>,
     cancel: Option<CancelToken>,
-    fault: Option<FaultPlan>,
     /// Explicit fault schedule; `None` falls back to the process-global
     /// one (gated by `SUMMA_FAULT_PLAN`/`SUMMA_FAULT_SEED`).
     injector: Option<Arc<FaultInjector>>,
@@ -251,17 +159,12 @@ impl Budget {
         self
     }
 
-    /// Attach a fault-injection plan (tests only).
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
     /// Attach a deterministic site-tagged fault schedule (chaos tests
     /// only). Without one, meters fall back to the process-global
     /// injector parsed from `SUMMA_FAULT_PLAN`/`SUMMA_FAULT_SEED` —
     /// which is absent in production, making every
     /// [`fault_point`](Meter::fault_point) a no-op `Option` check.
+    /// Step-triggered faults are specs on [`STEP_SITE`].
     pub fn with_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
@@ -386,7 +289,7 @@ impl SharedLedger {
 
     /// Add `n` steps to the pool; `Err` when the pool is exhausted or
     /// a sibling worker already tripped.
-    fn charge(&self, n: u64) -> Result<u64, Interrupt> {
+    fn charge(&self, n: u64) -> Result<(), Interrupt> {
         if let Some(i) = self.interrupted() {
             return Err(i);
         }
@@ -396,7 +299,7 @@ impl SharedLedger {
                 return Err(self.trip(Interrupt::Exhausted(ExhaustionReason::Steps)));
             }
         }
-        Ok(total)
+        Ok(())
     }
 
     fn charge_memory(&self, n: u64) -> Result<(), Interrupt> {
@@ -430,7 +333,7 @@ impl SharedLedger {
 /// A [`Budget`] prepared for concurrent draining: hand each worker a
 /// meter from [`worker_meter`](Self::worker_meter) and they will share
 /// one pool of steps and memory units, one deadline (measured from
-/// [`Budget::share`]), one cancel token, and one fault plan. The first
+/// [`Budget::share`]), one cancel token, and one fault schedule. The first
 /// interrupt any worker hits is published through the ledger, so every
 /// sibling stops at its next charge — cooperative cancellation across
 /// threads with no extra plumbing at call sites.
@@ -440,7 +343,6 @@ pub struct SharedBudget {
     deadline: Option<Instant>,
     started: Instant,
     cancel: Option<CancelToken>,
-    fault: Option<FaultPlan>,
     injector: Option<Arc<FaultInjector>>,
     tracer: obs::Tracer,
 }
@@ -460,7 +362,6 @@ impl SharedBudget {
             deadline: budget.max_duration.map(|d| started + d),
             started,
             cancel: budget.cancel.clone(),
-            fault: budget.fault.clone(),
             injector: budget.injector(),
             tracer: budget.tracer(),
         }
@@ -485,9 +386,8 @@ impl SharedBudget {
             deadline: self.deadline,
             max_memory: None,
             cancel: self.cancel.clone(),
-            fault: self.fault.clone(),
+            step_faults: schedules_steps(&self.injector),
             injector: self.injector.clone(),
-            fault_rng: self.fault.as_ref().map(|f| f.seed).unwrap_or(0),
             started: self.started,
             steps: 0,
             memory: 0,
@@ -538,7 +438,8 @@ pub enum ExhaustionReason {
     Deadline,
     /// The memory-proxy limit was spent.
     Memory,
-    /// A [`FaultPlan`] or [`FaultInjector`] forced exhaustion.
+    /// A [`FaultInjector`] spec of kind [`FaultKind::Trip`] fired — at
+    /// a named site, or at [`STEP_SITE`] on a step charge.
     FaultInjected,
     /// One or more cells failed permanently (panicked past their retry
     /// budget and were quarantined), so the result has holes even
@@ -663,9 +564,10 @@ pub struct Meter {
     deadline: Option<Instant>,
     max_memory: Option<u64>,
     cancel: Option<CancelToken>,
-    fault: Option<FaultPlan>,
+    /// Whether `injector` schedules [`STEP_SITE`]; resolved when the
+    /// meter is built, so `charge` pays one branch when it does not.
+    step_faults: bool,
     injector: Option<Arc<FaultInjector>>,
-    fault_rng: u64,
     started: Instant,
     steps: u64,
     memory: u64,
@@ -683,17 +585,22 @@ pub struct Meter {
     tracer: obs::Tracer,
 }
 
+/// Does `injector` schedule faults on step charges?
+fn schedules_steps(injector: &Option<Arc<FaultInjector>>) -> bool {
+    injector.as_ref().is_some_and(|i| i.schedules(STEP_SITE))
+}
+
 impl Meter {
     fn new(budget: &Budget) -> Self {
         let started = Instant::now();
+        let injector = budget.injector();
         Meter {
             max_steps: budget.max_steps,
             deadline: budget.max_duration.map(|d| started + d),
             max_memory: budget.max_memory,
             cancel: budget.cancel.clone(),
-            fault: budget.fault.clone(),
-            injector: budget.injector(),
-            fault_rng: budget.fault.as_ref().map(|f| f.seed).unwrap_or(0),
+            step_faults: schedules_steps(&injector),
+            injector,
             started,
             steps: 0,
             memory: 0,
@@ -715,31 +622,25 @@ impl Meter {
 
     /// Charge `n` abstract steps. Returns the interrupt once any
     /// envelope wall is hit; the same interrupt is returned for every
-    /// later charge.
+    /// later charge. A charge with `n > 0` arrives once at the
+    /// [`STEP_SITE`] fault site when the injector schedules it.
     #[inline]
     pub fn charge(&mut self, n: u64) -> Result<(), Interrupt> {
         if let Some(i) = self.tripped {
             return Err(i);
         }
         self.steps = self.steps.saturating_add(n);
-        // `fault_step` is the coordinate deterministic fault plans fire
-        // against: the worker-local step count for private meters, the
-        // pooled total for shared ones.
-        let mut fault_step = self.steps;
         if let Some(ledger) = &self.shared {
-            match ledger.charge(n) {
-                Ok(total) => fault_step = total,
-                Err(i) => return self.trip(i),
+            if let Err(i) = ledger.charge(n) {
+                return self.trip(i);
             }
         } else if let Some(max) = self.max_steps {
             if self.steps > max {
                 return self.trip(Interrupt::Exhausted(ExhaustionReason::Steps));
             }
         }
-        if let Some(plan) = self.fault.clone() {
-            if plan.should_fail(fault_step, &mut self.fault_rng) {
-                return self.trip(Interrupt::Exhausted(ExhaustionReason::FaultInjected));
-            }
+        if self.step_faults && n > 0 {
+            self.fault_point(STEP_SITE)?;
         }
         if self.steps >= self.next_check {
             self.next_check = self.steps + CHECK_INTERVAL;
@@ -1057,8 +958,8 @@ impl<T> Governed<T> {
 pub mod prelude {
     pub use crate::obs::Tracer;
     pub use crate::{
-        Budget, CancelToken, ExhaustionReason, FaultInjector, FaultKind, FaultPlan, Governed,
-        Interrupt, Meter, SharedBudget, Spend,
+        Budget, CancelToken, ExhaustionReason, FaultInjector, FaultKind, Governed, Interrupt,
+        Meter, SharedBudget, Spend,
     };
 }
 
@@ -1117,27 +1018,36 @@ mod tests {
         assert!(shared.spend().peak_memory >= 100);
     }
 
+    /// A budget whose injector runs `plan` (injector syntax) with `seed`.
+    fn step_plan(plan: &str, seed: u64) -> (Budget, Arc<FaultInjector>) {
+        let injector = Arc::new(FaultInjector::parse_plan(plan, seed).expect("valid plan"));
+        (Budget::new().with_injector(Arc::clone(&injector)), injector)
+    }
+
     #[test]
-    fn one_shot_fault_fires_in_exactly_one_clone() {
-        let plan = FaultPlan::fail_once_at_step(5);
-        let shared = Budget::new().with_fault(plan.clone()).share();
+    fn step_fault_fires_in_exactly_one_sharing_meter() {
+        let (budget, injector) = step_plan("meter.step@5=trip", 0);
+        let shared = budget.share();
         let mut a = shared.worker_meter();
-        // Global steps pass 5: the shared fault fires once.
-        let mut fired = 0;
-        for _ in 0..10 {
-            if a.charge(1).is_err() {
-                fired += 1;
-                break;
-            }
-        }
-        assert_eq!(fired, 1);
-        assert!(plan.fired());
-        // A second meter cloned from the same plan never fires again.
-        let budget = Budget::new().with_fault(plan.clone());
+        let mut b = shared.worker_meter();
+        // Pooled arrivals reach 5 on b's third charge: the fault fires
+        // once, in b only.
+        a.charge(1).expect("arrival 1");
+        a.charge(1).expect("arrival 2");
+        b.charge(1).expect("arrival 3");
+        b.charge(1).expect("arrival 4");
+        assert_eq!(
+            b.charge(1),
+            Err(Interrupt::Exhausted(ExhaustionReason::FaultInjected))
+        );
+        assert_eq!(injector.n_fired(), 1);
+        // A meter from a second budget on the same injector never
+        // fires again: the arrival counter is shared.
         let mut c = budget.meter();
         for _ in 0..100 {
             c.charge(1).expect("one-shot fault is spent");
         }
+        assert_eq!(injector.n_fired(), 1);
     }
 
     #[test]
@@ -1237,21 +1147,24 @@ mod tests {
 
     #[test]
     fn fault_at_step_is_exact() {
-        let budget = Budget::new().with_fault(FaultPlan::fail_at_step(5));
+        let (budget, _) = step_plan("meter.step@5=trip", 0);
         let mut meter = budget.meter();
         for _ in 0..4 {
             meter.charge(1).expect("before fault point");
+            // Zero-step checks are not step arrivals.
+            meter.checkpoint().expect("no arrival");
         }
         assert_eq!(
             meter.charge(1),
             Err(Interrupt::Exhausted(ExhaustionReason::FaultInjected))
         );
+        assert_eq!(meter.steps(), 5);
     }
 
     #[test]
     fn probabilistic_fault_is_deterministic() {
         let run = |seed| {
-            let budget = Budget::new().with_fault(FaultPlan::probabilistic(0.05, seed));
+            let (budget, _) = step_plan("meter.step@p0.05=trip", seed);
             let mut meter = budget.meter();
             let mut at = None;
             for i in 0..10_000u64 {

@@ -206,7 +206,6 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, popped_at: Instant, batc
             Ok(Ok(_)) => break true,
             Ok(Err(_)) | Err(_) if attempts < BATCH_ATTEMPTS => {
                 shared.counters.batch_retries.fetch_add(1, Ordering::Relaxed);
-                shared.tracer.add("serve.batch.retry", 1);
             }
             _ => break false,
         }
@@ -257,7 +256,6 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, popped_at: Instant, batc
             answer(
                 shared, p, ex.status, ex.body, ex.epoch, ex.served, ex.spend, elapsed_ns, phases,
             );
-            shared.tracer.record_ns("serve.request.ns", elapsed_ns);
             Ok(())
         },
     );
@@ -284,8 +282,8 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, popped_at: Instant, batc
 }
 
 /// Fill a request's slot (first fill wins) and do the per-answer
-/// accounting exactly once: tenant ledger, counters, trace counters,
-/// warm-path served attribution.
+/// accounting exactly once: tenant ledger, counters, warm-path served
+/// attribution.
 #[allow(clippy::too_many_arguments)]
 fn answer(
     shared: &Arc<Shared>,
@@ -313,7 +311,6 @@ fn answer(
     }
     if status == wire::STATUS_ENGINE_ERROR {
         shared.counters.engine_errors.fetch_add(1, Ordering::Relaxed);
-        shared.tracer.add("serve.engine_error", 1);
     }
     match served {
         SERVED_INDEX => {
@@ -330,7 +327,6 @@ fn answer(
         }
         _ => {}
     }
-    shared.telemetry.note_served(served, spend.cache_hits);
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
     let mut tenants = shared
         .tenants

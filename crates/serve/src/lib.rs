@@ -22,14 +22,16 @@
 //!   never a disconnect) and graceful drain with exact accounting
 //!   (`accepted == completed`, always).
 //!
-//! A fifth, passive layer — [`telemetry`] — decomposes every served
-//! request into phase histograms (queue-wait / batch-formation /
-//! execute / serialize) keyed by op and tenant, samples queue/batch
-//! gauges into time-series rings, and tail-samples slow or errored
-//! requests into a bounded slow-query log. It is scraped over the
-//! wire via the versioned `Telemetry` op (Prometheus-style text or a
-//! Chrome-trace dump of the slow log) and never alters response
-//! bytes; disabled it costs one relaxed atomic load per request.
+//! A fifth, passive layer — [`telemetry`] — holds every server count
+//! in its registry (so [`server::ServeStats`] and a scrape read the
+//! same counters), decomposes every served request into phase
+//! histograms (queue-wait / batch-formation / execute / serialize)
+//! keyed by op and tenant, samples queue/batch gauges into time-series
+//! rings, and tail-samples slow or errored requests into a bounded
+//! slow-query log. It is scraped over the wire via the versioned
+//! `Telemetry` op (Prometheus-style text or a Chrome-trace dump of the
+//! slow log) and never alters response bytes; disabled, its recording
+//! costs one relaxed atomic load per request.
 //!
 //! Chaos coverage rides through the existing `summa_guard` fault
 //! plane: the server exposes `serve.accept` and `serve.batch` fault

@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use summa_guard::obs::metrics::Registry;
 use summa_guard::obs::Tracer;
 use summa_guard::{Budget, FaultInjector};
 
@@ -74,15 +75,15 @@ pub struct ServerConfig {
     /// Tracer for serve spans and counters; defaults to the process
     /// tracer (`SUMMA_TRACE=1` aware).
     pub tracer: Tracer,
-    /// Telemetry plane knobs (phase histograms, gauges, tail
-    /// sampling). Enabled by default; disabling reduces the per-request
-    /// cost to one relaxed atomic load.
+    /// Telemetry plane knobs (phase histograms, gauge rings, tail
+    /// sampling). Enabled by default; disabling reduces their
+    /// per-request cost to one relaxed atomic load. Server counts are
+    /// kept either way.
     pub telemetry: TelemetryConfig,
     /// Force the per-request-fresh cold path even when snapshots carry
-    /// a warm state (A/B lanes, chaos conformance). Defaults from
-    /// `SUMMA_SERVE_COLD=1`. Configs with a request fault plan or a
-    /// request step cap run cold regardless — see
-    /// [`ServerConfig::warm_eligible`].
+    /// a warm state (A/B lanes, cold conformance). Defaults to `false`.
+    /// Configs with a request fault plan or a request step cap run cold
+    /// regardless — see [`ServerConfig::warm_eligible`].
     pub cold: bool,
 }
 
@@ -99,7 +100,7 @@ impl Default for ServerConfig {
             pool_budget: Budget::unlimited(),
             tracer: Tracer::global().clone(),
             telemetry: TelemetryConfig::default(),
-            cold: std::env::var("SUMMA_SERVE_COLD").map(|v| v == "1").unwrap_or(false),
+            cold: false,
         }
     }
 }
@@ -142,25 +143,74 @@ pub(crate) struct TenantLedger {
     pub consumed_steps: u64,
 }
 
-/// Monotonic server counters (atomics; snapshot via [`ServeStats`]).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub frames: AtomicU64,
-    pub accepted: AtomicU64,
-    pub completed: AtomicU64,
-    pub engine_errors: AtomicU64,
-    pub rejected_protocol: AtomicU64,
-    pub rejected_overload: AtomicU64,
-    pub admin: AtomicU64,
-    pub batches: AtomicU64,
-    pub max_batch: AtomicU64,
-    pub max_queue_depth: AtomicU64,
-    pub snapshot_loads: AtomicU64,
-    pub accept_faults: AtomicU64,
-    pub batch_retries: AtomicU64,
-    pub index_hits: AtomicU64,
-    pub index_misses: AtomicU64,
-    pub cache_shared_hits: AtomicU64,
+/// The server's counts: handles into the telemetry plane's registry,
+/// resolved once at [`Server::start`]. Each event bumps its counter
+/// once, in no other store, whether or not the plane is enabled; each
+/// counter is exported once as `summa_<name>_total`, and
+/// [`ServeStats`] is a view over them.
+pub(crate) struct ServeCounters {
+    pub frames: Arc<AtomicU64>,
+    pub accepted: Arc<AtomicU64>,
+    pub completed: Arc<AtomicU64>,
+    pub engine_errors: Arc<AtomicU64>,
+    pub rejected_protocol: Arc<AtomicU64>,
+    pub rejected_overload: Arc<AtomicU64>,
+    pub admin: Arc<AtomicU64>,
+    pub batches: Arc<AtomicU64>,
+    pub max_batch: Arc<AtomicU64>,
+    pub max_queue_depth: Arc<AtomicU64>,
+    pub snapshot_loads: Arc<AtomicU64>,
+    pub accept_faults: Arc<AtomicU64>,
+    pub batch_retries: Arc<AtomicU64>,
+    pub index_hits: Arc<AtomicU64>,
+    pub index_misses: Arc<AtomicU64>,
+    pub cache_shared_hits: Arc<AtomicU64>,
+}
+
+impl ServeCounters {
+    fn resolve(registry: &Registry) -> ServeCounters {
+        ServeCounters {
+            frames: registry.counter("serve.frames"),
+            accepted: registry.counter("serve.accepted"),
+            completed: registry.counter("serve.completed"),
+            engine_errors: registry.counter("serve.engine_errors"),
+            rejected_protocol: registry.counter("serve.rejected_protocol"),
+            rejected_overload: registry.counter("serve.rejected_overload"),
+            admin: registry.counter("serve.admin"),
+            batches: registry.counter("serve.batches"),
+            max_batch: registry.counter("serve.max_batch"),
+            max_queue_depth: registry.counter("serve.max_queue_depth"),
+            snapshot_loads: registry.counter("serve.snapshot_loads"),
+            accept_faults: registry.counter("serve.accept_faults"),
+            batch_retries: registry.counter("serve.batch_retries"),
+            index_hits: registry.counter("serve.index.hit"),
+            index_misses: registry.counter("serve.index.miss"),
+            cache_shared_hits: registry.counter("serve.cache.shared_hit"),
+        }
+    }
+
+    /// Read every count (relaxed loads; each is monotonic).
+    fn stats(&self) -> ServeStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServeStats {
+            frames: load(&self.frames),
+            accepted: load(&self.accepted),
+            completed: load(&self.completed),
+            engine_errors: load(&self.engine_errors),
+            rejected_protocol: load(&self.rejected_protocol),
+            rejected_overload: load(&self.rejected_overload),
+            admin: load(&self.admin),
+            batches: load(&self.batches),
+            max_batch: load(&self.max_batch),
+            max_queue_depth: load(&self.max_queue_depth),
+            snapshot_loads: load(&self.snapshot_loads),
+            accept_faults: load(&self.accept_faults),
+            batch_retries: load(&self.batch_retries),
+            index_hits: load(&self.index_hits),
+            index_misses: load(&self.index_misses),
+            cache_shared_hits: load(&self.cache_shared_hits),
+        }
+    }
 }
 
 /// A point-in-time snapshot of the server's exact accounting.
@@ -249,42 +299,16 @@ pub(crate) struct Shared {
     pub queue: Mutex<VecDeque<Pending>>,
     pub queue_cv: Condvar,
     pub tenants: Mutex<BTreeMap<String, TenantLedger>>,
-    pub counters: Counters,
-    /// Admitted requests whose response has not been written yet.
-    pub in_flight: AtomicU64,
+    pub counters: ServeCounters,
     pub draining: AtomicBool,
     pub next_trace: AtomicU64,
     pub tracer: Tracer,
-    /// The long-lived telemetry plane (phase histograms, gauges,
-    /// slow-query log). Always present; recording is gated on its
-    /// enabled flag.
+    /// The long-lived telemetry plane: the registry behind `counters`,
+    /// gauges, phase histograms, slow-query log. Always present; its
+    /// enabled flag gates histograms, rings and tail sampling.
     pub telemetry: TelemetryPlane,
     /// Clones of live connection streams, for shutdown.
     pub conns: Mutex<Vec<TcpStream>>,
-}
-
-impl Shared {
-    fn stats(&self) -> ServeStats {
-        let c = &self.counters;
-        ServeStats {
-            frames: c.frames.load(Ordering::Relaxed),
-            accepted: c.accepted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            engine_errors: c.engine_errors.load(Ordering::Relaxed),
-            rejected_protocol: c.rejected_protocol.load(Ordering::Relaxed),
-            rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
-            admin: c.admin.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            max_batch: c.max_batch.load(Ordering::Relaxed),
-            max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
-            snapshot_loads: c.snapshot_loads.load(Ordering::Relaxed),
-            accept_faults: c.accept_faults.load(Ordering::Relaxed),
-            batch_retries: c.batch_retries.load(Ordering::Relaxed),
-            index_hits: c.index_hits.load(Ordering::Relaxed),
-            index_misses: c.index_misses.load(Ordering::Relaxed),
-            cache_shared_hits: c.cache_shared_hits.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// A running reasoning server bound to a local TCP port.
@@ -313,6 +337,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let tracer = cfg.tracer.clone();
         let telemetry = TelemetryPlane::new(cfg.telemetry.clone());
+        let counters = ServeCounters::resolve(telemetry.registry());
         let warm = cfg.warm_eligible();
         let shared = Arc::new(Shared {
             cfg,
@@ -322,8 +347,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             tenants: Mutex::new(BTreeMap::new()),
-            counters: Counters::default(),
-            in_flight: AtomicU64::new(0),
+            counters,
             draining: AtomicBool::new(false),
             next_trace: AtomicU64::new(0),
             tracer,
@@ -357,7 +381,7 @@ impl Server {
 
     /// Live counter snapshot.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats()
+        self.shared.counters.stats()
     }
 
     /// The snapshot store (hot-swappable while serving).
@@ -397,7 +421,10 @@ impl Server {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .is_empty();
-            if queue_empty && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
+            // A relaxed gauge read suffices: admission raises it inside
+            // the queue lock taken just above, and a handler lowers it
+            // only after its response write has returned.
+            if queue_empty && self.shared.telemetry.in_flight() == 0 {
                 break;
             }
             self.shared.queue_cv.notify_all();
@@ -430,7 +457,7 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        let stats = self.shared.stats();
+        let stats = self.shared.counters.stats();
         self.shared.tracer.add("serve.drained", 1);
         stats
     }
@@ -468,7 +495,6 @@ fn accept_loop(
         }));
         if !matches!(gate, Ok(Ok(_))) {
             shared.counters.accept_faults.fetch_add(1, Ordering::Relaxed);
-            shared.tracer.add("serve.accept.fault", 1);
             continue;
         }
         if let Ok(clone) = stream.try_clone() {
@@ -507,35 +533,28 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
 
 fn conn_loop(shared: &Arc<Shared>, stream: &mut TcpStream) {
     loop {
-        match wire::read_frame(&mut *stream) {
-            Ok(None) => break,
-            Err(FrameError::Io(_)) => break,
-            // The stream cannot be re-synchronized after these two:
-            // answer with the typed error, then close. They count as
-            // frames so the final accounting stays exact.
-            Err(FrameError::Oversize(n)) => {
-                shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-                reject_protocol(shared, stream, 0, ProtoError::Oversize(n));
+        let frame = match wire::read_frame(&mut *stream) {
+            Ok(None) | Err(FrameError::Io(_)) => break,
+            Ok(Some(payload)) => Ok(payload),
+            Err(FrameError::Oversize(n)) => Err(ProtoError::Oversize(n)),
+            Err(FrameError::Truncated) => Err(ProtoError::Truncated),
+        };
+        // Every frame read counts, answered or not, so the final
+        // accounting stays exact.
+        shared.counters.frames.fetch_add(1, Ordering::Relaxed);
+        match frame.map(|payload| wire::decode_request(&payload)) {
+            // The stream cannot be re-synchronized after an oversize or
+            // truncated frame: answer with the typed error, then close.
+            Err(e) => {
+                reject_protocol(shared, stream, 0, e);
                 break;
             }
-            Err(FrameError::Truncated) => {
-                shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-                reject_protocol(shared, stream, 0, ProtoError::Truncated);
-                break;
-            }
-            Ok(Some(payload)) => {
-                shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-                match wire::decode_request(&payload) {
-                    Err((e, id)) => {
-                        // Malformed frame, intact framing: typed error,
-                        // connection stays usable.
-                        reject_protocol(shared, stream, id, e);
-                    }
-                    Ok(env) => {
-                        if !dispatch(shared, stream, env) {
-                            break;
-                        }
-                    }
+            // Malformed frame, intact framing: typed error, connection
+            // stays usable.
+            Ok(Err((e, id))) => reject_protocol(shared, stream, id, e),
+            Ok(Ok(env)) => {
+                if !dispatch(shared, stream, env) {
+                    break;
                 }
             }
         }
@@ -547,7 +566,6 @@ fn reject_protocol(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, e: Pro
         .counters
         .rejected_protocol
         .fetch_add(1, Ordering::Relaxed);
-    shared.tracer.add("serve.reject.protocol", 1);
     let resp = Response {
         id,
         status: STATUS_PROTOCOL_ERROR,
@@ -566,7 +584,6 @@ fn reject_overload(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, o: Ove
         .counters
         .rejected_overload
         .fetch_add(1, Ordering::Relaxed);
-    shared.tracer.add("serve.reject.overload", 1);
     let resp = Response {
         id,
         status: STATUS_OVERLOADED,
@@ -590,7 +607,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
         // not contend with the batches reading current snapshots).
         Request::Stats => {
             shared.counters.admin.fetch_add(1, Ordering::Relaxed);
-            let entries = shared.stats().entries();
+            let entries = shared.counters.stats().entries();
             let mut payload = Vec::new();
             wire::put_u32(&mut payload, entries.len() as u32);
             for (k, v) in &entries {
@@ -620,9 +637,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
         // independently of the protocol version.
         Request::Telemetry { format } => {
             let text = match *format {
-                wire::TELEMETRY_FORMAT_PROMETHEUS => {
-                    shared.telemetry.prometheus_text(&shared.stats())
-                }
+                wire::TELEMETRY_FORMAT_PROMETHEUS => shared.telemetry.prometheus_text(),
                 wire::TELEMETRY_FORMAT_CHROME_SLOWLOG => shared.telemetry.slow_log_chrome_json(),
                 _ => {
                     reject_protocol(
@@ -635,7 +650,6 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 }
             };
             shared.counters.admin.fetch_add(1, Ordering::Relaxed);
-            shared.tracer.add("serve.telemetry.scrape", 1);
             let mut payload = Vec::new();
             payload.push(wire::TELEMETRY_VERSION);
             payload.push(*format);
@@ -663,7 +677,6 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
             let ex = ops::execute(&shared.store, &env.request, &shared.cfg.request_budget());
             if ex.status == wire::STATUS_OK {
                 shared.counters.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-                shared.tracer.add("serve.snapshot.load", 1);
             }
             let resp = Response {
                 id: env.id,
@@ -736,13 +749,11 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 }
                 ledger.pending += 1;
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.in_flight.fetch_add(1, Ordering::SeqCst);
                 let depth = (q.len() + 1) as u64;
                 shared
                     .counters
                     .max_queue_depth
                     .fetch_max(depth, Ordering::Relaxed);
-                shared.tracer.add("serve.enqueued", 1);
                 // Telemetry handle resolution piggybacks on this
                 // already-locked admission section; when disabled the
                 // cost is one relaxed load.
@@ -766,7 +777,6 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 let (resp, mut phases) = slot.wait();
                 let ser_t0 = Instant::now();
                 let ok = send(stream, &resp);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                 shared.telemetry.in_flight_add(-1);
                 if let (Some(tel), Some(tenant)) = (tenant_tel, tenant_name) {
                     phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;

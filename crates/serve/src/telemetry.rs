@@ -1,14 +1,21 @@
-//! The service telemetry plane: phased latency histograms keyed by op
-//! and by tenant, sampled gauges, and a tail-sampled slow-query log —
-//! all rendered on demand as a Prometheus-style text exposition or a
-//! Chrome-trace JSON dump over the `Telemetry` wire op.
+//! The service telemetry plane: the registry that holds every server
+//! count (read back as [`ServeStats`](crate::server::ServeStats)),
+//! phased latency histograms keyed by op and by tenant, sampled
+//! gauges, and a tail-sampled slow-query log — all rendered on demand
+//! as a Prometheus-style text exposition or a Chrome-trace JSON dump
+//! over the `Telemetry` wire op.
 //!
 //! ## Hot-path contract
 //!
 //! Telemetry must never perturb what it measures:
 //!
-//! * **Disabled costs one relaxed load.** Every write entry point
-//!   checks [`TelemetryPlane::enabled`] first and returns.
+//! * **Counts are always kept.** Server counters and the queue-depth /
+//!   in-flight gauges are relaxed atomics that move whether or not the
+//!   plane is enabled, so a scrape of a disabled plane still reports
+//!   the server's books.
+//! * **Disabled recording costs one relaxed load.** Histograms, gauge
+//!   rings and tail sampling check [`TelemetryPlane::enabled`] first
+//!   and return.
 //! * **Enabled writes are lock-free on the hot path.** Histogram and
 //!   gauge handles are resolved once — per-op/per-phase handles at
 //!   plane construction, per-tenant handles at admission (where the
@@ -33,10 +40,9 @@
 //!
 //! Sampled requests push a phase-annotated record into a bounded log
 //! with evict-oldest semantics; `captured + dropped == triggered`
-//! always reconciles.
+//! holds on every read, because all three live under the log's mutex.
 
-use crate::server::ServeStats;
-use crate::wire::{Op, Response, OUTCOME_COMPLETED, SERVED_CACHE, SERVED_INDEX, STATUS_OK};
+use crate::wire::{Op, Response, OUTCOME_COMPLETED, STATUS_OK};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -225,12 +231,29 @@ pub const TENANT_CAP: usize = 64;
 /// Aggregation series for tenants past [`TENANT_CAP`].
 pub const OVERFLOW_TENANT: &str = "_other";
 
+/// The bounded slow-query log and its books, kept under one mutex so
+/// `captured + dropped == triggered` holds on every read.
+#[derive(Default)]
+struct SlowLog {
+    records: VecDeque<SlowQuery>,
+    dropped: u64,
+    triggered: u64,
+}
+
+impl SlowLog {
+    /// `(captured, dropped, triggered)`.
+    fn counts(&self) -> (u64, u64, u64) {
+        (self.records.len() as u64, self.dropped, self.triggered)
+    }
+}
+
 /// The long-lived telemetry plane, one per server.
 pub struct TelemetryPlane {
     enabled: AtomicBool,
     cfg: TelemetryConfig,
     origin: Instant,
-    /// The long-lived obs registry backing all named instruments.
+    /// The long-lived obs registry backing all named instruments,
+    /// including every server count.
     registry: Registry,
     /// `[op][phase]` histogram handles, resolved at construction.
     phase_hist: Vec<[Arc<Histogram>; 4]>,
@@ -242,19 +265,10 @@ pub struct TelemetryPlane {
     queue_depth_ring: SeriesRing,
     in_flight_ring: SeriesRing,
     batch_occupancy_ring: SeriesRing,
-    /// Warm-path attribution counters, resolved at construction and
-    /// exported through the registry loop as
-    /// `summa_serve_index_hit_total`, `summa_serve_index_miss_total`,
-    /// and `summa_serve_cache_shared_hit_total`.
-    index_hit: Arc<AtomicU64>,
-    index_miss: Arc<AtomicU64>,
-    cache_shared_hit: Arc<AtomicU64>,
     /// Tenant handles; the map is bounded by [`TENANT_CAP`] + the
     /// overflow entry.
     tenants: Mutex<BTreeMap<String, Arc<TenantTelemetry>>>,
-    slow_log: Mutex<VecDeque<SlowQuery>>,
-    slow_triggered: AtomicU64,
-    slow_dropped: AtomicU64,
+    slow_log: Mutex<SlowLog>,
     scrapes: AtomicU64,
 }
 
@@ -272,9 +286,6 @@ impl TelemetryPlane {
         let queue_depth = registry.gauge("serve.queue_depth");
         let in_flight = registry.gauge("serve.in_flight");
         let batch_occupancy = registry.gauge("serve.batch_occupancy");
-        let index_hit = registry.counter("serve.index.hit");
-        let index_miss = registry.counter("serve.index.miss");
-        let cache_shared_hit = registry.counter("serve.cache.shared_hit");
         let mut tenants = BTreeMap::new();
         tenants.insert(
             OVERFLOW_TENANT.to_string(),
@@ -286,16 +297,11 @@ impl TelemetryPlane {
             queue_depth,
             in_flight,
             batch_occupancy,
-            index_hit,
-            index_miss,
-            cache_shared_hit,
             queue_depth_ring: SeriesRing::new(cfg.ring_capacity),
             in_flight_ring: SeriesRing::new(cfg.ring_capacity),
             batch_occupancy_ring: SeriesRing::new(cfg.ring_capacity),
             tenants: Mutex::new(tenants),
-            slow_log: Mutex::new(VecDeque::new()),
-            slow_triggered: AtomicU64::new(0),
-            slow_dropped: AtomicU64::new(0),
+            slow_log: Mutex::new(SlowLog::default()),
             scrapes: AtomicU64::new(0),
             phase_hist,
             registry,
@@ -303,8 +309,8 @@ impl TelemetryPlane {
         }
     }
 
-    /// The master gate — one relaxed load, checked by every write
-    /// entry point before touching anything else.
+    /// The recording gate — one relaxed load, checked before any
+    /// histogram, ring or slow-log write.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
@@ -314,8 +320,8 @@ impl TelemetryPlane {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// The backing instrument registry (exposed for tests and for
-    /// callers that want to hang extra counters off the plane).
+    /// The backing instrument registry: the server's counts, gauges
+    /// and phase histograms (exposed for tests and benches).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -343,39 +349,20 @@ impl TelemetryPlane {
         t
     }
 
-    /// Gauge mutators for the admission/scheduler paths. All check the
-    /// enabled gate themselves so call sites stay unconditional.
+    /// Gauge mutators for the admission path. They move whether or
+    /// not the plane is enabled: the drain waits on the in-flight
+    /// gauge.
     pub fn queue_depth_set(&self, depth: i64) {
-        if self.enabled() {
-            self.queue_depth.set(depth);
-        }
+        self.queue_depth.set(depth);
     }
 
     pub fn in_flight_add(&self, delta: i64) {
-        if self.enabled() {
-            self.in_flight.add(delta);
-        }
+        self.in_flight.add(delta);
     }
 
-    /// Attribute one answered request to the warm path: an index hit
-    /// (answered with zero tableau calls), or an index miss that
-    /// proved with the epoch-shared cache (crediting its cache-hit
-    /// replays). Cold/prover answers record nothing here.
-    pub fn note_served(&self, served: u8, shared_cache_hits: u64) {
-        if !self.enabled() {
-            return;
-        }
-        match served {
-            SERVED_INDEX => {
-                self.index_hit.fetch_add(1, Ordering::Relaxed);
-            }
-            SERVED_CACHE => {
-                self.index_miss.fetch_add(1, Ordering::Relaxed);
-                self.cache_shared_hit
-                    .fetch_add(shared_cache_hits, Ordering::Relaxed);
-            }
-            _ => {}
-        }
+    /// Admitted requests whose response has not been written yet.
+    pub fn in_flight(&self) -> i64 {
+        self.in_flight.get()
     }
 
     /// Once-per-batch sampling: update the batch-occupancy gauge and
@@ -429,7 +416,6 @@ impl TelemetryPlane {
             None
         };
         if let Some(trigger) = trigger {
-            self.slow_triggered.fetch_add(1, Ordering::Relaxed);
             self.push_slow(SlowQuery {
                 trace_id: resp.trace_id,
                 tenant: tenant.to_string(),
@@ -445,26 +431,21 @@ impl TelemetryPlane {
 
     fn push_slow(&self, q: SlowQuery) {
         let mut log = self.slow_log.lock().unwrap_or_else(PoisonError::into_inner);
-        if log.len() >= self.cfg.slow_log_capacity.max(1) {
-            log.pop_front();
-            self.slow_dropped.fetch_add(1, Ordering::Relaxed);
+        log.triggered += 1;
+        if log.records.len() >= self.cfg.slow_log_capacity.max(1) {
+            log.records.pop_front();
+            log.dropped += 1;
         }
-        log.push_back(q);
+        log.records.push_back(q);
     }
 
-    /// Slow-query-log accounting: `(captured, dropped, triggered)`
-    /// with `captured + dropped == triggered` invariant.
+    /// Slow-query-log accounting: `(captured, dropped, triggered)`,
+    /// read under one lock, so `captured + dropped == triggered`.
     pub fn slow_log_counts(&self) -> (u64, u64, u64) {
-        let captured = self
-            .slow_log
+        self.slow_log
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .len() as u64;
-        (
-            captured,
-            self.slow_dropped.load(Ordering::Relaxed),
-            self.slow_triggered.load(Ordering::Relaxed),
-        )
+            .counts()
     }
 
     /// Snapshot of the slow-query log, oldest first.
@@ -472,6 +453,7 @@ impl TelemetryPlane {
         self.slow_log
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .records
             .iter()
             .cloned()
             .collect()
@@ -492,10 +474,10 @@ impl TelemetryPlane {
     // Renderers
     // -----------------------------------------------------------------
 
-    /// Render the Prometheus-style text exposition. `stats` is the
-    /// server's own counter snapshot (exported alongside the plane's
-    /// instruments so one scrape carries the whole picture).
-    pub fn prometheus_text(&self, stats: &ServeStats) -> String {
+    /// Render the Prometheus-style text exposition: the plane's
+    /// instruments and every server count, so one scrape carries the
+    /// whole picture.
+    pub fn prometheus_text(&self) -> String {
         self.scrapes.fetch_add(1, Ordering::Relaxed);
         let mut e = Exposition::new();
         e.gauge(
@@ -509,19 +491,6 @@ impl TelemetryPlane {
             "Telemetry scrapes answered (this one included).",
             &[],
             self.scrapes.load(Ordering::Relaxed),
-        );
-
-        // Server accounting counters, one family with a `counter`
-        // label (they are a closed fixed set — see ServeStats).
-        let entries = stats.entries();
-        let series: Vec<(Vec<(&str, &str)>, u64)> = entries
-            .iter()
-            .map(|(k, v)| (vec![("counter", k.as_str())], *v))
-            .collect();
-        e.counter_series(
-            "summa_serve_stats",
-            "Server accounting counters (ServeStats snapshot).",
-            &series,
         );
 
         // Instantaneous gauges + their ring accounting.
@@ -643,12 +612,12 @@ impl TelemetryPlane {
             triggered,
         );
 
-        // Any extra counters callers registered on the plane's
-        // registry, exported under their sanitized names.
+        // Every registry counter — the server's counts — under its
+        // sanitized name.
         for (name, value) in self.registry.counters() {
             e.counter(
                 &format!("summa_{}_total", sanitize_name(&name)),
-                "Plane-registry counter.",
+                "Server count (ServeStats reads the same counter).",
                 &[],
                 value,
             );
@@ -670,7 +639,12 @@ impl TelemetryPlane {
                 .to_string(),
         );
         let us = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
-        for (lane, q) in self.slow_log().iter().enumerate() {
+        let (records, (captured, dropped, triggered)) = {
+            let log = self.slow_log.lock().unwrap_or_else(PoisonError::into_inner);
+            let records: Vec<SlowQuery> = log.records.iter().cloned().collect();
+            (records, log.counts())
+        };
+        for (lane, q) in records.iter().enumerate() {
             let tid = lane as u64 + 1;
             events.push(format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
@@ -718,11 +692,8 @@ impl TelemetryPlane {
         out.push_str(&events.join(",\n"));
         let _ = write!(
             out,
-            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\
-             \"slow_captured\":{},\"slow_dropped\":{},\"slow_triggered\":{}}}}}\n",
-            self.slow_log_counts().0,
-            self.slow_log_counts().1,
-            self.slow_log_counts().2,
+            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"slow_captured\":{captured},\
+             \"slow_dropped\":{dropped},\"slow_triggered\":{triggered}}}}}\n",
         );
         out
     }
@@ -868,8 +839,7 @@ mod tests {
             1_080,
         );
         p.sample_batch(3, 1);
-        let stats = ServeStats::default();
-        let text = p.prometheus_text(&stats);
+        let text = p.prometheus_text();
         validate_exposition(&text).expect("exposition lints clean");
         assert!(text.contains("summa_serve_tenant_requests_total{tenant=\"acme\",op=\"subsumes\"} 1"));
         assert!(text.contains("summa_serve_phase_execute_ns_count{op=\"subsumes\"} 1"));
@@ -879,32 +849,64 @@ mod tests {
     }
 
     #[test]
-    fn served_attribution_counters_export_and_lint() {
-        let p = plane(TelemetryConfig::default());
-        p.note_served(SERVED_INDEX, 0);
-        p.note_served(SERVED_INDEX, 0);
-        p.note_served(SERVED_CACHE, 7);
-        p.note_served(crate::wire::SERVED_PROVER, 3); // cold: unattributed
-        let text = p.prometheus_text(&ServeStats::default());
-        validate_exposition(&text).expect("exposition lints clean");
-        assert!(text.contains("summa_serve_index_hit_total 2"));
-        assert!(text.contains("summa_serve_index_miss_total 1"));
-        assert!(text.contains("summa_serve_cache_shared_hit_total 7"));
-
-        let off = plane(TelemetryConfig {
-            enabled: false,
+    fn slow_log_books_hold_under_concurrent_writers() {
+        use std::sync::Barrier;
+        const WRITERS: u64 = 3;
+        const PER_WRITER: u64 = 20_000;
+        let p = plane(TelemetryConfig {
+            slow_threshold_ns: Some(0),
+            slow_log_capacity: 8,
             ..TelemetryConfig::default()
         });
-        off.note_served(SERVED_INDEX, 0);
-        assert!(off
-            .prometheus_text(&ServeStats::default())
-            .contains("summa_serve_index_hit_total 0"));
+        // The Chrome dump's otherData carries the same three books, in
+        // (captured, dropped, triggered) order.
+        let rendered_books = |json: &str| -> Vec<u64> {
+            json[json.find("\"otherData\"").expect("otherData")..]
+                .split(|c: char| !c.is_ascii_digit())
+                .filter(|n| !n.is_empty())
+                .map(|n| n.parse().expect("count"))
+                .collect()
+        };
+        let start = Barrier::new(WRITERS as usize + 1);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (p, start) = (&p, &start);
+                    scope.spawn(move || {
+                        let t = p.tenant("t0");
+                        start.wait();
+                        for i in 0..PER_WRITER {
+                            let resp = ok_resp(w * PER_WRITER + i);
+                            p.observe_request(&t, "t0", Op::Ping, &resp, PhaseNs::default(), 0, 1);
+                        }
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                start.wait();
+                let mut reads = 0;
+                while !done.load(Ordering::Relaxed) || reads < 100 {
+                    let (captured, dropped, triggered) = p.slow_log_counts();
+                    assert_eq!(captured + dropped, triggered, "counts, read {reads}");
+                    let books = rendered_books(&p.slow_log_chrome_json());
+                    assert_eq!(books[0] + books[1], books[2], "render, read {reads}");
+                    reads += 1;
+                }
+            });
+            for w in writers {
+                w.join().expect("writer");
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let total = WRITERS * PER_WRITER;
+        assert_eq!(p.slow_log_counts(), (8, total - 8, total));
     }
 
     #[test]
     fn empty_plane_renderings_still_validate() {
         let p = plane(TelemetryConfig::default());
-        let text = p.prometheus_text(&ServeStats::default());
+        let text = p.prometheus_text();
         validate_exposition(&text).expect("empty exposition lints clean");
         let json = p.slow_log_chrome_json();
         validate_chrome_trace(&json).expect("empty slow log still validates");

@@ -11,12 +11,13 @@
 //! universe has. Every call below returns in bounded time with an
 //! honest account of what it did and did not establish.
 
+use std::sync::Arc;
 use std::time::Duration;
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::parser::parse_concept;
 use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
-use summa_guard::{Budget, CancelToken, FaultPlan, Governed};
+use summa_guard::{Budget, CancelToken, FaultInjector, Governed};
 
 /// `holes + 1` pigeons, `holes` holes, no sharing: unsatisfiable,
 /// exponentially so.
@@ -92,12 +93,11 @@ fn main() {
     let g = r.is_satisfiable_governed(&probe, &Budget::new().with_cancel(token));
     describe("cancelled token:", &g);
 
-    // Fault injection: rehearse the degradation path itself.
+    // Fault injection: rehearse the degradation path itself. Every
+    // step charge arrives at the `meter.step` site.
+    let injector = FaultInjector::parse_plan("meter.step@100=trip", 0).expect("valid plan");
     let mut r = Tableau::new(&t, &voc);
-    let g = r.is_satisfiable_governed(
-        &probe,
-        &Budget::new().with_fault(FaultPlan::fail_at_step(100)),
-    );
+    let g = r.is_satisfiable_governed(&probe, &Budget::new().with_injector(Arc::new(injector)));
     describe("fault at step 100:", &g);
 
     // An unlimited budget reproduces the legacy answer on feasible

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate: what CI runs, runnable offline (no network, no registry —
-# the workspace has path dependencies only).
+# Tier-1 gate: CI's single test step, runnable offline (no network, no
+# registry — the workspace has path dependencies only). Artifacts land
+# in target/ (trace_car_dog.*, telemetry_*) and the repo root
+# (BENCH_*.json).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,12 +19,14 @@ SUMMA_THREADS=4 cargo test -q
 
 # Trace lane: the observability suite must hold with the process-global
 # tracer enabled too, and the example must emit a Chrome trace that the
-# dependency-free validator accepts (it errors on empty traceEvents).
+# dependency-free validator accepts (it errors on empty traceEvents)
+# plus non-empty collapsed stacks.
 echo "==> SUMMA_TRACE=1 trace lane"
 SUMMA_TRACE=1 SUMMA_THREADS=4 cargo test -q -p summa-core --test integration_obs
 (cd target && SUMMA_TRACE=1 cargo run -q -p summa-core --example trace_car_dog)
 test -s target/trace_car_dog.json
-echo "    trace_car_dog.json: valid, non-empty"
+test -s target/trace_car_dog.folded
+echo "    trace_car_dog.json + trace_car_dog.folded: valid, non-empty"
 
 # Chaos lane: arm the process-global fault injector with a fixed,
 # replayable plan (panic/poison kinds only — the ones the supervisor
@@ -36,14 +40,6 @@ SUMMA_FAULT_PLAN="$CHAOS_PLAN" SUMMA_FAULT_SEED=1405 SUMMA_THREADS=1 \
 SUMMA_FAULT_PLAN="$CHAOS_PLAN" SUMMA_FAULT_SEED=1405 SUMMA_THREADS=4 \
     cargo test -q -p summa-core --test integration_resilience
 
-# Cold-serve chaos lane: the SUMMA_SERVE_COLD=1 escape hatch forces
-# every default-configured server onto the per-request-fresh path; the
-# serving conformance suites must hold unchanged (warm-path tests pin
-# their own cold/warm configs explicitly, so they gate both paths).
-echo "==> cold-serve lane: SUMMA_SERVE_COLD=1 serve suites"
-SUMMA_SERVE_COLD=1 cargo test -q -p summa-serve --test integration_serve
-SUMMA_SERVE_COLD=1 cargo test -q -p summa-serve --test integration_warmpath
-
 # Bench smoke lane: one sample per classification strategy. The bench
 # itself asserts brute-force ≡ enhanced hierarchies and the diamond
 # sat-call acceptance ratio; the validator gates the report format.
@@ -53,16 +49,10 @@ cargo run -q -p summa-obs --example validate_json -- \
     BENCH_classify.json bench generated_at workloads
 echo "    BENCH_classify.json: valid"
 
-# Kernel lane: the tableau differential suite runs in the main sweeps
-# with the agenda/trail kernel as default; re-run it with the reference
-# clone-per-disjunct engine forced process-wide (the suite pins both
-# engines per test, so this proves the env gate itself is wired
-# through), then smoke the engine-vs-engine bench — it asserts verdict
-# and states-popped identity plus strictly fewer kernel label scans on
-# every lane — and gate the report format.
-echo "==> kernel lane: SUMMA_TABLEAU_REFERENCE=1 differential suite"
-SUMMA_TABLEAU_REFERENCE=1 SUMMA_THREADS=4 \
-    cargo test -q -p summa-core --test integration_tableau_kernel
+# Kernel bench smoke: the engine-vs-engine bench asserts verdict and
+# states-popped identity plus strictly fewer kernel label scans on
+# every lane; the validator gates the report format. (The tableau
+# differential suite itself runs in the main sweeps above.)
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau
 cargo run -q -p summa-obs --example validate_json -- \
@@ -82,7 +72,7 @@ cargo run -q --release -p summa-serve --example serve_soak
 # Telemetry lane: re-lint the scraped artifacts with the standalone
 # validators — the Prometheus exposition must parse and carry the
 # serve families, and the slow-query dump must be valid Chrome-trace
-# JSON. This is the same gate CI applies before uploading them.
+# JSON.
 echo "==> telemetry lane: lint scraped artifacts"
 cargo run -q -p summa-obs --example lint_exposition -- \
     target/telemetry_serve.prom \

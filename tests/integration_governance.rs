@@ -5,6 +5,7 @@
 //! governed outcome, never as an escaping panic.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use summa_core::critique::{
     pragmatic_critique_governed, semantic_critique_governed, syntactic_critique_governed,
@@ -14,7 +15,13 @@ use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::el::ElClassifier;
 use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
-use summa_guard::{Budget, CancelToken, ExhaustionReason, FaultPlan, Governed};
+use summa_guard::{Budget, CancelToken, ExhaustionReason, FaultInjector, Governed};
+
+/// A budget whose fault schedule is `plan` (injector syntax).
+fn fault_budget(plan: &str, seed: u64) -> Budget {
+    let injector = FaultInjector::parse_plan(plan, seed).expect("valid plan");
+    Budget::new().with_injector(Arc::new(injector))
+}
 
 /// The pigeonhole principle as a TBox: `holes + 1` pigeons must each
 /// sit in one of `holes` holes (⊤ ⊑ P_i0 ⊔ … ⊔ P_i(h-1)), yet no two
@@ -321,7 +328,7 @@ proptest! {
         let mut reasoner = Tableau::new(&t, &voc);
         let g = reasoner.is_satisfiable_governed(
             &probe,
-            &Budget::new().with_fault(FaultPlan::fail_at_step(fail_at)),
+            &fault_budget(&format!("meter.step@{fail_at}=trip"), 0),
         );
         prop_assert!(matches!(
             g,
@@ -338,7 +345,7 @@ proptest! {
             let mut reasoner = Tableau::new(&t, &voc);
             reasoner.is_satisfiable_governed(
                 &probe,
-                &Budget::new().with_fault(FaultPlan::probabilistic(0.05, seed)),
+                &fault_budget("meter.step@p0.05=trip", seed),
             ).status()
         };
         let first = run(seed);

@@ -15,7 +15,7 @@ use summa_dl::prelude::{realize_governed, realize_parallel_governed};
 use summa_dl::abox::ABox;
 use summa_dl::concept::Concept;
 use summa_dl::tableau::Tableau;
-use summa_guard::{Budget, ExhaustionReason, FaultPlan, Governed};
+use summa_guard::{Budget, ExhaustionReason, FaultInjector, FaultKind, Governed, STEP_SITE};
 use summa_ontonomy::corpus::{animals_signature, vehicles_signature};
 use summa_ontonomy::prelude::{
     signatures_isomorphic_governed, signatures_isomorphic_parallel_governed,
@@ -90,23 +90,24 @@ fn classification_report_is_byte_identical_across_thread_counts() {
 // Fault injection across workers
 // ---------------------------------------------------------------------
 
-/// A one-shot fault plan shared by four workers fires in exactly one
-/// of them, and the whole grid degrades to a clean `Exhausted` partial
-/// whose rows are still exact.
+/// A step fault on an injector shared by four workers fires in exactly
+/// one of them, and the whole grid degrades to a clean `Exhausted`
+/// partial whose rows are still exact.
 #[test]
 fn one_shot_fault_in_one_worker_degrades_cleanly() {
     let (voc, tbox, _) = generate::random_el(12, 2, 16, 0xFA17);
     let truth = Tableau::new(&tbox, &voc)
         .classify_governed(&tbox, &voc, &Budget::unlimited())
         .expect_completed("unlimited");
-    let plan = FaultPlan::fail_once_at_step(40);
-    let budget = Budget::new().with_fault(plan.clone());
+    let injector =
+        std::sync::Arc::new(FaultInjector::new(0).with_fault_at(STEP_SITE, 40, FaultKind::Trip));
+    let budget = Budget::new().with_injector(injector.clone());
     match classify_parallel_governed(&tbox, &voc, &budget, 4) {
         Governed::Exhausted {
             reason: ExhaustionReason::FaultInjected,
             partial: Some(partial),
         } => {
-            assert!(plan.fired(), "the shared one-shot trigger must fire");
+            assert_eq!(injector.n_fired(), 1, "the shared step fault fires once");
             for c in partial.concepts() {
                 assert_eq!(
                     partial.subsumers_ref(c),

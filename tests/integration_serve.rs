@@ -1,8 +1,8 @@
 //! Differential conformance for summa-serve: answers over the wire
 //! must be **byte-identical** — including the deterministic `Spend`
 //! fields — to direct library calls through [`summa_serve::ops`], at
-//! 1 and at 4 worker threads, with and without a fixed per-request
-//! fault plan. Plus: overload is a typed response (never a
+//! 1 and at 4 worker threads, on the warm and the cold served path,
+//! with and without a fixed per-request fault plan. Plus: overload is a typed response (never a
 //! disconnect), snapshot hot-swap bumps epochs without breaking
 //! in-flight conformance, and the server's `serve.accept` /
 //! `serve.batch` chaos sites degrade to typed answers, never to
@@ -16,7 +16,7 @@ use summa_serve::server::{Server, ServerConfig};
 use summa_serve::snapshot::SnapshotStore;
 use summa_serve::wire::{
     decode_ok_body, decode_overload, decode_protocol_error, Op, Overload, Payload, Request,
-    STATUS_ENGINE_ERROR, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
+    SERVED_PROVER, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 
 /// The fixed chaos plan the conformance runs replay on both sides.
@@ -99,27 +99,33 @@ fn baseline(cfg: &ServerConfig, reqs: &[Request]) -> Vec<Executed> {
         .collect()
 }
 
-fn assert_conformance(threads: usize, plan: Option<&str>) {
-    let cfg = config(threads, plan);
+fn assert_conformance(threads: usize, plan: Option<&str>, cold: bool) {
+    let cfg = ServerConfig {
+        cold,
+        ..config(threads, plan)
+    };
     let reqs = workload();
     let want = baseline(&cfg, &reqs);
-    let server = Server::start(config(threads, plan)).expect("server starts");
+    let server = Server::start(cfg).expect("server starts");
     let mut client = Client::connect(server.addr(), "conformance").expect("connects");
     for (req, want) in reqs.iter().zip(&want) {
         let resp = client.call(req.clone()).expect("answered");
         assert_eq!(
             resp.status,
             want.status,
-            "status for {:?} (threads={threads}, plan={plan:?})",
+            "status for {:?} (threads={threads}, plan={plan:?}, cold={cold})",
             req.op()
         );
         assert_eq!(
             resp.body,
             want.body,
-            "body bytes for {:?} (threads={threads}, plan={plan:?})",
+            "body bytes for {:?} (threads={threads}, plan={plan:?}, cold={cold})",
             req.op()
         );
         assert_eq!(resp.epoch, want.epoch, "epoch for {:?}", req.op());
+        if cold {
+            assert_eq!(resp.served, SERVED_PROVER, "cold path for {:?}", req.op());
+        }
     }
     drop(client);
     let stats = server.shutdown();
@@ -129,22 +135,33 @@ fn assert_conformance(threads: usize, plan: Option<&str>) {
 
 #[test]
 fn conformance_single_thread() {
-    assert_conformance(1, None);
+    assert_conformance(1, None, false);
 }
 
 #[test]
 fn conformance_four_threads() {
-    assert_conformance(4, None);
+    assert_conformance(4, None, false);
+}
+
+/// `cold: true` serves every request on the per-request-fresh path.
+#[test]
+fn conformance_single_thread_cold() {
+    assert_conformance(1, None, true);
+}
+
+#[test]
+fn conformance_four_threads_cold() {
+    assert_conformance(4, None, true);
 }
 
 #[test]
 fn conformance_single_thread_under_fault_plan() {
-    assert_conformance(1, Some(FAULT_PLAN));
+    assert_conformance(1, Some(FAULT_PLAN), false);
 }
 
 #[test]
 fn conformance_four_threads_under_fault_plan() {
-    assert_conformance(4, Some(FAULT_PLAN));
+    assert_conformance(4, Some(FAULT_PLAN), false);
 }
 
 /// The fault plan actually bites: the realize request must come back

@@ -1,15 +1,12 @@
 //! Differential suite for the tableau expansion engines: the
 //! agenda/trail kernel (default) against the reference
-//! clone-per-disjunct engine (`Tableau::with_reference_kernel(true)`,
-//! or `SUMMA_TABLEAU_REFERENCE=1` process-wide).
+//! clone-per-disjunct engine (`Tableau::with_reference_kernel(true)`).
 //!
 //! The kernel's contract is *byte identity*: same verdicts, same
 //! hierarchies, same realizations, same ledger spend, same partial
 //! rows under starved budgets — the engines may differ only in how
 //! much scanning and cloning they do to get there. Every test here
-//! pins both engines explicitly, so the suite proves the same thing
-//! whether CI runs it bare or under `SUMMA_TABLEAU_REFERENCE=1` (the
-//! kernel lane does both).
+//! pins both engines explicitly.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -247,9 +244,8 @@ fn trail_undo_roundtrips_through_merges() {
 // ---------------------------------------------------------------------
 
 /// Full classify hierarchies are identical under both engines, and the
-/// parallel classifier (which constructs engine-default reasoners
-/// internally) matches them at 1 and 4 threads — so whichever engine
-/// `SUMMA_TABLEAU_REFERENCE` selects, answers hold.
+/// parallel classifier (which constructs default-engine reasoners
+/// internally) matches them at 1 and 4 threads.
 #[test]
 fn classify_hierarchies_are_byte_identical() {
     let cases: Vec<(Vocabulary, TBox)> = vec![

@@ -7,11 +7,12 @@
 //!
 //! Plus the plane's own books: the per-tenant/per-op histogram counts
 //! reconcile exactly with `ServeStats.completed`, the slow-query log
-//! satisfies `captured + dropped == triggered`, both wire renderings
-//! (Prometheus text, Chrome trace JSON) validate with the library's
-//! own linters, disabled telemetry records nothing, and an unknown
-//! telemetry format is a typed protocol error on a surviving
-//! connection.
+//! satisfies `captured + dropped == triggered`, `ServeStats` equals
+//! the exported server counters whether or not the plane records,
+//! both wire renderings (Prometheus text, Chrome trace JSON) validate
+//! with the library's own linters, disabled telemetry records nothing,
+//! and an unknown telemetry format is a typed protocol error on a
+//! surviving connection.
 
 use summa_obs::export::validate_chrome_trace;
 use summa_obs::validate_exposition;
@@ -289,4 +290,78 @@ fn per_tenant_attribution_reconciles() {
     let stats = server.shutdown();
     assert!(stats.reconciles());
     assert_eq!(stats.completed, 10);
+}
+
+/// The exposition family a `ServeStats` entry is exported under.
+fn stat_family(key: &str) -> String {
+    match key {
+        "index_hits" => "summa_serve_index_hit_total".into(),
+        "index_misses" => "summa_serve_index_miss_total".into(),
+        "cache_shared_hits" => "summa_serve_cache_shared_hit_total".into(),
+        k => format!("summa_serve_{k}_total"),
+    }
+}
+
+/// Every server count lives once, in the plane's registry: under real
+/// traffic `ServeStats` and the exposition report the same numbers,
+/// whether or not the plane records.
+#[test]
+fn serve_stats_equal_exported_counters_enabled_and_disabled() {
+    for enabled in [true, false] {
+        let server = Server::start(ServerConfig {
+            threads: 2,
+            telemetry: TelemetryConfig {
+                enabled,
+                ..TelemetryConfig::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let mut client = Client::connect(server.addr(), "books").expect("connects");
+        for _ in 0..2 {
+            // A named pair answers by index; the complex query proves,
+            // then replays from the epoch-shared cache.
+            client
+                .subsumes("vehicles", "car", "motorvehicle")
+                .expect("answered");
+            client
+                .subsumes("vehicles", "car", "some uses.gasoline")
+                .expect("answered");
+        }
+        client.ping().expect("answered");
+        client.classify("no-such-ontology").expect("typed error");
+        client.telemetry(200).expect("typed protocol rejection");
+        client.stats().expect("admin answered");
+        wait_until(|| server.stats().completed == server.stats().accepted);
+        // Counters only grow, so equal reads on both sides of the
+        // render pin the values it exported.
+        let (stats, text) = loop {
+            let before = server.stats();
+            let text = server.telemetry().prometheus_text();
+            if server.stats() == before {
+                break (before, text);
+            }
+        };
+        validate_exposition(&text).expect("exposition lints clean");
+        assert!(
+            stats.index_hits > 0 && stats.index_misses > 0 && stats.cache_shared_hits > 0,
+            "warm traffic moved every attribution count (enabled={enabled}): {stats:?}"
+        );
+        assert!(stats.rejected_protocol > 0 && stats.admin > 0, "{stats:?}");
+        let entries = stats.entries();
+        for (key, value) in &entries {
+            let line = format!("{} {value}", stat_family(key));
+            assert!(
+                text.lines().any(|l| l == line),
+                "enabled={enabled}: expected `{line}` in the exposition:\n{text}"
+            );
+        }
+        assert_eq!(
+            server.telemetry().registry().counters().len(),
+            entries.len(),
+            "the plane's registry holds exactly the server counts"
+        );
+        drop(client);
+        assert!(server.shutdown().reconciles());
+    }
 }

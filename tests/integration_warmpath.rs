@@ -89,8 +89,6 @@ fn baseline(cfg: &ServerConfig, reqs: &[Request]) -> Vec<Executed> {
 /// warmed) with bodies byte-identical to the direct cold library call,
 /// and the served markers prove the index/cache actually answered.
 fn assert_warm_conformance(threads: usize) {
-    // `cold: false` is pinned (not left to the default) so this suite
-    // stays warm even under a tier-1 `SUMMA_SERVE_COLD=1` lane.
     let cfg = ServerConfig {
         threads,
         max_batch: 4,
@@ -162,9 +160,8 @@ fn warm_conformance_four_threads() {
     assert_warm_conformance(4);
 }
 
-/// `SUMMA_SERVE_COLD`'s config-level twin: `cold: true` forces the
-/// per-request-fresh path — every answer is prover-served, bodies
-/// unchanged, and no warm counters move.
+/// `cold: true` forces the per-request-fresh path — every answer is
+/// prover-served, bodies unchanged, and no warm counters move.
 #[test]
 fn cold_escape_hatch_disables_the_warm_path() {
     let cfg = ServerConfig {
