@@ -16,10 +16,12 @@
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the measurement window to one sample
 //! per lane so CI can validate the report format without paying for a
-//! full measurement.
+//! full measurement; such a run writes its report under
+//! `target/bench-smoke/`, leaving the committed one alone.
 
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
+use summa_bench::smoke;
 use summa_dl::classify::{
     classify_brute_force_governed, classify_enhanced_governed, ClassifyStats,
 };
@@ -61,10 +63,6 @@ fn workloads() -> Vec<Workload> {
             tbox: d_tbox,
         },
     ]
-}
-
-fn smoke() -> bool {
-    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
 fn main() {
@@ -186,7 +184,6 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_classify.json");
-    std::fs::write(path, &json).expect("write BENCH_classify.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::write_report("classify", &json);
+    println!("\nwrote {}", path.display());
 }

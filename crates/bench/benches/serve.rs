@@ -26,19 +26,17 @@
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the run so CI can validate the report
 //! format without paying for a measurement (the 5× gate is skipped —
-//! tiny counts measure scheduling noise, not reasoning).
+//! tiny counts measure scheduling noise, not reasoning) and writes the
+//! report under `target/bench-smoke/`, leaving the committed one alone.
 
 use criterion::json_escape;
 use std::fmt::Write as _;
 use std::time::Instant;
+use summa_bench::smoke;
 use summa_serve::client::Client;
 use summa_serve::server::{Server, ServerConfig};
 use summa_serve::telemetry::{TelemetryConfig, PHASES};
 use summa_serve::wire::{Op, STATUS_OK};
-
-fn smoke() -> bool {
-    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
-}
 
 struct LaneResult {
     name: String,
@@ -302,7 +300,6 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::write_report("serve", &json);
+    println!("\nwrote {}", path.display());
 }

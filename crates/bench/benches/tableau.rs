@@ -21,10 +21,13 @@
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the measurement window to one sample
 //! per lane so CI can validate the report format without paying for a
-//! full measurement; the counter assertions are exact either way.
+//! full measurement; the counter assertions are exact either way. Such
+//! a run writes its report under `target/bench-smoke/`, leaving the
+//! committed one alone.
 
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
+use summa_bench::smoke;
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::generate;
 use summa_dl::tableau::Tableau;
@@ -92,10 +95,6 @@ fn workloads() -> Vec<Workload> {
             queries: d_queries,
         },
     ]
-}
-
-fn smoke() -> bool {
-    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
 /// One instrumented pass of a workload through one engine: fresh
@@ -251,7 +250,6 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tableau.json");
-    std::fs::write(path, &json).expect("write BENCH_tableau.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::write_report("tableau", &json);
+    println!("\nwrote {}", path.display());
 }

@@ -20,6 +20,30 @@ pub const SWEEP_SMALL: &[usize] = &[2, 4, 6];
 /// Larger sweep for polynomial-cost experiments.
 pub const SWEEP_MEDIUM: &[usize] = &[8, 16, 32, 64];
 
+/// Is this a `SUMMA_BENCH_SMOKE=1` run? Smoke runs shrink each lane to
+/// a sample or two so CI can check a report's format and its exact
+/// counters; their wall times are placeholders.
+pub fn smoke() -> bool {
+    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Write a bench report as `BENCH_<name>.json` and return its path.
+/// A real run writes the committed report at the workspace root; a
+/// smoke run writes `target/bench-smoke/` instead, so its placeholder
+/// figures never overwrite a committed report.
+pub fn write_report(name: &str, json: &str) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if smoke() {
+        root.join("target/bench-smoke")
+    } else {
+        root
+    };
+    std::fs::create_dir_all(&dir).expect("create the report directory");
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, json).expect("write the bench report");
+    path
+}
+
 /// The current UTC wall-clock time as an ISO-8601 timestamp
 /// (`YYYY-MM-DDTHH:MM:SSZ`), computed from the Unix epoch without any
 /// date dependency. Used to stamp benchmark reports with provenance.

@@ -5,8 +5,9 @@
 //! qualified number restrictions ≥n r.C / ≤n r.C (the paper's
 //! `∃₄has.wheels` is `≥4 has.wheel ⊓ ≤4 has.wheel`).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Interned atomic concept name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -16,11 +17,61 @@ pub struct ConceptId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleId(pub u32);
 
+/// One namespace of interned names. Ids are positions in `names`,
+/// which alone define equality and `Debug`; `ids` is the derived
+/// name → id lookup. Names can arrive over the wire, so the lookup
+/// keeps std's keyed hasher. Each name is one `Arc<str>` shared by
+/// both halves, so cloning a namespace copies no string bytes.
+#[derive(Clone, Default)]
+struct Names {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl Names {
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn find(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
+impl PartialEq for Names {
+    fn eq(&self, other: &Names) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for Names {}
+
+impl fmt::Debug for Names {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.names.fmt(f)
+    }
+}
+
 /// Interner for concept and role names.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Vocabulary {
-    concepts: Vec<String>,
-    roles: Vec<String>,
+    concepts: Names,
+    roles: Names,
 }
 
 impl Vocabulary {
@@ -31,46 +82,32 @@ impl Vocabulary {
 
     /// Intern a concept name (idempotent).
     pub fn concept(&mut self, name: &str) -> ConceptId {
-        if let Some(i) = self.concepts.iter().position(|n| n == name) {
-            return ConceptId(i as u32);
-        }
-        self.concepts.push(name.to_string());
-        ConceptId((self.concepts.len() - 1) as u32)
+        ConceptId(self.concepts.intern(name))
     }
 
     /// Intern a role name (idempotent).
     pub fn role(&mut self, name: &str) -> RoleId {
-        if let Some(i) = self.roles.iter().position(|n| n == name) {
-            return RoleId(i as u32);
-        }
-        self.roles.push(name.to_string());
-        RoleId((self.roles.len() - 1) as u32)
+        RoleId(self.roles.intern(name))
     }
 
     /// Look up a concept id by name without interning.
     pub fn find_concept(&self, name: &str) -> Option<ConceptId> {
-        self.concepts
-            .iter()
-            .position(|n| n == name)
-            .map(|i| ConceptId(i as u32))
+        self.concepts.find(name).map(ConceptId)
     }
 
     /// Look up a role id by name without interning.
     pub fn find_role(&self, name: &str) -> Option<RoleId> {
-        self.roles
-            .iter()
-            .position(|n| n == name)
-            .map(|i| RoleId(i as u32))
+        self.roles.find(name).map(RoleId)
     }
 
     /// Name of a concept id.
     pub fn concept_name(&self, c: ConceptId) -> &str {
-        &self.concepts[c.0 as usize]
+        self.concepts.name(c.0)
     }
 
     /// Name of a role id.
     pub fn role_name(&self, r: RoleId) -> &str {
-        &self.roles[r.0 as usize]
+        self.roles.name(r.0)
     }
 
     /// Number of interned concept names.

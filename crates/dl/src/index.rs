@@ -18,16 +18,22 @@
 //! calls — an index answer is *exactly* the prover's answer, never an
 //! approximation.
 //!
-//! Like the resilience layer's `SatCache` entries, the packed blocks
-//! carry a checksum ([`HierarchyIndex::is_intact`]); a consumer that
-//! detects corruption drops the index and falls back to proving.
+//! Like the resilience layer's `SatCache` entries, the index carries
+//! checksums — one per row, each covering `words`, the rank, the
+//! rank's atom and both of the rank's matrix rows. Every lookup
+//! verifies the rows it reads before it answers and returns `None` on
+//! a mismatch, so the caller proves instead; no answer is ever built
+//! from a word or atom entry that failed its check. A lookup costs two
+//! row checks, not a pass over the whole index.
+//! [`HierarchyIndex::is_intact`] checks every row.
 
 use crate::classify::ClassHierarchy;
 use crate::concept::ConceptId;
-use crate::fxhash::fx_hash;
+use crate::fxhash::FxHasher;
+use std::hash::Hasher;
 
-/// Magic seed folded into the index checksum so it cannot collide with
-/// the sat-cache entry checksums over the same data.
+/// Magic seed folded into the row checksums so they cannot collide
+/// with the sat-cache entry checksums over the same data.
 const INDEX_CHECKSUM_SEED: u64 = 0x1D0_5EED_u64;
 
 /// A reflexive–transitive-closure subsumption index over interned atom
@@ -45,7 +51,9 @@ pub struct HierarchyIndex {
     /// The transpose — row `i`, bit `j`: `atoms[j]` is subsumed by
     /// `atoms[i]` (descendants, reflexive).
     descendants: Vec<u64>,
-    checksum: u64,
+    /// `row_checksums[i]` covers `words`, rank `i`, `atoms[i]` and row
+    /// `i` of both matrices.
+    row_checksums: Vec<u64>,
 }
 
 impl HierarchyIndex {
@@ -69,31 +77,51 @@ impl HierarchyIndex {
                 descendants[j * words + i / 64] |= 1u64 << (i % 64);
             }
         }
-        let checksum = Self::compute_checksum(&atoms, words, &ancestors, &descendants);
-        Some(HierarchyIndex {
+        let mut idx = HierarchyIndex {
             atoms,
             words,
             ancestors,
             descendants,
-            checksum,
-        })
+            row_checksums: Vec::new(),
+        };
+        idx.row_checksums = (0..n)
+            .map(|i| idx.row(i).expect("build lays out every row").2)
+            .collect();
+        Some(idx)
     }
 
-    fn compute_checksum(
-        atoms: &[ConceptId],
-        words: usize,
-        ancestors: &[u64],
-        descendants: &[u64],
-    ) -> u64 {
-        fx_hash(&(INDEX_CHECKSUM_SEED, atoms, words, ancestors, descendants))
+    /// Rank `i`'s ancestor and descendant rows, with the checksum of
+    /// what rank `i` holds now. `None` when rank `i` or `words` no
+    /// longer address rows inside the matrices.
+    fn row(&self, i: usize) -> Option<(&[u64], &[u64], u64)> {
+        let start = i.checked_mul(self.words)?;
+        let end = start.checked_add(self.words)?;
+        let up = self.ancestors.get(start..end)?;
+        let down = self.descendants.get(start..end)?;
+        let mut h = FxHasher::default();
+        h.write_u64(INDEX_CHECKSUM_SEED);
+        h.write_usize(self.words);
+        h.write_usize(i);
+        h.write_u32(self.atoms.get(i)?.0);
+        for &w in up.iter().chain(down) {
+            h.write_u64(w);
+        }
+        Some((up, down, h.finish()))
     }
 
-    /// Recompute the checksum over the packed blocks and compare. A
-    /// mismatch means silent corruption; the consumer must fall back
-    /// to the prover.
+    /// Rank `i`'s ancestor and descendant rows, provided everything
+    /// its checksum covers still matches it.
+    fn verified(&self, i: usize) -> Option<(&[u64], &[u64])> {
+        let (up, down, sum) = self.row(i)?;
+        (self.row_checksums.get(i) == Some(&sum)).then_some((up, down))
+    }
+
+    /// Does every row still match its checksum? A mismatch means
+    /// silent corruption. Lookups verify the rows they read on their
+    /// own; this is for a consumer that serves the whole index at once.
     pub fn is_intact(&self) -> bool {
-        Self::compute_checksum(&self.atoms, self.words, &self.ancestors, &self.descendants)
-            == self.checksum
+        self.row_checksums.len() == self.atoms.len()
+            && (0..self.atoms.len()).all(|i| self.verified(i).is_some())
     }
 
     /// Number of indexed atoms.
@@ -117,39 +145,47 @@ impl HierarchyIndex {
     }
 
     /// Does `sup` subsume `sub`? `None` when either atom is outside
-    /// the index (the caller falls through to the prover); `Some` is
-    /// the prover's own answer, by construction.
+    /// the index or either atom's row fails its checksum (the caller
+    /// falls through to the prover); `Some` is the prover's own
+    /// answer, by construction.
     pub fn subsumes(&self, sup: ConceptId, sub: ConceptId) -> Option<bool> {
         let i = self.atoms.binary_search(&sub).ok()?;
         let j = self.atoms.binary_search(&sup).ok()?;
-        Some(self.ancestors[i * self.words + j / 64] & (1u64 << (j % 64)) != 0)
+        // Row `j` vouches that `sup` really sits at rank `j`, the bit
+        // read from row `i`.
+        let (up, _) = self.verified(i)?;
+        self.verified(j)?;
+        Some(up.get(j / 64)? & (1u64 << (j % 64)) != 0)
     }
 
     /// All subsumers of `c` (reflexive), ascending; `None` when `c` is
-    /// not indexed.
+    /// not indexed or a row it reads fails its checksum.
     pub fn subsumers_of(&self, c: ConceptId) -> Option<Vec<ConceptId>> {
         let i = self.atoms.binary_search(&c).ok()?;
-        Some(self.unpack_row(&self.ancestors[i * self.words..(i + 1) * self.words]))
+        self.unpack_row(self.verified(i)?.0)
     }
 
     /// All subsumees of `c` (reflexive), ascending; `None` when `c` is
-    /// not indexed.
+    /// not indexed or a row it reads fails its checksum.
     pub fn subsumees_of(&self, c: ConceptId) -> Option<Vec<ConceptId>> {
         let i = self.atoms.binary_search(&c).ok()?;
-        Some(self.unpack_row(&self.descendants[i * self.words..(i + 1) * self.words]))
+        self.unpack_row(self.verified(i)?.1)
     }
 
-    fn unpack_row(&self, row: &[u64]) -> Vec<ConceptId> {
+    /// Map a row's set bits to atoms; each bit's own row vouches for
+    /// the atom entry it reads.
+    fn unpack_row(&self, row: &[u64]) -> Option<Vec<ConceptId>> {
         let mut out = Vec::new();
         for (w, &word) in row.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(self.atoms[w * 64 + b]);
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                self.verified(k)?;
+                out.push(self.atoms[k]);
                 bits &= bits - 1;
             }
         }
-        out
+        Some(out)
     }
 }
 
@@ -249,19 +285,28 @@ mod tests {
         let h = classified(&t, &p.voc);
         let mut idx = HierarchyIndex::build(&h).expect("closed hierarchy");
         assert!(idx.is_intact());
-        if let Some(w) = idx.ancestors.first_mut() {
-            *w ^= 1;
-        }
+        idx.ancestors[0] ^= 1;
         assert!(!idx.is_intact());
+        // Only lookups that read rank 0's row refuse; the rest still
+        // answer from rows that verify.
+        let rows: Vec<ConceptId> = h.concepts().collect();
+        let bad = rows[0];
+        for &sub in &rows {
+            for &sup in &rows {
+                let want = (sub != bad && sup != bad).then(|| h.subsumes(sup, sub));
+                assert_eq!(idx.subsumes(sup, sub), want);
+            }
+        }
+        assert_eq!(idx.subsumers_of(bad), None);
+        assert_eq!(idx.subsumees_of(bad), None);
     }
 
-    #[test]
-    fn sixty_five_atoms_cross_the_word_boundary() {
-        // >64 atoms forces words == 2; the bit addressing must still
-        // agree with the hierarchy on every pair.
+    /// The chain `c0 < c1 < … < c{n-1}`, indexed: `sup` (rank `j`)
+    /// subsumes `sub` (rank `i`) iff `j >= i`.
+    fn chain_index(n: usize) -> (Vec<ConceptId>, HierarchyIndex) {
         let mut voc = crate::concept::Vocabulary::new();
         let mut tbox = crate::tbox::TBox::new();
-        let ids: Vec<ConceptId> = (0..65).map(|i| voc.concept(&format!("c{i}"))).collect();
+        let ids: Vec<ConceptId> = (0..n).map(|i| voc.concept(&format!("c{i}"))).collect();
         for w in ids.windows(2) {
             tbox.subsume(
                 crate::concept::Concept::atom(w[0]),
@@ -270,13 +315,67 @@ mod tests {
         }
         let h = classified(&tbox, &voc);
         let idx = HierarchyIndex::build(&h).expect("closed hierarchy");
+        (ids, idx)
+    }
+
+    #[test]
+    fn sixty_five_atoms_cross_the_word_boundary() {
+        // >64 atoms forces words == 2; the bit addressing must still
+        // agree with the hierarchy on every pair.
+        let (ids, idx) = chain_index(65);
         assert_eq!(idx.len(), 65);
         for (i, &sub) in ids.iter().enumerate() {
             for (j, &sup) in ids.iter().enumerate() {
-                // Chain: c0 < c1 < … < c64, so sup subsumes sub iff
-                // j >= i.
                 assert_eq!(idx.subsumes(sup, sub), Some(j >= i), "({j}, {i})");
             }
         }
+    }
+
+    #[test]
+    fn no_single_bit_flip_yields_a_wrong_answer() {
+        // Flip every bit of every word the index holds, one flip at a
+        // time, on an index whose rows span two words. After each
+        // flip no pair may answer anything but the chain's own answer
+        // or `None`, and the whole-index check must fail.
+        let (ids, mut idx) = chain_index(65);
+        assert_eq!(idx.words, 2);
+        let n = ids.len();
+        let cells = n * idx.words;
+        let fields: [(&str, usize, u32); 5] = [
+            ("atoms", n, u32::BITS),
+            ("ancestors", cells, u64::BITS),
+            ("descendants", cells, u64::BITS),
+            ("row_checksums", n, u64::BITS),
+            ("words", 1, usize::BITS),
+        ];
+        let flip = |idx: &mut HierarchyIndex, field: &str, at: usize, bit: u32| match field {
+            "atoms" => idx.atoms[at].0 ^= 1 << bit,
+            "ancestors" => idx.ancestors[at] ^= 1 << bit,
+            "descendants" => idx.descendants[at] ^= 1 << bit,
+            "row_checksums" => idx.row_checksums[at] ^= 1 << bit,
+            _ => idx.words ^= 1 << bit,
+        };
+        let mut flips = 0;
+        for (field, len, bits) in fields {
+            for at in 0..len {
+                for bit in 0..bits {
+                    flip(&mut idx, field, at, bit);
+                    assert!(!idx.is_intact(), "{field}[{at}] bit {bit} went unnoticed");
+                    for (i, &sub) in ids.iter().enumerate() {
+                        for (j, &sup) in ids.iter().enumerate() {
+                            let got = idx.subsumes(sup, sub);
+                            assert!(
+                                got.is_none() || got == Some(j >= i),
+                                "{field}[{at}] bit {bit}: ({j}, {i}) answered {got:?}"
+                            );
+                        }
+                    }
+                    flip(&mut idx, field, at, bit);
+                    flips += 1;
+                }
+            }
+        }
+        assert_eq!(flips, 65 * 32 + 2 * 130 * 64 + 65 * 64 + 64);
+        assert!(idx.is_intact(), "every flip was undone");
     }
 }

@@ -447,4 +447,41 @@ mod tests {
         assert!(parse_concept("a @ b", &mut v).is_err());
         assert!(parse_axiom("a b", &mut v).is_err());
     }
+
+    #[test]
+    fn parses_a_32k_axiom_text() {
+        // A TBox the size a `load_snapshot` frame can carry (~860 KiB,
+        // 32k distinct names). Interning must look names up in O(1):
+        // a scan per lookup makes parsing quadratic in the vocabulary.
+        const AXIOMS: usize = 32 * 1024;
+        let text: String = (0..AXIOMS)
+            .map(|i| {
+                let (b, c, r) = ((i * 7 + 1) % AXIOMS, (i * 13 + 5) % AXIOMS, i % 16);
+                match i % 3 {
+                    0 => format!("c{i} < c{b}\n"),
+                    1 => format!("c{i} < some r{r}.(c{b} & c{c})\n"),
+                    _ => format!("c{i} = c{b} | all r{r}.c{c}\n"),
+                }
+            })
+            .collect();
+        assert!(text.len() > 512 * 1024 && text.len() < 1024 * 1024);
+        let mut v = Vocabulary::new();
+        let mut tbox = TBox::new();
+        for line in text.lines() {
+            tbox.add(parse_axiom(line, &mut v).expect("generated axioms parse"));
+        }
+        assert_eq!(tbox.len(), AXIOMS);
+        assert_eq!((v.n_concepts(), v.n_roles()), (AXIOMS, 16));
+        // Ids are first-seen positions (line 1 names c0 and c1, line 2
+        // the first role), and every name finds its own.
+        assert_eq!(v.find_concept("c1"), Some(crate::concept::ConceptId(1)));
+        assert_eq!(v.find_role("r1"), Some(crate::concept::RoleId(0)));
+        for c in v.concepts() {
+            assert_eq!(v.find_concept(v.concept_name(c)), Some(c));
+        }
+        for r in v.roles() {
+            assert_eq!(v.find_role(v.role_name(r)), Some(r));
+        }
+        assert_eq!(v.find_concept("c32768"), None);
+    }
 }

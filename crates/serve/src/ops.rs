@@ -321,19 +321,18 @@ fn subsumes_with(
     }
 }
 
-/// The snapshot's warm state, if present and passing its integrity
-/// check. A corrupt index is never consulted — the query proves
-/// instead, exactly like a snapshot that shipped without one.
-fn intact_warm(snap: &Snapshot) -> Option<&WarmState> {
-    snap.warm.as_ref().filter(|w| w.index.is_intact())
-}
-
 /// Execute one request preferring the snapshot's warm state: index
 /// lookups for told subsumption, the stored classification for
 /// `classify`, and the epoch-shared [`SatCache`] (plus index-assisted
 /// most-specific filtering) for realization. Falls back to
 /// [`execute`] — the cold conformance baseline — whenever the
-/// snapshot has no intact warm state or the op has no warm variant.
+/// snapshot has no warm state or the op has no warm variant.
+///
+/// `subsumes` and `realize` reach the index only through
+/// `HierarchyIndex::subsumes`, which verifies the two rows it reads
+/// and answers `None` (so the pair is proved) when either fails its
+/// checksum. `classify` serves the whole stored hierarchy, so it
+/// checks the whole index first and goes cold if any row fails.
 ///
 /// Answer bodies are byte-identical to [`execute`] whenever both
 /// complete: index bits are the classifier's own answers and the
@@ -347,13 +346,13 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            subsumes_with(&snap, sub, sup, budget, intact_warm(&snap))
+            subsumes_with(&snap, sub, sup, budget, snap.warm.as_ref())
         }
         Request::Classify { snapshot } => {
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            let Some(w) = intact_warm(&snap) else {
+            let Some(w) = snap.warm.as_ref().filter(|w| w.index.is_intact()) else {
                 return execute(store, req, budget);
             };
             // The stored hierarchy came from the same deterministic
@@ -383,7 +382,7 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            let Some(w) = intact_warm(&snap) else {
+            let Some(w) = snap.warm.as_ref() else {
                 return execute(store, req, budget);
             };
             let mut voc = snap.voc.clone();

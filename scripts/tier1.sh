@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: CI's single test step, runnable offline (no network, no
 # registry — the workspace has path dependencies only). Artifacts land
-# in target/ (trace_car_dog.*, telemetry_*) and the repo root
-# (BENCH_*.json).
+# in target/: trace_car_dog.*, telemetry_*, the bench smoke reports
+# (bench-smoke/BENCH_*.json) and the serving benchmark's build
+# (perfbench/). The committed BENCH_*.json at the repo root come from
+# real bench runs only; no lane here rewrites them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,11 +45,13 @@ SUMMA_FAULT_PLAN="$CHAOS_PLAN" SUMMA_FAULT_SEED=1405 SUMMA_THREADS=4 \
 # Bench smoke lane: one sample per classification strategy. The bench
 # itself asserts brute-force ≡ enhanced hierarchies and the diamond
 # sat-call acceptance ratio; the validator gates the report format.
+# Smoke runs write their reports under target/bench-smoke/.
+SMOKE=target/bench-smoke
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench classify"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench classify
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_classify.json bench generated_at workloads
-echo "    BENCH_classify.json: valid"
+    "$SMOKE/BENCH_classify.json" bench generated_at workloads
+echo "    $SMOKE/BENCH_classify.json: valid"
 
 # Kernel bench smoke: the engine-vs-engine bench asserts verdict and
 # states-popped identity plus strictly fewer kernel label scans on
@@ -56,8 +60,8 @@ echo "    BENCH_classify.json: valid"
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_tableau.json bench generated_at workloads
-echo "    BENCH_tableau.json: valid"
+    "$SMOKE/BENCH_tableau.json" bench generated_at workloads
+echo "    $SMOKE/BENCH_tableau.json: valid"
 
 # Serving soak lane: N concurrent tenants against the batched reasoning
 # server — zero dropped requests, bounded queue depth, typed overload
@@ -91,8 +95,27 @@ echo "    telemetry_serve.prom + telemetry_slowlog.json: valid"
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench serve"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench serve
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_serve.json bench generated_at warm_execute_speedup workloads
-echo "    BENCH_serve.json: valid"
+    "$SMOKE/BENCH_serve.json" bench generated_at warm_execute_speedup workloads
+echo "    $SMOKE/BENCH_serve.json: valid"
+
+# Serving benchmark lane: build and unit-test perfbench (its own Cargo
+# package, built against these crates by path), then run the told and
+# swap workloads for one second each. Every served answer is checked
+# against the direct library call, so a crate API change that breaks
+# the benchmark, or a wrong served body, fails here.
+PERFBENCH_TARGET=target/perfbench
+echo "==> perfbench: cargo test --release"
+CARGO_TARGET_DIR="$PERFBENCH_TARGET" \
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+for workload in told swap; do
+    echo "==> perfbench smoke: --workload $workload --seconds 1"
+    CARGO_TARGET_DIR="$PERFBENCH_TARGET" python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        > "$PERFBENCH_TARGET/smoke-$workload.txt"
+    tail -n 1 "$PERFBENCH_TARGET/smoke-$workload.txt" | python3 -c \
+        'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
+    echo "    $workload: exit 0, \"correct\": true"
+done
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace -- -D warnings"
