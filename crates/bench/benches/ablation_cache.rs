@@ -7,9 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use summa_core::substrates::dl::classify::Classifier;
 use summa_core::substrates::dl::generate;
 use summa_core::substrates::dl::prelude::*;
+use summa_guard::Budget;
 
 fn classify_fresh_per_query(tbox: &TBox, voc: &Vocabulary) -> usize {
     // The cache-less baseline: a new reasoner for every pairwise test.
@@ -33,9 +33,10 @@ fn print_record() {
     summa_bench::banner("A2 (ablation)", "satisfiability cache under classification");
     for &n in &[6usize, 10] {
         let (voc, t, _) = generate::random_el(n, 2, n * 2, 9);
-        let cached = Tableau::new(&t, &voc)
-            .classify(&t, &voc)
-            .expect("classification")
+        let cached = Classify::new(&t, &voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("classification")
             .n_pairs();
         let fresh = classify_fresh_per_query(&t, &voc);
         println!("  n={n}: cached classification finds {cached} pairs, fresh-per-query {fresh}");
@@ -51,9 +52,10 @@ fn bench(c: &mut Criterion) {
         let (voc, t, _) = generate::random_el(n, 2, n * 2, 9);
         group.bench_with_input(BenchmarkId::new("shared_cached", n), &n, |b, _| {
             b.iter(|| {
-                Tableau::new(black_box(&t), &voc)
-                    .classify(&t, &voc)
-                    .expect("classification")
+                Classify::new(black_box(&t), &voc)
+                    .run(&Budget::unlimited())
+                    .governed
+                    .expect_completed("classification")
             })
         });
         group.bench_with_input(BenchmarkId::new("fresh_per_query", n), &n, |b, _| {

@@ -4,7 +4,7 @@
 //! printing ns/iter it writes `BENCH_classify.json` at the workspace
 //! root, comparing the classical O(n²) subsumption grid
 //! (`classify_brute_force_governed`) against the enhanced traversal
-//! (`classify_enhanced_governed`: told-subsumer seeding, row
+//! (`Classify` at one thread: told-subsumer seeding, row
 //! satisfiability probes, top-down pruning) per workload — wall time
 //! *and* issued satisfiability calls, since the sat-call count is the
 //! machine-independent measure the traversal actually optimizes.
@@ -22,9 +22,7 @@
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
 use summa_bench::smoke;
-use summa_dl::classify::{
-    classify_brute_force_governed, classify_enhanced_governed, ClassifyStats,
-};
+use summa_dl::classify::{classify_brute_force_governed, Classify, ClassifyStats};
 use summa_dl::concept::Vocabulary;
 use summa_dl::generate;
 use summa_dl::tableau::Tableau;
@@ -85,13 +83,7 @@ fn main() {
                 })
             });
             g.bench_function(format!("{}/enhanced", w.name), |b| {
-                b.iter(|| {
-                    classify_enhanced_governed(
-                        &mut Tableau::new(&w.tbox, &w.voc),
-                        &w.tbox,
-                        &Budget::unlimited(),
-                    )
-                })
+                b.iter(|| Classify::new(&w.tbox, &w.voc).run(&Budget::unlimited()))
             });
         }
         g.finish();
@@ -105,10 +97,10 @@ fn main() {
         let budget = Budget::unlimited();
         let (brute, brute_stats): (_, ClassifyStats) =
             classify_brute_force_governed(&mut Tableau::new(&w.tbox, &w.voc), &w.tbox, &budget);
-        let (enhanced, enhanced_stats) =
-            classify_enhanced_governed(&mut Tableau::new(&w.tbox, &w.voc), &w.tbox, &budget);
+        let enhanced = Classify::new(&w.tbox, &w.voc).run(&budget);
+        let enhanced_stats = enhanced.stats;
         let brute = brute.expect_completed("unlimited");
-        let enhanced = enhanced.expect_completed("unlimited");
+        let enhanced = enhanced.governed.expect_completed("unlimited");
         assert_eq!(
             brute, enhanced,
             "enhanced hierarchy must be byte-identical to brute force"

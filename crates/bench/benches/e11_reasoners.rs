@@ -10,6 +10,7 @@ use summa_core::substrates::dl::classify::Classifier;
 use summa_core::substrates::dl::el::ElClassifier;
 use summa_core::substrates::dl::generate;
 use summa_core::substrates::dl::prelude::*;
+use summa_guard::Budget;
 
 fn print_record() {
     summa_bench::banner("E11", "reasoner-substrate scaling (synthetic)");
@@ -20,7 +21,10 @@ fn print_record() {
             .expect("EL")
             .classify(&t, &voc)
             .expect("ok");
-        let h_tab = Tableau::new(&t, &voc).classify(&t, &voc).expect("ok");
+        let h_tab = Classify::new(&t, &voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("ok");
         println!(
             "  random_el(n={n:<3})   | {:>8} | {:>13} | {}",
             h_el.n_pairs(),
@@ -64,9 +68,10 @@ fn bench(c: &mut Criterion) {
             &n,
             |bencher, _| {
                 bencher.iter(|| {
-                    Tableau::new(black_box(&t), &voc)
-                        .classify(&t, &voc)
-                        .expect("ok")
+                    Classify::new(black_box(&t), &voc)
+                        .run(&Budget::unlimited())
+                        .governed
+                        .expect_completed("ok")
                 })
             },
         );

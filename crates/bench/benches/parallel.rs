@@ -1,21 +1,26 @@
 //! Sequential vs multi-threaded reasoning throughput.
 //!
-//! Unlike the other benches this one is also a report generator:
-//! besides printing ns/iter it writes `BENCH_parallel.json` at the
-//! workspace root, comparing sequential and `SUMMA_BENCH_THREADS`-way
-//! parallel classification wall time per workload, together with the
-//! shared subsumption cache's hit/miss counts from one instrumented
-//! parallel run. Each timed parallel iteration builds a *fresh* cache
-//! so cross-iteration reuse cannot flatter the speedup.
+//! Like `classify.rs` this bench is also a report generator: besides
+//! printing ns/iter it writes `BENCH_parallel.json` at the workspace
+//! root, comparing one-thread and `SUMMA_BENCH_THREADS`-way
+//! classification (the same `Classify` request, default 4 threads)
+//! wall time per workload, together with the shared subsumption
+//! cache's hit/miss counts from one instrumented parallel run. Each
+//! timed iteration builds a *fresh* cache so cross-iteration reuse
+//! cannot flatter the speedup.
+//!
+//! `SUMMA_BENCH_SMOKE=1` shrinks each lane to one sample and writes
+//! the report under `target/bench-smoke/`, leaving the committed one
+//! alone.
 
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
 use std::sync::Arc;
+use summa_bench::smoke;
 use summa_dl::cache::SatCache;
-use summa_dl::classify::{classify_parallel_governed, classify_parallel_governed_with, Classifier};
+use summa_dl::classify::Classify;
 use summa_dl::concept::Vocabulary;
 use summa_dl::generate;
-use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
 use summa_guard::Budget;
 
@@ -74,21 +79,15 @@ fn main() {
     let mut c = Criterion::default();
     {
         let mut g = c.benchmark_group("classify");
-        g.sample_size(10);
+        g.sample_size(if smoke() { 1 } else { 10 });
         for w in &loads {
+            let request = Classify::new(&w.tbox, &w.voc);
             g.bench_function(format!("{}/seq", w.name), |b| {
-                b.iter(|| {
-                    Tableau::new(&w.tbox, &w.voc).classify_governed(
-                        &w.tbox,
-                        &w.voc,
-                        &Budget::unlimited(),
-                    )
-                })
+                b.iter(|| request.run(&Budget::unlimited()))
             });
+            let request = request.threads(threads);
             g.bench_function(format!("{}/par{threads}", w.name), |b| {
-                b.iter(|| {
-                    classify_parallel_governed(&w.tbox, &w.voc, &Budget::unlimited(), threads)
-                })
+                b.iter(|| request.run(&Budget::unlimited()))
             });
         }
         g.finish();
@@ -97,32 +96,27 @@ fn main() {
     // One instrumented parallel run per workload: cache statistics, a
     // sequential-equivalence check on the hierarchies themselves, and
     // a warm-cache rerun against the same shared cache — the
-    // cross-run reuse `classify_parallel_governed_with` exists for.
+    // cross-run reuse the `cache` setter exists for.
     let mut entries = Vec::new();
     for w in &loads {
-        let seq = Tableau::new(&w.tbox, &w.voc)
-            .classify_governed(&w.tbox, &w.voc, &Budget::unlimited())
+        let seq = Classify::new(&w.tbox, &w.voc)
+            .run(&Budget::unlimited())
+            .governed
             .expect_completed("unlimited");
         let cache = Arc::new(SatCache::new());
-        let (par, spend) = classify_parallel_governed_with(
-            &w.tbox,
-            &w.voc,
-            &Budget::unlimited(),
-            threads,
-            Arc::clone(&cache),
+        let request = Classify::new(&w.tbox, &w.voc).threads(threads).cache(cache);
+        let par = request.run(&Budget::unlimited());
+        let spend = par.spend;
+        assert_eq!(
+            seq,
+            par.governed.expect_completed("unlimited"),
+            "parallel hierarchy must equal sequential"
         );
-        let par = par.expect_completed("unlimited");
-        assert_eq!(seq, par, "parallel hierarchy must equal sequential");
         let warm_started = std::time::Instant::now();
-        let (warm, warm_spend) = classify_parallel_governed_with(
-            &w.tbox,
-            &w.voc,
-            &Budget::unlimited(),
-            threads,
-            Arc::clone(&cache),
-        );
+        let warm = request.run(&Budget::unlimited());
         let warm_ns = warm_started.elapsed().as_nanos();
-        assert_eq!(seq, warm.expect_completed("unlimited"));
+        let warm_spend = warm.spend;
+        assert_eq!(seq, warm.governed.expect_completed("unlimited"));
 
         let seq_ns = c
             .ns_per_iter("classify", &format!("{}/seq", w.name))
@@ -176,7 +170,9 @@ fn main() {
         Ok(v) => format!("\"{}\"", json_escape(&v)),
         Err(_) => "null".to_string(),
     };
-    let caveat = if threads > host_cpus {
+    let caveat = if smoke() {
+        ",\n  \"caveat\": \"smoke mode (SUMMA_BENCH_SMOKE=1): one sample per lane, wall times are format placeholders\"".to_string()
+    } else if threads > host_cpus {
         format!(
             ",\n  \"caveat\": \"{} threads timed on a {}-cpu host: parallel lanes are oversubscribed and speedups near or below 1.0 are expected, not regressions\"",
             threads, host_cpus
@@ -193,7 +189,6 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    std::fs::write(path, &json).expect("write BENCH_parallel.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::write_report("parallel", &json);
+    println!("\nwrote {}", path.display());
 }

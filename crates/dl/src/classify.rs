@@ -1,5 +1,14 @@
 //! Classification: computing the full subsumption hierarchy over the
 //! named concepts of a TBox.
+//!
+//! [`Classify`] is the one entry point for tableau classification: a
+//! request whose setters choose the thread count, the shared cache, a
+//! checkpoint to resume and (for the kernel differential suite) the
+//! expansion engine, and whose `run` distributes the rows of the
+//! enhanced traversal over the executor. Realization runs on the same
+//! driver. [`classify_brute_force_governed`] is the O(n²) reference
+//! grid the differential suites and the classification bench compare
+//! against; the EL saturation classifier implements [`Classifier`].
 
 use crate::cache::{tbox_fingerprint, SatCache};
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState, ResumeOutcome};
@@ -10,6 +19,7 @@ use crate::tableau::Tableau;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use summa_exec::{par_map_with_drain, ParOutcome};
 use summa_guard::{Budget, Governed, Interrupt, Meter, Spend};
 
 /// The computed hierarchy: for every named concept, its full set of
@@ -346,128 +356,222 @@ fn classify_row(
     Ok((set, stats))
 }
 
-/// Enhanced-traversal classification under one governance envelope,
-/// reporting the run's [`ClassifyStats`] alongside the hierarchy. The
-/// result is byte-identical to [`classify_brute_force_governed`] —
-/// only the number of satisfiability calls differs (see
-/// [`classify_row`] for why every skip is sound).
+/// One classification request: the enhanced traversal over the named
+/// concepts of `tbox`, with every concern a setter instead of a
+/// separate entry point.
 ///
-/// Partial results keep fully decided rows only, the same contract as
-/// the brute-force path.
-pub fn classify_enhanced_governed(
-    reasoner: &mut Tableau,
-    tbox: &TBox,
-    budget: &Budget,
-) -> (Governed<ClassHierarchy>, ClassifyStats) {
-    let run = classify_enhanced_checkpointed(reasoner, tbox, budget, None);
-    (run.governed, run.stats)
+/// ```
+/// use summa_dl::prelude::*;
+/// use summa_guard::Budget;
+///
+/// let (voc, tbox, _) = summa_dl::generate::chain(4);
+/// let run = Classify::new(&tbox, &voc).threads(2).run(&Budget::unlimited());
+/// let h = run.governed.expect_completed("unlimited");
+/// assert_eq!(h.n_pairs(), 10);
+/// ```
+///
+/// The *rows* of the subsumption grid are distributed over `threads`
+/// workers by work stealing (see [`summa_exec`]); at one thread the
+/// executor runs inline on the caller's thread. Each worker owns a
+/// private [`Tableau`] wired to one shared [`SatCache`], and one
+/// [`Budget`] envelope bounds the whole grid. A partial hierarchy keeps
+/// only fully decided rows, so an absent pair always means *not
+/// proved*. Every pruning step is licensed by an entailment and every
+/// tested cell is an independent query with a deterministic answer, so
+/// the hierarchy is identical at every thread count and byte-identical
+/// to [`classify_brute_force_governed`].
+#[derive(Debug, Clone)]
+pub struct Classify<'a> {
+    workers: Workers<'a>,
+    resume: Option<&'a [u8]>,
 }
 
-/// The outcome of a resumable classification run: the governed
-/// hierarchy, this run's stats (resumed rows cost nothing again), a
-/// [`Checkpoint`] when the run was interrupted with progress worth
-/// keeping, and how the run started.
+impl<'a> Classify<'a> {
+    /// A request over `tbox`: one thread, a fresh [`SatCache`] per run,
+    /// no checkpoint.
+    pub fn new(tbox: &'a TBox, voc: &'a Vocabulary) -> Self {
+        Classify {
+            workers: Workers::new(tbox, voc),
+            resume: None,
+        }
+    }
+
+    /// Distribute rows over `n` workers.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.workers.threads = n;
+        self
+    }
+
+    /// Share `cache` across runs (or services) instead of a fresh one.
+    pub fn cache(mut self, cache: Arc<SatCache>) -> Self {
+        self.workers.cache = Some(cache);
+        self
+    }
+
+    /// Resume from the bytes of a [`Checkpoint`] an interrupted run
+    /// emitted: its rows are skipped before distribution and charge
+    /// nothing. Bytes that fail validation (corruption, wrong TBox,
+    /// foreign bytes, future version) degrade to a clean restart,
+    /// recorded in [`ClassifyRun::resume`].
+    pub fn resume(mut self, bytes: &'a [u8]) -> Self {
+        self.resume = Some(bytes);
+        self
+    }
+
+    /// Pin every worker's expansion engine
+    /// ([`Tableau::with_reference_kernel`]); the kernel differential
+    /// suite drives both engines through this switch.
+    pub fn reference_kernel(mut self, reference: bool) -> Self {
+        self.workers.reference_kernel = reference;
+        self
+    }
+
+    /// Classify under `budget`.
+    ///
+    /// Resume is sound because checkpoints hold *fully decided* rows
+    /// only and every row is computed independently: (restored rows) ∪
+    /// (rows decided now) is exactly the hierarchy an uninterrupted run
+    /// produces.
+    pub fn run(&self, budget: &Budget) -> ClassifyRun {
+        // Hashed only when a checkpoint is read or written.
+        let fingerprint = || tbox_fingerprint(self.workers.tbox);
+        let told = ToldIndex::build(self.workers.tbox);
+        let (mut subsumers, resume) = match self.resume {
+            None => (BTreeMap::new(), ResumeOutcome::Fresh),
+            Some(bytes) => match restore_classification(bytes, fingerprint(), &told) {
+                Ok(rows) => {
+                    let restored = rows.len();
+                    (rows, ResumeOutcome::Resumed { restored })
+                }
+                Err(why) => (BTreeMap::new(), ResumeOutcome::Restarted { why }),
+            },
+        };
+        // The service span lives on the calling thread; worker task
+        // spans (opened by the executor) land in their own lanes.
+        let tracer = budget.tracer();
+        let mut span = tracer
+            .span("dl.classify.parallel")
+            .with("atoms", told.atoms.len())
+            .with("threads", self.workers.threads)
+            .with("strategy", "enhanced");
+        if let ResumeOutcome::Resumed { restored } = &resume {
+            span.record("resumed_rows", *restored as u64);
+            tracer.add("dl.classify.resumed_rows", *restored as u64);
+        }
+        // Rows restored from the checkpoint are already exact.
+        let rows: Vec<usize> = (0..told.atoms.len())
+            .filter(|&i| !subsumers.contains_key(&told.atoms[i]))
+            .collect();
+        let outcome = self.workers.run(&rows, budget, |reasoner, meter, &i| {
+            classify_row(reasoner, meter, &told, i)
+        });
+        // The outcome's spend already carries this run's cache hit/miss
+        // counts: each worker meter records them at lookup time.
+        let spend = outcome.spend;
+        let mut stats = ClassifyStats::default();
+        let governed = outcome.into_governed(|slots| {
+            // Undecided rows are simply absent.
+            for (&i, slot) in rows.iter().zip(slots) {
+                if let Some((set, row_stats)) = slot {
+                    stats.absorb(row_stats);
+                    subsumers.insert(told.atoms[i], set);
+                }
+            }
+            Some(ClassHierarchy { subsumers })
+        });
+        span.record("sat_tests", stats.sat_tests);
+        span.record("pruned", stats.pruned);
+        let checkpoint = governed
+            .as_partial()
+            .filter(|h| !governed.is_completed() && !h.subsumers.is_empty())
+            .map(|h| Checkpoint {
+                fingerprint: fingerprint(),
+                state: CheckpointState::Classification(h.subsumers.clone()),
+            });
+        ClassifyRun {
+            governed,
+            stats,
+            spend,
+            checkpoint,
+            resume,
+        }
+    }
+}
+
+/// The outcome of one [`Classify`] run.
 #[derive(Debug)]
 pub struct ClassifyRun {
     pub governed: Governed<ClassHierarchy>,
-    /// Work done by *this* run only — rows restored from a checkpoint
-    /// are not re-counted.
+    /// Work done by *this* run, summed over the rows it decided — rows
+    /// restored from a checkpoint are not re-counted.
     pub stats: ClassifyStats,
-    /// Emitted on exhaustion/cancellation when at least one row is
-    /// decided; `None` on completion (nothing left to resume).
+    /// The pooled spend of every worker, cache hit/miss counts
+    /// included.
+    pub spend: Spend,
+    /// Emitted when the run did not complete but at least one row is
+    /// decided (restored rows included); `None` on completion.
     pub checkpoint: Option<Checkpoint>,
     pub resume: ResumeOutcome,
 }
 
-/// [`classify_enhanced_governed`] with checkpoint/resume: pass the
-/// bytes of a previously emitted [`Checkpoint`] to skip its completed
-/// rows, and receive a fresh checkpoint when this run is interrupted
-/// in turn. A checkpoint that fails validation (corruption, wrong
-/// TBox, foreign bytes, future version) degrades to a clean restart —
-/// recorded in [`ClassifyRun::resume`] — never to a poisoned resume.
-///
-/// Soundness of resume: checkpoints only ever contain *fully decided*
-/// rows, and every row is computed independently, so (resumed rows) ∪
-/// (rows computed now) is exactly the hierarchy an uninterrupted run
-/// produces — byte-identical, as the chaos differential suite checks.
-pub fn classify_enhanced_checkpointed(
-    reasoner: &mut Tableau,
-    tbox: &TBox,
-    budget: &Budget,
-    resume: Option<&[u8]>,
-) -> ClassifyRun {
-    let fingerprint = tbox_fingerprint(tbox);
-    let told = ToldIndex::build(tbox);
-    let n = told.atoms.len();
-    let (mut subsumers, resume_outcome) = match resume {
-        None => (BTreeMap::new(), ResumeOutcome::Fresh),
-        Some(bytes) => match restore_classification(bytes, fingerprint, &told) {
-            Ok(rows) => {
-                let restored = rows.len();
-                (rows, ResumeOutcome::Resumed { restored })
-            }
-            Err(why) => (BTreeMap::new(), ResumeOutcome::Restarted { why }),
-        },
-    };
-    let mut meter = budget.meter();
-    let mut span = meter
-        .span("dl.classify")
-        .with("atoms", n)
-        .with("strategy", "enhanced");
-    if let ResumeOutcome::Resumed { restored } = &resume_outcome {
-        span.record("resumed_rows", *restored as u64);
-        meter.count("dl.classify.resumed_rows", *restored as u64);
-    }
-    let mut stats = ClassifyStats::default();
-    for i in 0..n {
-        // Rows restored from the checkpoint are already exact.
-        if subsumers.contains_key(&told.atoms[i]) {
-            continue;
-        }
-        match classify_row(reasoner, &mut meter, &told, i) {
-            Ok((set, row_stats)) => {
-                stats.absorb(row_stats);
-                subsumers.insert(told.atoms[i], set);
-            }
-            // Keep only fully decided rows: every listed subsumer set
-            // is then exact, and absent concepts are simply undecided.
-            Err(interrupt) => {
-                span.record("interrupted", true);
-                let checkpoint = (!subsumers.is_empty()).then(|| Checkpoint {
-                    fingerprint,
-                    state: CheckpointState::Classification(subsumers.clone()),
-                });
-                return ClassifyRun {
-                    governed: Governed::from_interrupt(
-                        interrupt,
-                        Some(ClassHierarchy { subsumers }),
-                    ),
-                    stats,
-                    checkpoint,
-                    resume: resume_outcome,
-                };
-            }
-        }
-    }
-    span.record("sat_tests", stats.sat_tests);
-    span.record("pruned", stats.pruned);
-    ClassifyRun {
-        governed: Governed::Completed(ClassHierarchy { subsumers }),
-        stats,
-        checkpoint: None,
-        resume: resume_outcome,
-    }
+/// The row-distributed driver behind [`Classify`] and
+/// [`Realize`](crate::realize::Realize): `threads` workers, each owning
+/// a private [`Tableau`] for `tbox` wired to one shared [`SatCache`]
+/// (`cache`, or a fresh one per run) and pinned to one expansion
+/// engine.
+#[derive(Debug, Clone)]
+pub(crate) struct Workers<'a> {
+    pub(crate) tbox: &'a TBox,
+    pub(crate) voc: &'a Vocabulary,
+    pub(crate) threads: usize,
+    pub(crate) cache: Option<Arc<SatCache>>,
+    pub(crate) reference_kernel: bool,
 }
 
-/// Resume classification from checkpoint bytes (see
-/// [`classify_enhanced_checkpointed`]).
-pub fn classify_resume_from(
-    reasoner: &mut Tableau,
-    tbox: &TBox,
-    budget: &Budget,
-    bytes: &[u8],
-) -> ClassifyRun {
-    classify_enhanced_checkpointed(reasoner, tbox, budget, Some(bytes))
+impl<'a> Workers<'a> {
+    pub(crate) fn new(tbox: &'a TBox, voc: &'a Vocabulary) -> Self {
+        Workers {
+            tbox,
+            voc,
+            threads: 1,
+            cache: None,
+            reference_kernel: false,
+        }
+    }
+
+    /// Spread `rows` over the workers; `row` decides one of them.
+    /// Workers tear down through a drain hook that harvests interner
+    /// hits accrued after their last completed sat call — they would
+    /// otherwise be dropped on the scope join.
+    pub(crate) fn run<T, R, F>(&self, rows: &[T], budget: &Budget, row: F) -> ParOutcome<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&mut Tableau, &mut Meter, &T) -> std::result::Result<R, Interrupt> + Sync,
+    {
+        let cache = self
+            .cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(SatCache::new()));
+        let tracer = budget.tracer();
+        par_map_with_drain(
+            rows,
+            budget,
+            self.threads,
+            |_| {
+                Tableau::new(self.tbox, self.voc)
+                    .with_shared_cache(Arc::clone(&cache))
+                    .with_reference_kernel(self.reference_kernel)
+            },
+            |reasoner, meter, _, item| row(reasoner, meter, item),
+            |_, mut reasoner: Tableau| {
+                let d = reasoner.drain_intern_hits();
+                if d > 0 {
+                    tracer.add("dl.intern.hits", d);
+                }
+            },
+        )
+    }
 }
 
 /// Validate checkpoint bytes against this TBox and return the
@@ -546,54 +650,8 @@ pub fn classify_brute_force_governed(
     (Governed::Completed(ClassHierarchy { subsumers }), stats)
 }
 
-impl Classifier for Tableau {
-    /// Enhanced-traversal classification (told-subsumer seeding,
-    /// top-down pruning) — byte-identical to the classical brute-force
-    /// grid at a fraction of the satisfiability calls. The reference
-    /// grid survives as [`classify_brute_force_governed`].
-    fn classify(&mut self, tbox: &TBox, _voc: &Vocabulary) -> Result<ClassHierarchy> {
-        let (governed, _stats) = classify_enhanced_governed(self, tbox, &Budget::unlimited());
-        Ok(governed.expect_completed("unlimited budget cannot interrupt"))
-    }
-
-    fn classify_governed(
-        &mut self,
-        tbox: &TBox,
-        _voc: &Vocabulary,
-        budget: &Budget,
-    ) -> Governed<ClassHierarchy> {
-        classify_enhanced_governed(self, tbox, budget).0
-    }
-}
-
-/// Parallel, budget-governed tableau classification over `threads`
-/// workers (see [`summa_exec`]). Each worker owns a private [`Tableau`]
-/// wired to one shared [`SatCache`], and the *rows* of the subsumption
-/// matrix are distributed by work stealing — each row runs the same
-/// enhanced traversal as the sequential path (told seeding, row-sat
-/// probe, top-down pruning), so the parallel grid inherits the full
-/// pruning rate rather than fanning out n² static cells. One
-/// [`Budget`] envelope bounds the whole grid. A partial hierarchy
-/// keeps only fully decided rows — rows are the unit of distribution,
-/// so the sequential partial-result guarantee carries over verbatim
-/// and an absent pair always means *not proved*.
-///
-/// On completion the hierarchy is **identical** to the sequential one:
-/// every pruning step is licensed by an entailment, every tested cell
-/// is an independent satisfiability query with a deterministic answer,
-/// and only completed answers enter the cache.
-pub fn classify_parallel_governed(
-    tbox: &TBox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    threads: usize,
-) -> Governed<ClassHierarchy> {
-    classify_parallel_governed_with(tbox, voc, budget, threads, Arc::new(SatCache::new())).0
-}
-
-/// [`classify_parallel_governed`] with a caller-supplied cache (shared
-/// across runs or services) and the pooled [`Spend`] — including cache
-/// hit/miss counts — reported back.
+/// [`Classify`] at `threads` workers against `cache`, returning the
+/// governed hierarchy and the pooled [`Spend`].
 pub fn classify_parallel_governed_with(
     tbox: &TBox,
     voc: &Vocabulary,
@@ -601,49 +659,11 @@ pub fn classify_parallel_governed_with(
     threads: usize,
     cache: Arc<SatCache>,
 ) -> (Governed<ClassHierarchy>, Spend) {
-    let told = ToldIndex::build(tbox);
-    let n = told.atoms.len();
-    let told_ref = &told;
-    // The service span lives on the calling thread; worker task spans
-    // (opened by the executor) land in their own lanes.
-    let _span = budget
-        .tracer()
-        .span("dl.classify.parallel")
-        .with("atoms", n)
-        .with("threads", threads)
-        .with("strategy", "enhanced");
-    let rows: Vec<usize> = (0..n).collect();
-    let tracer = budget.tracer().clone();
-    let outcome = summa_exec::par_map_with_drain(
-        &rows,
-        budget,
-        threads,
-        |_| Tableau::new(tbox, voc).with_shared_cache(Arc::clone(&cache)),
-        |reasoner, meter, _, &i| classify_row(reasoner, meter, told_ref, i),
-        // Harvest interner hits accrued after a worker's last completed
-        // sat call (they are otherwise dropped on the scope join).
-        |_, mut reasoner: Tableau| {
-            let d = reasoner.drain_intern_hits();
-            if d > 0 {
-                tracer.add("dl.intern.hits", d);
-            }
-        },
-    );
-    // The outcome's spend already carries this run's cache hit/miss
-    // counts: each worker meter records them at lookup time.
-    let spend: Spend = outcome.spend;
-    let governed = outcome.into_governed(|row_results| {
-        let mut subsumers = BTreeMap::new();
-        for (i, slot) in row_results.into_iter().enumerate() {
-            // Undecided rows are simply absent, mirroring the
-            // sequential partial-result contract.
-            if let Some((set, _stats)) = slot {
-                subsumers.insert(told.atoms[i], set);
-            }
-        }
-        Some(ClassHierarchy { subsumers })
-    });
-    (governed, spend)
+    let run = Classify::new(tbox, voc)
+        .threads(threads)
+        .cache(cache)
+        .run(budget);
+    (run.governed, run.spend)
 }
 
 impl Classifier for ElClassifier {
@@ -697,10 +717,17 @@ mod tests {
         (voc, t, ids)
     }
 
+    fn classify(t: &TBox, voc: &Vocabulary) -> ClassHierarchy {
+        Classify::new(t, voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("unlimited")
+    }
+
     #[test]
     fn tableau_and_el_agree_on_chain() {
         let (voc, t, ids) = chain_tbox();
-        let h1 = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h1 = classify(&t, &voc);
         let h2 = ElClassifier::new(&t, &voc)
             .unwrap()
             .classify(&t, &voc)
@@ -713,7 +740,7 @@ mod tests {
     #[test]
     fn parents_skip_transitive_links() {
         let (voc, t, ids) = chain_tbox();
-        let h = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h = classify(&t, &voc);
         let parents = h.parents_of(ids[0]);
         assert_eq!(parents, [ids[1]].into_iter().collect());
         assert!(h.parents_of(ids[3]).is_empty());
@@ -726,7 +753,7 @@ mod tests {
         let b = voc.concept("B");
         let mut t = TBox::new();
         t.equiv(Concept::atom(a), Concept::atom(b));
-        let h = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h = classify(&t, &voc);
         assert!(h.equivalent(a, b));
         // Each is the other's subsumer but neither is a strict parent.
         assert!(h.parents_of(a).is_empty());
@@ -735,7 +762,7 @@ mod tests {
     #[test]
     fn render_mentions_every_edge() {
         let (voc, t, _) = chain_tbox();
-        let h = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h = classify(&t, &voc);
         let s = h.render(&voc);
         assert!(s.contains("C0 ⊑ C1"));
         assert!(s.contains("C3 ⊑ ⊤"));
@@ -745,7 +772,7 @@ mod tests {
     #[test]
     fn n_pairs_counts_reflexive_and_transitive() {
         let (voc, t, _) = chain_tbox();
-        let h = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h = classify(&t, &voc);
         // 4 + 3 + 2 + 1 = 10 subsumption pairs on a 4-chain.
         assert_eq!(h.n_pairs(), 10);
     }
@@ -756,8 +783,11 @@ mod tests {
         let budget = Budget::unlimited();
         let (brute, bs) =
             classify_brute_force_governed(&mut Tableau::new(&t, &voc), &t, &budget);
-        let (enhanced, es) =
-            classify_enhanced_governed(&mut Tableau::new(&t, &voc), &t, &budget);
+        let ClassifyRun {
+            governed: enhanced,
+            stats: es,
+            ..
+        } = Classify::new(&t, &voc).run(&budget);
         assert_eq!(
             brute.expect_completed("unlimited"),
             enhanced.expect_completed("unlimited")
@@ -789,9 +819,8 @@ mod tests {
         t.subsume(Concept::atom(a), Concept::atom(b));
         t.subsume(Concept::atom(b), Concept::Bottom);
         let budget = Budget::unlimited();
-        let (enhanced, es) =
-            classify_enhanced_governed(&mut Tableau::new(&t, &voc), &t, &budget);
-        let h = enhanced.expect_completed("unlimited");
+        let run = Classify::new(&t, &voc).run(&budget);
+        let (h, es) = (run.governed.expect_completed("unlimited"), run.stats);
         assert_eq!(es.sat_tests, 0);
         assert_eq!(es.pruned, 4);
         // Unsatisfiable concepts subsume under everything.

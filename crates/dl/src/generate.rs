@@ -255,7 +255,10 @@ mod tests {
             .unwrap()
             .classify(&t, &voc)
             .unwrap();
-        let h_tab = Tableau::new(&t, &voc).classify(&t, &voc).unwrap();
+        let h_tab = crate::classify::Classify::new(&t, &voc)
+            .run(&summa_guard::Budget::unlimited())
+            .governed
+            .expect_completed("unlimited");
         assert_eq!(h_el, h_tab);
     }
 

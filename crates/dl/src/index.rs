@@ -193,15 +193,16 @@ impl HierarchyIndex {
 mod tests {
     use super::*;
     use crate::corpus::{vehicles_tbox, PaperVocab};
-    use crate::tableau::Tableau;
     use summa_guard::Budget;
 
     fn classified(
         tbox: &crate::tbox::TBox,
         voc: &crate::concept::Vocabulary,
     ) -> ClassHierarchy {
-        let mut c = Tableau::new(tbox, voc);
-        crate::classify::Classifier::classify(&mut c, tbox, voc).expect("classifies")
+        crate::classify::Classify::new(tbox, voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("classifies")
     }
 
     #[test]
@@ -259,13 +260,9 @@ mod tests {
         // is unclosed (subsumers without rows) the build must refuse.
         let p = PaperVocab::new();
         let t = vehicles_tbox(&p);
-        let mut c = Tableau::new(&t, &p.voc);
-        let g = crate::classify::Classifier::classify_governed(
-            &mut c,
-            &t,
-            &p.voc,
-            &Budget::new().with_steps(1),
-        );
+        let g = crate::classify::Classify::new(&t, &p.voc)
+            .run(&Budget::new().with_steps(1))
+            .governed;
         if let Some(partial) = g.as_partial() {
             // Either it indexes (closed prefix) or refuses — it must
             // never build an unclosed index. Probe closure directly.

@@ -42,11 +42,9 @@
 //! `dl.rule.trail.undo` (trail operations reversed per search).
 
 use crate::concept::{CNode, ConceptRef, Interner, RoleId};
-use crate::tableau::{
-    Alt, MergeUndo, Outcome, State, Stop, Tableau, LABEL_SCANS,
-};
+use crate::tableau::{Alt, MergeUndo, Outcome, State, Tableau, LABEL_SCANS};
 use std::collections::BTreeSet;
-use summa_guard::Meter;
+use summa_guard::{Interrupt, Meter};
 
 /// Observational: clean nodes the agenda skipped during rounds.
 const AGENDA_SKIP: &str = "dl.rule.agenda.skip";
@@ -472,12 +470,10 @@ impl Tableau {
     pub(crate) fn expand_kernel(
         &mut self,
         st: State,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<Outcome, Stop> {
+    ) -> std::result::Result<Outcome, Interrupt> {
         let mut s = Search::new(st, false);
-        let r = self.kernel_search(&mut s, node_cap, created, meter);
+        let r = self.kernel_search(&mut s, meter);
         s.flush_counters(meter);
         r
     }
@@ -490,10 +486,8 @@ impl Tableau {
     fn kernel_search(
         &mut self,
         s: &mut Search,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<Outcome, Stop> {
+    ) -> std::result::Result<Outcome, Interrupt> {
         loop {
             meter.charge(1)?;
             meter.count("dl.rule.search", 1);
@@ -503,7 +497,7 @@ impl Tableau {
             // like the reference loop.
             let mut clashed = s.drain_clash(&self.interner, meter);
             while !clashed {
-                if !self.kernel_round(s, node_cap, created, meter)? {
+                if !self.kernel_round(s, meter)? {
                     break;
                 }
                 clashed = s.drain_clash(&self.interner, meter);
@@ -532,10 +526,8 @@ impl Tableau {
     fn kernel_round(
         &self,
         s: &mut Search,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
+    ) -> std::result::Result<bool, Interrupt> {
         meter.charge(1)?;
         meter.count("dl.rule.round", 1);
         let mut skipped = 0u64;
@@ -600,16 +592,7 @@ impl Tableau {
                             .into_iter()
                             .any(|y| s.st.nodes[y].label.contains(&d));
                         if !has {
-                            self.kernel_spawn(
-                                s,
-                                x,
-                                r,
-                                [d],
-                                node_cap,
-                                created,
-                                meter,
-                                "dl.rule.exists",
-                            )?;
+                            self.kernel_spawn(s, x, r, [d], meter, "dl.rule.exists")?;
                             note_skips(meter, skipped);
                             return Ok(true);
                         }
@@ -631,16 +614,8 @@ impl Tableau {
                         if (with_d.len() as u32) < k {
                             let mut fresh = vec![];
                             for _ in with_d.len() as u32..k {
-                                let id = self.kernel_spawn(
-                                    s,
-                                    x,
-                                    r,
-                                    [d],
-                                    node_cap,
-                                    created,
-                                    meter,
-                                    "dl.rule.at_least",
-                                )?;
+                                let id =
+                                    self.kernel_spawn(s, x, r, [d], meter, "dl.rule.at_least")?;
                                 fresh.push(id);
                             }
                             // New witnesses pairwise distinct, and distinct
@@ -671,19 +646,16 @@ impl Tableau {
     /// Spawn through the shared [`Tableau::spawn_child`] (so budget
     /// checks, charges, universal seeding, and ∀-propagation stay
     /// engine-identical), then record the kernel bookkeeping.
-    #[allow(clippy::too_many_arguments)]
     fn kernel_spawn(
         &self,
         s: &mut Search,
         x: usize,
         r: RoleId,
         seed: impl IntoIterator<Item = ConceptRef>,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
         rule: &'static str,
-    ) -> std::result::Result<usize, Stop> {
-        let id = self.spawn_child(&mut s.st, x, r, seed, node_cap, created, meter, rule)?;
+    ) -> std::result::Result<usize, Interrupt> {
+        let id = self.spawn_child(&mut s.st, x, r, seed, meter, rule)?;
         s.note_spawn(x, id);
         Ok(id)
     }
@@ -704,7 +676,7 @@ impl Tableau {
         st.add_node(label, None, &self.interner);
         let mut s = Search::new(st, true);
         let mut meter = Meter::unlimited();
-        let r = self.kernel_search(&mut s, usize::MAX, &mut 0, &mut meter);
+        let r = self.kernel_search(&mut s, &mut meter);
         let sat = matches!(r, Ok(Outcome::Satisfiable));
         (sat, s.roundtrips_ok())
     }

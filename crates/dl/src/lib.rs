@@ -21,7 +21,10 @@
 //! * [`el`] — a polynomial completion-rule classifier for the EL
 //!   fragment (the baseline reasoner);
 //! * [`classify`] — full classification (the induced subsumption
-//!   hierarchy over named concepts) with either reasoner;
+//!   hierarchy over named concepts): one [`Classify`](classify::Classify)
+//!   request per run, or the EL saturation classifier;
+//! * [`realize`] — ABox realization, one
+//!   [`Realize`](realize::Realize) request per run;
 //! * [`corpus`] — the paper's structures (4), (8) and (9)–(11) as
 //!   ready-made TBoxes;
 //! * [`generate`] — synthetic TBox families (chains, diamonds, random
@@ -70,22 +73,14 @@ pub mod prelude {
         abox_fingerprint, kb_fingerprint, Checkpoint, CheckpointError, CheckpointState,
         ResumeOutcome,
     };
-    pub use crate::classify::{
-        classify_brute_force_governed, classify_enhanced_checkpointed, classify_enhanced_governed,
-        classify_parallel_governed, classify_parallel_governed_with, classify_resume_from,
-        ClassHierarchy, ClassifyRun, ClassifyStats, Classifier,
-    };
+    pub use crate::classify::{ClassHierarchy, Classifier, Classify, ClassifyRun, ClassifyStats};
     pub use crate::concept::{CNode, Concept, ConceptId, ConceptRef, Interner, RoleId, Vocabulary};
     pub use crate::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
     pub use crate::el::ElClassifier;
     pub use crate::error::DlError;
     pub use crate::index::HierarchyIndex;
     pub use crate::parser::{parse_axiom, parse_concept};
-    pub use crate::realize::{
-        realize, realize_checkpointed, realize_governed, realize_parallel_governed,
-        realize_parallel_governed_indexed, realize_parallel_governed_with, realize_resume_from,
-        Realization, RealizeRun,
-    };
+    pub use crate::realize::{Realization, Realize, RealizeRun};
     pub use crate::tableau::Tableau;
     pub use crate::tbox::{Axiom, TBox};
 }

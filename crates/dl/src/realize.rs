@@ -8,15 +8,25 @@
 //! an ontonomy — and therefore where the paper's semantic worries
 //! become operational: the system's "understanding" of `a` is exactly
 //! this set of names, nothing more.
+//!
+//! [`Realize`] is the one entry point: a request whose setters choose
+//! the thread count, the shared cache, a hierarchy index and a
+//! checkpoint to resume, run on the row-distributed driver of
+//! [`Classify`](crate::classify::Classify).
 
 use crate::abox::{ABox, Individual};
-use crate::checkpoint::{kb_fingerprint, Checkpoint, CheckpointError, CheckpointState, ResumeOutcome};
+use crate::cache::SatCache;
+use crate::checkpoint::{
+    kb_fingerprint, Checkpoint, CheckpointError, CheckpointState, ResumeOutcome,
+};
+use crate::classify::Workers;
 use crate::concept::{Concept, ConceptId, Vocabulary};
-use crate::error::Result;
+use crate::index::HierarchyIndex;
 use crate::tableau::Tableau;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet};
-use summa_guard::{Budget, Governed, Interrupt, Meter};
+use std::sync::Arc;
+use summa_guard::{Budget, Governed, Interrupt, Meter, Spend};
 
 /// The realization of an ABox: per individual, all entailed named
 /// concepts (the *types*) and the most specific ones.
@@ -74,174 +84,188 @@ impl Realization {
     }
 }
 
-/// Realize an ABox against a TBox with the tableau reasoner.
-pub fn realize(tbox: &TBox, abox: &ABox, voc: &Vocabulary) -> Result<Realization> {
-    let mut reasoner = Tableau::new(tbox, voc);
-    // Candidate types: every named concept of the vocabulary (the
-    // TBox's atoms are a subset; ABox-only names count too).
-    let atoms: Vec<ConceptId> = voc.concepts().collect();
-    let mut types: BTreeMap<Individual, BTreeSet<ConceptId>> = BTreeMap::new();
-    for ind in abox.individuals() {
-        let mut set = BTreeSet::new();
-        for &c in &atoms {
-            // KB ⊨ C(a) iff KB ∪ {¬C(a)} inconsistent — via the
-            // scratch-assertion instance check, not an ABox clone per
-            // (individual, atom) pair.
-            if reasoner.try_is_instance(abox, ind, &Concept::atom(c))? {
-                set.insert(c);
-            }
+/// One realization request: the types and most specific types of every
+/// individual of `abox`, with every concern a setter instead of a
+/// separate entry point.
+///
+/// Individuals are distributed over `threads` workers (the driver
+/// [`Classify`](crate::classify::Classify) uses), each realizing
+/// *whole* individuals with a private [`Tableau`] wired to one shared
+/// [`SatCache`], under a single envelope. A partial [`Realization`]
+/// therefore only holds fully realized individuals — untouched ones
+/// are absent, never misreported — and the completed result is
+/// identical at every thread count.
+#[derive(Debug, Clone)]
+pub struct Realize<'a> {
+    workers: Workers<'a>,
+    abox: &'a ABox,
+    index: Option<&'a HierarchyIndex>,
+    resume: Option<&'a [u8]>,
+}
+
+impl<'a> Realize<'a> {
+    /// A request over `abox` against `tbox`: one thread, a fresh
+    /// [`SatCache`] per run, no index, no checkpoint. Every named
+    /// concept of `voc` is a candidate type (ABox-only names count
+    /// too).
+    pub fn new(tbox: &'a TBox, abox: &'a ABox, voc: &'a Vocabulary) -> Self {
+        Realize {
+            workers: Workers::new(tbox, voc),
+            abox,
+            index: None,
+            resume: None,
         }
-        types.insert(ind, set);
     }
-    // Most specific: drop any type that strictly subsumes another held
-    // type.
-    let mut most_specific = BTreeMap::new();
-    for (&ind, set) in &types {
-        let mut specific = BTreeSet::new();
-        for &c in set {
-            let dominated = set.iter().any(|&d| {
-                d != c
-                    && reasoner.subsumes(&Concept::atom(c), &Concept::atom(d))
-                    && !reasoner.subsumes(&Concept::atom(d), &Concept::atom(c))
+
+    /// Distribute individuals over `n` workers.
+    pub fn threads(mut self, n: usize) -> Self {
+        self.workers.threads = n;
+        self
+    }
+
+    /// Share `cache` across runs (or services) instead of a fresh one.
+    pub fn cache(mut self, cache: Arc<SatCache>) -> Self {
+        self.workers.cache = Some(cache);
+        self
+    }
+
+    /// Answer the most-specific filtering's atom-vs-atom subsumption
+    /// pairs from a precomputed [`HierarchyIndex`] when it covers both
+    /// atoms (one step charged, zero tableau calls), and prove them
+    /// otherwise. An index answer *is* the prover's answer, so the
+    /// realization is identical with or without it — only the spend
+    /// differs.
+    pub fn index(mut self, index: &'a HierarchyIndex) -> Self {
+        self.index = Some(index);
+        self
+    }
+
+    /// Resume from the bytes of a [`Checkpoint`] an interrupted run
+    /// emitted: its individuals are skipped before distribution and
+    /// charge nothing. The checkpoint is bound to the *joint* (TBox,
+    /// ABox) fingerprint, so one taken against a different TBox or ABox
+    /// — or failing any other validation — degrades to a clean restart,
+    /// recorded in [`RealizeRun::resume`].
+    pub fn resume(mut self, bytes: &'a [u8]) -> Self {
+        self.resume = Some(bytes);
+        self
+    }
+
+    /// Realize under `budget`. Resume soundness mirrors
+    /// classification: checkpoints hold fully realized individuals
+    /// only, each realized independently, so restored ∪ fresh rows
+    /// equal an uninterrupted run byte-for-byte.
+    pub fn run(&self, budget: &Budget) -> RealizeRun {
+        // Hashed only when a checkpoint is read or written.
+        let fingerprint = || kb_fingerprint(self.workers.tbox, self.abox);
+        let (mut types, mut most_specific, resume) = match self.resume {
+            None => (BTreeMap::new(), BTreeMap::new(), ResumeOutcome::Fresh),
+            Some(bytes) => {
+                match restore_realization(bytes, fingerprint(), self.abox, self.workers.voc) {
+                    Ok((t, m)) => {
+                        let restored = t.len();
+                        (t, m, ResumeOutcome::Resumed { restored })
+                    }
+                    Err(why) => (
+                        BTreeMap::new(),
+                        BTreeMap::new(),
+                        ResumeOutcome::Restarted { why },
+                    ),
+                }
+            }
+        };
+        let tracer = budget.tracer();
+        let mut span = tracer
+            .span("dl.realize.parallel")
+            .with("individuals", self.abox.n_individuals())
+            .with("threads", self.workers.threads);
+        if let ResumeOutcome::Resumed { restored } = &resume {
+            span.record("resumed_individuals", *restored as u64);
+            tracer.add("dl.realize.resumed_individuals", *restored as u64);
+        }
+        // Individuals restored from the checkpoint are already exact.
+        let individuals: Vec<Individual> = self
+            .abox
+            .individuals()
+            .filter(|ind| !types.contains_key(ind))
+            .collect();
+        let atoms: Vec<ConceptId> = self.workers.voc.concepts().collect();
+        let outcome = self
+            .workers
+            .run(&individuals, budget, |reasoner, meter, &ind| {
+                // Chaos-injection site, mirroring `dl.classify.row`.
+                meter.fault_point("dl.realize.individual")?;
+                let mut set = BTreeSet::new();
+                for &c in &atoms {
+                    // KB ⊨ C(a) iff KB ∪ {¬C(a)} is inconsistent — via the
+                    // scratch-assertion instance check.
+                    if reasoner.instance_metered(self.abox, ind, &Concept::atom(c), meter)? {
+                        set.insert(c);
+                    }
+                }
+                // Most specific among the entailed types, decided before
+                // the row is published so a partial never holds an
+                // unfiltered set.
+                let specific = most_specific_of_set(reasoner, meter, &set, self.index)?;
+                Ok((set, specific))
             });
-            if !dominated {
-                specific.insert(c);
+        let spend = outcome.spend;
+        let governed = outcome.into_governed(|slots| {
+            for (ind, slot) in individuals.iter().zip(slots) {
+                if let Some((set, specific)) = slot {
+                    types.insert(*ind, set);
+                    most_specific.insert(*ind, specific);
+                }
             }
+            Some(Realization {
+                types,
+                most_specific,
+            })
+        });
+        let checkpoint = governed
+            .as_partial()
+            .filter(|r| !governed.is_completed() && !r.types.is_empty())
+            .map(|r| Checkpoint {
+                fingerprint: fingerprint(),
+                state: CheckpointState::Realization {
+                    types: r.types.clone(),
+                    most_specific: r.most_specific.clone(),
+                },
+            });
+        RealizeRun {
+            governed,
+            spend,
+            checkpoint,
+            resume,
         }
-        most_specific.insert(ind, specific);
     }
-    Ok(Realization {
-        types,
-        most_specific,
-    })
 }
 
-/// Budget-governed realization: one envelope bounds every entailment
-/// check in the run. On exhaustion or cancellation the partial
-/// [`Realization`] covers the individuals fully realized before the
-/// interrupt — untouched individuals are simply absent (empty type
-/// sets), never misreported.
-pub fn realize_governed(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-) -> Governed<Realization> {
-    realize_checkpointed(tbox, abox, voc, budget, None).governed
-}
-
-/// The outcome of a resumable realization run: the governed
-/// [`Realization`], a [`Checkpoint`] when interrupted with progress
-/// worth keeping, and how the run started.
+/// The outcome of one [`Realize`] run.
 #[derive(Debug)]
 pub struct RealizeRun {
     pub governed: Governed<Realization>,
-    /// Emitted on exhaustion/cancellation when at least one individual
-    /// is fully realized; `None` on completion.
+    /// The pooled spend of every worker, cache hit/miss counts
+    /// included.
+    pub spend: Spend,
+    /// Emitted when the run did not complete but at least one
+    /// individual is realized (restored ones included); `None` on
+    /// completion.
     pub checkpoint: Option<Checkpoint>,
     pub resume: ResumeOutcome,
 }
 
-/// [`realize_governed`] with checkpoint/resume. The checkpoint is
-/// bound to the *joint* (TBox, ABox) fingerprint — realization depends
-/// on both boxes, so a checkpoint taken against either a different
-/// TBox or a different ABox is rejected and the run restarts cleanly.
-///
-/// Resume soundness mirrors classification: checkpoints hold fully
-/// realized individuals only, each realized independently, so resumed
-/// ∪ fresh rows equal an uninterrupted run byte-for-byte.
-pub fn realize_checkpointed(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    resume: Option<&[u8]>,
-) -> RealizeRun {
-    let fingerprint = kb_fingerprint(tbox, abox);
-    let (mut types, mut most_specific, resume_outcome) = match resume {
-        None => (BTreeMap::new(), BTreeMap::new(), ResumeOutcome::Fresh),
-        Some(bytes) => match restore_realization(bytes, fingerprint, abox) {
-            Ok((t, m)) => {
-                let restored = t.len();
-                (t, m, ResumeOutcome::Resumed { restored })
-            }
-            Err(why) => (
-                BTreeMap::new(),
-                BTreeMap::new(),
-                ResumeOutcome::Restarted { why },
-            ),
-        },
-    };
-    let mut reasoner = Tableau::new(tbox, voc);
-    let mut meter = budget.meter();
-    let mut span = meter
-        .span("dl.realize")
-        .with("individuals", abox.individuals().count());
-    if let ResumeOutcome::Resumed { restored } = &resume_outcome {
-        span.record("resumed_individuals", *restored as u64);
-        meter.count("dl.realize.resumed_individuals", *restored as u64);
-    }
-    match realize_metered(
-        tbox,
-        abox,
-        voc,
-        &mut reasoner,
-        &mut meter,
-        &mut types,
-        &mut most_specific,
-    ) {
-        Ok(()) => RealizeRun {
-            governed: Governed::Completed(Realization {
-                types,
-                most_specific,
-            }),
-            checkpoint: None,
-            resume: resume_outcome,
-        },
-        Err(i) => {
-            span.record("interrupted", true);
-            let checkpoint = (!types.is_empty()).then(|| Checkpoint {
-                fingerprint,
-                state: CheckpointState::Realization {
-                    types: types.clone(),
-                    most_specific: most_specific.clone(),
-                },
-            });
-            RealizeRun {
-                governed: Governed::from_interrupt(
-                    i,
-                    Some(Realization {
-                        types,
-                        most_specific,
-                    }),
-                ),
-                checkpoint,
-                resume: resume_outcome,
-            }
-        }
-    }
-}
-
-/// Resume realization from checkpoint bytes (see
-/// [`realize_checkpointed`]).
-pub fn realize_resume_from(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    bytes: &[u8],
-) -> RealizeRun {
-    realize_checkpointed(tbox, abox, voc, budget, Some(bytes))
-}
-
 /// Validate realization checkpoint bytes: decode, checksum,
-/// fingerprint, and require every mentioned individual to exist in the
-/// ABox being resumed.
+/// fingerprint, then require every mentioned individual to exist in the
+/// ABox, every concept id to name a concept of the vocabulary, and each
+/// individual's most specific types to be a subset of its types — a
+/// forged image must not smuggle ids that rendering cannot resolve.
 #[allow(clippy::type_complexity)]
 fn restore_realization(
     bytes: &[u8],
     fingerprint: u64,
     abox: &ABox,
+    voc: &Vocabulary,
 ) -> std::result::Result<
     (
         BTreeMap<Individual, BTreeSet<ConceptId>>,
@@ -263,55 +287,31 @@ fn restore_realization(
             "checkpoint mentions individuals outside the ABox",
         ));
     }
+    let n_concepts = voc.n_concepts();
+    if !types
+        .values()
+        .flatten()
+        .all(|c| (c.0 as usize) < n_concepts)
+    {
+        return Err(CheckpointError::Malformed(
+            "checkpoint mentions concepts outside the vocabulary",
+        ));
+    }
+    let covered = most_specific.len() == types.len()
+        && most_specific
+            .iter()
+            .all(|(i, specific)| types.get(i).is_some_and(|t| specific.is_subset(t)));
+    if !covered {
+        return Err(CheckpointError::Malformed(
+            "checkpoint's most specific types are not a subset of its types",
+        ));
+    }
     Ok((types, most_specific))
 }
 
-/// Parallel, budget-governed realization: individuals are distributed
-/// across `threads` workers, each holding a private [`Tableau`] wired
-/// to one shared [`SatCache`](crate::cache::SatCache), under a single
-/// shared envelope. Each worker realizes *whole* individuals, so the
-/// partial on exhaustion only ever contains fully decided rows — the
-/// sequential [`realize_governed`] contract — and the completed result
-/// is identical to the sequential one.
-pub fn realize_parallel_governed(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    threads: usize,
-) -> Governed<Realization> {
-    use std::sync::Arc;
-    let cache = Arc::new(crate::cache::SatCache::new());
-    realize_parallel_governed_with(tbox, abox, voc, budget, threads, cache).0
-}
-
-/// [`realize_parallel_governed`] against a caller-supplied shared
-/// [`SatCache`](crate::cache::SatCache), also returning the run's
-/// pooled [`Spend`]. Mirrors
-/// [`classify_parallel_governed_with`](crate::classify::classify_parallel_governed_with):
-/// workers tear down through a drain hook that harvests interner hits
-/// accrued after their last completed sat call — previously this path
-/// used the drain-less `par_map_with` and silently dropped them on the
-/// scope join, so a short-lived pool (one served request) under-counted
-/// `dl.intern.hits`.
-pub fn realize_parallel_governed_with(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    threads: usize,
-    cache: std::sync::Arc<crate::cache::SatCache>,
-) -> (Governed<Realization>, summa_guard::Spend) {
-    realize_parallel_governed_indexed(tbox, abox, voc, budget, threads, cache, None)
-}
-
-/// [`realize_parallel_governed_with`] with an optional precomputed
-/// [`HierarchyIndex`]: the most-specific filtering's atom-vs-atom
-/// subsumption pairs are answered from the index (one step charged per
-/// index-answered pair, zero tableau calls) when both atoms are
-/// indexed, and proved otherwise. Because an index answer *is* the
-/// prover's answer for indexed pairs, the returned realization is
-/// identical with or without the index — only the spend differs.
+/// [`Realize`] at `threads` workers against `cache`, optionally reading
+/// subsumption pairs from `index`; returns the governed realization and
+/// the pooled [`Spend`].
 #[allow(clippy::too_many_arguments)]
 pub fn realize_parallel_governed_indexed(
     tbox: &TBox,
@@ -319,59 +319,15 @@ pub fn realize_parallel_governed_indexed(
     voc: &Vocabulary,
     budget: &Budget,
     threads: usize,
-    cache: std::sync::Arc<crate::cache::SatCache>,
-    index: Option<&crate::index::HierarchyIndex>,
-) -> (Governed<Realization>, summa_guard::Spend) {
-    use std::sync::Arc;
-
-    let individuals: Vec<Individual> = abox.individuals().collect();
-    let atoms: Vec<ConceptId> = voc.concepts().collect();
-    let atoms_ref = &atoms;
-    let _span = budget
-        .tracer()
-        .span("dl.realize.parallel")
-        .with("individuals", individuals.len())
-        .with("threads", threads);
-    let tracer = budget.tracer().clone();
-    let outcome = summa_exec::par_map_with_drain(
-        &individuals,
-        budget,
-        threads,
-        |_| Tableau::new(tbox, voc).with_shared_cache(Arc::clone(&cache)),
-        |reasoner, meter, _, &ind| {
-            meter.fault_point("dl.realize.individual")?;
-            let mut set = BTreeSet::new();
-            for &c in atoms_ref {
-                if reasoner.instance_metered(abox, ind, &Concept::atom(c), meter)? {
-                    set.insert(c);
-                }
-            }
-            let specific = most_specific_of_set(reasoner, meter, &set, index)?;
-            Ok((set, specific))
-        },
-        |_, mut reasoner: Tableau| {
-            let d = reasoner.drain_intern_hits();
-            if d > 0 {
-                tracer.add("dl.intern.hits", d);
-            }
-        },
-    );
-    let spend = outcome.spend;
-    let governed = outcome.into_governed(|slots| {
-        let mut types = BTreeMap::new();
-        let mut most_specific = BTreeMap::new();
-        for (ind, slot) in individuals.iter().zip(slots) {
-            if let Some((set, specific)) = slot {
-                types.insert(*ind, set);
-                most_specific.insert(*ind, specific);
-            }
-        }
-        Some(Realization {
-            types,
-            most_specific,
-        })
-    });
-    (governed, spend)
+    cache: Arc<SatCache>,
+    index: Option<&HierarchyIndex>,
+) -> (Governed<Realization>, Spend) {
+    let run = Realize {
+        index,
+        ..Realize::new(tbox, abox, voc).threads(threads).cache(cache)
+    }
+    .run(budget);
+    (run.governed, run.spend)
 }
 
 /// Filter an individual's entailed types down to the most specific
@@ -383,7 +339,7 @@ fn most_specific_of_set(
     reasoner: &mut Tableau,
     meter: &mut Meter,
     set: &BTreeSet<ConceptId>,
-    index: Option<&crate::index::HierarchyIndex>,
+    index: Option<&HierarchyIndex>,
 ) -> std::result::Result<BTreeSet<ConceptId>, Interrupt> {
     let mut specific = BTreeSet::new();
     for &c in set {
@@ -425,47 +381,17 @@ fn most_specific_of_set(
     Ok(specific)
 }
 
-/// The metered realization loop: fills `types` and `most_specific`
-/// one *complete* individual at a time so an interrupt leaves only
-/// fully decided rows behind.
-fn realize_metered(
-    _tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    reasoner: &mut Tableau,
-    meter: &mut Meter,
-    types: &mut BTreeMap<Individual, BTreeSet<ConceptId>>,
-    most_specific: &mut BTreeMap<Individual, BTreeSet<ConceptId>>,
-) -> std::result::Result<(), Interrupt> {
-    let atoms: Vec<ConceptId> = voc.concepts().collect();
-    for ind in abox.individuals() {
-        // Individuals already present were restored from a checkpoint
-        // (their rows are exact) — skip, charging nothing.
-        if types.contains_key(&ind) {
-            continue;
-        }
-        // Chaos-injection site, mirroring `dl.classify.row`.
-        meter.fault_point("dl.realize.individual")?;
-        let mut set = BTreeSet::new();
-        for &c in &atoms {
-            if reasoner.instance_metered(abox, ind, &Concept::atom(c), meter)? {
-                set.insert(c);
-            }
-        }
-        // Most specific among the entailed types, decided before the
-        // row is published so partial results never hold an
-        // unfiltered set.
-        let specific = most_specific_of_set(reasoner, meter, &set, None)?;
-        types.insert(ind, set);
-        most_specific.insert(ind, specific);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::{vehicles_tbox, PaperVocab};
+
+    fn realize(t: &TBox, abox: &ABox, voc: &Vocabulary) -> Realization {
+        Realize::new(t, abox, voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("unlimited")
+    }
 
     #[test]
     fn beetle_realizes_as_a_car() {
@@ -474,7 +400,7 @@ mod tests {
         let mut abox = ABox::new();
         let beetle = abox.individual("beetle");
         abox.assert_concept(beetle, Concept::atom(p.car));
-        let r = realize(&t, &abox, &p.voc).expect("realizes");
+        let r = realize(&t, &abox, &p.voc);
         // Entailed types: car, motorvehicle, roadvehicle.
         assert!(r.is_type(beetle, p.car));
         assert!(r.is_type(beetle, p.motorvehicle));
@@ -502,7 +428,7 @@ mod tests {
         let fuel = abox.individual("fuel");
         abox.assert_concept(fuel, Concept::atom(p.gasoline));
         abox.assert_role(mystery, p.uses, fuel);
-        let r = realize(&t, &abox, &p.voc).expect("realizes");
+        let r = realize(&t, &abox, &p.voc);
         assert!(r.is_type(mystery, p.motorvehicle));
         assert!(!r.is_type(mystery, p.car));
     }
@@ -516,7 +442,7 @@ mod tests {
         // Must be mentioned somehow; an empty assertion set means no
         // entailed named concepts.
         abox.assert_concept(thing, Concept::Top);
-        let r = realize(&t, &abox, &p.voc).expect("realizes");
+        let r = realize(&t, &abox, &p.voc);
         assert!(r.types_of(thing).is_empty());
         assert!(r.most_specific_of(thing).is_empty());
     }
@@ -528,7 +454,7 @@ mod tests {
         let mut abox = ABox::new();
         let beetle = abox.individual("beetle");
         abox.assert_concept(beetle, Concept::atom(p.car));
-        let r = realize(&t, &abox, &p.voc).expect("realizes");
+        let r = realize(&t, &abox, &p.voc);
         let s = r.render(&abox, &p.voc);
         assert!(s.contains("beetle: car"));
     }

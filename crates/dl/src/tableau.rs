@@ -21,7 +21,16 @@
 //!   every node each round and clones the completion state per
 //!   alternative — slower, deliberately simple, and kept as the
 //!   differential-testing oracle (mirroring what
-//!   `classify_brute_force_governed` is to the enhanced classifier).
+//!   `classify_brute_force_governed` is to
+//!   [`Classify`](crate::classify::Classify)).
+//!
+//! Every check runs under one [`Meter`]. The `_metered` and
+//! `_governed` checks use the caller's envelope. The plain and `try_`
+//! checks use a per-call meter whose only wall is the node budget
+//! ([`Tableau::with_budget`], default [`DEFAULT_NODE_BUDGET`]), counted
+//! in memory units: each spawned node charges one and none is ever
+//! released, so a search that spawns one node too many ends in
+//! [`DlError::NodeBudgetExceeded`].
 //!
 //! ABox consistency treats named individuals as root nodes under the
 //! unique-name assumption.
@@ -34,7 +43,7 @@ use crate::fxhash::FxHashMap;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use summa_guard::{Budget, Governed, Interrupt, Meter};
+use summa_guard::{Budget, ExhaustionReason, Governed, Interrupt, Meter};
 
 /// Default node budget per satisfiability call.
 pub const DEFAULT_NODE_BUDGET: usize = 20_000;
@@ -45,19 +54,6 @@ pub const DEFAULT_NODE_BUDGET: usize = 20_000;
 /// less scanning for the same search tree. Deliberately *outside* the
 /// `dl.rule.*` family: it is not a charged rule application.
 pub(crate) const LABEL_SCANS: &str = "dl.tableau.label_scans";
-
-/// Why the expansion loop stopped early: the reasoner's own node
-/// budget (legacy API), or the caller's [`Budget`] envelope.
-pub(crate) enum Stop {
-    NodeBudget,
-    Interrupted(Interrupt),
-}
-
-impl From<Interrupt> for Stop {
-    fn from(i: Interrupt) -> Self {
-        Stop::Interrupted(i)
-    }
-}
 
 /// Lift a metered result into a [`Governed`] outcome (boolean queries
 /// have no partial answer).
@@ -97,7 +93,7 @@ pub struct Tableau {
     /// charges, so the switch trades speed, never answers. Off unless
     /// [`Tableau::with_reference_kernel`] turns it on.
     use_reference: bool,
-    /// Per-call node budget.
+    /// Per-call node budget of the plain and `try_` checks.
     budget: usize,
     /// Memoized satisfiability results keyed by the handle of the NNF
     /// input concept.
@@ -454,7 +450,7 @@ impl Tableau {
         &self.interner
     }
 
-    /// Override the node budget.
+    /// Override the node budget of the plain and `try_` checks.
     pub fn with_budget(mut self, budget: usize) -> Self {
         self.budget = budget;
         self
@@ -490,15 +486,31 @@ impl Tableau {
 
     /// Fallible satisfiability (reports budget exhaustion).
     pub fn try_is_satisfiable(&mut self, c: &Concept) -> Result<bool> {
-        let mut meter = Meter::unlimited();
-        match self.sat_inner(c, self.budget, &mut meter) {
-            Ok(sat) => Ok(sat),
-            Err(Stop::NodeBudget) => Err(DlError::NodeBudgetExceeded {
+        let mut meter = self.node_meter();
+        let r = self.sat_metered(c, &mut meter);
+        self.node_budget(r)
+    }
+
+    /// The per-call meter behind the plain and `try_` checks: its only
+    /// wall is the node budget, as memory units. Every node the search
+    /// spawns charges one unit and the tableau never releases any, so
+    /// the wall trips on exactly the node past the budget.
+    fn node_meter(&self) -> Meter {
+        Budget::new().with_memory(self.budget as u64).meter()
+    }
+
+    /// Map a [`Tableau::node_meter`] interrupt to
+    /// [`DlError::NodeBudgetExceeded`]. The meter has no other wall, so
+    /// anything else is a trip or cancel fault from a process-wide
+    /// fault plan, which these checks have no governed outcome to
+    /// report in.
+    fn node_budget<T>(&self, r: std::result::Result<T, Interrupt>) -> Result<T> {
+        r.map_err(|i| match i {
+            Interrupt::Exhausted(ExhaustionReason::Memory) => DlError::NodeBudgetExceeded {
                 budget: self.budget,
-            }),
-            // An unlimited meter never interrupts.
-            Err(Stop::Interrupted(_)) => unreachable!("unlimited meter interrupted"),
-        }
+            },
+            other => panic!("ungoverned tableau check interrupted: {other}"),
+        })
     }
 
     /// Budget-governed satisfiability: runs entirely under the caller's
@@ -515,40 +527,6 @@ impl Tableau {
     /// Metered satisfiability for composite services (classification,
     /// realization) that share one [`Meter`] across many inner calls.
     pub fn sat_metered(&mut self, c: &Concept, meter: &mut Meter) -> std::result::Result<bool, Interrupt> {
-        match self.sat_inner(c, usize::MAX, meter) {
-            Ok(sat) => Ok(sat),
-            Err(Stop::Interrupted(i)) => Err(i),
-            Err(Stop::NodeBudget) => unreachable!("node cap disabled in metered mode"),
-        }
-    }
-
-    /// Interner hits not yet flowed into the `dl.intern.hits` counter;
-    /// returns the delta and marks it reported. Composite services
-    /// (e.g. the parallel classifier's worker-drain hook) call this to
-    /// harvest hits accumulated outside any sat-call boundary.
-    pub fn drain_intern_hits(&mut self) -> u64 {
-        let now = self.interner.hits();
-        let delta = now - self.intern_hits_reported;
-        self.intern_hits_reported = now;
-        delta
-    }
-
-    /// Flow newly accumulated interner hits into the `dl.intern.hits`
-    /// counter as a delta (observational only — hash-cons reuse is not
-    /// ledger work, so nothing is charged).
-    fn note_intern_hits(&mut self, meter: &Meter) {
-        let delta = self.drain_intern_hits();
-        if delta > 0 {
-            meter.count("dl.intern.hits", delta);
-        }
-    }
-
-    fn sat_inner(
-        &mut self,
-        c: &Concept,
-        node_cap: usize,
-        meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
         let h = self.interner.intern(c);
         let nnf = self.interner.nnf(h);
         if let Some(&r) = self.cache.get(&nnf) {
@@ -584,10 +562,7 @@ impl Tableau {
         label.insert(nnf);
         label.extend(self.universal.iter().copied());
         st.add_node(label, None, &self.interner);
-        let sat = matches!(
-            self.expand(st, node_cap, &mut 0, meter)?,
-            Outcome::Satisfiable
-        );
+        let sat = matches!(self.expand(st, meter)?, Outcome::Satisfiable);
         span.record("sat", sat);
         // Only completed searches are memoized: a budget-interrupted
         // run has no answer to cache (and never reaches this line).
@@ -612,6 +587,27 @@ impl Tableau {
         Ok(sat)
     }
 
+    /// Interner hits not yet flowed into the `dl.intern.hits` counter;
+    /// returns the delta and marks it reported. Composite services
+    /// (e.g. the parallel classifier's worker-drain hook) call this to
+    /// harvest hits accumulated outside any sat-call boundary.
+    pub fn drain_intern_hits(&mut self) -> u64 {
+        let now = self.interner.hits();
+        let delta = now - self.intern_hits_reported;
+        self.intern_hits_reported = now;
+        delta
+    }
+
+    /// Flow newly accumulated interner hits into the `dl.intern.hits`
+    /// counter as a delta (observational only — hash-cons reuse is not
+    /// ledger work, so nothing is charged).
+    fn note_intern_hits(&mut self, meter: &Meter) {
+        let delta = self.drain_intern_hits();
+        if delta > 0 {
+            meter.count("dl.intern.hits", delta);
+        }
+    }
+
     /// Does `sup` subsume `sub` w.r.t. the TBox (`sub ⊑ sup`)?
     pub fn subsumes(&mut self, sup: &Concept, sub: &Concept) -> bool {
         !self.is_satisfiable(&Concept::and(vec![
@@ -633,11 +629,6 @@ impl Tableau {
         governed_outcome(r)
     }
 
-    /// Are `a` and `b` equivalent w.r.t. the TBox?
-    pub fn equivalent(&mut self, a: &Concept, b: &Concept) -> bool {
-        self.subsumes(a, b) && self.subsumes(b, a)
-    }
-
     /// Is the whole TBox coherent (⊤ satisfiable)?
     pub fn is_coherent(&mut self) -> bool {
         self.is_satisfiable(&Concept::Top)
@@ -651,43 +642,9 @@ impl Tableau {
 
     /// Fallible ABox consistency.
     pub fn try_is_consistent(&mut self, abox: &ABox) -> Result<bool> {
-        let mut meter = Meter::unlimited();
-        match self.consistent_inner(abox, self.budget, &mut meter) {
-            Ok(sat) => Ok(sat),
-            Err(Stop::NodeBudget) => Err(DlError::NodeBudgetExceeded {
-                budget: self.budget,
-            }),
-            Err(Stop::Interrupted(_)) => unreachable!("unlimited meter interrupted"),
-        }
-    }
-
-    /// Budget-governed ABox consistency.
-    pub fn is_consistent_governed(&mut self, abox: &ABox, budget: &Budget) -> Governed<bool> {
-        let mut meter = budget.meter();
-        let r = self.consistent_metered(abox, &mut meter);
-        governed_outcome(r)
-    }
-
-    /// Metered ABox consistency, for services sharing one [`Meter`].
-    pub fn consistent_metered(
-        &mut self,
-        abox: &ABox,
-        meter: &mut Meter,
-    ) -> std::result::Result<bool, Interrupt> {
-        match self.consistent_inner(abox, usize::MAX, meter) {
-            Ok(sat) => Ok(sat),
-            Err(Stop::Interrupted(i)) => Err(i),
-            Err(Stop::NodeBudget) => unreachable!("node cap disabled in metered mode"),
-        }
-    }
-
-    fn consistent_inner(
-        &mut self,
-        abox: &ABox,
-        node_cap: usize,
-        meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
-        self.consistent_inner_with(abox, None, node_cap, meter)
+        let mut meter = self.node_meter();
+        let r = self.consistent_metered_with(abox, None, &mut meter);
+        self.node_budget(r)
     }
 
     /// ABox consistency with an optional *scratch assertion*: one
@@ -696,13 +653,12 @@ impl Tableau {
     /// a cloned-and-extended ABox would produce — minus the clone of
     /// every assertion tree, which instance checks used to pay per
     /// call (realization makes |individuals| × |atoms| of them).
-    fn consistent_inner_with(
+    fn consistent_metered_with(
         &mut self,
         abox: &ABox,
         scratch: Option<(crate::abox::Individual, ConceptRef)>,
-        node_cap: usize,
         meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
+    ) -> std::result::Result<bool, Interrupt> {
         let mut st = State::new();
         let mut index: BTreeMap<u32, usize> = BTreeMap::new();
         for ind in abox.individuals() {
@@ -733,10 +689,7 @@ impl Tableau {
             st.nodes[ia].edges.push((*r, ib));
         }
         let mut span = meter.span("dl.consistent");
-        let consistent = matches!(
-            self.expand(st, node_cap, &mut 0, meter)?,
-            Outcome::Satisfiable
-        );
+        let consistent = matches!(self.expand(st, meter)?, Outcome::Satisfiable);
         span.record("consistent", consistent);
         Ok(consistent)
     }
@@ -765,15 +718,9 @@ impl Tableau {
         a: crate::abox::Individual,
         c: &Concept,
     ) -> Result<bool> {
-        let mut meter = Meter::unlimited();
-        let neg = self.scratch_negation(c);
-        match self.consistent_inner_with(abox, Some((a, neg)), self.budget, &mut meter) {
-            Ok(consistent) => Ok(!consistent),
-            Err(Stop::NodeBudget) => Err(DlError::NodeBudgetExceeded {
-                budget: self.budget,
-            }),
-            Err(Stop::Interrupted(_)) => unreachable!("unlimited meter interrupted"),
-        }
+        let mut meter = self.node_meter();
+        let r = self.instance_metered(abox, a, c, &mut meter);
+        self.node_budget(r)
     }
 
     /// Metered instance check, for services sharing one [`Meter`]
@@ -786,24 +733,8 @@ impl Tableau {
         meter: &mut Meter,
     ) -> std::result::Result<bool, Interrupt> {
         let neg = self.scratch_negation(c);
-        match self.consistent_inner_with(abox, Some((a, neg)), usize::MAX, meter) {
-            Ok(consistent) => Ok(!consistent),
-            Err(Stop::Interrupted(i)) => Err(i),
-            Err(Stop::NodeBudget) => unreachable!("node cap disabled in metered mode"),
-        }
-    }
-
-    /// Budget-governed instance check.
-    pub fn is_instance_governed(
-        &mut self,
-        abox: &ABox,
-        a: crate::abox::Individual,
-        c: &Concept,
-        budget: &Budget,
-    ) -> Governed<bool> {
-        let mut meter = budget.meter();
-        let r = self.instance_metered(abox, a, c, &mut meter);
-        governed_outcome(r)
+        self.consistent_metered_with(abox, Some((a, neg)), meter)
+            .map(|consistent| !consistent)
     }
 
     // ------------------------------------------------------------------
@@ -817,14 +748,12 @@ impl Tableau {
     pub(crate) fn expand(
         &mut self,
         st: State,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<Outcome, Stop> {
+    ) -> std::result::Result<Outcome, Interrupt> {
         if self.use_reference {
-            self.expand_reference(st, node_cap, created, meter)
+            self.expand_reference(st, meter)
         } else {
-            self.expand_kernel(st, node_cap, created, meter)
+            self.expand_kernel(st, meter)
         }
     }
 
@@ -835,17 +764,14 @@ impl Tableau {
     /// the whole state — the agenda/trail kernel exists to shed
     /// exactly that work, and this engine stays as its oracle.
     ///
-    /// `node_cap` is the legacy per-call node budget
-    /// ([`Stop::NodeBudget`] when exceeded); `meter` is the caller's
-    /// governance envelope, charged one step per search state popped,
-    /// per rule application, and per node created.
+    /// `meter` is the caller's governance envelope, charged one step
+    /// per search state popped, per rule application, and per node
+    /// created (plus one memory unit per node).
     pub(crate) fn expand_reference(
         &mut self,
         st: State,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<Outcome, Stop> {
+    ) -> std::result::Result<Outcome, Interrupt> {
         let mut stack: Vec<State> = vec![st];
         'states: while let Some(mut st) = stack.pop() {
             // Every `charge` in the expansion machinery has a matching
@@ -870,7 +796,7 @@ impl Tableau {
                 if clash {
                     continue 'states;
                 }
-                if !self.apply_deterministic(&mut st, node_cap, created, meter)? {
+                if !self.apply_deterministic(&mut st, meter)? {
                     break;
                 }
             }
@@ -892,10 +818,8 @@ impl Tableau {
     fn apply_deterministic(
         &self,
         st: &mut State,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
+    ) -> std::result::Result<bool, Interrupt> {
         meter.charge(1)?;
         meter.count("dl.rule.round", 1);
         let n = st.nodes.len();
@@ -960,16 +884,7 @@ impl Tableau {
                             .into_iter()
                             .any(|y| st.nodes[y].label.contains(&d));
                         if !has {
-                            self.spawn_child(
-                                st,
-                                x,
-                                r,
-                                [d],
-                                node_cap,
-                                created,
-                                meter,
-                                "dl.rule.exists",
-                            )?;
+                            self.spawn_child(st, x, r, [d], meter, "dl.rule.exists")?;
                             return Ok(true);
                         }
                     }
@@ -989,16 +904,8 @@ impl Tableau {
                         if (with_d.len() as u32) < k {
                             let mut fresh = vec![];
                             for _ in with_d.len() as u32..k {
-                                let id = self.spawn_child(
-                                    st,
-                                    x,
-                                    r,
-                                    [d],
-                                    node_cap,
-                                    created,
-                                    meter,
-                                    "dl.rule.at_least",
-                                )?;
+                                let id =
+                                    self.spawn_child(st, x, r, [d], meter, "dl.rule.at_least")?;
                                 fresh.push(id);
                             }
                             // New witnesses pairwise distinct, and distinct
@@ -1021,22 +928,17 @@ impl Tableau {
         Ok(false)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Spawn an `r`-successor of `x` seeded with `seed`. One step and
+    /// one memory unit per node: the memory wall is the node budget.
     pub(crate) fn spawn_child(
         &self,
         st: &mut State,
         x: usize,
         r: RoleId,
         seed: impl IntoIterator<Item = ConceptRef>,
-        node_cap: usize,
-        created: &mut usize,
         meter: &mut Meter,
         rule: &'static str,
-    ) -> std::result::Result<usize, Stop> {
-        *created += 1;
-        if *created > node_cap {
-            return Err(Stop::NodeBudget);
-        }
+    ) -> std::result::Result<usize, Interrupt> {
         meter.charge(1)?;
         meter.count(rule, 1);
         meter.charge_memory(1)?;
@@ -1410,8 +1312,9 @@ mod tests {
     #[test]
     fn budget_is_enforced() {
         // A ⊑ ≥2 r.A explodes; with a tiny budget we must get an error
-        // rather than loop forever. (Blocking would eventually stop it,
-        // but the doubling tree overflows small budgets first.)
+        // rather than loop forever. (Blocking eventually stops it, but
+        // the doubling tree overflows small budgets first.) Six nodes
+        // is the smallest budget that decides A.
         let mut voc = Vocabulary::new();
         let a = Concept::atom(voc.concept("A"));
         let b = Concept::atom(voc.concept("B"));
@@ -1426,12 +1329,13 @@ mod tests {
             ]),
         );
         tbox.subsume(b.clone(), Concept::at_least(2, r, a.clone()));
-        let mut t = Tableau::new(&tbox, &voc).with_budget(10);
-        match t.try_is_satisfiable(&a) {
-            Ok(_) => {}             // solved within budget — also fine
-            Err(DlError::NodeBudgetExceeded { .. }) => {} // expected path
-            Err(e) => panic!("unexpected error {e}"),
-        }
+        let mut t = Tableau::new(&tbox, &voc).with_budget(5);
+        assert_eq!(
+            t.try_is_satisfiable(&a),
+            Err(DlError::NodeBudgetExceeded { budget: 5 })
+        );
+        let mut t = Tableau::new(&tbox, &voc).with_budget(6);
+        assert_eq!(t.try_is_satisfiable(&a), Ok(true));
     }
 
     #[test]

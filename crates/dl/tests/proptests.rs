@@ -148,9 +148,10 @@ proptest! {
             .expect("EL fragment")
             .classify(&tbox, &voc)
             .expect("classification");
-        let h_tab = Tableau::new(&tbox, &voc)
-            .classify(&tbox, &voc)
-            .expect("classification");
+        let h_tab = Classify::new(&tbox, &voc)
+            .run(&summa_guard::Budget::unlimited())
+            .governed
+            .expect_completed("classification");
         prop_assert_eq!(h_el, h_tab);
     }
 

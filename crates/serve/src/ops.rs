@@ -10,8 +10,8 @@
 //! and transport — because
 //!
 //! * every request reasons against a **private** [`Tableau`] and a
-//!   **fresh** [`SatCache`] (no cross-request warmth leaks into
-//!   `Spend.cache_hits`),
+//!   **fresh** [`SatCache`](summa_dl::cache::SatCache) (no
+//!   cross-request warmth leaks into `Spend.cache_hits`),
 //! * parallel substrates run at `threads = 1` *inside* a request
 //!   (parallelism comes from batching many requests, which never
 //!   shares an envelope), and
@@ -29,13 +29,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use summa_core::prelude::{standard_corpus, standard_definitions, Verdict};
 use summa_dl::abox::ABox;
-use summa_dl::cache::SatCache;
-use summa_dl::classify::{classify_parallel_governed_with, ClassHierarchy};
+use summa_dl::classify::{ClassHierarchy, Classify};
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::parser::parse_concept;
-use summa_dl::realize::{
-    realize_parallel_governed_indexed, realize_parallel_governed_with, Realization,
-};
+use summa_dl::realize::{Realization, Realize};
 use summa_dl::tableau::Tableau;
 use summa_guard::{Budget, ExhaustionReason, Governed, Interrupt, Spend};
 
@@ -250,8 +247,9 @@ fn index_answer(holds: bool, epoch: u64, budget: &Budget) -> Executed {
 /// Answer a subsumption query against one snapshot generation. With
 /// `warm`, a named-concept pair the snapshot's closure already decided
 /// answers by one index bit test (charging a single step), and
-/// fall-through queries prove against the epoch-shared [`SatCache`];
-/// without it, the query proves cold against a private tableau.
+/// fall-through queries prove against the epoch-shared
+/// [`SatCache`](summa_dl::cache::SatCache); without it, the query
+/// proves cold against a private tableau.
 fn subsumes_with(
     snap: &Snapshot,
     sub: &str,
@@ -323,7 +321,8 @@ fn subsumes_with(
 
 /// Execute one request preferring the snapshot's warm state: index
 /// lookups for told subsumption, the stored classification for
-/// `classify`, and the epoch-shared [`SatCache`] (plus index-assisted
+/// `classify`, and the epoch-shared
+/// [`SatCache`](summa_dl::cache::SatCache) (plus index-assisted
 /// most-specific filtering) for realization. Falls back to
 /// [`execute`] — the cold conformance baseline — whenever the
 /// snapshot has no warm state or the op has no warm variant.
@@ -390,21 +389,18 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
                 Ok(a) => a,
                 Err(e) => return Executed::proto(ProtoError::ParseError(e), snap.epoch),
             };
-            let (governed, spend) = realize_parallel_governed_indexed(
-                &snap.tbox,
-                &parsed,
-                &voc,
-                budget,
-                1,
-                Arc::clone(&w.cache),
-                Some(&w.index),
-            );
-            let body = governed_body(&governed, |real| realization_payload(real, &parsed, &voc));
+            let run = Realize::new(&snap.tbox, &parsed, &voc)
+                .cache(Arc::clone(&w.cache))
+                .index(&w.index)
+                .run(budget);
+            let body = governed_body(&run.governed, |real| {
+                realization_payload(real, &parsed, &voc)
+            });
             Executed {
                 status: STATUS_OK,
                 epoch: snap.epoch,
                 served: SERVED_CACHE,
-                spend,
+                spend: run.spend,
                 body,
             }
         }
@@ -434,17 +430,15 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            // Fresh private cache: within-request reuse only, so the
-            // spend's cache counters are history-independent.
-            let cache = Arc::new(SatCache::new());
-            let (governed, spend) =
-                classify_parallel_governed_with(&snap.tbox, &snap.voc, budget, 1, cache);
-            let body = governed_body(&governed, |h| hierarchy_payload(h, &snap.voc));
+            // A fresh private cache per run: within-request reuse only,
+            // so the spend's cache counters are history-independent.
+            let run = Classify::new(&snap.tbox, &snap.voc).run(budget);
+            let body = governed_body(&run.governed, |h| hierarchy_payload(h, &snap.voc));
             Executed {
                 status: STATUS_OK,
                 epoch: snap.epoch,
                 served: SERVED_PROVER,
-                spend,
+                spend: run.spend,
                 body,
             }
         }
@@ -457,15 +451,15 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
                 Ok(a) => a,
                 Err(e) => return Executed::proto(ProtoError::ParseError(e), snap.epoch),
             };
-            let cache = Arc::new(SatCache::new());
-            let (governed, spend) =
-                realize_parallel_governed_with(&snap.tbox, &parsed, &voc, budget, 1, cache);
-            let body = governed_body(&governed, |real| realization_payload(real, &parsed, &voc));
+            let run = Realize::new(&snap.tbox, &parsed, &voc).run(budget);
+            let body = governed_body(&run.governed, |real| {
+                realization_payload(real, &parsed, &voc)
+            });
             Executed {
                 status: STATUS_OK,
                 epoch: snap.epoch,
                 served: SERVED_PROVER,
-                spend,
+                spend: run.spend,
                 body,
             }
         }

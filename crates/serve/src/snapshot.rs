@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use summa_dl::cache::{tbox_fingerprint, SatCache};
-use summa_dl::classify::{classify_parallel_governed_with, ClassHierarchy};
+use summa_dl::classify::{ClassHierarchy, Classify};
 use summa_dl::concept::Vocabulary;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::index::HierarchyIndex;
@@ -159,9 +159,10 @@ impl SnapshotStore {
 fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
     let cache = Arc::new(SatCache::new());
     let budget = Budget::new().with_steps(WARM_CLASSIFY_STEPS);
-    let (governed, _spend) =
-        classify_parallel_governed_with(tbox, voc, &budget, 1, Arc::clone(&cache));
-    let Governed::Completed(hierarchy) = governed else {
+    let run = Classify::new(tbox, voc)
+        .cache(Arc::clone(&cache))
+        .run(&budget);
+    let Governed::Completed(hierarchy) = run.governed else {
         return None;
     };
     let index = HierarchyIndex::build(&hierarchy)?;

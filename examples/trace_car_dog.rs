@@ -15,7 +15,7 @@
 //! Run with: `cargo run --example trace_car_dog`
 
 use summa_dl::corpus::{animals_tbox, vehicles_tbox, PaperVocab};
-use summa_dl::prelude::classify_parallel_governed;
+use summa_dl::prelude::Classify;
 use summa_guard::obs::export::validate_chrome_trace;
 use summa_guard::obs::Tracer;
 use summa_guard::Budget;
@@ -46,7 +46,10 @@ fn main() {
 
     // A governed parallel classification so the trace shows worker
     // lanes with nested tableau spans and cache counters.
-    let hierarchy = classify_parallel_governed(&animals, &p.voc, &budget, 4)
+    let hierarchy = Classify::new(&animals, &p.voc)
+        .threads(4)
+        .run(&budget)
+        .governed
         .expect_completed("unlimited budget");
     println!(
         "classified the animals TBox: {} subsumption pairs\n",

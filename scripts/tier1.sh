@@ -53,6 +53,16 @@ cargo run -q -p summa-obs --example validate_json -- \
     "$SMOKE/BENCH_classify.json" bench generated_at workloads
 echo "    $SMOKE/BENCH_classify.json: valid"
 
+# Parallel bench smoke: one sample per lane of one-thread vs
+# SUMMA_BENCH_THREADS-way classification; the bench asserts both
+# hierarchies (and a warm-cache rerun) are identical, and the validator
+# gates the report format.
+echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench parallel"
+SUMMA_BENCH_SMOKE=1 cargo bench --bench parallel
+cargo run -q -p summa-obs --example validate_json -- \
+    "$SMOKE/BENCH_parallel.json" bench threads host_cpus generated_at workloads
+echo "    $SMOKE/BENCH_parallel.json: valid"
+
 # Kernel bench smoke: the engine-vs-engine bench asserts verdict and
 # states-popped identity plus strictly fewer kernel label scans on
 # every lane; the validator gates the report format. (The tableau

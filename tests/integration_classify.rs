@@ -7,12 +7,16 @@
 //! parallel cases below additionally pin an explicit 4-worker run.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use summa_dl::cache::SatCache;
 use summa_dl::classify::{
-    classify_brute_force_governed, classify_enhanced_governed, classify_parallel_governed,
-    Classifier,
+    classify_brute_force_governed, classify_parallel_governed_with, ClassHierarchy, Classify,
+    ClassifyStats,
 };
+use summa_dl::concept::Vocabulary;
 use summa_dl::generate;
 use summa_dl::tableau::Tableau;
+use summa_dl::tbox::TBox;
 use summa_guard::{Budget, Governed};
 
 /// A step cap far above what the small corpora need, so pathological
@@ -22,6 +26,17 @@ const STEP_CAP: u64 = 500_000;
 
 fn capped() -> Budget {
     Budget::new().with_steps(STEP_CAP)
+}
+
+/// The enhanced traversal at its default single thread: the governed
+/// hierarchy and the run's stats.
+fn enhanced(
+    tbox: &TBox,
+    voc: &Vocabulary,
+    budget: &Budget,
+) -> (Governed<ClassHierarchy>, ClassifyStats) {
+    let run = Classify::new(tbox, voc).run(budget);
+    (run.governed, run.stats)
 }
 
 #[test]
@@ -36,8 +51,7 @@ fn enhanced_equals_brute_force_on_fixed_corpora() {
         let budget = Budget::unlimited();
         let (brute, bs) =
             classify_brute_force_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
-        let (enhanced, es) =
-            classify_enhanced_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
+        let (enhanced, es) = enhanced(&tbox, &voc, &budget);
         assert_eq!(
             brute.expect_completed("unlimited"),
             enhanced.expect_completed("unlimited"),
@@ -53,14 +67,24 @@ fn enhanced_equals_brute_force_on_fixed_corpora() {
 }
 
 #[test]
-fn trait_classify_delegates_to_the_enhanced_traversal() {
-    // The public `Classifier` entry points and the explicit strategy
-    // functions must agree — the trait is the enhanced path.
+fn forward_delegates_to_the_request() {
+    // The positional forward kept for the serving benchmark and the
+    // request it forwards to must agree, spend included.
     let (voc, tbox, _) = generate::diamond(4);
-    let via_trait = Tableau::new(&tbox, &voc).classify(&tbox, &voc).unwrap();
-    let (explicit, _) =
-        classify_enhanced_governed(&mut Tableau::new(&tbox, &voc), &tbox, &Budget::unlimited());
-    assert_eq!(via_trait, explicit.expect_completed("unlimited"));
+    for threads in [1usize, 4] {
+        let (via_forward, spend) = classify_parallel_governed_with(
+            &tbox,
+            &voc,
+            &Budget::unlimited(),
+            threads,
+            Arc::new(SatCache::new()),
+        );
+        let run = Classify::new(&tbox, &voc)
+            .threads(threads)
+            .run(&Budget::unlimited());
+        assert_eq!(via_forward, run.governed);
+        assert_eq!(spend.steps, run.spend.steps);
+    }
 }
 
 #[test]
@@ -72,8 +96,7 @@ fn diamond_acceptance_ratio_holds_at_debug_size() {
     let budget = Budget::unlimited();
     let (brute, bs) =
         classify_brute_force_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
-    let (enhanced, es) =
-        classify_enhanced_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
+    let (enhanced, es) = enhanced(&tbox, &voc, &budget);
     assert_eq!(
         brute.expect_completed("unlimited"),
         enhanced.expect_completed("unlimited")
@@ -92,11 +115,15 @@ fn parallel_enhanced_rows_equal_sequential_at_four_workers() {
         generate::diamond(4),
         generate::random_el(10, 2, 12, 0xBEEF),
     ] {
-        let seq = Tableau::new(&tbox, &voc)
-            .classify_governed(&tbox, &voc, &Budget::unlimited())
-            .expect_completed("unlimited");
-        let par = classify_parallel_governed(&tbox, &voc, &Budget::unlimited(), 4)
-            .expect_completed("unlimited");
+        let seq = Classify::new(&tbox, &voc).run(&Budget::unlimited());
+        let par = Classify::new(&tbox, &voc)
+            .threads(4)
+            .run(&Budget::unlimited());
+        // Stats are summed over decided rows, and each row's traversal
+        // is deterministic, so distributing the rows never moves them.
+        assert_eq!(seq.stats, par.stats);
+        let seq = seq.governed.expect_completed("unlimited");
+        let par = par.governed.expect_completed("unlimited");
         assert_eq!(seq, par);
     }
 }
@@ -107,8 +134,9 @@ fn classification_emits_pruning_and_interning_counters() {
     let (voc, tbox, _) = generate::diamond(4);
     let tracer = Tracer::enabled();
     let budget = Budget::unlimited().with_tracer(tracer.clone());
-    Tableau::new(&tbox, &voc)
-        .classify_governed(&tbox, &voc, &budget)
+    Classify::new(&tbox, &voc)
+        .run(&budget)
+        .governed
         .expect_completed("unlimited");
     assert!(
         tracer.counter_value("dl.classify.pruned") > 0,
@@ -134,8 +162,7 @@ proptest! {
         let budget = Budget::unlimited();
         let (brute, _) =
             classify_brute_force_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
-        let (enhanced, _) =
-            classify_enhanced_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
+        let (enhanced, _) = enhanced(&tbox, &voc, &budget);
         prop_assert_eq!(
             brute.expect_completed("unlimited"),
             enhanced.expect_completed("unlimited")
@@ -151,14 +178,10 @@ proptest! {
         steps in 1u64..2_000,
     ) {
         let (voc, tbox, _) = generate::random_el(8, 2, 10, seed);
-        let truth = Tableau::new(&tbox, &voc).classify_governed(&tbox, &voc, &capped());
+        let truth = Classify::new(&tbox, &voc).run(&capped()).governed;
         prop_assume!(matches!(truth, Governed::Completed(_)));
         let truth = truth.expect_completed("assumed");
-        let (starved, _) = classify_enhanced_governed(
-            &mut Tableau::new(&tbox, &voc),
-            &tbox,
-            &Budget::new().with_steps(steps),
-        );
+        let (starved, _) = enhanced(&tbox, &voc, &Budget::new().with_steps(steps));
         match starved {
             Governed::Completed(h) => prop_assert_eq!(truth, h),
             Governed::Exhausted { partial, .. } => {
@@ -180,10 +203,14 @@ proptest! {
         threads in 2usize..5,
     ) {
         let (voc, tbox, _) = generate::random_el(8, 2, 10, seed);
-        let truth = Tableau::new(&tbox, &voc).classify_governed(&tbox, &voc, &capped());
+        let truth = Classify::new(&tbox, &voc).run(&capped()).governed;
         prop_assume!(matches!(truth, Governed::Completed(_)));
         let truth = truth.expect_completed("assumed");
-        match classify_parallel_governed(&tbox, &voc, &Budget::new().with_steps(steps), threads) {
+        match Classify::new(&tbox, &voc)
+            .threads(threads)
+            .run(&Budget::new().with_steps(steps))
+            .governed
+        {
             Governed::Completed(h) => prop_assert_eq!(truth, h),
             Governed::Exhausted { partial, .. } => {
                 let partial = partial.expect("classification always carries a partial");

@@ -12,6 +12,7 @@ use summa_core::substrates::structure::differentiation::{
     count_internal_collapses, symmetric_family,
 };
 use summa_core::substrates::structure::prelude::*;
+use summa_guard::Budget;
 
 /// E1 — structures (1)–(3): the blocks world and `[above]`.
 #[test]
@@ -152,9 +153,10 @@ fn e11_reasoners() {
         .expect("EL")
         .classify(&t, &voc)
         .expect("classification succeeds");
-    let h_tab = Tableau::new(&t, &voc)
-        .classify(&t, &voc)
-        .expect("classification succeeds");
+    let h_tab = Classify::new(&t, &voc)
+        .run(&Budget::unlimited())
+        .governed
+        .expect_completed("classification succeeds");
     assert_eq!(h_el, h_tab);
     // Beyond EL: the hard ALC family.
     let (voc2, c) = generate::hard_alc(6);

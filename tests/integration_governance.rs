@@ -165,7 +165,9 @@ fn realization_publishes_only_complete_individuals() {
     let mut abox = summa_dl::abox::ABox::new();
     let ind = abox.individual("adversary");
     abox.assert_concept(ind, Concept::atom(c));
-    let g = summa_dl::realize::realize_governed(&t, &abox, &voc, &Budget::new().with_steps(1_000));
+    let g = summa_dl::realize::Realize::new(&t, &abox, &voc)
+        .run(&Budget::new().with_steps(1_000))
+        .governed;
     match g {
         Governed::Exhausted { partial, .. } => {
             let r = partial.expect("partial realization available");

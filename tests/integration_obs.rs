@@ -23,9 +23,7 @@ use summa_core::critique::syntactic_critique_governed;
 use summa_core::definitions::Verdict;
 use summa_core::report::AdmissionMatrix;
 use summa_dl::cache::SatCache;
-use summa_dl::classify::{
-    classify_parallel_governed, classify_parallel_governed_with, Classifier,
-};
+use summa_dl::classify::{Classifier, Classify};
 use summa_dl::concept::Concept;
 use summa_dl::corpus::{animals_tbox, vehicles_tbox, PaperVocab};
 use summa_dl::el::ElClassifier;
@@ -109,8 +107,8 @@ fn tableau_subsumption_is_identical_traced_and_untraced() {
 fn classification_is_identical_traced_and_untraced() {
     let p = PaperVocab::new();
     let t = animals_tbox(&p);
-    let on = Tableau::new(&t, &p.voc).classify_governed(&t, &p.voc, &traced());
-    let off = Tableau::new(&t, &p.voc).classify_governed(&t, &p.voc, &untraced());
+    let on = Classify::new(&t, &p.voc).run(&traced()).governed;
+    let off = Classify::new(&t, &p.voc).run(&untraced()).governed;
     assert_eq!(on, off);
 }
 
@@ -227,8 +225,8 @@ fn syntactic_critique_is_identical_traced_and_untraced() {
 #[test]
 fn parallel_classification_is_identical_traced_and_untraced() {
     let (voc, tbox, _) = generate::random_el(10, 2, 14, 7);
-    let on = classify_parallel_governed(&tbox, &voc, &traced(), 4);
-    let off = classify_parallel_governed(&tbox, &voc, &untraced(), 4);
+    let on = Classify::new(&tbox, &voc).threads(4).run(&traced()).governed;
+    let off = Classify::new(&tbox, &voc).threads(4).run(&untraced()).governed;
     assert_eq!(on, off);
 }
 
@@ -322,15 +320,9 @@ fn parallel_classification_emits_a_complete_chrome_trace() {
     let (voc, tbox, _) = generate::random_el(10, 2, 14, 42);
     let tracer = Tracer::enabled();
     let budget = Budget::unlimited().with_tracer(tracer.clone());
-    let g = classify_parallel_governed_with(
-        &tbox,
-        &voc,
-        &budget,
-        4,
-        Arc::new(SatCache::new()),
-    );
-    assert!(g.0.is_completed());
-    assert!(g.1.cache_misses > 0, "a fresh shared cache must miss");
+    let run = Classify::new(&tbox, &voc).threads(4).run(&budget);
+    assert!(run.governed.is_completed());
+    assert!(run.spend.cache_misses > 0, "a fresh shared cache must miss");
 
     let snap = tracer.snapshot();
     // One service span on the calling thread.
@@ -376,8 +368,8 @@ fn starved_runs_are_identical_traced_and_untraced() {
     let t = animals_tbox(&p);
     let starved_on = Budget::new().with_steps(20).with_tracer(Tracer::enabled());
     let starved_off = Budget::new().with_steps(20).with_tracer(Tracer::disabled());
-    let on = Tableau::new(&t, &p.voc).classify_governed(&t, &p.voc, &starved_on);
-    let off = Tableau::new(&t, &p.voc).classify_governed(&t, &p.voc, &starved_off);
+    let on = Classify::new(&t, &p.voc).run(&starved_on).governed;
+    let off = Classify::new(&t, &p.voc).run(&starved_off).governed;
     assert_eq!(on, off);
     assert!(matches!(on, Governed::Exhausted { .. }));
 }

@@ -9,12 +9,11 @@ use proptest::prelude::*;
 use summa_core::critique::{syntactic_critique_governed, syntactic_critique_parallel_governed};
 use summa_core::definitions::Verdict;
 use summa_core::report::AdmissionMatrix;
-use summa_dl::classify::{classify_parallel_governed, Classifier};
+use summa_dl::classify::Classify;
 use summa_dl::generate;
-use summa_dl::prelude::{realize_governed, realize_parallel_governed};
+use summa_dl::prelude::Realize;
 use summa_dl::abox::ABox;
 use summa_dl::concept::Concept;
-use summa_dl::tableau::Tableau;
 use summa_guard::{Budget, ExhaustionReason, FaultInjector, FaultKind, Governed, STEP_SITE};
 use summa_ontonomy::corpus::{animals_signature, vehicles_signature};
 use summa_ontonomy::prelude::{
@@ -69,12 +68,16 @@ fn classification_report_is_byte_identical_across_thread_counts() {
             (voc, tbox)
         },
     ] {
-        let sequential = Tableau::new(&tbox, &voc)
-            .classify_governed(&tbox, &voc, &Budget::unlimited())
+        let sequential = Classify::new(&tbox, &voc)
+            .run(&Budget::unlimited())
+            .governed
             .expect_completed("unlimited")
             .render(&voc);
         for threads in [1usize, 2, 3, 4, 6, 8, 2, 4] {
-            let report = classify_parallel_governed(&tbox, &voc, &Budget::unlimited(), threads)
+            let report = Classify::new(&tbox, &voc)
+                .threads(threads)
+                .run(&Budget::unlimited())
+                .governed
                 .expect_completed("unlimited")
                 .render(&voc);
             assert_eq!(
@@ -96,13 +99,14 @@ fn classification_report_is_byte_identical_across_thread_counts() {
 #[test]
 fn one_shot_fault_in_one_worker_degrades_cleanly() {
     let (voc, tbox, _) = generate::random_el(12, 2, 16, 0xFA17);
-    let truth = Tableau::new(&tbox, &voc)
-        .classify_governed(&tbox, &voc, &Budget::unlimited())
+    let truth = Classify::new(&tbox, &voc)
+        .run(&Budget::unlimited())
+        .governed
         .expect_completed("unlimited");
     let injector =
         std::sync::Arc::new(FaultInjector::new(0).with_fault_at(STEP_SITE, 40, FaultKind::Trip));
     let budget = Budget::new().with_injector(injector.clone());
-    match classify_parallel_governed(&tbox, &voc, &budget, 4) {
+    match Classify::new(&tbox, &voc).threads(4).run(&budget).governed {
         Governed::Exhausted {
             reason: ExhaustionReason::FaultInjected,
             partial: Some(partial),
@@ -285,10 +289,10 @@ proptest! {
     #[test]
     fn parallel_classify_equals_sequential(seed in 0u64..1_000_000, threads in 2usize..6) {
         let (voc, tbox, _) = generate::random_el(10, 2, 14, seed);
-        let seq = Tableau::new(&tbox, &voc).classify_governed(&tbox, &voc, &capped());
+        let seq = Classify::new(&tbox, &voc).run(&capped()).governed;
         match seq {
             Governed::Completed(seq) => {
-                let par = classify_parallel_governed(&tbox, &voc, &capped(), threads);
+                let par = Classify::new(&tbox, &voc).threads(threads).run(&capped()).governed;
                 // Parallel never needs more pooled steps than the
                 // sequential run (the shared cache can only save work).
                 let par = par.expect_completed("within the sequential step cap");
@@ -297,7 +301,7 @@ proptest! {
             // A pathological seed: both sides must still return
             // governed outcomes; nothing further to compare.
             _ => {
-                let par = classify_parallel_governed(&tbox, &voc, &capped(), threads);
+                let par = Classify::new(&tbox, &voc).threads(threads).run(&capped()).governed;
                 prop_assert!(!matches!(par, Governed::Cancelled { .. }));
             }
         }
@@ -313,10 +317,14 @@ proptest! {
         threads in 2usize..6,
     ) {
         let (voc, tbox, _) = generate::random_el(8, 2, 10, seed);
-        let truth = Tableau::new(&tbox, &voc).classify_governed(&tbox, &voc, &capped());
+        let truth = Classify::new(&tbox, &voc).run(&capped()).governed;
         prop_assume!(matches!(truth, Governed::Completed(_)));
         let truth = truth.expect_completed("assumed");
-        match classify_parallel_governed(&tbox, &voc, &Budget::new().with_steps(steps), threads) {
+        match Classify::new(&tbox, &voc)
+            .threads(threads)
+            .run(&Budget::new().with_steps(steps))
+            .governed
+        {
             Governed::Completed(h) => prop_assert_eq!(truth, h),
             Governed::Exhausted { partial, .. } => {
                 let partial = partial.expect("classification always carries a partial");
@@ -347,13 +355,20 @@ proptest! {
                 abox.assert_concept(ind, Concept::atom(atoms[rng.below(atoms.len())]));
             }
         }
-        let seq = realize_governed(&tbox, &abox, &voc, &capped());
+        let seq = Realize::new(&tbox, &abox, &voc).run(&capped()).governed;
         prop_assume!(matches!(seq, Governed::Completed(_)));
         let seq = seq.expect_completed("assumed");
-        let par = realize_parallel_governed(&tbox, &abox, &voc, &capped(), threads)
+        let par = Realize::new(&tbox, &abox, &voc)
+            .threads(threads)
+            .run(&capped())
+            .governed
             .expect_completed("within the sequential step cap");
         prop_assert_eq!(&seq, &par);
-        match realize_parallel_governed(&tbox, &abox, &voc, &Budget::new().with_steps(steps), threads) {
+        match Realize::new(&tbox, &abox, &voc)
+            .threads(threads)
+            .run(&Budget::new().with_steps(steps))
+            .governed
+        {
             Governed::Completed(r) => prop_assert_eq!(&seq, &r),
             Governed::Exhausted { partial, .. } => {
                 let partial = partial.expect("realization always carries a partial");

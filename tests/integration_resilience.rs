@@ -12,26 +12,26 @@
 //! schedules below.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use summa_dl::cache::{tbox_fingerprint, SatCache};
-use summa_dl::checkpoint::{CheckpointError, ResumeOutcome};
-use summa_dl::classify::{
-    classify_enhanced_checkpointed, classify_parallel_governed_with, classify_resume_from,
-    ClassHierarchy,
+use summa_dl::checkpoint::{
+    kb_fingerprint, Checkpoint, CheckpointError, CheckpointState, ResumeOutcome,
 };
-use summa_dl::concept::Vocabulary;
+use summa_dl::classify::{ClassHierarchy, Classify};
+use summa_dl::concept::{ConceptId, Vocabulary};
 use summa_dl::el::ElClassifier;
 use summa_dl::generate;
-use summa_dl::prelude::{realize_checkpointed, realize_resume_from, ABox, Concept};
-use summa_dl::tableau::Tableau;
+use summa_dl::index::HierarchyIndex;
+use summa_dl::prelude::{ABox, Concept, Realize};
 use summa_dl::tbox::TBox;
 use summa_exec::par_map_with_drain;
 use summa_guard::{Budget, ExhaustionReason, FaultInjector, FaultKind, Governed};
 
 /// The fault-free classification every chaos run must reproduce.
 fn baseline(tbox: &TBox, voc: &Vocabulary) -> ClassHierarchy {
-    let mut reasoner = Tableau::new(tbox, voc);
-    classify_enhanced_checkpointed(&mut reasoner, tbox, &Budget::unlimited(), None)
+    Classify::new(tbox, voc)
+        .run(&Budget::unlimited())
         .governed
         .expect_completed("fault-free baseline")
 }
@@ -69,13 +69,8 @@ fn worker_panic_chaos_is_invisible_in_results() {
     let expected = baseline(&tbox, &voc);
     for threads in [1usize, 4] {
         let budget = chaos_budget("exec.worker@1=panic", 0xDEAD_BEEF);
-        let (got, spend) = classify_parallel_governed_with(
-            &tbox,
-            &voc,
-            &budget,
-            threads,
-            Arc::new(SatCache::new()),
-        );
+        let run = Classify::new(&tbox, &voc).threads(threads).run(&budget);
+        let (got, spend) = (run.governed, run.spend);
         assert_eq!(
             got.expect_completed("supervisor recovers the dead worker's cells"),
             expected,
@@ -94,13 +89,8 @@ fn task_panic_chaos_retries_without_changing_answers() {
     let expected = baseline(&tbox, &voc);
     for threads in [1usize, 4] {
         let budget = chaos_budget("exec.task@2=panic; exec.task@9=panic", 0x1234);
-        let (got, spend) = classify_parallel_governed_with(
-            &tbox,
-            &voc,
-            &budget,
-            threads,
-            Arc::new(SatCache::new()),
-        );
+        let run = Classify::new(&tbox, &voc).threads(threads).run(&budget);
+        let (got, spend) = (run.governed, run.spend);
         assert_eq!(
             got.expect_completed("retried tasks complete"),
             expected,
@@ -121,8 +111,8 @@ fn repeated_panics_quarantine_and_surface_as_task_failure() {
     // At one thread the schedule is exact: arrival 2 is the second
     // cell's first attempt, arrivals 3 and 4 are its two retries.
     let budget = chaos_budget("exec.task@2=panic;exec.task@3=panic;exec.task@4=panic", 9);
-    let (got, spend) =
-        classify_parallel_governed_with(&tbox, &voc, &budget, 1, Arc::new(SatCache::new()));
+    let run = Classify::new(&tbox, &voc).run(&budget);
+    let (got, spend) = (run.governed, run.spend);
     assert_eq!(spend.retries, 2);
     assert_eq!(spend.quarantined, 1);
     match got {
@@ -162,8 +152,11 @@ fn poisoned_cache_entries_never_change_answers() {
                 .expect("plan parses"),
         );
         let budget = Budget::unlimited().with_injector(Arc::clone(&injector));
-        let (got, _) =
-            classify_parallel_governed_with(&tbox, &voc, &budget, threads, Arc::clone(&cache));
+        let got = Classify::new(&tbox, &voc)
+            .threads(threads)
+            .cache(Arc::clone(&cache))
+            .run(&budget)
+            .governed;
         assert_eq!(
             got.expect_completed("poisoning degrades to recompute"),
             expected,
@@ -174,13 +167,11 @@ fn poisoned_cache_entries_never_change_answers() {
         // A second, fault-free run over the now-dirty cache probes the
         // poisoned keys, detects the corruption, and still answers
         // identically.
-        let (again, _) = classify_parallel_governed_with(
-            &tbox,
-            &voc,
-            &Budget::unlimited(),
-            threads,
-            Arc::clone(&cache),
-        );
+        let again = Classify::new(&tbox, &voc)
+            .threads(threads)
+            .cache(Arc::clone(&cache))
+            .run(&Budget::unlimited())
+            .governed;
         assert_eq!(again.expect_completed("warm re-run"), expected);
         assert!(
             cache.corruptions() >= 1,
@@ -195,73 +186,88 @@ fn poisoned_cache_entries_never_change_answers() {
 
 /// Classification driven through repeated starvation: each leg runs
 /// under a small budget, checkpoints on exhaustion, and the next leg
-/// resumes. The final hierarchy equals the uninterrupted run exactly.
+/// resumes. The final hierarchy equals the uninterrupted run exactly,
+/// sequentially and 4-way.
 #[test]
 fn classification_resumes_to_the_uninterrupted_answer() {
     let (voc, tbox, _) = generate::random_el(14, 2, 18, 0x0C4E);
     let expected = baseline(&tbox, &voc);
-    let mut bytes: Option<Vec<u8>> = None;
-    let mut resumed_any = false;
-    let mut finished = None;
-    for leg in 1..=32u64 {
-        let mut reasoner = Tableau::new(&tbox, &voc);
-        // Escalating budgets guarantee termination; early legs starve.
-        let budget = Budget::new().with_steps(200 * leg);
-        let run = match &bytes {
-            None => classify_enhanced_checkpointed(&mut reasoner, &tbox, &budget, None),
-            Some(b) => classify_resume_from(&mut reasoner, &tbox, &budget, b),
-        };
-        if let ResumeOutcome::Resumed { restored } = run.resume {
-            assert!(restored > 0, "a resumed leg restores at least one row");
-            resumed_any = true;
+    for threads in [1usize, 4] {
+        let mut bytes: Option<Vec<u8>> = None;
+        let mut resumed_any = false;
+        let mut finished = None;
+        for leg in 1..=32u64 {
+            // Escalating budgets guarantee termination; early legs starve.
+            let budget = Budget::new().with_steps(200 * leg);
+            let mut request = Classify::new(&tbox, &voc).threads(threads);
+            if let Some(b) = &bytes {
+                request = request.resume(b);
+            }
+            let run = request.run(&budget);
+            if let ResumeOutcome::Resumed { restored } = run.resume {
+                assert!(restored > 0, "a resumed leg restores at least one row");
+                resumed_any = true;
+            }
+            if let Some(ckp) = &run.checkpoint {
+                bytes = Some(ckp.to_bytes());
+            }
+            if let Governed::Completed(h) = run.governed {
+                finished = Some(h);
+                break;
+            }
         }
-        if let Some(ckp) = &run.checkpoint {
-            bytes = Some(ckp.to_bytes());
-        }
-        if let Governed::Completed(h) = run.governed {
-            finished = Some(h);
-            break;
-        }
+        let finished = finished.expect("escalating budgets complete within 32 legs");
+        assert_eq!(finished, expected);
+        assert!(resumed_any, "at least one leg resumed from a checkpoint");
     }
-    let finished = finished.expect("escalating budgets complete within 32 legs");
-    assert_eq!(finished, expected);
-    assert!(resumed_any, "at least one leg resumed from a checkpoint");
 }
 
 /// Realization through starvation legs: checkpoints are bound to the
 /// joint (TBox, ABox) fingerprint, resumed individuals are skipped,
-/// and the final realization equals the uninterrupted run.
+/// and the final realization equals the uninterrupted run —
+/// sequentially and 4-way, with and without a hierarchy index.
 #[test]
 fn realization_resumes_to_the_uninterrupted_answer() {
     let (voc, tbox, atoms) = generate::random_el(10, 2, 14, 0x4EA1);
     let abox = random_abox(&atoms, 6, 0xAB0C);
-    let expected = realize_checkpointed(&tbox, &abox, &voc, &Budget::unlimited(), None)
+    let expected = Realize::new(&tbox, &abox, &voc)
+        .run(&Budget::unlimited())
         .governed
         .expect_completed("fault-free realization");
-    let mut bytes: Option<Vec<u8>> = None;
-    let mut resumed_any = false;
-    let mut finished = None;
-    for leg in 1..=32u64 {
-        let budget = Budget::new().with_steps(300 * leg);
-        let run = match &bytes {
-            None => realize_checkpointed(&tbox, &abox, &voc, &budget, None),
-            Some(b) => realize_resume_from(&tbox, &abox, &voc, &budget, b),
-        };
-        if let ResumeOutcome::Resumed { restored } = run.resume {
-            assert!(restored > 0);
-            resumed_any = true;
-        }
-        if let Some(ckp) = &run.checkpoint {
-            bytes = Some(ckp.to_bytes());
-        }
-        if let Governed::Completed(r) = run.governed {
-            finished = Some(r);
-            break;
+    let index =
+        HierarchyIndex::build(&baseline(&tbox, &voc)).expect("a completed hierarchy indexes");
+    for threads in [1usize, 4] {
+        for index in [None, Some(&index)] {
+            let mut bytes: Option<Vec<u8>> = None;
+            let mut resumed_any = false;
+            let mut finished = None;
+            for leg in 1..=32u64 {
+                let budget = Budget::new().with_steps(300 * leg);
+                let mut request = Realize::new(&tbox, &abox, &voc).threads(threads);
+                if let Some(index) = index {
+                    request = request.index(index);
+                }
+                if let Some(b) = &bytes {
+                    request = request.resume(b);
+                }
+                let run = request.run(&budget);
+                if let ResumeOutcome::Resumed { restored } = run.resume {
+                    assert!(restored > 0);
+                    resumed_any = true;
+                }
+                if let Some(ckp) = &run.checkpoint {
+                    bytes = Some(ckp.to_bytes());
+                }
+                if let Governed::Completed(r) = run.governed {
+                    finished = Some(r);
+                    break;
+                }
+            }
+            let finished = finished.expect("escalating budgets complete within 32 legs");
+            assert_eq!(finished, expected);
+            assert!(resumed_any, "at least one leg resumed from a checkpoint");
         }
     }
-    let finished = finished.expect("escalating budgets complete within 32 legs");
-    assert_eq!(finished, expected);
-    assert!(resumed_any, "at least one leg resumed from a checkpoint");
 
     // A realization checkpoint is rejected under a *different* ABox:
     // the joint fingerprint no longer matches, and the run restarts
@@ -269,8 +275,7 @@ fn realization_resumes_to_the_uninterrupted_answer() {
     let ckp = (1..=30u64)
         .map(|i| 50 * i)
         .find_map(|steps| {
-            let run =
-                realize_checkpointed(&tbox, &abox, &voc, &Budget::new().with_steps(steps), None);
+            let run = Realize::new(&tbox, &abox, &voc).run(&Budget::new().with_steps(steps));
             if run.governed.is_completed() {
                 None
             } else {
@@ -279,13 +284,10 @@ fn realization_resumes_to_the_uninterrupted_answer() {
         })
         .expect("some budget starves the run after at least one individual");
     let other_abox = random_abox(&atoms, 6, 0xD1FF);
-    let run = realize_resume_from(
-        &tbox,
-        &other_abox,
-        &voc,
-        &Budget::unlimited(),
-        &ckp.to_bytes(),
-    );
+    let bytes = ckp.to_bytes();
+    let run = Realize::new(&tbox, &other_abox, &voc)
+        .resume(&bytes)
+        .run(&Budget::unlimited());
     assert!(
         matches!(
             run.resume,
@@ -297,6 +299,43 @@ fn realization_resumes_to_the_uninterrupted_answer() {
         run.resume
     );
     assert!(run.governed.is_completed());
+
+    // A forged checkpoint with a valid checksum and the right joint
+    // fingerprint is still refused when it names concepts outside the
+    // vocabulary, or most specific types that are not types: the run
+    // restarts cleanly instead of resuming ids rendering cannot
+    // resolve.
+    let ind = abox.individuals().next().expect("the ABox has individuals");
+    let unknown = BTreeMap::from([(ind, [ConceptId(9_999)].into())]);
+    let stray = BTreeMap::from([(ind, [atoms[0]].into())]);
+    let empty = BTreeMap::from([(ind, Default::default())]);
+    for (types, most_specific) in [(unknown.clone(), unknown), (empty, stray)] {
+        let forged = Checkpoint {
+            fingerprint: kb_fingerprint(&tbox, &abox),
+            state: CheckpointState::Realization {
+                types,
+                most_specific,
+            },
+        }
+        .to_bytes();
+        let run = Realize::new(&tbox, &abox, &voc)
+            .resume(&forged)
+            .run(&Budget::unlimited());
+        assert!(
+            matches!(
+                run.resume,
+                ResumeOutcome::Restarted {
+                    why: CheckpointError::Malformed(_)
+                }
+            ),
+            "forged checkpoint must restart, got {:?}",
+            run.resume
+        );
+        assert_eq!(
+            run.governed.expect_completed("restart completes"),
+            expected
+        );
+    }
 }
 
 /// EL saturation interrupted mid-fixpoint, checkpointed, and restored
@@ -348,9 +387,7 @@ fn corrupt_checkpoints_degrade_to_clean_restarts() {
     let ckp = (1..=12u64)
         .map(|i| 25 * i)
         .find_map(|steps| {
-            let mut t = Tableau::new(&tbox, &voc);
-            let run =
-                classify_enhanced_checkpointed(&mut t, &tbox, &Budget::new().with_steps(steps), None);
+            let run = Classify::new(&tbox, &voc).run(&Budget::new().with_steps(steps));
             if run.governed.is_completed() {
                 None
             } else {
@@ -365,8 +402,9 @@ fn corrupt_checkpoints_degrade_to_clean_restarts() {
     for &at in &[0usize, good.len() / 2, good.len() - 1] {
         let mut bad = good.clone();
         bad[at] ^= 0x40;
-        let mut t = Tableau::new(&tbox, &voc);
-        let run = classify_resume_from(&mut t, &tbox, &Budget::unlimited(), &bad);
+        let run = Classify::new(&tbox, &voc)
+            .resume(&bad)
+            .run(&Budget::unlimited());
         assert!(
             matches!(run.resume, ResumeOutcome::Restarted { .. }),
             "flipped byte at {at} must not resume"
@@ -378,15 +416,17 @@ fn corrupt_checkpoints_degrade_to_clean_restarts() {
     }
 
     // The untouched checkpoint *does* resume...
-    let mut t = Tableau::new(&tbox, &voc);
-    let run = classify_resume_from(&mut t, &tbox, &Budget::unlimited(), &good);
+    let run = Classify::new(&tbox, &voc)
+        .resume(&good)
+        .run(&Budget::unlimited());
     assert!(matches!(run.resume, ResumeOutcome::Resumed { .. }));
     assert_eq!(run.governed.expect_completed("resume completes"), expected);
 
     // ...but not against a different TBox: the fingerprint differs.
     let (voc2, tbox2, _) = generate::random_el(12, 2, 17, 0xBAD2);
-    let mut t2 = Tableau::new(&tbox2, &voc2);
-    let run = classify_resume_from(&mut t2, &tbox2, &Budget::unlimited(), &good);
+    let run = Classify::new(&tbox2, &voc2)
+        .resume(&good)
+        .run(&Budget::unlimited());
     assert!(matches!(
         run.resume,
         ResumeOutcome::Restarted {
@@ -423,13 +463,10 @@ fn env_schedule_replay_is_deterministic() {
         let injector =
             Arc::new(FaultInjector::parse_plan(&plan, seed).expect("chaos plan parses"));
         let budget = Budget::unlimited().with_injector(Arc::clone(&injector));
-        let (got, _) = classify_parallel_governed_with(
-            &tbox,
-            &voc,
-            &budget,
-            threads,
-            Arc::new(SatCache::new()),
-        );
+        let got = Classify::new(&tbox, &voc)
+            .threads(threads)
+            .run(&budget)
+            .governed;
         // Panic/poison plans complete; trip/cancel plans degrade to a
         // governed partial — in every case decided rows are exact.
         match got {

@@ -6,6 +6,14 @@ use summa_core::substrates::dl::prelude::*;
 use summa_core::substrates::intensional::prelude::*;
 use summa_core::substrates::lexfield::prelude::*;
 use summa_core::substrates::osa::prelude::*;
+use summa_guard::Budget;
+
+fn realize(t: &TBox, abox: &ABox, voc: &Vocabulary) -> Realization {
+    Realize::new(t, abox, voc)
+        .run(&Budget::unlimited())
+        .governed
+        .expect_completed("realizes")
+}
 
 #[test]
 fn realization_is_what_the_information_system_would_see() {
@@ -18,7 +26,7 @@ fn realization_is_what_the_information_system_would_see() {
     let f150 = abox.individual("f150");
     abox.assert_concept(beetle, Concept::atom(p.car));
     abox.assert_concept(f150, Concept::atom(p.pickup));
-    let r = realize(&t, &abox, &p.voc).expect("realizes");
+    let r = realize(&t, &abox, &p.voc);
     assert!(r.is_type(beetle, p.motorvehicle));
     assert!(r.is_type(f150, p.roadvehicle));
     assert!(!r.is_type(beetle, p.pickup));
@@ -84,7 +92,7 @@ fn designation_and_realization_tell_the_same_cautionary_tale() {
     let nap = abox.individual("napoleon");
     abox.assert_concept(nap, Concept::atom(w));
     abox.assert_concept(nap, Concept::atom(l));
-    let r = realize(&t, &abox, &voc).expect("realizes");
+    let r = realize(&t, &abox, &voc);
     // Both names are most specific — the ontological encoding flattens
     // the two different meanings into two co-true labels.
     assert_eq!(r.most_specific_of(nap).len(), 2);

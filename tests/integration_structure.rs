@@ -13,6 +13,7 @@ use summa_core::substrates::structure::differentiation::{
     count_internal_collapses, differentiate_against, symmetric_family,
 };
 use summa_core::substrates::structure::prelude::*;
+use summa_guard::Budget;
 
 #[test]
 fn the_reasoner_confirms_what_the_graphs_show() {
@@ -31,12 +32,14 @@ fn the_reasoner_confirms_what_the_graphs_show() {
 
     // And the logical content is also parallel: the subsumption
     // hierarchies are isomorphic as orders (same pair counts).
-    let hv = Tableau::new(&vehicles, &p.voc)
-        .classify(&vehicles, &p.voc)
-        .expect("classification succeeds");
-    let ha = Tableau::new(&animals, &p.voc)
-        .classify(&animals, &p.voc)
-        .expect("classification succeeds");
+    let hv = Classify::new(&vehicles, &p.voc)
+        .run(&Budget::unlimited())
+        .governed
+        .expect_completed("classification succeeds");
+    let ha = Classify::new(&animals, &p.voc)
+        .run(&Budget::unlimited())
+        .governed
+        .expect_completed("classification succeeds");
     assert_eq!(hv.n_pairs(), ha.n_pairs());
 }
 
@@ -48,9 +51,10 @@ fn el_and_tableau_agree_on_the_el_variants() {
             .expect("EL fragment")
             .classify(&tbox, &p.voc)
             .expect("classification succeeds");
-        let h_tab = Tableau::new(&tbox, &p.voc)
-            .classify(&tbox, &p.voc)
-            .expect("classification succeeds");
+        let h_tab = Classify::new(&tbox, &p.voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("classification succeeds");
         assert_eq!(h_el, h_tab);
     }
 }

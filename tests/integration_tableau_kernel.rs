@@ -11,13 +11,11 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use summa_dl::cache::SatCache;
-use summa_dl::classify::{classify_enhanced_governed, classify_parallel_governed_with};
+use summa_dl::classify::{ClassHierarchy, Classify};
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::corpus::{animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::generate;
-use summa_dl::prelude::{ABox, Tableau};
-use summa_dl::realize::realize;
+use summa_dl::prelude::{ABox, Realize, Tableau};
 use summa_dl::tbox::TBox;
 use summa_guard::{Budget, ExhaustionReason, FaultInjector, Governed};
 
@@ -27,6 +25,19 @@ fn engines(tbox: &TBox, voc: &Vocabulary) -> (Tableau, Tableau) {
         Tableau::new(tbox, voc).with_reference_kernel(false),
         Tableau::new(tbox, voc).with_reference_kernel(true),
     )
+}
+
+/// Classification with every worker pinned to one engine.
+fn classify_pinned(
+    tbox: &TBox,
+    voc: &Vocabulary,
+    reference: bool,
+    budget: &Budget,
+) -> Governed<ClassHierarchy> {
+    Classify::new(tbox, voc)
+        .reference_kernel(reference)
+        .run(budget)
+        .governed
 }
 
 /// A [`summa_guard::Spend`] with the wall-clock field zeroed: byte
@@ -263,20 +274,16 @@ fn classify_hierarchies_are_byte_identical() {
         },
     ];
     for (voc, tbox) in cases {
-        let (mut kernel, mut reference) = engines(&tbox, &voc);
-        let (gk, _) = classify_enhanced_governed(&mut kernel, &tbox, &Budget::unlimited());
-        let (gr, _) = classify_enhanced_governed(&mut reference, &tbox, &Budget::unlimited());
+        let gk = classify_pinned(&tbox, &voc, false, &Budget::unlimited());
+        let gr = classify_pinned(&tbox, &voc, true, &Budget::unlimited());
         let hk = gk.expect_completed("unlimited");
         let hr = gr.expect_completed("unlimited");
         assert_eq!(hk, hr, "engines produce different hierarchies");
         for threads in [1usize, 4] {
-            let (gp, _) = classify_parallel_governed_with(
-                &tbox,
-                &voc,
-                &Budget::unlimited(),
-                threads,
-                Arc::new(SatCache::new()),
-            );
+            let gp = Classify::new(&tbox, &voc)
+                .threads(threads)
+                .run(&Budget::unlimited())
+                .governed;
             assert_eq!(
                 gp.expect_completed("unlimited"),
                 hk,
@@ -318,7 +325,10 @@ fn realize_types_are_byte_identical() {
         }
     }
     // The service endpoint (engine-default construction) agrees too.
-    let r = realize(&tbox, &abox, &p.voc).expect("realizes");
+    let r = Realize::new(&tbox, &abox, &p.voc)
+        .run(&Budget::unlimited())
+        .governed
+        .expect_completed("realizes");
     assert!(r.is_type(beetle, p.car) && r.is_type(truck, p.pickup));
     assert_eq!(
         r.most_specific_of(beetle).into_iter().collect::<Vec<_>>(),
@@ -337,11 +347,8 @@ fn realize_types_are_byte_identical() {
 fn starved_partial_rows_are_byte_identical() {
     let (voc, tbox, _) = generate::pigeonhole_tbox(5, 6);
     for steps in [500u64, 2_000, 10_000] {
-        let (mut kernel, mut reference) = engines(&tbox, &voc);
-        let (gk, _) =
-            classify_enhanced_governed(&mut kernel, &tbox, &Budget::new().with_steps(steps));
-        let (gr, _) =
-            classify_enhanced_governed(&mut reference, &tbox, &Budget::new().with_steps(steps));
+        let gk = classify_pinned(&tbox, &voc, false, &Budget::new().with_steps(steps));
+        let gr = classify_pinned(&tbox, &voc, true, &Budget::new().with_steps(steps));
         match (gk, gr) {
             (
                 Governed::Exhausted {
@@ -375,9 +382,8 @@ fn starved_partial_rows_are_byte_identical() {
 #[test]
 fn chaos_plan_matches_both_engine_baselines() {
     let (voc, tbox, _) = generate::random_el(12, 2, 16, 0x7A11);
-    let (mut kernel, mut reference) = engines(&tbox, &voc);
-    let (gk, _) = classify_enhanced_governed(&mut kernel, &tbox, &Budget::unlimited());
-    let (gr, _) = classify_enhanced_governed(&mut reference, &tbox, &Budget::unlimited());
+    let gk = classify_pinned(&tbox, &voc, false, &Budget::unlimited());
+    let gr = classify_pinned(&tbox, &voc, true, &Budget::unlimited());
     let baseline = gk.expect_completed("unlimited");
     assert_eq!(baseline, gr.expect_completed("unlimited"));
     for threads in [1usize, 4] {
@@ -385,13 +391,10 @@ fn chaos_plan_matches_both_engine_baselines() {
             FaultInjector::parse_plan("exec.task@3=panic;dl.cache.insert@2=poison", 1405)
                 .expect("plan parses");
         let budget = Budget::unlimited().with_injector(Arc::new(injector));
-        let (got, _) = classify_parallel_governed_with(
-            &tbox,
-            &voc,
-            &budget,
-            threads,
-            Arc::new(SatCache::new()),
-        );
+        let got = Classify::new(&tbox, &voc)
+            .threads(threads)
+            .run(&budget)
+            .governed;
         assert_eq!(
             got.expect_completed("chaos is absorbed"),
             baseline,

@@ -12,10 +12,7 @@
 //! classification it was packed from ([`ClassHierarchy::subsumers_ref`]),
 //! which in turn is differential-tested against the prover.
 
-use std::sync::Arc;
-
-use summa_dl::cache::SatCache;
-use summa_dl::classify::{classify_parallel_governed_with, ClassHierarchy};
+use summa_dl::classify::{ClassHierarchy, Classify};
 use summa_dl::concept::{ConceptId, Vocabulary};
 use summa_dl::corpus::{animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::generate;
@@ -298,14 +295,7 @@ fn client_round_trips_served_marker_and_header_spend() {
 // ---- index/classification property tests -------------------------
 
 fn classified(tbox: &TBox, voc: &Vocabulary) -> ClassHierarchy {
-    let (governed, _spend) = classify_parallel_governed_with(
-        tbox,
-        voc,
-        &Budget::unlimited(),
-        1,
-        Arc::new(SatCache::new()),
-    );
-    match governed {
+    match Classify::new(tbox, voc).run(&Budget::unlimited()).governed {
         Governed::Completed(h) => h,
         other => panic!("classification must complete: {other:?}"),
     }
