@@ -1,4 +1,4 @@
-//! Brute-force vs enhanced-traversal classification.
+//! Brute-force vs enhanced-traversal vs EL-saturation classification.
 //!
 //! Like `parallel.rs` this bench is also a report generator: besides
 //! printing ns/iter it writes `BENCH_classify.json` at the workspace
@@ -7,12 +7,16 @@
 //! (`Classify` at one thread: told-subsumer seeding, row
 //! satisfiability probes, top-down pruning) per workload — wall time
 //! *and* issued satisfiability calls, since the sat-call count is the
-//! machine-independent measure the traversal actually optimizes.
+//! machine-independent measure the traversal actually optimizes. On
+//! the workloads inside the EL fragment an `el` lane adds EL
+//! saturation (`ElClassifier`, the engine snapshot install uses there),
+//! whose machine-independent counter is its completion steps.
 //!
-//! Every instrumented run asserts the two hierarchies are
-//! byte-identical, and the diamond lattice additionally asserts the
+//! Every instrumented run asserts the hierarchies are byte-identical
+//! across lanes, and the diamond lattice additionally asserts the
 //! enhanced lane issues at most 25% of the brute-force sat calls (the
-//! acceptance target).
+//! acceptance target). `bench_diff` (a `summa-obs` example) compares a
+//! fresh report's counters with the committed one.
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the measurement window to one sample
 //! per lane so CI can validate the report format without paying for a
@@ -22,8 +26,9 @@
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
 use summa_bench::smoke;
-use summa_dl::classify::{classify_brute_force_governed, Classify, ClassifyStats};
+use summa_dl::classify::{classify_brute_force_governed, Classifier, Classify, ClassifyStats};
 use summa_dl::concept::Vocabulary;
+use summa_dl::el::ElClassifier;
 use summa_dl::generate;
 use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
@@ -85,13 +90,21 @@ fn main() {
             g.bench_function(format!("{}/enhanced", w.name), |b| {
                 b.iter(|| Classify::new(&w.tbox, &w.voc).run(&Budget::unlimited()))
             });
+            if ElClassifier::new(&w.tbox, &w.voc).is_ok() {
+                g.bench_function(format!("{}/el", w.name), |b| {
+                    b.iter(|| {
+                        ElClassifier::new(&w.tbox, &w.voc)
+                            .and_then(|mut el| el.classify(&w.tbox, &w.voc))
+                    })
+                });
+            }
         }
         g.finish();
     }
 
-    // One instrumented run per workload and lane: sat-call counts, a
-    // byte-equality check between the hierarchies, and the diamond
-    // acceptance ratio.
+    // One instrumented run per workload and lane: sat-call counts and
+    // EL steps, a byte-equality check between the hierarchies, and the
+    // diamond acceptance ratio.
     let mut entries = Vec::new();
     for w in &loads {
         let budget = Budget::unlimited();
@@ -105,6 +118,18 @@ fn main() {
             brute, enhanced,
             "enhanced hierarchy must be byte-identical to brute force"
         );
+        // The EL lane, where the workload is in the fragment: one
+        // metered saturation, then the hierarchy read off it.
+        let el_steps = ElClassifier::new(&w.tbox, &w.voc).ok().map(|mut el| {
+            let mut meter = budget.meter();
+            el.saturate_metered(&mut meter).expect("unlimited");
+            let h = el.classify(&w.tbox, &w.voc).expect("saturated");
+            assert_eq!(
+                h, enhanced,
+                "EL hierarchy must be byte-identical to the enhanced one"
+            );
+            meter.steps()
+        });
         let ratio = enhanced_stats.sat_tests as f64 / brute_stats.sat_tests.max(1) as f64;
         if w.name == "diamond" {
             assert!(
@@ -135,13 +160,27 @@ fn main() {
             enhanced_stats.pruned,
             speedup,
         );
+        let el_fields = match el_steps {
+            Some(steps) => {
+                let el_ns = c
+                    .ns_per_iter("classify_strategy", &format!("{}/el", w.name))
+                    .expect("timed");
+                println!(
+                    "  {:<12} el: {steps} steps, {:.2}x the enhanced wall time",
+                    "",
+                    el_ns as f64 / enhanced_ns.max(1) as f64,
+                );
+                format!(", \"el_ns\": {el_ns}, \"el_steps\": {steps}")
+            }
+            None => String::new(),
+        };
         let mut e = String::new();
         write!(
             e,
             "    {{\"name\": \"{}\", \"atoms\": {}, \"grid_cells\": {}, \
              \"brute_force_ns\": {}, \"enhanced_ns\": {}, \"speedup\": {:.3}, \
              \"brute_force_sat_tests\": {}, \"enhanced_sat_tests\": {}, \
-             \"enhanced_pruned\": {}, \"sat_call_ratio\": {:.4}}}",
+             \"enhanced_pruned\": {}, \"sat_call_ratio\": {:.4}{}}}",
             json_escape(w.name),
             atoms,
             atoms * atoms,
@@ -152,6 +191,7 @@ fn main() {
             enhanced_stats.sat_tests,
             enhanced_stats.pruned,
             ratio,
+            el_fields,
         )
         .expect("write to string");
         entries.push(e);
@@ -164,7 +204,7 @@ fn main() {
         Err(_) => "null".to_string(),
     };
     let caveat = if smoke() {
-        ",\n  \"caveat\": \"smoke mode (SUMMA_BENCH_SMOKE=1): one sample per lane, wall times are format placeholders; sat-call counts are exact either way\"".to_string()
+        ",\n  \"caveat\": \"smoke mode (SUMMA_BENCH_SMOKE=1): one sample per lane, wall times are format placeholders; sat-call counts and EL steps are exact either way\"".to_string()
     } else {
         String::new()
     };

@@ -1,11 +1,31 @@
 //! A polynomial completion-rule classifier for the EL fragment
-//! (with ⊥ for disjointness) — the baseline reasoner.
+//! (with ⊥ for disjointness).
 //!
 //! The input TBox must be within EL: concepts built from ⊤, atoms, ⊓
-//! and ∃r.C only (⊥ is permitted on right-hand sides). The classifier
+//! and ∃r.C only (⊥ is permitted on either side). The classifier
 //! normalizes the TBox into the four EL normal forms and saturates the
 //! standard completion rules (CR1–CR5 of the CEL calculus), yielding
 //! all atom–atom subsumptions in polynomial time.
+//!
+//! Saturation runs on packed bitsets. Every internal atom `x` has a
+//! row of subsumer bits `S(x)`, and every *role link* `(r, B)` — the
+//! right-hand side of some `A ⊑ ∃r.B` — has a row of the atoms `x`
+//! with a derived edge `x →r B`. Each matrix has a pending-work twin
+//! marking the facts and edges no rule has fired on yet. The rules are
+//! indexed by atom (`A ⊑ B`, `A ⊓ A₂ ⊑ B`, `A ⊑ ∃r.B` and `∃r.A ⊑ B`
+//! by `A`; links by their target, as reverse role edges), so a step
+//! costs only the rules its own fact triggers. One step is charged per
+//! fact and per edge, plus one for the final pass that finds no work,
+//! so a completed run's step count depends on the TBox alone, not on
+//! the order the work was done in.
+//!
+//! The matrices are quadratic in internal atoms while steps grow with
+//! derived facts, so a step budget alone does not bound a saturation's
+//! memory. [`ElClassifier::saturate_metered`] charges the matrices to
+//! the meter's memory proxy, in `u64` words, before it allocates them:
+//! under a memory wall an oversized TBox stops before its first step.
+//! The serving layer relies on this to bound the install-time
+//! classification of in-fragment snapshots.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState};
 use crate::concept::{Concept, ConceptId, RoleId, Vocabulary};
@@ -14,9 +34,13 @@ use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use summa_guard::{Interrupt, Meter};
 
-/// Internal atom index: user atoms first, then fresh definitional
-/// atoms, then the distinguished ⊤ and ⊥.
+/// Internal atom index: user atoms first, then the distinguished ⊤
+/// and ⊥, then fresh definitional atoms.
 type Atom = u32;
+
+/// Index of a role link `(r, B)`: the target side of the edges
+/// `x →r B` that CR3 derives from the axioms `A ⊑ ∃r.B`.
+type Link = u32;
 
 /// Normal-form axioms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,6 +55,68 @@ enum NfAxiom {
     ExistsLhs(RoleId, Atom, Atom),
 }
 
+/// The normalized TBox, indexed by atom for rule application.
+#[derive(Debug, Clone)]
+struct Rules {
+    /// CR1: `sub[a]` holds every `b` with `a ⊑ b`.
+    sub: Vec<Vec<Atom>>,
+    /// CR2: `conj[a]` holds every `(a₂, b)` with `a ⊓ a₂ ⊑ b`, under
+    /// both conjunct orders.
+    conj: Vec<Vec<(Atom, Atom)>>,
+    /// CR3: `exists_rhs[a]` holds every link `(r, b)` with `a ⊑ ∃r.b`.
+    exists_rhs: Vec<Vec<Link>>,
+    /// CR4: `exists_lhs[a]` holds every `(r, b)` with `∃r.a ⊑ b`.
+    exists_lhs: Vec<Vec<(RoleId, Atom)>>,
+    /// Each link's role and target.
+    links: Vec<(RoleId, Atom)>,
+    /// Reverse role edges: `into[y]` holds the links whose target is `y`.
+    into: Vec<Vec<Link>>,
+    /// One bit row of the subsumers an edge target passes back to the
+    /// edge's source: every `a` of some `∃r.a ⊑ b` (CR4), and ⊥ (CR5).
+    passed_back: Vec<u64>,
+}
+
+impl Rules {
+    fn build(axioms: &[NfAxiom], n: usize, bottom: Atom) -> Rules {
+        let mut rules = Rules {
+            sub: vec![Vec::new(); n],
+            conj: vec![Vec::new(); n],
+            exists_rhs: vec![Vec::new(); n],
+            exists_lhs: vec![Vec::new(); n],
+            links: Vec::new(),
+            into: vec![Vec::new(); n],
+            passed_back: vec![0; n.div_ceil(64)],
+        };
+        set_bit(&mut rules.passed_back, bottom);
+        let mut link_of: BTreeMap<(RoleId, Atom), Link> = BTreeMap::new();
+        for ax in axioms {
+            match *ax {
+                NfAxiom::Sub(a, b) => rules.sub[a as usize].push(b),
+                NfAxiom::Conj(a1, a2, b) => {
+                    rules.conj[a1 as usize].push((a2, b));
+                    if a1 != a2 {
+                        rules.conj[a2 as usize].push((a1, b));
+                    }
+                }
+                NfAxiom::ExistsRhs(a, r, b) => {
+                    let l = *link_of.entry((r, b)).or_insert_with(|| {
+                        let l = rules.links.len() as Link;
+                        rules.links.push((r, b));
+                        rules.into[b as usize].push(l);
+                        l
+                    });
+                    rules.exists_rhs[a as usize].push(l);
+                }
+                NfAxiom::ExistsLhs(r, a, b) => {
+                    rules.exists_lhs[a as usize].push((r, b));
+                    set_bit(&mut rules.passed_back, a);
+                }
+            }
+        }
+        rules
+    }
+}
+
 /// The EL completion-rule classifier.
 #[derive(Debug, Clone)]
 pub struct ElClassifier {
@@ -38,16 +124,31 @@ pub struct ElClassifier {
     n_atoms: u32,
     top: Atom,
     bottom: Atom,
-    axioms: Vec<NfAxiom>,
     /// Map from user concept ids to internal atoms.
     user: BTreeMap<ConceptId, Atom>,
-    /// Saturated subsumer sets `S(X)`, filled by [`ElClassifier::saturate`].
-    subsumers: Vec<BTreeSet<Atom>>,
-    /// Derived role edges `R(r)` as adjacency: `(x, r)` → set of `y`.
-    /// Persisted alongside `subsumers` so an interrupted saturation can
-    /// checkpoint and resume without losing CR3's work.
-    edges: BTreeMap<(Atom, RoleId), BTreeSet<Atom>>,
+    rules: Rules,
+    /// `u64` words per bit row: `⌈n_atoms / 64⌉`.
+    words: usize,
+    /// Subsumer rows, `words` per atom: bit `a` of row `x` is set once
+    /// `a ∈ S(x)` is derived. Empty until a saturation (or a restored
+    /// checkpoint) allocates it.
+    rows: Vec<u64>,
+    /// Edge rows, `words` per link: bit `x` of row `(r, B)` is set once
+    /// the edge `x →r B` is derived. Persisted alongside `rows` so an
+    /// interrupted saturation can checkpoint and resume without losing
+    /// CR3's work.
+    edges: Vec<u64>,
     saturated: bool,
+}
+
+/// Normalization state: atoms handed out so far and the normal-form
+/// axioms produced.
+struct Normalizer {
+    n_atoms: u32,
+    top: Atom,
+    bottom: Atom,
+    axioms: Vec<NfAxiom>,
+    user: BTreeMap<ConceptId, Atom>,
 }
 
 impl ElClassifier {
@@ -57,8 +158,9 @@ impl ElClassifier {
     /// outside EL (⊥ is tolerated anywhere; it simply makes the side
     /// unsatisfiable).
     pub fn new(tbox: &TBox, voc: &Vocabulary) -> Result<Self> {
-        for (l, r) in tbox.gcis() {
-            if !el_ok(&l) || !el_ok(&r) {
+        let gcis = tbox.gcis();
+        for (l, r) in &gcis {
+            if !el_ok(l) || !el_ok(r) {
                 return Err(DlError::OutsideFragment {
                     reasoner: "EL",
                     detail: format!(
@@ -69,38 +171,275 @@ impl ElClassifier {
                 });
             }
         }
-        let mut this = ElClassifier {
+        let mut norm = Normalizer {
             n_atoms: 0,
             top: 0,
             bottom: 0,
             axioms: vec![],
             user: BTreeMap::new(),
-            subsumers: vec![],
-            edges: BTreeMap::new(),
-            saturated: false,
         };
         // Reserve user atoms.
         for c in tbox.atoms() {
-            let a = this.n_atoms;
-            this.user.insert(c, a);
-            this.n_atoms += 1;
+            norm.user_atom(c);
         }
-        this.top = this.n_atoms;
-        this.bottom = this.n_atoms + 1;
-        this.n_atoms += 2;
-        // Normalize.
-        for (l, r) in tbox.gcis() {
-            let la = this.atomize(&l);
-            let ra = this.atomize_rhs(&r);
-            this.axioms.push(NfAxiom::Sub(la, ra));
+        norm.top = norm.fresh();
+        norm.bottom = norm.fresh();
+        for (l, r) in &gcis {
+            let la = norm.atomize(l);
+            let ra = norm.atomize(r);
+            norm.axioms.push(NfAxiom::Sub(la, ra));
         }
-        Ok(this)
+        let n = norm.n_atoms as usize;
+        Ok(ElClassifier {
+            n_atoms: norm.n_atoms,
+            top: norm.top,
+            bottom: norm.bottom,
+            rules: Rules::build(&norm.axioms, n, norm.bottom),
+            user: norm.user,
+            words: n.div_ceil(64),
+            rows: Vec::new(),
+            edges: Vec::new(),
+            saturated: false,
+        })
     }
 
+    /// Run the completion rules to fixpoint.
+    pub fn saturate(&mut self) {
+        let mut meter = Meter::unlimited();
+        self.saturate_metered(&mut meter)
+            .expect("unlimited meter interrupted");
+    }
+
+    /// Run the completion rules to fixpoint under a [`Meter`],
+    /// charging one step per processed fact and per processed edge,
+    /// plus one for the final pass that finds no work.
+    ///
+    /// Before it allocates anything, each run charges the meter's
+    /// memory proxy with its bit matrices in `u64` words: subsumer and
+    /// edge rows plus their pending twins, `2 × (atoms + links) ×
+    /// ⌈atoms / 64⌉`. Under a memory wall that refuses them the run
+    /// returns `Exhausted(Memory)` without taking a step.
+    ///
+    /// On interrupt the partially saturated subsumer sets are kept:
+    /// completion rules only ever add *entailed* subsumptions, so the
+    /// partial state is a sound under-approximation of the full
+    /// classification (queryable via
+    /// [`ElClassifier::current_named_subsumers`]).
+    pub fn saturate_metered(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
+        if self.saturated {
+            return Ok(());
+        }
+        let _span = meter
+            .span("dl.el.saturate")
+            .with("atoms", self.n_atoms as u64);
+        let rows = u64::from(self.n_atoms) + self.rules.links.len() as u64;
+        meter.charge_memory(rows.saturating_mul(2 * self.words as u64))?;
+        // Start from the persisted partial state when one exists (an
+        // earlier interrupted run, or a restored checkpoint); seed
+        // `S(x) = {x, ⊤}` otherwise. Every known fact and edge starts
+        // pending, so the rules replay them: on a fresh start that is
+        // the classic seeding, on resume it only ever adds entailed
+        // consequences, and the monotone rules reach the fixpoint an
+        // uninterrupted run does.
+        if self.rows.is_empty() {
+            self.rows = vec![0; self.n_atoms as usize * self.words];
+            self.edges = vec![0; self.rules.links.len() * self.words];
+            for x in 0..self.n_atoms {
+                let row = &mut self.rows[x as usize * self.words..][..self.words];
+                set_bit(row, x);
+                set_bit(row, self.top);
+            }
+        }
+        let mut run = Run {
+            rules: &self.rules,
+            bottom: self.bottom,
+            facts: Matrix::pending_all(std::mem::take(&mut self.rows), self.words),
+            edges: Matrix::pending_all(std::mem::take(&mut self.edges), self.words),
+        };
+        let outcome = run.saturate(meter);
+        // Keep whatever was proved — complete on Ok, a sound partial
+        // under-approximation on interrupt. Edges persist alongside so
+        // a later resume (or checkpoint) loses none of CR3's work.
+        self.rows = run.facts.bits;
+        self.edges = run.edges.bits;
+        self.saturated = outcome.is_ok();
+        outcome
+    }
+
+    /// Snapshot the current (possibly partial) saturation state as a
+    /// [`Checkpoint`] bound to `fingerprint` (the
+    /// [`tbox_fingerprint`](crate::cache::tbox_fingerprint) of the
+    /// TBox this classifier was built from). Atom numbering is
+    /// deterministic for a given TBox, so a fresh classifier over the
+    /// same TBox can [`resume_from`](Self::resume_from) it.
+    pub fn checkpoint(&self, fingerprint: u64) -> Checkpoint {
+        let mut edges: BTreeMap<(u32, u32), BTreeSet<Atom>> = BTreeMap::new();
+        for (&(r, y), row) in self
+            .rules
+            .links
+            .iter()
+            .zip(self.edges.chunks_exact(self.words))
+        {
+            for x in ones(row) {
+                edges.entry((x, r.0)).or_default().insert(y);
+            }
+        }
+        Checkpoint {
+            fingerprint,
+            state: CheckpointState::ElSaturation {
+                subsumers: self
+                    .rows
+                    .chunks_exact(self.words)
+                    .map(|row| ones(row).collect())
+                    .collect(),
+                edges,
+            },
+        }
+    }
+
+    /// Restore a partial saturation from checkpoint bytes. Rejects
+    /// corrupt images, wrong fingerprints, and state whose shape does
+    /// not match this classifier's atom space or whose edges match no
+    /// existential of this TBox; on success the next
+    /// [`saturate_metered`](Self::saturate_metered) continues from the
+    /// restored facts instead of starting over. Returns the number of
+    /// subsumption facts restored.
+    pub fn resume_from(
+        &mut self,
+        bytes: &[u8],
+        fingerprint: u64,
+    ) -> std::result::Result<usize, CheckpointError> {
+        let ckp = Checkpoint::from_bytes_for(bytes, fingerprint)?;
+        let CheckpointState::ElSaturation { subsumers, edges } = ckp.state else {
+            return Err(CheckpointError::Malformed("not an EL checkpoint"));
+        };
+        if subsumers.len() != self.n_atoms as usize {
+            return Err(CheckpointError::Malformed(
+                "checkpoint atom count does not match this TBox",
+            ));
+        }
+        let in_range = |a: &Atom| *a < self.n_atoms;
+        if !subsumers.iter().all(|set| set.iter().all(in_range))
+            || !edges
+                .iter()
+                .all(|(&(x, _), ys)| in_range(&x) && ys.iter().all(in_range))
+        {
+            return Err(CheckpointError::Malformed(
+                "checkpoint mentions atoms outside this TBox",
+            ));
+        }
+        let link_of: BTreeMap<(RoleId, Atom), usize> = self
+            .rules
+            .links
+            .iter()
+            .enumerate()
+            .map(|(l, &link)| (link, l))
+            .collect();
+        let mut edge_rows = vec![0; self.rules.links.len() * self.words];
+        for (&(x, r), ys) in &edges {
+            for &y in ys {
+                let Some(&l) = link_of.get(&(RoleId(r), y)) else {
+                    return Err(CheckpointError::Malformed(
+                        "checkpoint edge matches no existential of this TBox",
+                    ));
+                };
+                set_bit(&mut edge_rows[l * self.words..][..self.words], x);
+            }
+        }
+        let mut rows = vec![0; self.n_atoms as usize * self.words];
+        for (row, set) in rows.chunks_exact_mut(self.words).zip(&subsumers) {
+            for &a in set {
+                set_bit(row, a);
+            }
+        }
+        self.rows = rows;
+        self.edges = edge_rows;
+        self.saturated = false;
+        Ok(subsumers.iter().map(BTreeSet::len).sum())
+    }
+
+    /// Row `x` of the subsumer matrix; `None` before any saturation.
+    fn row(&self, x: Atom) -> Option<&[u64]> {
+        self.rows.get(x as usize * self.words..)?.get(..self.words)
+    }
+
+    /// Named-concept subsumer sets read off the *current* saturation
+    /// state: complete after [`ElClassifier::saturate`], a sound
+    /// under-approximation after an interrupted
+    /// [`ElClassifier::saturate_metered`]. Reflexive pairs are always
+    /// present. Each row is read once, through the words that hold
+    /// user atoms, so the cost is linear in the pairs returned.
+    pub fn current_named_subsumers(
+        &self,
+        atoms: &[ConceptId],
+    ) -> BTreeMap<ConceptId, BTreeSet<ConceptId>> {
+        // Internal atom → requested name, so a row's bits map straight
+        // to the names it holds.
+        let mut name: Vec<Option<ConceptId>> = vec![None; self.n_atoms as usize];
+        for &c in atoms {
+            if let Some(&a) = self.user.get(&c) {
+                name[a as usize] = Some(c);
+            }
+        }
+        let named_words = self.user.values().max().map_or(0, |&a| a as usize / 64 + 1);
+        let everything: BTreeSet<ConceptId> = name.iter().flatten().copied().collect();
+        atoms
+            .iter()
+            .map(|&sub| {
+                let row = self.user.get(&sub).and_then(|&a| self.row(a));
+                let mut set = match row {
+                    // An unsatisfiable concept is subsumed by every name.
+                    Some(row) if has_bit(row, self.bottom) => everything.clone(),
+                    Some(row) => ones(&row[..named_words])
+                        .filter_map(|a| name[a as usize])
+                        .collect(),
+                    None => BTreeSet::new(),
+                };
+                set.insert(sub);
+                (sub, set)
+            })
+            .collect()
+    }
+
+    /// Does `sup` subsume `sub` (both named concepts) under the TBox?
+    pub fn subsumes(&mut self, sup: ConceptId, sub: ConceptId) -> bool {
+        self.saturate();
+        let (Some(&sa), Some(&ba)) = (self.user.get(&sub), self.user.get(&sup)) else {
+            return false;
+        };
+        let row = self.row(sa).expect("saturated");
+        has_bit(row, ba) || has_bit(row, self.bottom)
+    }
+
+    /// Is a named concept unsatisfiable (subsumed by ⊥)?
+    pub fn is_unsatisfiable(&mut self, c: ConceptId) -> bool {
+        self.saturate();
+        match self.user.get(&c) {
+            Some(&a) => has_bit(self.row(a).expect("saturated"), self.bottom),
+            None => false,
+        }
+    }
+
+    /// All named subsumers of a named concept.
+    pub fn subsumers_of(&mut self, c: ConceptId) -> Vec<ConceptId> {
+        self.saturate();
+        let Some(&a) = self.user.get(&c) else {
+            return vec![];
+        };
+        let row = self.row(a).expect("saturated");
+        self.user
+            .iter()
+            .filter(|(_, &atom)| has_bit(row, atom))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+}
+
+impl Normalizer {
     /// Reduce an arbitrary EL concept to a single atom, introducing
-    /// fresh definitional atoms as needed (lhs-oriented: the atom is
-    /// *equivalent* to the concept because we add both directions of
-    /// the definitional axioms where required).
+    /// fresh definitional atoms as needed (the atom is *equivalent* to
+    /// the concept because both directions of the definitional axioms
+    /// are added where required).
     fn atomize(&mut self, c: &Concept) -> Atom {
         match c {
             Concept::Top => self.top,
@@ -133,10 +472,6 @@ impl ElClassifier {
         }
     }
 
-    fn atomize_rhs(&mut self, c: &Concept) -> Atom {
-        self.atomize(c)
-    }
-
     fn user_atom(&mut self, id: ConceptId) -> Atom {
         if let Some(&a) = self.user.get(&id) {
             return a;
@@ -151,288 +486,205 @@ impl ElClassifier {
         self.n_atoms += 1;
         a
     }
+}
 
-    /// Run the completion rules to fixpoint.
-    pub fn saturate(&mut self) {
-        let mut meter = Meter::unlimited();
-        self.saturate_metered(&mut meter)
-            .expect("unlimited meter interrupted");
+/// A packed bit matrix with a pending-work twin: a newly set bit is
+/// also marked pending, and its row queued, until a rule fires on it.
+struct Matrix {
+    words: usize,
+    bits: Vec<u64>,
+    pending: Vec<u64>,
+    /// Rows with pending bits, first in first out, each at most once.
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+}
+
+impl Matrix {
+    /// Wrap `bits` with every set bit pending.
+    fn pending_all(bits: Vec<u64>, words: usize) -> Matrix {
+        let queued: Vec<bool> = bits
+            .chunks_exact(words)
+            .map(|row| row.iter().any(|&w| w != 0))
+            .collect();
+        Matrix {
+            words,
+            pending: bits.clone(),
+            bits,
+            queue: (0..queued.len() as u32)
+                .filter(|&i| queued[i as usize])
+                .collect(),
+            queued,
+        }
     }
 
-    /// Run the completion rules to fixpoint under a [`Meter`],
-    /// charging one step per processed queue entry.
-    ///
-    /// On interrupt the partially saturated subsumer sets are kept:
-    /// completion rules only ever add *entailed* subsumptions, so the
-    /// partial state is a sound under-approximation of the full
-    /// classification (queryable via
-    /// [`ElClassifier::current_named_subsumers`]).
-    pub fn saturate_metered(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
-        if self.saturated {
-            return Ok(());
-        }
-        let _span = meter
-            .span("dl.el.saturate")
-            .with("atoms", self.n_atoms as u64);
-        let n = self.n_atoms as usize;
-        // Start from the persisted partial state when one exists (an
-        // earlier interrupted run, or a restored checkpoint); seed
-        // fresh otherwise. The completion rules are monotone, so
-        // re-deriving from any sound under-approximation reaches the
-        // same fixpoint an uninterrupted run does.
-        if self.subsumers.len() != n {
-            self.subsumers = (0..n)
-                .map(|i| {
-                    let mut set = BTreeSet::new();
-                    set.insert(i as Atom);
-                    set.insert(self.top);
-                    set
-                })
-                .collect();
-            self.edges = BTreeMap::new();
-        }
-        let mut s: Vec<BTreeSet<Atom>> = std::mem::take(&mut self.subsumers);
-        // Role edges R(r) as adjacency: (x, r) → set of y.
-        let mut edges: BTreeMap<(Atom, RoleId), BTreeSet<Atom>> = std::mem::take(&mut self.edges);
+    fn row(&self, i: u32) -> &[u64] {
+        &self.bits[i as usize * self.words..][..self.words]
+    }
 
-        // Index axioms for rule application.
-        let mut by_lhs: BTreeMap<Atom, Vec<Atom>> = BTreeMap::new();
-        let mut conj: Vec<(Atom, Atom, Atom)> = vec![];
-        let mut ex_rhs: BTreeMap<Atom, Vec<(RoleId, Atom)>> = BTreeMap::new();
-        let mut ex_lhs: BTreeMap<(RoleId, Atom), Vec<Atom>> = BTreeMap::new();
-        for ax in &self.axioms {
-            match *ax {
-                NfAxiom::Sub(a, b) => by_lhs.entry(a).or_default().push(b),
-                NfAxiom::Conj(a1, a2, b) => conj.push((a1, a2, b)),
-                NfAxiom::ExistsRhs(a, r, b) => ex_rhs.entry(a).or_default().push((r, b)),
-                NfAxiom::ExistsLhs(r, a, b) => ex_lhs.entry((r, a)).or_default().push(b),
+    /// Set bit `j` of row `i`; a new bit turns pending.
+    fn insert(&mut self, i: u32, j: Atom) {
+        let at = i as usize * self.words + j as usize / 64;
+        let bit = 1u64 << (j % 64);
+        if self.bits[at] & bit == 0 {
+            self.bits[at] |= bit;
+            self.pending[at] |= bit;
+            if !self.queued[i as usize] {
+                self.queued[i as usize] = true;
+                self.queue.push_back(i);
             }
         }
+    }
 
-        // Work queue of (x, added atom) plus edge queue, seeded from
-        // every currently known fact: on a fresh start this is exactly
-        // the classic (x, x)/(x, ⊤) seeding; on resume it replays the
-        // checkpointed facts through the rules, which only ever adds
-        // entailed consequences.
-        let mut queue: VecDeque<(Atom, Atom)> = s
-            .iter()
-            .enumerate()
-            .flat_map(|(x, set)| set.iter().map(move |&a| (x as Atom, a)))
-            .collect();
-        let mut edge_queue: VecDeque<(Atom, RoleId, Atom)> = edges
-            .iter()
-            .flat_map(|(&(x, r), ys)| ys.iter().map(move |&y| (x, r, y)))
-            .collect();
+    /// The next queued row. Bits that turn pending in it from here on
+    /// queue it again.
+    fn next_row(&mut self) -> Option<u32> {
+        let i = self.queue.pop_front()?;
+        self.queued[i as usize] = false;
+        Some(i)
+    }
 
-        let add = |s: &mut Vec<BTreeSet<Atom>>,
-                       queue: &mut VecDeque<(Atom, Atom)>,
-                       x: Atom,
-                       a: Atom| {
-            if s[x as usize].insert(a) {
-                queue.push_back((x, a));
+    /// Clear and return row `i`'s next pending bit at or after word
+    /// `*from`, advancing `*from` past the words found empty.
+    fn take_pending(&mut self, i: u32, from: &mut usize) -> Option<Atom> {
+        let row = &mut self.pending[i as usize * self.words..][..self.words];
+        while let Some(word) = row.get_mut(*from) {
+            if *word != 0 {
+                let j = (*from * 64) as Atom + word.trailing_zeros();
+                *word &= *word - 1;
+                return Some(j);
             }
-        };
+            *from += 1;
+        }
+        None
+    }
+}
 
-        let outcome = loop {
-            if let Err(i) = meter.charge(1) {
-                break Err(i);
+/// One saturation: the completion rules over the subsumer matrix
+/// (`facts`, row per atom) and the edge matrix (`edges`, row per link).
+struct Run<'a> {
+    rules: &'a Rules,
+    bottom: Atom,
+    facts: Matrix,
+    edges: Matrix,
+}
+
+impl Run<'_> {
+    /// Fire the rules on every pending fact, then every pending edge,
+    /// until none is left. Facts go first: edges are only worked while
+    /// no fact is pending.
+    fn saturate(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
+        loop {
+            if let Some(x) = self.facts.next_row() {
+                let mut from = 0;
+                while let Some(a) = self.facts.take_pending(x, &mut from) {
+                    meter.charge(1)?;
+                    self.fire_fact(x, a);
+                }
+            } else if let Some(l) = self.edges.next_row() {
+                let passed = self.passed_back(l);
+                let mut from = 0;
+                while let Some(x) = self.edges.take_pending(l, &mut from) {
+                    meter.charge(1)?;
+                    for &b in &passed {
+                        self.facts.insert(x, b);
+                    }
+                }
+            } else {
+                // The pass that finds no work is a step too.
+                return meter.charge(1);
             }
-            if let Some((x, a)) = queue.pop_front() {
-                // CR1: a ⊑ b
-                if let Some(bs) = by_lhs.get(&a) {
-                    for &b in bs.clone().iter() {
-                        add(&mut s, &mut queue, x, b);
-                    }
-                }
-                // CR2: a ⊓ a2 ⊑ b with a2 already in S(x)
-                for &(a1, a2, b) in &conj {
-                    if (a1 == a && s[x as usize].contains(&a2))
-                        || (a2 == a && s[x as usize].contains(&a1))
-                    {
-                        add(&mut s, &mut queue, x, b);
-                    }
-                }
-                // CR3: a ⊑ ∃r.b
-                if let Some(rbs) = ex_rhs.get(&a) {
-                    for &(r, b) in rbs.clone().iter() {
-                        let set = edges.entry((x, r)).or_default();
-                        if set.insert(b) {
-                            edge_queue.push_back((x, r, b));
-                        }
-                    }
-                }
-                // CR4 (as target): some edge (w, r, x') with x' = x? —
-                // handled in the edge pass below via re-scan; here handle
-                // the case where a new subsumer of x triggers ∃r.a ⊑ b
-                // for predecessors of x.
-                for ((w, r), ys) in edges.iter() {
-                    if ys.contains(&x) {
-                        if let Some(bs) = ex_lhs.get(&(*r, a)) {
-                            for &b in bs.clone().iter() {
-                                add(&mut s, &mut queue, *w, b);
-                            }
-                        }
-                        // CR5: ⊥ propagates backwards.
-                        if a == self.bottom {
-                            add(&mut s, &mut queue, *w, self.bottom);
-                        }
-                    }
-                }
+        }
+    }
+
+    /// The rules triggered by the fact `a ∈ S(x)`.
+    fn fire_fact(&mut self, x: Atom, a: Atom) {
+        let rules = self.rules;
+        let (xi, ai) = (x as usize, a as usize);
+        // CR1: a ⊑ b.
+        for &b in &rules.sub[ai] {
+            self.facts.insert(x, b);
+        }
+        // CR2: a ⊓ a₂ ⊑ b with a₂ already in S(x).
+        for &(a2, b) in &rules.conj[ai] {
+            if has_bit(self.facts.row(x), a2) {
+                self.facts.insert(x, b);
+            }
+        }
+        // CR3: a ⊑ ∃r.b derives the edge x →r b.
+        for &l in &rules.exists_rhs[ai] {
+            self.edges.insert(l, x);
+        }
+        // CR4 and CR5 with x as an edge target: a new subsumer of x
+        // reaches the source w of every derived edge w →r x.
+        for &l in &rules.into[xi] {
+            let role = rules.links[l as usize].0;
+            let fires = |&(r, _): &(RoleId, Atom)| r == role;
+            if a != self.bottom && !rules.exists_lhs[ai].iter().any(fires) {
                 continue;
             }
-            if let Some((x, r, y)) = edge_queue.pop_front() {
-                // CR4: new edge (x, r, y): for every a ∈ S(y) with
-                // ∃r.a ⊑ b, add b to S(x).
-                let sy: Vec<Atom> = s[y as usize].iter().copied().collect();
-                for a in sy {
-                    if let Some(bs) = ex_lhs.get(&(r, a)) {
-                        for &b in bs.clone().iter() {
-                            add(&mut s, &mut queue, x, b);
+            for w in 0..self.edges.words {
+                let mut sources = self.edges.row(l)[w];
+                while sources != 0 {
+                    let src = (w * 64) as Atom + sources.trailing_zeros();
+                    sources &= sources - 1;
+                    for &(r, b) in &rules.exists_lhs[ai] {
+                        if r == role {
+                            self.facts.insert(src, b);
                         }
                     }
                     if a == self.bottom {
-                        add(&mut s, &mut queue, x, self.bottom);
-                    }
-                }
-                continue;
-            }
-            break Ok(());
-        };
-        // Keep whatever was proved — complete on Ok, a sound partial
-        // under-approximation on interrupt. Edges persist alongside so
-        // a later resume (or checkpoint) loses none of CR3's work.
-        self.subsumers = s;
-        self.edges = edges;
-        self.saturated = outcome.is_ok();
-        outcome
-    }
-
-    /// Snapshot the current (possibly partial) saturation state as a
-    /// [`Checkpoint`] bound to `fingerprint` (the
-    /// [`tbox_fingerprint`](crate::cache::tbox_fingerprint) of the
-    /// TBox this classifier was built from). Atom numbering is
-    /// deterministic for a given TBox, so a fresh classifier over the
-    /// same TBox can [`resume_from`](Self::resume_from) it.
-    pub fn checkpoint(&self, fingerprint: u64) -> Checkpoint {
-        Checkpoint {
-            fingerprint,
-            state: CheckpointState::ElSaturation {
-                subsumers: self.subsumers.clone(),
-                edges: self
-                    .edges
-                    .iter()
-                    .map(|(&(x, r), ys)| ((x, r.0), ys.clone()))
-                    .collect(),
-            },
-        }
-    }
-
-    /// Restore a partial saturation from checkpoint bytes. Rejects
-    /// corrupt images, wrong fingerprints, and state whose shape does
-    /// not match this classifier's atom space; on success the next
-    /// [`saturate_metered`](Self::saturate_metered) continues from the
-    /// restored facts instead of starting over. Returns the number of
-    /// subsumption facts restored.
-    pub fn resume_from(
-        &mut self,
-        bytes: &[u8],
-        fingerprint: u64,
-    ) -> std::result::Result<usize, CheckpointError> {
-        let ckp = Checkpoint::from_bytes_for(bytes, fingerprint)?;
-        let CheckpointState::ElSaturation { subsumers, edges } = ckp.state else {
-            return Err(CheckpointError::Malformed("not an EL checkpoint"));
-        };
-        if subsumers.len() != self.n_atoms as usize {
-            return Err(CheckpointError::Malformed(
-                "checkpoint atom count does not match this TBox",
-            ));
-        }
-        let in_range = |a: &Atom| *a < self.n_atoms;
-        if !subsumers.iter().all(|set| set.iter().all(in_range))
-            || !edges
-                .iter()
-                .all(|(&(x, _), ys)| in_range(&x) && ys.iter().all(in_range))
-        {
-            return Err(CheckpointError::Malformed(
-                "checkpoint mentions atoms outside this TBox",
-            ));
-        }
-        let restored = subsumers.iter().map(BTreeSet::len).sum();
-        self.subsumers = subsumers;
-        self.edges = edges
-            .into_iter()
-            .map(|((x, r), ys)| ((x, RoleId(r)), ys))
-            .collect();
-        self.saturated = false;
-        Ok(restored)
-    }
-
-    /// Named-concept subsumer sets read off the *current* saturation
-    /// state: complete after [`ElClassifier::saturate`], a sound
-    /// under-approximation after an interrupted
-    /// [`ElClassifier::saturate_metered`]. Reflexive pairs are always
-    /// present.
-    pub fn current_named_subsumers(
-        &self,
-        atoms: &[ConceptId],
-    ) -> BTreeMap<ConceptId, BTreeSet<ConceptId>> {
-        let mut out = BTreeMap::new();
-        for &sub in atoms {
-            let mut set = BTreeSet::new();
-            set.insert(sub);
-            if let Some(&sa) = self.user.get(&sub) {
-                if let Some(sset) = self.subsumers.get(sa as usize) {
-                    let unsat = sset.contains(&self.bottom);
-                    for &sup in atoms {
-                        if let Some(&ba) = self.user.get(&sup) {
-                            if unsat || sset.contains(&ba) {
-                                set.insert(sup);
-                            }
-                        }
+                        self.facts.insert(src, self.bottom);
                     }
                 }
             }
-            out.insert(sub, set);
+        }
+    }
+
+    /// What an edge of link `(r, y)` passes back to its source: each
+    /// `b` with `∃r.a ⊑ b` for some `a ∈ S(y)` (CR4), and ⊥ when
+    /// `⊥ ∈ S(y)` (CR5). A subsumer `y` gains later reaches the sources
+    /// through [`Run::fire_fact`] instead.
+    fn passed_back(&self, l: Link) -> Vec<Atom> {
+        let (role, y) = self.rules.links[l as usize];
+        let mut out = Vec::new();
+        let target = self.facts.row(y);
+        for (w, (&s, &mask)) in target.iter().zip(&self.rules.passed_back).enumerate() {
+            let mut bits = s & mask;
+            while bits != 0 {
+                let a = (w * 64) as Atom + bits.trailing_zeros();
+                bits &= bits - 1;
+                if a == self.bottom {
+                    out.push(a);
+                }
+                out.extend(
+                    self.rules.exists_lhs[a as usize]
+                        .iter()
+                        .filter(|&&(r, _)| r == role)
+                        .map(|&(_, b)| b),
+                );
+            }
         }
         out
     }
+}
 
-    /// Does `sup` subsume `sub` (both named concepts) under the TBox?
-    pub fn subsumes(&mut self, sup: ConceptId, sub: ConceptId) -> bool {
-        self.saturate();
-        let (sa, ba) = match (self.user.get(&sub), self.user.get(&sup)) {
-            (Some(&s), Some(&b)) => (s, b),
-            _ => return false,
-        };
-        let set = &self.subsumers[sa as usize];
-        set.contains(&ba) || set.contains(&self.bottom)
-    }
+fn set_bit(row: &mut [u64], a: Atom) {
+    row[a as usize / 64] |= 1u64 << (a % 64);
+}
 
-    /// Is a named concept unsatisfiable (subsumed by ⊥)?
-    pub fn is_unsatisfiable(&mut self, c: ConceptId) -> bool {
-        self.saturate();
-        match self.user.get(&c) {
-            Some(&a) => self.subsumers[a as usize].contains(&self.bottom),
-            None => false,
-        }
-    }
+fn has_bit(row: &[u64], a: Atom) -> bool {
+    row[a as usize / 64] >> (a % 64) & 1 != 0
+}
 
-    /// All named subsumers of a named concept.
-    pub fn subsumers_of(&mut self, c: ConceptId) -> Vec<ConceptId> {
-        self.saturate();
-        let a = match self.user.get(&c) {
-            Some(&a) => a,
-            None => return vec![],
-        };
-        // Borrow the saturated set in place — `subsumers` and `user`
-        // are distinct fields, so no clone is needed to walk both.
-        let set = &self.subsumers[a as usize];
-        self.user
-            .iter()
-            .filter(|(_, &atom)| set.contains(&atom))
-            .map(|(&id, _)| id)
-            .collect()
-    }
+/// The set bits of a packed row, ascending.
+fn ones(row: &[u64]) -> impl Iterator<Item = Atom> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&bits| {
+            let rest = bits & (bits - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |bits| (w * 64) as Atom + bits.trailing_zeros())
+    })
 }
 
 /// EL admissibility including ⊥ (which plain `Concept::is_el` excludes).
@@ -615,5 +867,209 @@ mod tests {
         // C ⊑ ∃r.B ≡ A ⟹ C ⊑ A
         assert!(el.subsumes(a, c));
         assert!(!el.subsumes(c, a));
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: the EL hierarchy equals tableau classification on
+    // every in-fragment TBox family, and completion steps stay pinned.
+    // -----------------------------------------------------------------
+
+    use crate::classify::{Classifier, Classify};
+    use crate::corpus::{animals_tbox_el, vehicles_tbox_el, PaperVocab};
+    use crate::generate;
+    use summa_guard::{Budget, ExhaustionReason};
+
+    fn assert_el_matches_tableau(t: &TBox, voc: &Vocabulary, what: &str) {
+        let el = ElClassifier::new(t, voc)
+            .expect("in fragment")
+            .classify(t, voc)
+            .expect("classifies");
+        let tableau = Classify::new(t, voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("unlimited");
+        assert_eq!(el, tableau, "EL and tableau hierarchies differ on {what}");
+    }
+
+    /// Steps of one uninterrupted saturation.
+    fn completion_steps(t: &TBox, voc: &Vocabulary) -> u64 {
+        let mut el = ElClassifier::new(t, voc).expect("in fragment");
+        let mut meter = Budget::unlimited().meter();
+        el.saturate_metered(&mut meter).expect("unlimited");
+        meter.steps()
+    }
+
+    #[test]
+    fn el_matches_tableau_on_diamonds() {
+        for depth in 1..=8 {
+            let (voc, t, _) = generate::diamond(depth);
+            assert_el_matches_tableau(&t, &voc, &format!("diamond({depth})"));
+        }
+    }
+
+    #[test]
+    fn el_matches_tableau_on_random_el() {
+        for seed in (0..24).chain([1405, 0x5EED]) {
+            let (voc, t, _) = generate::random_el(12, 2, 16, seed);
+            assert_el_matches_tableau(&t, &voc, &format!("random_el(12, 2, 16, {seed})"));
+        }
+    }
+
+    #[test]
+    fn el_matches_tableau_on_the_el_corpora() {
+        let p = PaperVocab::new();
+        assert_el_matches_tableau(&vehicles_tbox_el(&p), &p.voc, "vehicles_tbox_el");
+        assert_el_matches_tableau(&animals_tbox_el(&p), &p.voc, "animals_tbox_el");
+    }
+
+    #[test]
+    fn el_matches_tableau_with_bottom_top_and_equivalences() {
+        let mut voc = Vocabulary::new();
+        let [a, b, c, d, e, f] = ["A", "B", "C", "D", "E", "F"].map(|n| voc.concept(n));
+        let r = voc.role("r");
+        let at = Concept::atom;
+
+        // A ⊓ B ⊑ ⊥: a concept below both is unsatisfiable.
+        let mut t = TBox::new();
+        t.subsume(Concept::and(vec![at(a), at(b)]), Concept::Bottom);
+        t.subsume(at(c), Concept::and(vec![at(a), at(b)]));
+        t.subsume(at(d), at(a));
+        assert_el_matches_tableau(&t, &voc, "A ⊓ B ⊑ ⊥");
+
+        // A ⊑ ∃r.B with B ⊑ ⊥: ⊥ propagates back along the edge.
+        let mut t = TBox::new();
+        t.subsume(at(a), Concept::exists(r, at(b)));
+        t.subsume(at(b), Concept::Bottom);
+        t.subsume(at(c), at(a));
+        t.subsume(at(d), Concept::exists(r, at(e)));
+        assert_el_matches_tableau(&t, &voc, "A ⊑ ∃r.B, B ⊑ ⊥");
+
+        // ⊤ ⊑ A: every concept falls under A.
+        let mut t = TBox::new();
+        t.subsume(Concept::Top, at(a));
+        t.subsume(at(b), at(c));
+        t.subsume(Concept::exists(r, at(a)), at(d));
+        t.subsume(at(e), Concept::exists(r, at(f)));
+        assert_el_matches_tableau(&t, &voc, "⊤ ⊑ A");
+
+        // ⊤ ⊑ A with A ⊑ ⊥: an inconsistent TBox, every pair holds.
+        let mut t = TBox::new();
+        t.subsume(Concept::Top, at(a));
+        t.subsume(at(a), Concept::Bottom);
+        t.subsume(at(b), at(c));
+        assert_el_matches_tableau(&t, &voc, "⊤ ⊑ A ⊑ ⊥");
+
+        // A ⊓ B ⊑ C where the lower-numbered conjunct A reaches D only
+        // through a chain, long after B: CR2 must fire on whichever
+        // conjunct arrives last.
+        let mut t = TBox::new();
+        t.subsume(Concept::and(vec![at(a), at(b)]), at(c));
+        t.subsume(at(f), at(a));
+        t.subsume(at(e), at(f));
+        t.subsume(at(d), at(e));
+        t.subsume(at(d), at(b));
+        assert_el_matches_tableau(&t, &voc, "late conjunct");
+
+        // ∃r.B ⊑ C where B joins S(E) only after D's r-edge to E was
+        // worked, through E's own s-edge: CR4 must also fire from the
+        // target's side.
+        let s = voc.role("s");
+        let mut t = TBox::new();
+        t.subsume(at(d), Concept::exists(r, at(e)));
+        t.subsume(at(e), Concept::exists(s, at(f)));
+        t.subsume(Concept::exists(s, at(f)), at(b));
+        t.subsume(Concept::exists(r, at(b)), at(c));
+        assert_el_matches_tableau(&t, &voc, "nested edges");
+
+        // The same for ⊥ (CR5): E turns unsatisfiable through its
+        // s-edge, and D through its r-edge to E.
+        let mut t = TBox::new();
+        t.subsume(at(d), Concept::exists(r, at(e)));
+        t.subsume(at(e), Concept::exists(s, at(f)));
+        t.subsume(at(f), Concept::Bottom);
+        t.subsume(at(a), at(b));
+        assert_el_matches_tableau(&t, &voc, "nested ⊥");
+
+        // Equivalences, including one defined by an existential.
+        let mut t = TBox::new();
+        t.equiv(at(a), Concept::and(vec![at(b), Concept::exists(r, at(c))]));
+        t.subsume(at(d), at(b));
+        t.subsume(at(d), Concept::exists(r, at(c)));
+        t.equiv(at(e), at(f));
+        t.subsume(at(f), at(b));
+        assert_el_matches_tableau(&t, &voc, "equivalences");
+    }
+
+    /// Completion steps are fixed by the TBox (one per fact, one per
+    /// edge, one for the empty pass), whatever order the rules fire
+    /// in; these values were measured on the per-entry queue
+    /// saturation the bitset rows replaced.
+    #[test]
+    fn completion_steps_are_pinned() {
+        for (depth, steps) in [(4, 240), (6, 1_600), (8, 9_296)] {
+            let (voc, t, _) = generate::diamond(depth);
+            assert_eq!(completion_steps(&t, &voc), steps, "diamond({depth})");
+        }
+        for (seed, steps) in [(7, 158), (1405, 209)] {
+            let (voc, t, _) = generate::random_el(12, 2, 16, seed);
+            assert_eq!(
+                completion_steps(&t, &voc),
+                steps,
+                "random_el(12, 2, 16, {seed})"
+            );
+        }
+    }
+
+    /// A checkpoint edge whose role and target match no existential
+    /// of the TBox is none this TBox's saturation can derive: it is
+    /// refused as malformed.
+    #[test]
+    fn resume_refuses_edges_no_axiom_derives() {
+        let mut voc = Vocabulary::new();
+        let [a, b, c] = ["A", "B", "C"].map(|n| voc.concept(n));
+        let r = voc.role("r");
+        let mut t = TBox::new();
+        t.subsume(Concept::atom(a), Concept::exists(r, Concept::atom(b)));
+        t.subsume(Concept::exists(r, Concept::atom(c)), Concept::atom(b));
+        let mut el = ElClassifier::new(&t, &voc).expect("in fragment");
+        el.saturate();
+        let Checkpoint { state, .. } = el.checkpoint(7);
+        let CheckpointState::ElSaturation { subsumers, mut edges } = state else {
+            unreachable!("an EL checkpoint");
+        };
+        // The derived A →r B round-trips; A →r A is forged.
+        let forged = |edges| {
+            Checkpoint {
+                fingerprint: 7,
+                state: CheckpointState::ElSaturation {
+                    subsumers: subsumers.clone(),
+                    edges,
+                },
+            }
+            .to_bytes()
+        };
+        let mut fresh = ElClassifier::new(&t, &voc).expect("in fragment");
+        assert!(fresh.resume_from(&forged(edges.clone()), 7).is_ok());
+        edges.entry((0, r.0)).or_default().insert(0);
+        assert!(matches!(
+            fresh.resume_from(&forged(edges), 7),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn memory_wall_refuses_the_rows_before_any_step() {
+        let (voc, t, _) = generate::diamond(4);
+        let mut el = ElClassifier::new(&t, &voc).expect("in fragment");
+        // 31 atoms + ⊤ + ⊥, no links: 2 × 33 rows of one word.
+        let mut meter = Budget::new().with_memory(65).meter();
+        assert_eq!(
+            el.saturate_metered(&mut meter),
+            Err(Interrupt::Exhausted(ExhaustionReason::Memory))
+        );
+        assert_eq!(meter.steps(), 0);
+        let mut meter = Budget::new().with_memory(66).meter();
+        assert_eq!(el.saturate_metered(&mut meter), Ok(()));
+        assert_eq!(meter.steps(), 240);
     }
 }

@@ -13,10 +13,11 @@
 //! Queries mentioning complex concepts, or atoms interned after the
 //! index was built, are not answerable here ([`HierarchyIndex::subsumes`]
 //! returns `None`) and fall through to the prover. Because every bit
-//! in the index was itself decided by the governed classifier — which
-//! is differential-tested byte-identical against brute-force tableau
-//! calls — an index answer is *exactly* the prover's answer, never an
-//! approximation.
+//! in the index was itself decided by a governed classifier — the
+//! tableau traversal, differential-tested byte-identical against
+//! brute-force tableau calls, or on an EL TBox EL saturation,
+//! differential-tested against the tableau — an index answer is
+//! *exactly* the prover's answer, never an approximation.
 //!
 //! Like the resilience layer's `SatCache` entries, the index carries
 //! checksums — one per row, each covering `words`, the rank, the

@@ -334,8 +334,10 @@ fn subsumes_with(
 /// checks the whole index first and goes cold if any row fails.
 ///
 /// Answer bodies are byte-identical to [`execute`] whenever both
-/// complete: index bits are the classifier's own answers and the
-/// shared cache only replays checksummed prover verdicts. What may
+/// complete: the stored hierarchy and index bits are the subsumption
+/// closure the cold path's tableau computes (EL saturation, which
+/// warms an EL snapshot, computes the same closure), and the shared
+/// cache only replays checksummed prover verdicts. What may
 /// legitimately differ is the header-only spend (and, under starved
 /// budgets, the outcome — which is why the server gates the warm path
 /// off for step-capped and fault-injected configurations).
@@ -354,9 +356,9 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
             let Some(w) = snap.warm.as_ref().filter(|w| w.index.is_intact()) else {
                 return execute(store, req, budget);
             };
-            // The stored hierarchy came from the same deterministic
-            // classifier the cold path runs, so the payload bytes are
-            // identical; serving it costs one charged step.
+            // The stored hierarchy is the closure the cold path's
+            // classifier computes, so the payload bytes are identical;
+            // serving it costs one charged step.
             let mut meter = budget.meter();
             let body = match meter.charge(1) {
                 Ok(()) => ok_body(

@@ -15,9 +15,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use summa_dl::cache::{tbox_fingerprint, SatCache};
-use summa_dl::classify::{ClassHierarchy, Classify};
+use summa_dl::classify::{ClassHierarchy, Classifier, Classify};
 use summa_dl::concept::Vocabulary;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
+use summa_dl::el::ElClassifier;
 use summa_dl::index::HierarchyIndex;
 use summa_dl::parser::parse_axiom;
 use summa_dl::tbox::{Axiom, TBox};
@@ -29,13 +30,32 @@ use summa_guard::{Budget, Governed};
 /// without a warm state and every query falls back to the prover.
 const WARM_CLASSIFY_STEPS: u64 = 2_000_000;
 
+/// Memory ceiling, in `u64` words (4M words = 32 MiB), for the bit
+/// matrices of an EL warm build. They are quadratic in the TBox's
+/// internal atoms while EL steps grow only with derived facts, so the
+/// step ceiling alone does not bound them. Saturation charges them
+/// before allocating; a TBox over this ceiling ships cold, as on step
+/// exhaustion. The [`HierarchyIndex`] built from a completed run is no
+/// larger than the charged matrices.
+const WARM_EL_WORDS: u64 = 4 << 20;
+
+/// Which classifier built a snapshot's [`WarmState`]: install picks it
+/// from the TBox's fragment, never from configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmEngine {
+    /// EL saturation, for a TBox [`ElClassifier::new`] accepts.
+    El,
+    /// The tableau, for every other TBox.
+    Tableau,
+}
+
 /// The warm-path state precomputed at snapshot install time: the full
 /// classification of the snapshot's TBox, its packed
-/// [`HierarchyIndex`], and the epoch-shared [`SatCache`] (pre-warmed
-/// by the classification itself) that fall-through prover queries
-/// share across requests and tenants. Dropped atomically with its
-/// snapshot generation on hot-swap — a stale index can never answer,
-/// because requests resolve the whole `Arc<Snapshot>` at execute time.
+/// [`HierarchyIndex`], and the epoch-shared [`SatCache`] that
+/// fall-through prover queries share across requests and tenants.
+/// Dropped atomically with its snapshot generation on hot-swap — a
+/// stale index can never answer, because requests resolve the whole
+/// `Arc<Snapshot>` at execute time.
 #[derive(Debug)]
 pub struct WarmState {
     /// The completed classification (serialized verbatim for warm
@@ -44,8 +64,12 @@ pub struct WarmState {
     /// Packed ancestor/descendant bitsets over the hierarchy's atoms.
     pub index: HierarchyIndex,
     /// Shared per-(fingerprint, epoch) sat cache; entries are
-    /// checksummed as in the resilience layer.
+    /// checksummed as in the resilience layer. Pre-warmed by a tableau
+    /// classification, empty after EL saturation (which asks no
+    /// satisfiability questions).
     pub cache: Arc<SatCache>,
+    /// The classifier that computed `hierarchy`.
+    pub engine: WarmEngine,
 }
 
 /// One immutable generation of a named ontology.
@@ -151,18 +175,33 @@ impl SnapshotStore {
 }
 
 /// Classify once at install time and pack the result into a
-/// [`WarmState`]. The classification runs under a bounded budget and
-/// writes into the cache that becomes the snapshot's epoch-shared
-/// [`SatCache`], so the warm state ships pre-warmed. Returns `None`
-/// when classification did not complete or the hierarchy would not
-/// index (partial/unclosed) — the snapshot then serves cold.
+/// [`WarmState`]. The TBox's fragment picks the engine. A TBox that
+/// [`ElClassifier::new`] accepts is saturated under the step ceiling
+/// and the [`WARM_EL_WORDS`] memory ceiling, and its shared cache
+/// starts empty. Any other TBox is classified by the tableau under the
+/// step ceiling, writing into the cache that becomes the snapshot's
+/// epoch-shared [`SatCache`], so the warm state ships pre-warmed. On an
+/// EL TBox both engines compute the same subsumption closure, so the
+/// hierarchy, and every body served from it, is the same either way.
+/// Returns `None` when classification did not complete or the
+/// hierarchy would not index (partial/unclosed) — the snapshot then
+/// serves cold.
 fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
     let cache = Arc::new(SatCache::new());
     let budget = Budget::new().with_steps(WARM_CLASSIFY_STEPS);
-    let run = Classify::new(tbox, voc)
-        .cache(Arc::clone(&cache))
-        .run(&budget);
-    let Governed::Completed(hierarchy) = run.governed else {
+    let (engine, governed) = match ElClassifier::new(tbox, voc) {
+        Ok(mut el) => (
+            WarmEngine::El,
+            el.classify_governed(tbox, voc, &budget.with_memory(WARM_EL_WORDS)),
+        ),
+        Err(_) => {
+            let run = Classify::new(tbox, voc)
+                .cache(Arc::clone(&cache))
+                .run(&budget);
+            (WarmEngine::Tableau, run.governed)
+        }
+    };
+    let Governed::Completed(hierarchy) = governed else {
         return None;
     };
     let index = HierarchyIndex::build(&hierarchy)?;
@@ -170,6 +209,7 @@ fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
         hierarchy,
         index,
         cache,
+        engine,
     })
 }
 
@@ -196,6 +236,10 @@ pub fn parse_tbox(text: &str) -> Result<(TBox, Vocabulary), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::MAX_FRAME;
+    use summa_dl::corpus::{animals_tbox_el, vehicles_tbox_el};
+    use summa_dl::generate;
+    use summa_guard::{ExhaustionReason, Interrupt};
 
     #[test]
     fn builtins_are_resolvable_and_epoch_increases() {
@@ -236,7 +280,8 @@ mod tests {
         let warm = v.warm.as_ref().expect("warm built at install");
         assert!(warm.index.is_intact());
         assert_eq!(warm.index.len(), warm.hierarchy.concepts().count());
-        // The install-time classification pre-warms the shared cache.
+        // Outside EL the tableau classifies, pre-warming the shared cache.
+        assert_eq!(warm.engine, WarmEngine::Tableau);
         assert!(warm.cache.stats().entries > 0);
         // A hot swap carries its own fresh warm state — distinct
         // cache, same answers for the same axioms.
@@ -244,6 +289,120 @@ mod tests {
         let warm2 = v2.warm.as_ref().expect("rebuilt on swap");
         assert!(!Arc::ptr_eq(&warm.cache, &warm2.cache));
         assert_eq!(warm.index, warm2.index);
+    }
+
+    /// An EL TBox warms by saturation: the same hierarchy the tableau
+    /// computes, an intact index, and an empty shared cache.
+    #[test]
+    fn el_tboxes_warm_by_saturation() {
+        let store = SnapshotStore::new();
+        let (voc, tbox, _) = generate::diamond(8);
+        let snap = store.install("told", tbox, voc);
+        let warm = snap.warm.as_ref().expect("diamond(8) warms");
+        assert_eq!(warm.engine, WarmEngine::El);
+        assert!(warm.index.is_intact());
+        assert_eq!(warm.cache.stats().entries, 0);
+        let tableau = Classify::new(&snap.tbox, &snap.voc)
+            .run(&Budget::new().with_steps(WARM_CLASSIFY_STEPS))
+            .governed
+            .expect_completed("diamond(8) classifies");
+        assert_eq!(warm.hierarchy, tableau);
+
+        let p = PaperVocab::new();
+        for tbox in [vehicles_tbox_el(&p), animals_tbox_el(&p)] {
+            let snap = store.install("paper", tbox, p.voc.clone());
+            let warm = snap.warm.as_ref().expect("EL corpus warms");
+            assert_eq!(warm.engine, WarmEngine::El);
+        }
+    }
+
+    /// The EL paper structures, `copies` times over under a shared
+    /// upper taxonomy: the shape of a wide EL revision served by the
+    /// hot-swap benchmark.
+    fn paper_el_text(copies: usize) -> String {
+        let mut t = String::from("artifact < entity\norganism < entity\n");
+        for i in 0..copies {
+            let n = |base: &str| format!("{base}_{i}");
+            let (car, pickup) = (n("car"), n("pickup"));
+            let (motor, road) = (n("motorvehicle"), n("roadvehicle"));
+            let (dog, horse) = (n("dog"), n("horse"));
+            let (animal, quad) = (n("animal"), n("quadruped"));
+            t += &format!("{car} < {motor} & {road} & some size.small\n");
+            t += &format!("{pickup} < {motor} & {road} & some size.big\n");
+            t += &format!("{motor} < some uses.{}\n", n("gasoline"));
+            t += &format!("{road} < some has.{}\n", n("wheel"));
+            t += &format!("{motor} < artifact\n{road} < artifact\n");
+            t += &format!("{dog} < {animal} & {quad} & some size.small\n");
+            t += &format!("{horse} < {animal} & {quad} & some size.big\n");
+            t += &format!("{animal} < some ingests.food\n");
+            t += &format!("{quad} < some has.{}\n", n("leg"));
+            t += &format!("{animal} < organism\n");
+        }
+        t
+    }
+
+    /// The hot-swap benchmark's EL revisions warm by saturation: a
+    /// wide one (32 paper copies) and a deep one (`diamond(7)` under
+    /// the upper taxonomy, plus 8 copies).
+    #[test]
+    fn swap_shaped_el_revisions_warm() {
+        let mut deep = String::new();
+        for k in 1..=7 {
+            for i in 0..1usize << k {
+                let (p1, p2) = (i / 2, (i / 2 + 1) % (1 << (k - 1)));
+                deep += &format!("D{k}_{i} < D{}_{p1}\n", k - 1);
+                if p2 != p1 {
+                    deep += &format!("D{k}_{i} < D{}_{p2}\n", k - 1);
+                }
+            }
+        }
+        deep += "D0_0 < entity\n";
+        deep += &paper_el_text(8);
+        let store = SnapshotStore::new();
+        for text in [paper_el_text(32), deep] {
+            let snap = store.install_axioms("swap", &text).expect("parses");
+            assert!(snap.tbox.atoms().len() > 300);
+            let warm = snap.warm.as_ref().expect("warms");
+            assert_eq!(warm.engine, WarmEngine::El);
+        }
+    }
+
+    /// The memory ceiling: 12,000 `aN < some r.bN` lines are 24,000
+    /// named atoms in about 250 KB of text, well under the frame cap,
+    /// but saturation's matrices would need far more than
+    /// `WARM_EL_WORDS`, so the TBox is refused before any saturation
+    /// step and ships cold.
+    #[test]
+    fn el_tbox_over_the_memory_ceiling_installs_cold() {
+        let text: String = (0..12_000)
+            .map(|i| format!("a{i} < some r.b{i}\n"))
+            .collect();
+        assert!(text.len() < MAX_FRAME as usize);
+        let store = SnapshotStore::new();
+        let snap = store.install_axioms("wide", &text).expect("parses");
+        assert_eq!(snap.tbox.atoms().len(), 24_000);
+        assert!(snap.warm.is_none(), "over the ceiling ships cold");
+
+        let budget = Budget::new()
+            .with_steps(WARM_CLASSIFY_STEPS)
+            .with_memory(WARM_EL_WORDS);
+        let mut el = ElClassifier::new(&snap.tbox, &snap.voc).expect("in fragment");
+        let mut meter = budget.meter();
+        assert_eq!(
+            el.saturate_metered(&mut meter),
+            Err(Interrupt::Exhausted(ExhaustionReason::Memory))
+        );
+        assert_eq!(meter.steps(), 0, "refused before any saturation step");
+        let governed = ElClassifier::new(&snap.tbox, &snap.voc)
+            .expect("in fragment")
+            .classify_governed(&snap.tbox, &snap.voc, &budget);
+        assert!(matches!(
+            governed,
+            Governed::Exhausted {
+                reason: ExhaustionReason::Memory,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -53,6 +53,14 @@ cargo run -q -p summa-obs --example validate_json -- \
     "$SMOKE/BENCH_classify.json" bench generated_at workloads
 echo "    $SMOKE/BENCH_classify.json: valid"
 
+# Counter ledger: the smoke run's exact counters must be no worse than
+# the committed report's (sat calls and EL steps may not rise, pruned
+# cells may not fall); wall times are printed, never gated.
+echo "==> bench_diff BENCH_classify.json"
+cargo run -q -p summa-obs --example bench_diff -- \
+    BENCH_classify.json "$SMOKE/BENCH_classify.json" \
+    brute_force_sat_tests enhanced_sat_tests +enhanced_pruned el_steps
+
 # Parallel bench smoke: one sample per lane of one-thread vs
 # SUMMA_BENCH_THREADS-way classification; the bench asserts both
 # hierarchies (and a warm-cache rerun) are identical, and the validator

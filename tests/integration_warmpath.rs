@@ -7,6 +7,11 @@
 //! visible only in the nondeterministic response header: the `served`
 //! marker and the relocated `Spend`.
 //!
+//! EL snapshots warm by saturation instead of the tableau; their warm
+//! `subsumes` and `classify` bodies must still equal the tableau bodies
+//! of the direct call, including across a hot swap between an EL and a
+//! non-EL TBox under one name.
+//!
 //! Plus the index's own contract: on fixed and randomly generated
 //! corpora, every [`HierarchyIndex`] bit agrees with the
 //! classification it was packed from ([`ClassHierarchy::subsumers_ref`]),
@@ -14,7 +19,9 @@
 
 use summa_dl::classify::{ClassHierarchy, Classify};
 use summa_dl::concept::{ConceptId, Vocabulary};
-use summa_dl::corpus::{animals_tbox_repaired, vehicles_tbox, PaperVocab};
+use summa_dl::corpus::{
+    animals_tbox_el, animals_tbox_repaired, vehicles_tbox, vehicles_tbox_el, PaperVocab,
+};
 use summa_dl::generate;
 use summa_dl::index::HierarchyIndex;
 use summa_dl::tbox::TBox;
@@ -22,7 +29,7 @@ use summa_guard::{Budget, Governed};
 use summa_serve::client::Client;
 use summa_serve::ops::{self, Executed};
 use summa_serve::server::{Server, ServerConfig};
-use summa_serve::snapshot::SnapshotStore;
+use summa_serve::snapshot::{SnapshotStore, WarmEngine};
 use summa_serve::wire::{
     decode_ok_body, Op, Payload, Request, SERVED_CACHE, SERVED_INDEX, SERVED_PROVER, STATUS_OK,
     STATUS_PROTOCOL_ERROR,
@@ -290,6 +297,116 @@ fn client_round_trips_served_marker_and_header_spend() {
 
     drop(client);
     assert!(server.shutdown().reconciles());
+}
+
+// ---- EL-warmed snapshots -----------------------------------------
+
+/// Every ordered pair of `snapshot`'s TBox atoms whose indices are
+/// multiples of `stride`, as `subsumes` requests, then its `classify`.
+fn warm_reads(store: &SnapshotStore, snapshot: &str, stride: usize) -> Vec<Request> {
+    let snap = store.get(snapshot).expect("installed");
+    let names: Vec<String> = snap
+        .tbox
+        .atoms()
+        .into_iter()
+        .step_by(stride)
+        .map(|c| snap.voc.concept_name(c).to_string())
+        .collect();
+    let mut reqs: Vec<Request> = names
+        .iter()
+        .flat_map(|sub| {
+            names.iter().map(move |sup| Request::Subsumes {
+                snapshot: snapshot.into(),
+                sub: sub.clone(),
+                sup: sup.clone(),
+            })
+        })
+        .collect();
+    reqs.push(Request::Classify {
+        snapshot: snapshot.into(),
+    });
+    reqs
+}
+
+fn engine(store: &SnapshotStore, snapshot: &str) -> WarmEngine {
+    store
+        .get(snapshot)
+        .and_then(|s| s.warm.as_ref().map(|w| w.engine))
+        .expect("warm at install")
+}
+
+/// Serve `reqs` warm and compare each body with the tableau body of
+/// the direct call against the same generation.
+fn assert_served_like_the_tableau(server: &Server, client: &mut Client, reqs: &[Request]) {
+    let budget = Budget::unlimited();
+    for req in reqs {
+        let want = ops::execute(server.store(), req, &budget);
+        let got = client.call(req.clone()).expect("answered");
+        assert_eq!(got.status, want.status, "{req:?}");
+        assert_eq!(
+            got.body, want.body,
+            "warm body differs from the tableau's: {req:?}"
+        );
+        assert_eq!(got.epoch, want.epoch, "{req:?}");
+        assert_eq!(got.served, SERVED_INDEX, "answered warm: {req:?}");
+    }
+}
+
+/// The EL paper corpora and `diamond(6)` warm by saturation, and every
+/// warm `subsumes` and `classify` body equals the tableau's. Then one
+/// name swaps from an EL TBox to a non-EL one and back; each
+/// generation warms by its own fragment's engine and serves the
+/// tableau's bodies.
+fn assert_el_warm_conformance(threads: usize) {
+    let store = SnapshotStore::new();
+    let p = PaperVocab::new();
+    store.install("vehicles-el", vehicles_tbox_el(&p), p.voc.clone());
+    store.install("animals-el", animals_tbox_el(&p), p.voc.clone());
+    let (voc, tbox, _) = generate::diamond(6);
+    store.install("diamond", tbox, voc);
+    store.install("zoo", animals_tbox_el(&p), p.voc.clone());
+    let cfg = ServerConfig {
+        threads,
+        max_batch: 4,
+        cold: false,
+        ..ServerConfig::default()
+    };
+    assert!(cfg.warm_eligible(), "config must serve warm");
+    let server = Server::start_with_store(cfg, store).expect("server starts");
+    let mut client = Client::connect(server.addr(), "el").expect("connects");
+
+    for (name, stride) in [("vehicles-el", 1), ("animals-el", 1), ("diamond", 5)] {
+        assert_eq!(engine(server.store(), name), WarmEngine::El, "{name}");
+        let reqs = warm_reads(server.store(), name, stride);
+        assert_served_like_the_tableau(&server, &mut client, &reqs);
+    }
+
+    // Hot swap under one name: EL, then ALC, then EL again.
+    for (tbox, want) in [
+        (animals_tbox_el(&p), WarmEngine::El),
+        (animals_tbox_repaired(&p), WarmEngine::Tableau),
+        (animals_tbox_el(&p), WarmEngine::El),
+    ] {
+        let before = server.store().current_epoch();
+        server.store().install("zoo", tbox, p.voc.clone());
+        assert!(server.store().current_epoch() > before);
+        assert_eq!(engine(server.store(), "zoo"), want);
+        let reqs = warm_reads(server.store(), "zoo", 1);
+        assert_served_like_the_tableau(&server, &mut client, &reqs);
+    }
+
+    drop(client);
+    assert!(server.shutdown().reconciles());
+}
+
+#[test]
+fn el_warm_conformance_single_thread() {
+    assert_el_warm_conformance(1);
+}
+
+#[test]
+fn el_warm_conformance_four_threads() {
+    assert_el_warm_conformance(4);
 }
 
 // ---- index/classification property tests -------------------------
