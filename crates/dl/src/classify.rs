@@ -118,7 +118,9 @@ pub trait Classifier {
     /// run (all inner subsumption tests share a single meter); on
     /// exhaustion or cancellation the partial hierarchy contains the
     /// subsumptions proved so far — a sound under-approximation in
-    /// which an absent pair means *not proved*, not *disproved*.
+    /// which an absent pair means *not proved*, not *disproved*. (EL
+    /// saturation cuts its partial at the budget's step ceiling's
+    /// worth of pairs.)
     fn classify_governed(
         &mut self,
         tbox: &TBox,
@@ -687,16 +689,26 @@ impl Classifier for ElClassifier {
         let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
         let mut meter = budget.meter();
         let _span = meter.span("dl.classify.el").with("atoms", atoms.len());
-        match self.saturate_metered(&mut meter) {
+        // The read-out costs one step per named pair, charged before it
+        // is built, as the tableau charges one per grid cell: ⊥ puts
+        // every name in a row with a single fact, so saturation steps
+        // alone do not bound the hierarchy's size.
+        let charged = self
+            .saturate_metered(&mut meter)
+            .and_then(|()| meter.charge(self.named_pairs(&atoms)));
+        match charged {
             Ok(()) => Governed::Completed(ClassHierarchy {
                 subsumers: self.current_named_subsumers(&atoms),
             }),
             // Partial saturation is a sound under-approximation, so
-            // the interrupted hierarchy is still truthful.
+            // the interrupted hierarchy is still truthful. The tripped
+            // meter takes no further charge, so the partial is cut at
+            // the step ceiling's worth of pairs.
             Err(i) => Governed::from_interrupt(
                 i,
                 Some(ClassHierarchy {
-                    subsumers: self.current_named_subsumers(&atoms),
+                    subsumers: self
+                        .named_subsumers_upto(&atoms, budget.max_steps().unwrap_or(u64::MAX)),
                 }),
             ),
         }

@@ -24,7 +24,11 @@
 //! memory. [`ElClassifier::saturate_metered`] charges the matrices to
 //! the meter's memory proxy, in `u64` words, before it allocates them:
 //! under a memory wall an oversized TBox stops before its first step.
-//! The serving layer relies on this to bound the install-time
+//! Nor do steps bound the named hierarchy read off the rows: ⊥ puts
+//! every name in a row with a single fact. So the governed
+//! classification charges its read-out one step per named pair before
+//! building it, and cuts a partial one at the budget's step ceiling.
+//! The serving layer relies on both charges to bound the install-time
 //! classification of in-fragment snapshots.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState};
@@ -218,7 +222,10 @@ impl ElClassifier {
     /// memory proxy with its bit matrices in `u64` words: subsumer and
     /// edge rows plus their pending twins, `2 × (atoms + links) ×
     /// ⌈atoms / 64⌉`. Under a memory wall that refuses them the run
-    /// returns `Exhausted(Memory)` without taking a step.
+    /// returns `Exhausted(Memory)` without taking a step. These words
+    /// are not the tableau's memory unit (a completion-graph node), so
+    /// a memory wall meant for one engine does not fit the other; give
+    /// EL work a budget of its own.
     ///
     /// On interrupt the partially saturated subsumer sets are kept:
     /// completion rules only ever add *entailed* subsumptions, so the
@@ -373,6 +380,18 @@ impl ElClassifier {
         &self,
         atoms: &[ConceptId],
     ) -> BTreeMap<ConceptId, BTreeSet<ConceptId>> {
+        self.named_subsumers_upto(atoms, u64::MAX)
+    }
+
+    /// [`current_named_subsumers`](Self::current_named_subsumers) cut
+    /// to at most `limit` pairs (all reflexive pairs are kept), taking
+    /// the non-reflexive ones in the order of `atoms`. A cut read-out
+    /// is still a sound under-approximation.
+    pub(crate) fn named_subsumers_upto(
+        &self,
+        atoms: &[ConceptId],
+        limit: u64,
+    ) -> BTreeMap<ConceptId, BTreeSet<ConceptId>> {
         // Internal atom → requested name, so a row's bits map straight
         // to the names it holds.
         let mut name: Vec<Option<ConceptId>> = vec![None; self.n_atoms as usize];
@@ -382,23 +401,61 @@ impl ElClassifier {
             }
         }
         let named_words = self.user.values().max().map_or(0, |&a| a as usize / 64 + 1);
-        let everything: BTreeSet<ConceptId> = name.iter().flatten().copied().collect();
+        let everything: Vec<ConceptId> = name.iter().flatten().copied().collect();
+        let mut left =
+            usize::try_from(limit.saturating_sub(atoms.len() as u64)).unwrap_or(usize::MAX);
         atoms
             .iter()
             .map(|&sub| {
                 let row = self.user.get(&sub).and_then(|&a| self.row(a));
+                let mut take = |names: &mut dyn Iterator<Item = ConceptId>| {
+                    let set: BTreeSet<ConceptId> = names.filter(|&c| c != sub).take(left).collect();
+                    left -= set.len();
+                    set
+                };
                 let mut set = match row {
                     // An unsatisfiable concept is subsumed by every name.
-                    Some(row) if has_bit(row, self.bottom) => everything.clone(),
-                    Some(row) => ones(&row[..named_words])
-                        .filter_map(|a| name[a as usize])
-                        .collect(),
+                    Some(row) if has_bit(row, self.bottom) => take(&mut everything.iter().copied()),
+                    Some(row) => {
+                        take(&mut ones(&row[..named_words]).filter_map(|a| name[a as usize]))
+                    }
                     None => BTreeSet::new(),
                 };
                 set.insert(sub);
                 (sub, set)
             })
             .collect()
+    }
+
+    /// How many pairs [`current_named_subsumers`](Self::current_named_subsumers)
+    /// returns for `atoms`, counted on the rows without building them:
+    /// every requested name for an unsatisfiable row, else the row's
+    /// requested names, plus the reflexive pair where the row lacks it.
+    /// An upper bound when `atoms` repeats a name.
+    pub(crate) fn named_pairs(&self, atoms: &[ConceptId]) -> u64 {
+        let mut wanted = vec![0; self.words];
+        for &a in atoms.iter().filter_map(|c| self.user.get(c)) {
+            set_bit(&mut wanted, a);
+        }
+        let everything: u64 = wanted.iter().map(|w| u64::from(w.count_ones())).sum();
+        atoms
+            .iter()
+            .map(|sub| {
+                let Some((a, row)) = self.user.get(sub).and_then(|&a| Some((a, self.row(a)?)))
+                else {
+                    return 1;
+                };
+                if has_bit(row, self.bottom) {
+                    return everything;
+                }
+                let named: u64 = row
+                    .iter()
+                    .zip(&wanted)
+                    .map(|(r, w)| u64::from((r & w).count_ones()))
+                    .sum();
+                named + u64::from(!has_bit(row, a))
+            })
+            .sum()
     }
 
     /// Does `sup` subsume `sub` (both named concepts) under the TBox?
@@ -877,7 +934,7 @@ mod tests {
     use crate::classify::{Classifier, Classify};
     use crate::corpus::{animals_tbox_el, vehicles_tbox_el, PaperVocab};
     use crate::generate;
-    use summa_guard::{Budget, ExhaustionReason};
+    use summa_guard::{Budget, ExhaustionReason, Governed};
 
     fn assert_el_matches_tableau(t: &TBox, voc: &Vocabulary, what: &str) {
         let el = ElClassifier::new(t, voc)
@@ -1055,6 +1112,82 @@ mod tests {
             fresh.resume_from(&forged(edges), 7),
             Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    /// `⊤ ⊑ ⊥` and `Aᵢ ⊑ U` for `n` atoms: an inconsistent TBox whose
+    /// every row holds ⊥ after a few steps per atom, so its hierarchy
+    /// has all `(n + 1)²` named pairs.
+    fn inconsistent(n: usize) -> (Vocabulary, TBox) {
+        let mut voc = Vocabulary::new();
+        let u = voc.concept("U");
+        let mut t = TBox::new();
+        t.subsume(Concept::Top, Concept::Bottom);
+        for i in 0..n {
+            let a = voc.concept(&format!("A{i}"));
+            t.subsume(Concept::atom(a), Concept::atom(u));
+        }
+        (voc, t)
+    }
+
+    /// `named_pairs` counts exactly the pairs the read-out builds, on
+    /// completed and interrupted saturations, with and without ⊥.
+    #[test]
+    fn named_pairs_counts_the_read_out() {
+        let mut cases = vec![inconsistent(40)];
+        for depth in [3, 5] {
+            let (voc, t, _) = generate::diamond(depth);
+            cases.push((voc, t));
+        }
+        let (voc, t, _) = generate::random_el(12, 2, 16, 7);
+        cases.push((voc, t));
+        for (voc, t) in &cases {
+            let atoms: Vec<ConceptId> = t.atoms().into_iter().collect();
+            for max in [0, 10, 60, u64::MAX] {
+                let mut el = ElClassifier::new(t, voc).expect("in fragment");
+                let _ = el.saturate_metered(&mut Budget::new().with_steps(max).meter());
+                let built: usize = el
+                    .current_named_subsumers(&atoms)
+                    .values()
+                    .map(BTreeSet::len)
+                    .sum();
+                assert_eq!(el.named_pairs(&atoms), built as u64, "at {max} steps");
+            }
+        }
+    }
+
+    /// The read-out is charged one step per named pair before it is
+    /// built, and a partial one is cut at the step budget's worth of
+    /// pairs, so no hierarchy larger than the budget is built: ⊥ fills
+    /// every row in a few steps per atom.
+    #[test]
+    fn the_read_out_is_charged_one_step_per_pair() {
+        let (voc, t) = inconsistent(40);
+        let steps = completion_steps(&t, &voc);
+        let pairs = 41 * 41;
+        assert!(steps < 41 * 5, "saturation is linear here: {steps} steps");
+        let governed = |max| {
+            ElClassifier::new(&t, &voc)
+                .expect("in fragment")
+                .classify_governed(&t, &voc, &Budget::new().with_steps(max))
+        };
+        let full = governed(steps + pairs).expect_completed("read-out affordable");
+        assert_eq!(full.n_pairs() as u64, pairs);
+        for max in [steps + pairs - 1, steps + 100, steps - 1, 20] {
+            let Governed::Exhausted {
+                reason: ExhaustionReason::Steps,
+                partial: Some(partial),
+            } = governed(max)
+            else {
+                panic!("{max} steps cannot pay for the read-out");
+            };
+            assert!(partial.n_pairs() as u64 <= max.max(41), "cut at {max}");
+            for c in partial.concepts() {
+                assert!(partial.subsumes(c, c), "reflexive pairs are kept");
+                for &s in partial.subsumers_ref(c).into_iter().flatten() {
+                    assert!(full.subsumes(s, c), "the cut partial is sound");
+                }
+            }
+        }
     }
 
     #[test]

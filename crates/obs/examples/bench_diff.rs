@@ -6,16 +6,18 @@
 //! Both files are `BENCH_*.json` reports: a `workloads` array of
 //! objects, each naming its workload. Every committed workload must be
 //! in the fresh report, and every listed counter the committed workload
-//! carries must be in the fresh one and no worse. Counters are
-//! machine-independent (sat calls, EL steps), so they move only when
-//! the code does: an increase is a regression. A counter written
-//! `+name` counts work avoided (pruned cells), so for it a decrease is
-//! the regression. An improvement passes and is reported, so the
-//! committed report can be regenerated. Wall times (every `*_ns` field)
-//! are printed beside each other but never gated: the bench host is
-//! noisy, and a smoke run takes one sample per lane.
+//! carries must be in the fresh one and no worse. A workload may lack a
+//! counter (a lane it does not run), but each listed counter must be in
+//! some committed workload, so a misspelt name cannot pass by comparing
+//! nothing. Counters are machine-independent (sat calls, EL steps), so
+//! they move only when the code does: an increase is a regression. A
+//! counter written `+name` counts work avoided (pruned cells), so for
+//! it a decrease is the regression. An improvement passes and is
+//! reported, so the committed report can be regenerated. Wall times
+//! (every `*_ns` field) are printed beside each other but never gated:
+//! the bench host is noisy, and a smoke run takes one sample per lane.
 //!
-//! Exits non-zero after listing every regression, so CI can gate a
+//! Exits non-zero after listing every failure, so CI can gate a
 //! smoke run's counters on the committed report.
 
 use std::process::ExitCode;
@@ -51,7 +53,8 @@ fn main() -> ExitCode {
         (Err(e), _) | (_, Err(e)) => return fail(&e),
     };
     println!("bench_diff: {fresh_path} against {committed_path}");
-    let mut regressions = Vec::new();
+    let mut failures = Vec::new();
+    let mut compared = vec![false; counters.len()];
     for old in committed
         .get("workloads")
         .map(Json::items)
@@ -63,10 +66,10 @@ fn main() -> ExitCode {
             ));
         };
         let Some(new) = workload(&fresh, name) else {
-            regressions.push(format!("{name}: missing from {fresh_path}"));
+            failures.push(format!("{name}: missing from {fresh_path}"));
             continue;
         };
-        for counter in counters {
+        for (counter, compared) in counters.iter().zip(&mut compared) {
             let (key, higher_is_better) = match counter.strip_prefix('+') {
                 Some(key) => (key, true),
                 None => (counter.as_str(), false),
@@ -74,8 +77,9 @@ fn main() -> ExitCode {
             let Some(before) = old.get(key).and_then(Json::as_num) else {
                 continue;
             };
+            *compared = true;
             let Some(after) = new.get(key).and_then(Json::as_num) else {
-                regressions.push(format!("{name}: counter {key} missing from {fresh_path}"));
+                failures.push(format!("{name}: counter {key} missing from {fresh_path}"));
                 continue;
             };
             let worse = if higher_is_better {
@@ -84,7 +88,7 @@ fn main() -> ExitCode {
                 after > before
             };
             let verdict = if worse {
-                regressions.push(format!("{name}: {key} {before} -> {after}"));
+                failures.push(format!("{name}: {key} regressed {before} -> {after}"));
                 "REGRESSION"
             } else if after == before {
                 "same"
@@ -106,12 +110,17 @@ fn main() -> ExitCode {
             }
         }
     }
-    if regressions.is_empty() {
+    for (counter, _) in counters.iter().zip(&compared).filter(|(_, &c)| !c) {
+        failures.push(format!(
+            "counter {counter} is in no workload of {committed_path}"
+        ));
+    }
+    if failures.is_empty() {
         println!("bench_diff: no counter regressed");
         ExitCode::SUCCESS
     } else {
-        for r in &regressions {
-            eprintln!("bench_diff: regression: {r}");
+        for r in &failures {
+            eprintln!("bench_diff: FAIL: {r}");
         }
         ExitCode::FAILURE
     }

@@ -28,15 +28,20 @@ use summa_guard::{Budget, Governed};
 /// wire-loaded TBox must not be able to wedge `install` — if the
 /// governed classifier exhausts this budget the snapshot simply ships
 /// without a warm state and every query falls back to the prover.
+/// Both engines pay at least one step per pair of the hierarchy they
+/// build (the tableau per grid cell, EL saturation per named pair of
+/// its read-out), so this also caps a warm hierarchy at 2M pairs.
 const WARM_CLASSIFY_STEPS: u64 = 2_000_000;
 
 /// Memory ceiling, in `u64` words (4M words = 32 MiB), for the bit
-/// matrices of an EL warm build. They are quadratic in the TBox's
-/// internal atoms while EL steps grow only with derived facts, so the
-/// step ceiling alone does not bound them. Saturation charges them
-/// before allocating; a TBox over this ceiling ships cold, as on step
-/// exhaustion. The [`HierarchyIndex`] built from a completed run is no
-/// larger than the charged matrices.
+/// matrices of an EL warm build. The unit is EL saturation's own: a
+/// word of bit matrix, not a tableau node, so this ceiling sits on a
+/// budget that only EL work draws on. The matrices are quadratic in
+/// the TBox's internal atoms while EL steps grow only with derived
+/// facts, so the step ceiling alone does not bound them. Saturation
+/// charges them before allocating; a TBox over this ceiling ships
+/// cold, as on step exhaustion. The [`HierarchyIndex`] built from a
+/// completed run is no larger than the charged matrices.
 const WARM_EL_WORDS: u64 = 4 << 20;
 
 /// Which classifier built a snapshot's [`WarmState`]: install picks it
@@ -177,8 +182,8 @@ impl SnapshotStore {
 /// Classify once at install time and pack the result into a
 /// [`WarmState`]. The TBox's fragment picks the engine. A TBox that
 /// [`ElClassifier::new`] accepts is saturated under the step ceiling
-/// and the [`WARM_EL_WORDS`] memory ceiling, and its shared cache
-/// starts empty. Any other TBox is classified by the tableau under the
+/// and the [`WARM_EL_WORDS`] memory ceiling, its read-out charged one
+/// step per named pair, and its shared cache starts empty. Any other TBox is classified by the tableau under the
 /// step ceiling, writing into the cache that becomes the snapshot's
 /// epoch-shared [`SatCache`], so the warm state ships pre-warmed. On an
 /// EL TBox both engines compute the same subsumption closure, so the
@@ -403,6 +408,65 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The step ceiling bounds the hierarchy as well as saturation.
+    /// `top < bottom` and 11,200 `aN < u` lines are 11,203 atoms whose
+    /// matrices fit `WARM_EL_WORDS` and whose saturation takes a few
+    /// steps per atom, but ⊥ puts every name in every row: about 125M
+    /// pairs, each charged one step before the read-out is built, so
+    /// the TBox ships cold. A small inconsistent TBox still warms.
+    #[test]
+    fn inconsistent_el_tbox_over_the_step_ceiling_installs_cold() {
+        let text = |n: usize| -> String {
+            let lines = (0..n).map(|i| format!("a{i} < u\n"));
+            std::iter::once("top < bottom\n".to_string())
+                .chain(lines)
+                .collect()
+        };
+        let big = text(11_200);
+        assert!(big.len() < MAX_FRAME as usize);
+        let store = SnapshotStore::new();
+        let snap = store.install_axioms("inconsistent", &big).expect("parses");
+        assert_eq!(snap.tbox.atoms().len(), 11_201);
+        assert!(snap.warm.is_none(), "over the step ceiling ships cold");
+
+        let budget = Budget::new()
+            .with_steps(WARM_CLASSIFY_STEPS)
+            .with_memory(WARM_EL_WORDS);
+        let mut el = ElClassifier::new(&snap.tbox, &snap.voc).expect("in fragment");
+        let mut meter = budget.meter();
+        assert_eq!(
+            el.saturate_metered(&mut meter),
+            Ok(()),
+            "fits both ceilings"
+        );
+        assert!(
+            meter.steps() < 100_000,
+            "{} saturation steps",
+            meter.steps()
+        );
+        let governed = ElClassifier::new(&snap.tbox, &snap.voc)
+            .expect("in fragment")
+            .classify_governed(&snap.tbox, &snap.voc, &budget);
+        let Governed::Exhausted {
+            reason: ExhaustionReason::Steps,
+            partial: Some(partial),
+        } = governed
+        else {
+            panic!("the read-out exceeds the step ceiling");
+        };
+        assert!(partial.n_pairs() as u64 <= WARM_CLASSIFY_STEPS);
+
+        let small = store.install_axioms("small", &text(100)).expect("parses");
+        let warm = small.warm.as_ref().expect("101² pairs fit the ceiling");
+        assert_eq!(warm.engine, WarmEngine::El);
+        assert_eq!(warm.hierarchy.n_pairs(), 101 * 101);
+        let tableau = Classify::new(&small.tbox, &small.voc)
+            .run(&Budget::new().with_steps(WARM_CLASSIFY_STEPS))
+            .governed
+            .expect_completed("classifies");
+        assert_eq!(warm.hierarchy, tableau);
     }
 
     #[test]
