@@ -18,10 +18,11 @@ fn classify_fresh_per_query(tbox: &TBox, voc: &Vocabulary) -> usize {
     for &sub in &atoms {
         for &sup in &atoms {
             let mut r = Tableau::new(tbox, voc);
-            if !r.is_satisfiable(&Concept::and(vec![
-                Concept::atom(sub),
-                Concept::not(Concept::atom(sup)),
-            ])) {
+            let query = Concept::and(vec![Concept::atom(sub), Concept::not(Concept::atom(sup))]);
+            if !r
+                .is_satisfiable_governed(&query, &Budget::new().with_memory(20_000))
+                .expect_completed("within the node cap")
+            {
                 pairs += 1;
             }
         }

@@ -37,7 +37,8 @@ fn print_record() {
         let mut r = Tableau::new(&TBox::new(), &voc);
         println!(
             "  hard_alc(n={n:<2}) satisfiable by tableau: {} (EL: outside fragment)",
-            r.is_satisfiable(&c)
+            r.is_satisfiable_governed(&c, &Budget::new().with_memory(20_000))
+                .expect_completed("within the node cap")
         );
     }
 }
@@ -87,7 +88,8 @@ fn bench(c: &mut Criterion) {
                 bencher.iter(|| {
                     // A fresh reasoner each time: no cache effects.
                     let mut r = Tableau::new(&TBox::new(), &voc);
-                    r.is_satisfiable(black_box(&concept))
+                    r.is_satisfiable_governed(black_box(&concept), &Budget::new().with_memory(20_000))
+                        .expect_completed("within the node cap")
                 })
             },
         );

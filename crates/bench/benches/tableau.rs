@@ -144,7 +144,10 @@ fn main() {
                     let mut r = Tableau::new(&w.tbox, &w.voc).with_reference_kernel(true);
                     w.queries
                         .iter()
-                        .filter(|q| r.is_satisfiable(q))
+                        .filter(|q| {
+                            r.is_satisfiable_governed(q, &Budget::new().with_memory(20_000))
+                                .expect_completed("within the node cap")
+                        })
                         .count()
                 })
             });
@@ -153,7 +156,10 @@ fn main() {
                     let mut r = Tableau::new(&w.tbox, &w.voc).with_reference_kernel(false);
                     w.queries
                         .iter()
-                        .filter(|q| r.is_satisfiable(q))
+                        .filter(|q| {
+                            r.is_satisfiable_governed(q, &Budget::new().with_memory(20_000))
+                                .expect_completed("within the node cap")
+                        })
                         .count()
                 })
             });

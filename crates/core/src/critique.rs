@@ -10,8 +10,7 @@ use summa_guard::{Budget, Governed, Interrupt, Meter, Spend};
 use summa_hermeneutic::prelude::{all_contexts, encoding_loss, interpret, trespassers_sign, MeaningVariance};
 use summa_lexfield::prelude::{age_adjectives_dataset, doorknob_dataset, Alignment};
 use summa_structure::prelude::{
-    find_isomorphic_pairs_metered, find_isomorphic_pairs_parallel_governed,
-    structurally_indistinguishable_metered,
+    find_isomorphic_pairs_metered, structurally_indistinguishable_metered,
 };
 
 /// Neighborhood depth for the semantic critique's structural sweeps.
@@ -105,53 +104,6 @@ fn judge_cell(
     })
 }
 
-/// §2 across `threads` workers: artifact × definition cells are
-/// distributed by work stealing under one shared envelope, each worker
-/// holding its own corpus and definition set (judges are neither
-/// `Sync` nor shareable). Panic isolation is per cell, exactly as in
-/// the sequential run. Cells are assembled in matrix order and only
-/// fully judged artifact rows are kept, so the completed matrix is
-/// identical to [`syntactic_critique_governed`]'s and a partial one
-/// obeys the same complete-rows-only contract.
-pub fn syntactic_critique_parallel_governed(
-    budget: &Budget,
-    threads: usize,
-) -> Governed<AdmissionMatrix> {
-    let corpus = standard_corpus();
-    let defs = standard_definitions();
-    let definitions: Vec<String> = defs.iter().map(|d| d.name().to_string()).collect();
-    let (rows, cols) = (corpus.len(), defs.len());
-    let _span = budget
-        .tracer()
-        .span("core.syntactic.parallel")
-        .with("cells", rows * cols)
-        .with("threads", threads);
-    let outcome = summa_exec::par_cells(
-        rows,
-        cols,
-        budget,
-        threads,
-        |_| (standard_corpus(), standard_definitions()),
-        |(corpus, defs), meter, r, c| judge_cell(defs[c].as_ref(), &corpus[r], meter),
-    );
-    outcome.into_governed(|slots| {
-        let mut artifacts = vec![];
-        let mut cells: Vec<Vec<Judgment>> = vec![];
-        for (r, a) in corpus.iter().enumerate() {
-            let row = &slots[r * cols..(r + 1) * cols];
-            if row.iter().all(Option::is_some) {
-                artifacts.push(a.name().to_string());
-                cells.push(row.iter().map(|j| j.clone().expect("decided")).collect());
-            }
-        }
-        Some(AdmissionMatrix {
-            artifacts,
-            definitions,
-            cells,
-        })
-    })
-}
-
 /// The findings of the §3 semantic critique.
 #[derive(Debug, Clone)]
 pub struct SemanticReport {
@@ -189,110 +141,6 @@ pub fn semantic_critique_governed(budget: &Budget) -> Governed<SemanticReport> {
         Ok(r) => Governed::Completed(r),
         Err(i) => Governed::from_interrupt(i, None),
     }
-}
-
-/// §3 with the dominant phase — the all-pairs collapse sweep —
-/// distributed across `threads` workers. The cheap single-pair checks
-/// and lexical-field phases run sequentially under one meter; the
-/// sweep runs under its own shared envelope built from the same
-/// budget (each phase is separately bounded). Completed reports are
-/// identical to the sequential [`semantic_critique_governed`]'s.
-pub fn semantic_critique_parallel_governed(
-    budget: &Budget,
-    threads: usize,
-) -> Governed<SemanticReport> {
-    let p = PaperVocab::new();
-    let vehicles = vehicles_tbox(&p);
-    let animals = animals_tbox(&p);
-    let _span = budget
-        .tracer()
-        .span("core.semantic.parallel")
-        .with("threads", threads);
-    let sweep = find_isomorphic_pairs_parallel_governed(
-        &vehicles,
-        &animals,
-        &p.voc,
-        COLLAPSE_DEPTH,
-        budget,
-        threads,
-    );
-    let collapsed_pairs = match sweep {
-        Governed::Completed(pairs) => pairs.len(),
-        Governed::Exhausted { reason, .. } => {
-            return Governed::Exhausted {
-                reason,
-                partial: None,
-            }
-        }
-        Governed::Cancelled { .. } => return Governed::Cancelled { partial: None },
-    };
-    let mut meter = budget.meter();
-    match semantic_rest_metered(&p, &vehicles, &animals, collapsed_pairs, &mut meter) {
-        Ok(r) => Governed::Completed(r),
-        Err(i) => Governed::from_interrupt(i, None),
-    }
-}
-
-/// The non-sweep phases of the semantic critique, shared by the
-/// sequential and parallel drivers.
-fn semantic_rest_metered(
-    p: &PaperVocab,
-    vehicles: &summa_dl::tbox::TBox,
-    animals: &summa_dl::tbox::TBox,
-    collapsed_pairs: usize,
-    meter: &mut Meter,
-) -> Result<SemanticReport, Interrupt> {
-    let repaired = animals_tbox_repaired(p);
-    let car_equals_dog = structurally_indistinguishable_metered(
-        vehicles,
-        p.car,
-        animals,
-        p.dog,
-        &p.voc,
-        COLLAPSE_DEPTH,
-        meter,
-    )?
-    .is_some();
-    let repair_breaks_collapse = structurally_indistinguishable_metered(
-        vehicles,
-        p.car,
-        &repaired,
-        p.dog,
-        &p.voc,
-        COLLAPSE_DEPTH,
-        meter,
-    )?
-    .is_none();
-
-    meter.charge(1)?;
-    meter.checkpoint()?;
-    let (space, en, it) = doorknob_dataset();
-    let doorknob_not_bijective = !Alignment::between(&space, &en, &it).is_bijective();
-
-    meter.charge(1)?;
-    meter.checkpoint()?;
-    let age = age_adjectives_dataset();
-    let pairings = [
-        (&age.italian, &age.spanish),
-        (&age.italian, &age.french),
-        (&age.spanish, &age.french),
-    ];
-    let age_total_ambiguity = pairings
-        .iter()
-        .map(|(a, b)| Alignment::between(&age.space, a, b).total_ambiguity())
-        .sum();
-    let age_divisions_all_differ = pairings
-        .iter()
-        .all(|(a, b)| !summa_lexfield::field::same_division(&age.space, a, b));
-
-    Ok(SemanticReport {
-        car_equals_dog,
-        repair_breaks_collapse,
-        collapsed_pairs,
-        doorknob_not_bijective,
-        age_total_ambiguity,
-        age_divisions_all_differ,
-    })
 }
 
 fn semantic_critique_metered(meter: &mut Meter) -> Result<SemanticReport, Interrupt> {

@@ -17,8 +17,6 @@ pub enum DlError {
     },
     /// The TBox is outside the fragment a reasoner supports.
     OutsideFragment { reasoner: &'static str, detail: String },
-    /// The tableau expansion exceeded its node budget.
-    NodeBudgetExceeded { budget: usize },
 }
 
 impl fmt::Display for DlError {
@@ -34,9 +32,6 @@ impl fmt::Display for DlError {
             }
             DlError::OutsideFragment { reasoner, detail } => {
                 write!(f, "input outside the {reasoner} fragment: {detail}")
-            }
-            DlError::NodeBudgetExceeded { budget } => {
-                write!(f, "tableau exceeded {budget} nodes")
             }
         }
     }

@@ -36,16 +36,19 @@
 //!
 //! ```
 //! use summa_dl::prelude::*;
+//! use summa_guard::{Budget, Governed};
 //!
 //! let mut voc = Vocabulary::new();
-//! let car = voc.concept("car");
-//! let vehicle = voc.concept("vehicle");
+//! let car = Concept::atom(voc.concept("car"));
+//! let vehicle = Concept::atom(voc.concept("vehicle"));
 //! let mut tbox = TBox::new();
-//! tbox.subsume(Concept::atom(car), Concept::atom(vehicle));
+//! tbox.subsume(car.clone(), vehicle.clone());
 //!
+//! // Every check runs under a budget; a node cap is a memory wall.
+//! let budget = Budget::new().with_memory(20_000);
 //! let mut reasoner = Tableau::new(&tbox, &voc);
-//! assert!(reasoner.subsumes(&Concept::atom(vehicle), &Concept::atom(car)));
-//! assert!(!reasoner.subsumes(&Concept::atom(car), &Concept::atom(vehicle)));
+//! assert_eq!(reasoner.subsumes_governed(&vehicle, &car, &budget), Governed::Completed(true));
+//! assert_eq!(reasoner.subsumes_governed(&car, &vehicle, &budget), Governed::Completed(false));
 //! ```
 
 pub mod abox;

@@ -24,13 +24,14 @@
 //!   `classify_brute_force_governed` is to
 //!   [`Classify`](crate::classify::Classify)).
 //!
-//! Every check runs under one [`Meter`]. The `_metered` and
-//! `_governed` checks use the caller's envelope. The plain and `try_`
-//! checks use a per-call meter whose only wall is the node budget
-//! ([`Tableau::with_budget`], default [`DEFAULT_NODE_BUDGET`]), counted
-//! in memory units: each spawned node charges one and none is ever
-//! released, so a search that spawns one node too many ends in
-//! [`DlError::NodeBudgetExceeded`].
+//! Every check runs under one [`Meter`]: a `_metered` core charges the
+//! caller's meter, and one `_governed` entry point per check
+//! ([`Tableau::is_satisfiable_governed`], [`Tableau::subsumes_governed`],
+//! [`Tableau::is_consistent_governed`], [`Tableau::is_instance_governed`])
+//! runs it under a [`Budget`]. Each spawned node charges one memory
+//! unit and none is ever released, so a node cap is a memory wall:
+//! under `Budget::new().with_memory(n)` a search that spawns node
+//! `n + 1` ends `Exhausted { reason: Memory }`.
 //!
 //! ABox consistency treats named individuals as root nodes under the
 //! unique-name assumption.
@@ -38,15 +39,11 @@
 use crate::abox::ABox;
 use crate::cache::{tbox_fingerprint, SatCache};
 use crate::concept::{CNode, Concept, ConceptRef, Interner, RoleId, Vocabulary};
-use crate::error::{DlError, Result};
 use crate::fxhash::FxHashMap;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use summa_guard::{Budget, ExhaustionReason, Governed, Interrupt, Meter};
-
-/// Default node budget per satisfiability call.
-pub const DEFAULT_NODE_BUDGET: usize = 20_000;
+use summa_guard::{Budget, Governed, Interrupt, Meter};
 
 /// Observational counter: complete single-label traversals (clash
 /// scans, deterministic-rule scans, branch scans). Both engines emit
@@ -93,8 +90,6 @@ pub struct Tableau {
     /// charges, so the switch trades speed, never answers. Off unless
     /// [`Tableau::with_reference_kernel`] turns it on.
     use_reference: bool,
-    /// Per-call node budget of the plain and `try_` checks.
-    budget: usize,
     /// Memoized satisfiability results keyed by the handle of the NNF
     /// input concept.
     cache: FxHashMap<ConceptRef, bool>,
@@ -408,7 +403,6 @@ impl Tableau {
             universal,
             absorbed,
             use_reference: false,
-            budget: DEFAULT_NODE_BUDGET,
             cache: FxHashMap::default(),
             shared: None,
             fingerprint: tbox_fingerprint(tbox),
@@ -436,7 +430,6 @@ impl Tableau {
             universal,
             absorbed: BTreeMap::new(),
             use_reference: false,
-            budget: DEFAULT_NODE_BUDGET,
             cache: FxHashMap::default(),
             shared: None,
             fingerprint: tbox_fingerprint(tbox),
@@ -448,12 +441,6 @@ impl Tableau {
     /// diagnostics and tests).
     pub fn interner(&self) -> &Interner {
         &self.interner
-    }
-
-    /// Override the node budget of the plain and `try_` checks.
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
     }
 
     /// Pick the expansion engine: `true` pins the reference clone-based
@@ -478,43 +465,7 @@ impl Tableau {
         self
     }
 
-    /// Is `c` satisfiable w.r.t. the TBox?
-    pub fn is_satisfiable(&mut self, c: &Concept) -> bool {
-        self.try_is_satisfiable(c)
-            .expect("node budget exceeded; raise with with_budget")
-    }
-
-    /// Fallible satisfiability (reports budget exhaustion).
-    pub fn try_is_satisfiable(&mut self, c: &Concept) -> Result<bool> {
-        let mut meter = self.node_meter();
-        let r = self.sat_metered(c, &mut meter);
-        self.node_budget(r)
-    }
-
-    /// The per-call meter behind the plain and `try_` checks: its only
-    /// wall is the node budget, as memory units. Every node the search
-    /// spawns charges one unit and the tableau never releases any, so
-    /// the wall trips on exactly the node past the budget.
-    fn node_meter(&self) -> Meter {
-        Budget::new().with_memory(self.budget as u64).meter()
-    }
-
-    /// Map a [`Tableau::node_meter`] interrupt to
-    /// [`DlError::NodeBudgetExceeded`]. The meter has no other wall, so
-    /// anything else is a trip or cancel fault from a process-wide
-    /// fault plan, which these checks have no governed outcome to
-    /// report in.
-    fn node_budget<T>(&self, r: std::result::Result<T, Interrupt>) -> Result<T> {
-        r.map_err(|i| match i {
-            Interrupt::Exhausted(ExhaustionReason::Memory) => DlError::NodeBudgetExceeded {
-                budget: self.budget,
-            },
-            other => panic!("ungoverned tableau check interrupted: {other}"),
-        })
-    }
-
-    /// Budget-governed satisfiability: runs entirely under the caller's
-    /// envelope (the reasoner's own node budget does not apply) and
+    /// Is `c` satisfiable w.r.t. the TBox? Runs under `budget` and
     /// reports exhaustion/cancellation instead of erroring or hanging.
     /// A boolean query has no meaningful partial answer, so the
     /// non-completed outcomes carry `partial: None`.
@@ -609,14 +560,6 @@ impl Tableau {
     }
 
     /// Does `sup` subsume `sub` w.r.t. the TBox (`sub ⊑ sup`)?
-    pub fn subsumes(&mut self, sup: &Concept, sub: &Concept) -> bool {
-        !self.is_satisfiable(&Concept::and(vec![
-            sub.clone(),
-            Concept::not(sup.clone()),
-        ]))
-    }
-
-    /// Budget-governed subsumption check (`sub ⊑ sup`).
     pub fn subsumes_governed(
         &mut self,
         sup: &Concept,
@@ -624,27 +567,14 @@ impl Tableau {
         budget: &Budget,
     ) -> Governed<bool> {
         let query = Concept::and(vec![sub.clone(), Concept::not(sup.clone())]);
-        let mut meter = budget.meter();
-        let r = self.sat_metered(&query, &mut meter).map(|sat| !sat);
-        governed_outcome(r)
-    }
-
-    /// Is the whole TBox coherent (⊤ satisfiable)?
-    pub fn is_coherent(&mut self) -> bool {
-        self.is_satisfiable(&Concept::Top)
+        self.is_satisfiable_governed(&query, budget).map(|sat| !sat)
     }
 
     /// ABox consistency under the unique-name assumption.
-    pub fn is_consistent(&mut self, abox: &ABox) -> bool {
-        self.try_is_consistent(abox)
-            .expect("node budget exceeded; raise with with_budget")
-    }
-
-    /// Fallible ABox consistency.
-    pub fn try_is_consistent(&mut self, abox: &ABox) -> Result<bool> {
-        let mut meter = self.node_meter();
+    pub fn is_consistent_governed(&mut self, abox: &ABox, budget: &Budget) -> Governed<bool> {
+        let mut meter = budget.meter();
         let r = self.consistent_metered_with(abox, None, &mut meter);
-        self.node_budget(r)
+        governed_outcome(r)
     }
 
     /// ABox consistency with an optional *scratch assertion*: one
@@ -702,29 +632,24 @@ impl Tableau {
     }
 
     /// Instance check: does the ABox entail `c(a)`?
-    ///
-    /// `KB ⊨ C(a)` iff `KB ∪ {¬C(a)}` is inconsistent — decided by a
-    /// borrow-based scratch assertion around the consistency check,
-    /// not by cloning the whole ABox per call.
-    pub fn is_instance(&mut self, abox: &ABox, a: crate::abox::Individual, c: &Concept) -> bool {
-        self.try_is_instance(abox, a, c)
-            .expect("node budget exceeded; raise with with_budget")
-    }
-
-    /// Fallible instance check (reports budget exhaustion).
-    pub fn try_is_instance(
+    pub fn is_instance_governed(
         &mut self,
         abox: &ABox,
         a: crate::abox::Individual,
         c: &Concept,
-    ) -> Result<bool> {
-        let mut meter = self.node_meter();
+        budget: &Budget,
+    ) -> Governed<bool> {
+        let mut meter = budget.meter();
         let r = self.instance_metered(abox, a, c, &mut meter);
-        self.node_budget(r)
+        governed_outcome(r)
     }
 
     /// Metered instance check, for services sharing one [`Meter`]
     /// (realization's inner loop).
+    ///
+    /// `KB ⊨ C(a)` iff `KB ∪ {¬C(a)}` is inconsistent — decided by a
+    /// borrow-based scratch assertion around the consistency check,
+    /// not by cloning the whole ABox per call.
     pub fn instance_metered(
         &mut self,
         abox: &ABox,
@@ -831,7 +756,7 @@ impl Tableau {
             // rule priority (absorption/⊓ before ⊔ before ∃/∀ before
             // counting rules) falls out of `Concept`'s variant order,
             // and the search tree this induces is what the blocking
-            // condition and the node budgets were tuned against. The
+            // condition and the node caps were tuned against. The
             // structural order is also interner-independent, so
             // sibling workers with different interning histories walk
             // identical search trees. The node carries its label
@@ -929,7 +854,7 @@ impl Tableau {
     }
 
     /// Spawn an `r`-successor of `x` seeded with `seed`. One step and
-    /// one memory unit per node: the memory wall is the node budget.
+    /// one memory unit per node: a node cap is a memory wall.
     pub(crate) fn spawn_child(
         &self,
         st: &mut State,
@@ -977,7 +902,7 @@ impl Tableau {
             // rule priority (absorption/⊓ before ⊔ before ∃/∀ before
             // counting rules) falls out of `Concept`'s variant order,
             // and the search tree this induces is what the blocking
-            // condition and the node budgets were tuned against. The
+            // condition and the node caps were tuned against. The
             // structural order is also interner-independent, so
             // sibling workers with different interning histories walk
             // identical search trees. The node carries its label
@@ -1079,8 +1004,44 @@ impl Tableau {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod capped {
+    //! The checks the crate's unit tests assert on. Each runs under a
+    //! 20,000-node memory wall and panics past it, so a search that
+    //! stops terminating (say, a blocking regression) fails its test
+    //! fast instead of expanding forever.
     use super::*;
+    use crate::abox::Individual;
+
+    fn node_cap() -> Budget {
+        Budget::new().with_memory(20_000)
+    }
+
+    pub(crate) fn sat(t: &mut Tableau, c: &Concept) -> bool {
+        t.is_satisfiable_governed(c, &node_cap())
+            .expect_completed("within the node cap")
+    }
+
+    pub(crate) fn subsumes(t: &mut Tableau, sup: &Concept, sub: &Concept) -> bool {
+        t.subsumes_governed(sup, sub, &node_cap())
+            .expect_completed("within the node cap")
+    }
+
+    pub(crate) fn consistent(t: &mut Tableau, abox: &ABox) -> bool {
+        t.is_consistent_governed(abox, &node_cap())
+            .expect_completed("within the node cap")
+    }
+
+    pub(crate) fn instance(t: &mut Tableau, abox: &ABox, a: Individual, c: &Concept) -> bool {
+        t.is_instance_governed(abox, a, c, &node_cap())
+            .expect_completed("within the node cap")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::capped::{consistent, instance, sat, subsumes};
+    use super::*;
+    use summa_guard::ExhaustionReason;
 
     fn setup() -> (Vocabulary, TBox) {
         (Vocabulary::new(), TBox::new())
@@ -1090,8 +1051,8 @@ mod tests {
     fn top_is_satisfiable_bottom_is_not() {
         let (voc, tbox) = setup();
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(t.is_satisfiable(&Concept::Top));
-        assert!(!t.is_satisfiable(&Concept::Bottom));
+        assert!(sat(&mut t, &Concept::Top));
+        assert!(!sat(&mut t, &Concept::Bottom));
     }
 
     #[test]
@@ -1099,7 +1060,7 @@ mod tests {
         let (mut voc, tbox) = setup();
         let a = Concept::atom(voc.concept("A"));
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(!t.is_satisfiable(&Concept::and(vec![a.clone(), Concept::not(a)])));
+        assert!(!sat(&mut t, &Concept::and(vec![a.clone(), Concept::not(a)])));
     }
 
     #[test]
@@ -1113,13 +1074,13 @@ mod tests {
             Concept::or(vec![a.clone(), b.clone()]),
             Concept::not(a.clone()),
         ]);
-        assert!(t.is_satisfiable(&c));
+        assert!(sat(&mut t, &c));
         // (A ⊔ A) ⊓ ¬A is not.
         let d = Concept::and(vec![
             Concept::or(vec![a.clone(), a.clone()]),
             Concept::not(a),
         ]);
-        assert!(!t.is_satisfiable(&d));
+        assert!(!sat(&mut t, &d));
     }
 
     #[test]
@@ -1133,14 +1094,14 @@ mod tests {
             Concept::exists(r, a.clone()),
             Concept::forall(r, Concept::not(a.clone())),
         ]);
-        assert!(!t.is_satisfiable(&c));
+        assert!(!sat(&mut t, &c));
         // ∃r.A ⊓ ∀r.B is satisfiable.
         let b = Concept::atom(voc.concept("B"));
         let d = Concept::and(vec![
             Concept::exists(r, a),
             Concept::forall(r, b),
         ]);
-        assert!(t.is_satisfiable(&d));
+        assert!(sat(&mut t, &d));
     }
 
     #[test]
@@ -1154,7 +1115,7 @@ mod tests {
         let mut t = Tableau::new(&tbox, &voc);
         // ∃r.(A ⊓ ¬B) must be unsatisfiable under A ⊑ B.
         let c = Concept::exists(r, Concept::and(vec![a.clone(), Concept::not(b.clone())]));
-        assert!(!t.is_satisfiable(&c));
+        assert!(!sat(&mut t, &c));
     }
 
     #[test]
@@ -1165,10 +1126,10 @@ mod tests {
         let mut tbox = TBox::new();
         tbox.subsume(car.clone(), vehicle.clone());
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(t.subsumes(&vehicle, &car));
-        assert!(!t.subsumes(&car, &vehicle));
-        assert!(t.subsumes(&Concept::Top, &car));
-        assert!(t.subsumes(&car, &Concept::Bottom));
+        assert!(subsumes(&mut t, &vehicle, &car));
+        assert!(!subsumes(&mut t, &car, &vehicle));
+        assert!(subsumes(&mut t, &Concept::Top, &car));
+        assert!(subsumes(&mut t, &car, &Concept::Bottom));
     }
 
     #[test]
@@ -1180,7 +1141,7 @@ mod tests {
         let mut tbox = TBox::new();
         tbox.subsume(a.clone(), Concept::exists(r, a.clone()));
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(t.is_satisfiable(&a));
+        assert!(sat(&mut t, &a));
     }
 
     #[test]
@@ -1195,10 +1156,10 @@ mod tests {
             Concept::at_least(3, r, a.clone()),
             Concept::at_most(2, r, a.clone()),
         ]);
-        assert!(!t.is_satisfiable(&c));
+        assert!(!sat(&mut t, &c));
         // ≥2 r.A ⊓ ≤2 r.A is satisfiable.
         let d = Concept::exactly(2, r, a.clone());
-        assert!(t.is_satisfiable(&d));
+        assert!(sat(&mut t, &d));
     }
 
     #[test]
@@ -1216,14 +1177,14 @@ mod tests {
             Concept::exists(r, b.clone()),
             Concept::at_most(1, r, Concept::Top),
         ]);
-        assert!(t.is_satisfiable(&c));
+        assert!(sat(&mut t, &c));
         // ...but not if A and B clash.
         let d = Concept::and(vec![
             Concept::exists(r, a.clone()),
             Concept::exists(r, Concept::not(a.clone())),
             Concept::at_most(1, r, Concept::Top),
         ]);
-        assert!(!t.is_satisfiable(&d));
+        assert!(!sat(&mut t, &d));
     }
 
     #[test]
@@ -1240,7 +1201,7 @@ mod tests {
             Concept::forall(r, a.clone()),
             Concept::at_most(1, r, a.clone()),
         ]);
-        assert!(!t.is_satisfiable(&c));
+        assert!(!sat(&mut t, &c));
     }
 
     #[test]
@@ -1254,11 +1215,11 @@ mod tests {
         let mut tbox = TBox::new();
         tbox.subsume(rv.clone(), Concept::exactly(4, has, wheel.clone()));
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(t.is_satisfiable(&rv));
+        assert!(sat(&mut t, &rv));
         let five = Concept::and(vec![rv.clone(), Concept::at_least(5, has, wheel.clone())]);
-        assert!(!t.is_satisfiable(&five));
+        assert!(!sat(&mut t, &five));
         let four = Concept::and(vec![rv, Concept::at_least(4, has, wheel)]);
-        assert!(t.is_satisfiable(&four));
+        assert!(sat(&mut t, &four));
     }
 
     #[test]
@@ -1272,12 +1233,12 @@ mod tests {
         let mut abox = ABox::new();
         let socrates = abox.individual("socrates");
         abox.assert_concept(socrates, man.clone());
-        assert!(t.is_consistent(&abox));
-        assert!(t.is_instance(&abox, socrates, &mortal));
-        assert!(!t.is_instance(&abox, socrates, &Concept::not(mortal.clone())));
+        assert!(consistent(&mut t, &abox));
+        assert!(instance(&mut t, &abox, socrates, &mortal));
+        assert!(!instance(&mut t, &abox, socrates, &Concept::not(mortal.clone())));
         // Assert the contradiction directly: inconsistent.
         abox.assert_concept(socrates, Concept::not(mortal));
-        assert!(!t.is_consistent(&abox));
+        assert!(!consistent(&mut t, &abox));
     }
 
     #[test]
@@ -1293,7 +1254,7 @@ mod tests {
         abox.assert_role(x, r, y);
         abox.assert_concept(x, Concept::forall(r, a.clone()));
         abox.assert_concept(y, Concept::not(a.clone()));
-        assert!(!t.is_consistent(&abox));
+        assert!(!consistent(&mut t, &abox));
     }
 
     #[test]
@@ -1304,17 +1265,18 @@ mod tests {
         tbox.subsume(Concept::Top, a.clone());
         tbox.subsume(Concept::Top, Concept::not(a));
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(!t.is_coherent());
+        assert!(!sat(&mut t, &Concept::Top));
         let mut empty = Tableau::new(&TBox::new(), &voc);
-        assert!(empty.is_coherent());
+        assert!(sat(&mut empty, &Concept::Top));
     }
 
     #[test]
     fn budget_is_enforced() {
-        // A ⊑ ≥2 r.A explodes; with a tiny budget we must get an error
-        // rather than loop forever. (Blocking eventually stops it, but
-        // the doubling tree overflows small budgets first.) Six nodes
-        // is the smallest budget that decides A.
+        // A ⊑ ≥2 r.A explodes; under a tiny memory wall (one unit per
+        // spawned node) we must get an exhaustion rather than loop
+        // forever. (Blocking eventually stops it, but the doubling tree
+        // overflows small walls first.) Six nodes is the smallest wall
+        // that decides A.
         let mut voc = Vocabulary::new();
         let a = Concept::atom(voc.concept("A"));
         let b = Concept::atom(voc.concept("B"));
@@ -1329,13 +1291,50 @@ mod tests {
             ]),
         );
         tbox.subsume(b.clone(), Concept::at_least(2, r, a.clone()));
-        let mut t = Tableau::new(&tbox, &voc).with_budget(5);
+        let mut t = Tableau::new(&tbox, &voc);
         assert_eq!(
-            t.try_is_satisfiable(&a),
-            Err(DlError::NodeBudgetExceeded { budget: 5 })
+            t.is_satisfiable_governed(&a, &Budget::new().with_memory(5)),
+            Governed::Exhausted {
+                reason: ExhaustionReason::Memory,
+                partial: None
+            }
         );
-        let mut t = Tableau::new(&tbox, &voc).with_budget(6);
-        assert_eq!(t.try_is_satisfiable(&a), Ok(true));
+        let mut t = Tableau::new(&tbox, &voc);
+        assert_eq!(
+            t.is_satisfiable_governed(&a, &Budget::new().with_memory(6)),
+            Governed::Completed(true)
+        );
+    }
+
+    #[test]
+    fn consistency_and_instance_checks_are_governed() {
+        let mut voc = Vocabulary::new();
+        let man = Concept::atom(voc.concept("Man"));
+        let mortal = Concept::atom(voc.concept("Mortal"));
+        let mut tbox = TBox::new();
+        tbox.subsume(man.clone(), mortal.clone());
+        let mut abox = ABox::new();
+        let socrates = abox.individual("socrates");
+        abox.assert_concept(socrates, man);
+        let mut t = Tableau::new(&tbox, &voc);
+        let starved = Budget::new().with_steps(1);
+        let exhausted = Governed::Exhausted {
+            reason: ExhaustionReason::Steps,
+            partial: None,
+        };
+        assert_eq!(
+            t.is_consistent_governed(&abox, &Budget::new()),
+            Governed::Completed(true)
+        );
+        assert_eq!(t.is_consistent_governed(&abox, &starved), exhausted);
+        assert_eq!(
+            t.is_instance_governed(&abox, socrates, &mortal, &Budget::new()),
+            Governed::Completed(true)
+        );
+        assert_eq!(
+            t.is_instance_governed(&abox, socrates, &mortal, &starved),
+            exhausted
+        );
     }
 
     #[test]
@@ -1360,8 +1359,8 @@ mod tests {
             Concept::and(vec![a.clone(), Concept::not(b.clone())]),
         ] {
             assert_eq!(
-                with.is_satisfiable(&query),
-                without.is_satisfiable(&query),
+                sat(&mut with, &query),
+                sat(&mut without, &query),
                 "configurations disagree on {query:?}"
             );
         }
@@ -1373,8 +1372,8 @@ mod tests {
         let a = Concept::atom(voc.concept("A"));
         let tbox = TBox::new();
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(t.is_satisfiable(&a));
-        assert!(t.is_satisfiable(&a)); // cached
-        assert!(!t.is_satisfiable(&Concept::and(vec![a.clone(), Concept::not(a)])));
+        assert!(sat(&mut t, &a));
+        assert!(sat(&mut t, &a)); // cached
+        assert!(!sat(&mut t, &Concept::and(vec![a.clone(), Concept::not(a)])));
     }
 }

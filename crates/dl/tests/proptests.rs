@@ -5,6 +5,7 @@ use summa_dl::classify::Classifier;
 use summa_dl::el::ElClassifier;
 use summa_dl::generate;
 use summa_dl::prelude::*;
+use summa_guard::{Budget, Governed};
 
 // ---------------------------------------------------------------------
 // Random concepts over a small fixed vocabulary.
@@ -18,6 +19,12 @@ fn fixed_voc() -> Vocabulary {
     v.role("r");
     v.role("s");
     v
+}
+
+/// The tableau property tests' node cap: a memory wall of 50,000
+/// units, one per spawned node.
+fn node_cap() -> Budget {
+    Budget::new().with_memory(50_000)
 }
 
 fn arb_concept(depth: usize) -> BoxedStrategy<Concept> {
@@ -100,15 +107,15 @@ proptest! {
     #[test]
     fn excluded_middle_and_contradiction(c in arb_concept(2)) {
         let voc = fixed_voc();
-        let mut t = Tableau::new(&TBox::new(), &voc).with_budget(50_000);
+        let mut t = Tableau::new(&TBox::new(), &voc);
         // c ⊓ ¬c is never satisfiable.
         let contra = Concept::and(vec![c.clone(), Concept::not(c.clone())]);
-        if let Ok(sat) = t.try_is_satisfiable(&contra) {
+        if let Governed::Completed(sat) = t.is_satisfiable_governed(&contra, &node_cap()) {
             prop_assert!(!sat, "{contra:?} must be unsatisfiable");
         }
         // c ⊔ ¬c is always satisfiable.
         let lem = Concept::or(vec![c.clone(), Concept::not(c)]);
-        if let Ok(sat) = t.try_is_satisfiable(&lem) {
+        if let Governed::Completed(sat) = t.is_satisfiable_governed(&lem, &node_cap()) {
             prop_assert!(sat);
         }
     }
@@ -116,10 +123,10 @@ proptest! {
     #[test]
     fn satisfiability_is_invariant_under_nnf(c in arb_concept(2)) {
         let voc = fixed_voc();
-        let mut t = Tableau::new(&TBox::new(), &voc).with_budget(50_000);
-        let direct = t.try_is_satisfiable(&c);
-        let via_nnf = t.try_is_satisfiable(&c.nnf());
-        if let (Ok(a), Ok(b)) = (direct, via_nnf) {
+        let mut t = Tableau::new(&TBox::new(), &voc);
+        let direct = t.is_satisfiable_governed(&c, &node_cap());
+        let via_nnf = t.is_satisfiable_governed(&c.nnf(), &node_cap());
+        if let (Governed::Completed(a), Governed::Completed(b)) = (direct, via_nnf) {
             prop_assert_eq!(a, b);
         }
     }
@@ -127,10 +134,12 @@ proptest! {
     #[test]
     fn subsumption_is_reflexive_and_has_top_bottom(c in arb_concept(2)) {
         let voc = fixed_voc();
-        let mut t = Tableau::new(&TBox::new(), &voc).with_budget(50_000);
-        prop_assert!(t.subsumes(&c, &c));
-        prop_assert!(t.subsumes(&Concept::Top, &c));
-        prop_assert!(t.subsumes(&c, &Concept::Bottom));
+        let mut t = Tableau::new(&TBox::new(), &voc);
+        for (sup, sub) in [(&c, &c), (&Concept::Top, &c), (&c, &Concept::Bottom)] {
+            prop_assert!(t
+                .subsumes_governed(sup, sub, &node_cap())
+                .expect_completed("within the node cap"));
+        }
     }
 }
 
@@ -184,10 +193,12 @@ proptest! {
     fn hard_alc_family_is_satisfiable_and_unsat_variant_is_not(n in 1usize..7) {
         let (voc, c) = generate::hard_alc(n);
         let mut r = Tableau::new(&TBox::new(), &voc);
-        prop_assert!(r.is_satisfiable(&c));
+        // A 20,000-node memory wall: a runaway search fails the case.
+        let budget = Budget::new().with_memory(20_000);
+        prop_assert!(r.is_satisfiable_governed(&c, &budget).expect_completed("within the node cap"));
         let (voc2, c2) = generate::hard_alc_unsat(n);
         let mut r2 = Tableau::new(&TBox::new(), &voc2);
-        prop_assert!(!r2.is_satisfiable(&c2));
+        prop_assert!(!r2.is_satisfiable_governed(&c2, &budget).expect_completed("within the node cap"));
     }
 }
 
@@ -209,7 +220,10 @@ proptest! {
         let first = voc.find_concept("c0").expect("interned");
         let last = voc.find_concept(&format!("c{}", n - 1)).expect("interned");
         let mut r = Tableau::new(&t, &voc);
-        prop_assert!(r.subsumes(&Concept::atom(last), &Concept::atom(first)));
-        prop_assert!(!r.subsumes(&Concept::atom(first), &Concept::atom(last)));
+        let (first, last) = (Concept::atom(first), Concept::atom(last));
+        // A 20,000-node memory wall: a runaway search fails the case.
+        let budget = Budget::new().with_memory(20_000);
+        prop_assert!(r.subsumes_governed(&last, &first, &budget).expect_completed("within the node cap"));
+        prop_assert!(!r.subsumes_governed(&first, &last, &budget).expect_completed("within the node cap"));
     }
 }

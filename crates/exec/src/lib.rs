@@ -1,13 +1,13 @@
 //! # summa-exec — a governed, supervised, work-stealing executor
 //!
-//! The paper's critiques are carried by worst-case-exponential grids of
-//! *independent* cells: classification matrices, admission matrices,
-//! isomorphism candidate sets, collapse sweeps. This crate spends the
-//! hardware on those grids while keeping PR 1's resource governance
-//! intact: every worker charges one [`SharedBudget`] envelope, so step
-//! pools, deadlines, memory proxies, cancellation, and injected faults
-//! all propagate cooperatively across threads, and a
-//! [`Governed`] partial is assembled from whichever cells completed.
+//! Classification and realization are worst-case-exponential grids of
+//! *independent* cells (subsumption rows, individuals), and the server
+//! answers batches of independent requests. This crate spends the
+//! hardware on those grids while keeping resource governance intact:
+//! every worker charges one [`SharedBudget`] envelope, so step pools,
+//! deadlines, memory proxies, cancellation, and injected faults all
+//! propagate cooperatively across threads, and a [`Governed`] partial
+//! is assembled from whichever cells completed.
 //!
 //! Design constraints, in order:
 //!
@@ -494,33 +494,9 @@ where
     par_map_with(items, budget, threads, |_| (), |_, m, i, t| f(m, i, t))
 }
 
-/// Map over an `rows × cols` grid in row-major order. `f` receives
-/// `(state, meter, row, col)`; the outcome's `results` are row-major
-/// (`results[r * cols + c]`).
-pub fn par_cells<R, S, I, F>(
-    rows: usize,
-    cols: usize,
-    budget: &Budget,
-    threads: usize,
-    init: I,
-    f: F,
-) -> ParOutcome<R>
-where
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, &mut Meter, usize, usize) -> Result<R, Interrupt> + Sync,
-{
-    let cells: Vec<(usize, usize)> = (0..rows)
-        .flat_map(|r| (0..cols).map(move |c| (r, c)))
-        .collect();
-    par_map_with(&cells, budget, threads, init, |s, m, _, &(r, c)| {
-        f(s, m, r, c)
-    })
-}
-
 pub mod prelude {
     pub use crate::{
-        default_threads, par_cells, par_map, par_map_with, par_map_with_drain, ParOutcome,
+        default_threads, par_map, par_map_with, par_map_with_drain, ParOutcome,
         Quarantined, MAX_ATTEMPTS,
     };
 }
@@ -652,17 +628,6 @@ mod tests {
         // no worker's final state was dropped on the join.
         assert_eq!(total.load(Ordering::Relaxed), (0..100).sum::<u64>());
         assert_eq!(drained.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn par_cells_is_row_major() {
-        let out = par_cells(3, 4, &Budget::unlimited(), 2, |_| (), |_, m, r, c| {
-            m.charge(1)?;
-            Ok(r * 10 + c)
-        });
-        assert!(out.is_complete());
-        assert_eq!(out.results[4 + 2], Some(12));
-        assert_eq!(out.results.len(), 12);
     }
 
     #[test]

@@ -28,16 +28,21 @@
 //!   steps arrives at the `meter.step` site, so `meter.step@N=trip`
 //!   forces exhaustion at exactly step N.
 //!
-//! The idiomatic plumbing pattern used across the substrates:
+//! Every reasoning task has one implementation and one entry point:
 //!
 //! ```text
-//! fn work_metered(…, meter: &mut Meter) -> Result<T, Interrupt>   // internal
-//! pub fn work_governed(…, budget: &Budget) -> Governed<T>         // public
+//! fn work_metered(…, meter: &mut Meter) -> Result<T, Interrupt>   // the implementation
+//! pub fn work_governed(…, budget: &Budget) -> Governed<T>         // the entry point
 //! ```
 //!
-//! Composite services (classification, realization, the critiques)
-//! share one `Meter` across all their inner calls so the envelope
-//! bounds the *whole* service, not each sub-call separately.
+//! The envelope is the only bound: an engine-specific cap is one of
+//! its walls, not a second mechanism (the tableau's node cap is
+//! [`Budget::with_memory`], one unit per spawned node). Composite
+//! services (classification, realization, the critiques) share one
+//! `Meter` across all their inner calls so the envelope bounds the
+//! *whole* service, not each sub-call separately; a service that runs
+//! on several threads calls the same metered core from worker meters
+//! of one [`SharedBudget`] instead of keeping a second copy of its loop.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};

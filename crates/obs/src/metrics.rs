@@ -193,7 +193,11 @@ impl Histogram {
 /// A signed instantaneous value (queue depth, in-flight count).
 ///
 /// Unlike a counter a gauge goes both ways; `add`/`sub` through a
-/// cached handle are single relaxed atomics, safe on any hot path.
+/// cached handle are single atomics, safe on any hot path. Updates are
+/// `Release` and `get` is `Acquire`: a reader that sees a value also
+/// sees every write its updaters made before their updates. The
+/// server's in-flight gauge relies on this: a handler lowers it after
+/// recording its request, so reading zero means the books are whole.
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicI64,
@@ -201,19 +205,19 @@ pub struct Gauge {
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
+        self.value.store(v, Ordering::Release);
     }
 
     pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta, Ordering::Release);
     }
 
     pub fn sub(&self, delta: i64) {
-        self.value.fetch_sub(delta, Ordering::Relaxed);
+        self.value.fetch_sub(delta, Ordering::Release);
     }
 
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.load(Ordering::Acquire)
     }
 }
 

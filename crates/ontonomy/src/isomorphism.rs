@@ -111,90 +111,6 @@ fn mapping_from_assignment(
     })
 }
 
-/// Parallel, budget-governed signature-isomorphism search: candidate
-/// images of the *first* class are split across `threads` workers,
-/// each running the usual backtracking with its candidate pinned,
-/// under one shared envelope. Deterministic: the reported witness is
-/// the one from the lowest-numbered successful candidate — the branch
-/// the sequential search would succeed on first.
-pub fn signatures_isomorphic_parallel_governed(
-    left: &OntologySignature,
-    right: &OntologySignature,
-    budget: &Budget,
-    threads: usize,
-) -> Governed<Option<SignatureMapping>> {
-    let lcs: Vec<ClassId> = left.class_ids().collect();
-    let rcs: Vec<ClassId> = right.class_ids().collect();
-    if lcs.len() != rcs.len() {
-        return Governed::Completed(None);
-    }
-    let lposet = left.data_domain().theory().signature().poset();
-    let rposet = right.data_domain().theory().signature().poset();
-    if lposet.len() != rposet.len() {
-        return Governed::Completed(None);
-    }
-    if lcs.is_empty() {
-        return Governed::Completed(mapping_from_assignment(left, right, &lcs, &rcs, &[]));
-    }
-    let candidates: Vec<usize> = (0..rcs.len()).collect();
-    let _span = budget
-        .tracer()
-        .span("ontonomy.iso.parallel")
-        .with("classes", lcs.len())
-        .with("threads", threads);
-    let (lcs_ref, rcs_ref) = (&lcs, &rcs);
-    // Per-candidate verdicts: `None` = no class bijection in this
-    // subtree; `Some(opt)` = a bijection was found and `opt` is the
-    // attribute-pairing outcome. Keeping the two cases apart is what
-    // makes the parallel answer *identical* to the sequential one —
-    // the sequential search commits to the first bijection found even
-    // when its attribute pairing fails.
-    let outcome = summa_exec::par_map(
-        &candidates,
-        budget,
-        threads,
-        |meter, _, &cand| -> Result<Option<Option<SignatureMapping>>, Interrupt> {
-            meter.charge(1)?;
-            // Same pruning the sequential loop applies at position 0.
-            if left.attrs_of_class(lcs_ref[0]).len() != right.attrs_of_class(rcs_ref[cand]).len() {
-                return Ok(None);
-            }
-            let mut assignment: Vec<Option<usize>> = vec![None; lcs_ref.len()];
-            let mut used = vec![false; rcs_ref.len()];
-            assignment[0] = Some(cand);
-            used[cand] = true;
-            if assign(
-                left, right, lcs_ref, rcs_ref, &mut assignment, &mut used, 1, meter,
-            )? {
-                Ok(Some(mapping_from_assignment(
-                    left, right, lcs_ref, rcs_ref, &assignment,
-                )))
-            } else {
-                Ok(None)
-            }
-        },
-    );
-    let interrupted = outcome.interrupted;
-    for slot in outcome.results {
-        match slot {
-            // First subtree (in sequential trial order) holding a
-            // bijection decides the answer, as in the sequential DFS.
-            Some(Some(verdict)) => return Governed::Completed(verdict),
-            Some(None) => continue,
-            // Undecided cell before any decision: the question itself
-            // is undecided.
-            None => {
-                let i = interrupted.unwrap_or(Interrupt::Cancelled);
-                return Governed::from_interrupt(i, None);
-            }
-        }
-    }
-    match interrupted {
-        None => Governed::Completed(None),
-        Some(i) => Governed::from_interrupt(i, None),
-    }
-}
-
 fn map_target(t: AttrTarget, classes: &BTreeMap<ClassId, ClassId>) -> AttrTarget {
     match t {
         AttrTarget::Class(c) => AttrTarget::Class(*classes.get(&c).unwrap_or(&c)),

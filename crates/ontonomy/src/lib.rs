@@ -42,8 +42,7 @@ pub mod prelude {
     pub use crate::corpus::vehicles_signature;
     pub use crate::error::OntonomyError;
     pub use crate::isomorphism::{
-        signatures_isomorphic, signatures_isomorphic_governed,
-        signatures_isomorphic_parallel_governed, SignatureMapping,
+        signatures_isomorphic, signatures_isomorphic_governed, SignatureMapping,
     };
     pub use crate::instance::{InstanceModel, InstanceModelBuilder, Object};
     pub use crate::signature::{

@@ -27,6 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use summa_obs::export::validate_chrome_trace;
 use summa_obs::validate_exposition;
 use summa_serve::client::Client;
@@ -253,6 +254,15 @@ fn phase_telemetry() {
         h.join().expect("client thread");
     }
     let sent = (CLIENTS * ROUNDS * mixed_workload().len()) as u64;
+
+    // A handler records its request after writing the response, and
+    // lowers the in-flight gauge only after that, so a zero gauge
+    // means every answered request is in the books.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.telemetry().in_flight() != 0 {
+        assert!(Instant::now() < deadline, "in-flight requests never settled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // The plane's books, before the scrape perturbs anything (it
     // can't — scrapes are admin ops and never enter the histograms).

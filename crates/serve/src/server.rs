@@ -421,9 +421,9 @@ impl Server {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .is_empty();
-            // A relaxed gauge read suffices: admission raises it inside
-            // the queue lock taken just above, and a handler lowers it
-            // only after its response write has returned.
+            // Admission raises the gauge inside the queue lock taken
+            // just above, and a handler lowers it only after its
+            // response write has returned and its observation landed.
             if queue_empty && self.shared.telemetry.in_flight() == 0 {
                 break;
             }
@@ -777,7 +777,6 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 let (resp, mut phases) = slot.wait();
                 let ser_t0 = Instant::now();
                 let ok = send(stream, &resp);
-                shared.telemetry.in_flight_add(-1);
                 if let (Some(tel), Some(tenant)) = (tenant_tel, tenant_name) {
                     phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;
                     let total_ns = admitted_at.elapsed().as_nanos() as u64;
@@ -785,6 +784,10 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                         .telemetry
                         .observe_request(&tel, &tenant, op, &resp, phases, start_ns, total_ns);
                 }
+                // Lowered only once the request is in the books, so an
+                // in-flight count of zero means every answered request
+                // has been recorded.
+                shared.telemetry.in_flight_add(-1);
                 ok
             }
         }

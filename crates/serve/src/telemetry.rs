@@ -360,7 +360,8 @@ impl TelemetryPlane {
         self.in_flight.add(delta);
     }
 
-    /// Admitted requests whose response has not been written yet.
+    /// Admitted requests whose response has not yet been written and
+    /// recorded. Zero means every answered request is in the books.
     pub fn in_flight(&self) -> i64 {
         self.in_flight.get()
     }

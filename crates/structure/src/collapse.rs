@@ -6,7 +6,7 @@
 //! finds such collapses across (or within) ontonomies.
 
 use crate::graph::{DefGraph, LabelMode};
-use crate::isomorphism::{find_isomorphism, find_isomorphism_metered, Mapping};
+use crate::isomorphism::{find_isomorphism_metered, Mapping};
 use summa_dl::concept::{ConceptId, Vocabulary};
 use summa_dl::tbox::TBox;
 use summa_guard::{Budget, Governed, Interrupt, Meter};
@@ -55,23 +55,8 @@ pub fn structurally_indistinguishable_at_depth(
     voc: &Vocabulary,
     depth: usize,
 ) -> Option<Mapping> {
-    let g1 = DefGraph::from_tbox(t1, voc, LabelMode::Anonymous);
-    let g2 = DefGraph::from_tbox(t2, voc, LabelMode::Anonymous);
-    let n1 = g1.neighborhood(g1.node_of(c1)?, depth);
-    let n2 = g2.neighborhood(g2.node_of(c2)?, depth);
-    let start1 = n1.node_of(c1)?;
-    let start2 = n2.node_of(c2)?;
-    let m = find_isomorphism(&n1, &n2)?;
-    if m.get(&start1) == Some(&start2) {
-        return Some(m);
-    }
-    // The found isomorphism did not align the two concepts; try to
-    // find one that does by pinning the start pair. We brute-force by
-    // checking all isomorphisms implicitly: remove the pair's freedom
-    // by relabeling the start nodes with a unique marker.
-    let n1p = pin(&n1, start1);
-    let n2p = pin(&n2, start2);
-    find_isomorphism(&n1p, &n2p)
+    structurally_indistinguishable_metered(t1, c1, t2, c2, voc, depth, &mut Meter::unlimited())
+        .expect("unlimited meter never interrupts")
 }
 
 /// Metered indistinguishability test: both isomorphism searches (the
@@ -151,23 +136,8 @@ pub fn find_isomorphic_pairs(
     voc: &Vocabulary,
     depth: usize,
 ) -> Vec<CollapseReport> {
-    let mut out = vec![];
-    for c1 in t1.atoms() {
-        for c2 in t2.atoms() {
-            if let Some(mapping) =
-                structurally_indistinguishable_at_depth(t1, c1, t2, c2, voc, depth)
-            {
-                out.push(CollapseReport {
-                    left: c1,
-                    right: c2,
-                    left_name: voc.concept_name(c1).to_string(),
-                    right_name: voc.concept_name(c2).to_string(),
-                    mapping,
-                });
-            }
-        }
-    }
-    out
+    find_isomorphic_pairs_governed(t1, t2, voc, depth, &Budget::unlimited())
+        .expect_completed("unlimited budget always completes")
 }
 
 /// Budget-governed all-pairs collapse sweep: every pairwise search
@@ -219,56 +189,6 @@ pub fn find_isomorphic_pairs_metered(
         }
     }
     Ok(())
-}
-
-/// Parallel, budget-governed all-pairs collapse sweep: the
-/// `|atoms(t1)| × |atoms(t2)|` pair grid is distributed across
-/// `threads` workers under one shared envelope. Cell results are
-/// assembled in pair-index order, so the completed report is
-/// **identical** to the sequential [`find_isomorphic_pairs_governed`];
-/// a partial report lists only collapses from *decided* cells — every
-/// entry a genuine witness, a subset of the full sweep.
-pub fn find_isomorphic_pairs_parallel_governed(
-    t1: &TBox,
-    t2: &TBox,
-    voc: &Vocabulary,
-    depth: usize,
-    budget: &Budget,
-    threads: usize,
-) -> Governed<Vec<CollapseReport>> {
-    let pairs: Vec<(ConceptId, ConceptId)> = t1
-        .atoms()
-        .into_iter()
-        .flat_map(|c1| t2.atoms().into_iter().map(move |c2| (c1, c2)))
-        .collect();
-    let _span = budget
-        .tracer()
-        .span("structure.collapse.parallel")
-        .with("pairs", pairs.len())
-        .with("threads", threads);
-    let outcome = summa_exec::par_map(
-        &pairs,
-        budget,
-        threads,
-        |meter, _, &(c1, c2)| {
-            structurally_indistinguishable_metered(t1, c1, t2, c2, voc, depth, meter)
-        },
-    );
-    outcome.into_governed(|slots| {
-        let mut out = vec![];
-        for (&(c1, c2), slot) in pairs.iter().zip(slots) {
-            if let Some(Some(mapping)) = slot {
-                out.push(CollapseReport {
-                    left: c1,
-                    right: c2,
-                    left_name: voc.concept_name(c1).to_string(),
-                    right_name: voc.concept_name(c2).to_string(),
-                    mapping,
-                });
-            }
-        }
-        Some(out)
-    })
 }
 
 #[cfg(test)]

@@ -170,100 +170,6 @@ fn backtrack(
     Ok(false)
 }
 
-/// Parallel, budget-governed isomorphism search: the candidate images
-/// of node 0 are split across `threads` workers, each running the
-/// usual backtracking with its candidate pinned under one shared
-/// envelope.
-///
-/// The result is deterministic and matches the sequential search: the
-/// witness reported is the one from the *lowest-numbered* successful
-/// candidate — exactly the branch sequential DFS would have succeeded
-/// on first — regardless of which worker finished first. On interrupt
-/// the answer is `None` (*undecided*) unless a witness at a fully
-/// decided prefix of the candidate order had already been found.
-pub fn find_isomorphism_parallel_governed(
-    g1: &DefGraph,
-    g2: &DefGraph,
-    budget: &Budget,
-    threads: usize,
-) -> Governed<Option<Mapping>> {
-    if g1.n_nodes() != g2.n_nodes() || g1.n_edges() != g2.n_edges() {
-        return Governed::Completed(None);
-    }
-    let n = g1.n_nodes();
-    if n == 0 {
-        return Governed::Completed(Some(Mapping::new()));
-    }
-    let sig1 = node_signatures(g1);
-    let sig2 = node_signatures(g2);
-    {
-        let mut a = sig1.clone();
-        let mut b = sig2.clone();
-        a.sort();
-        b.sort();
-        if a != b {
-            return Governed::Completed(None);
-        }
-    }
-    // Candidate images for node 0, in sequential trial order.
-    let candidates: Vec<usize> = (0..n).filter(|&c| sig1[0] == sig2[c]).collect();
-    // Service span on the calling thread; each worker's backtracking
-    // shows up in its own lane via the meter spans inside.
-    let _span = budget
-        .tracer()
-        .span("structure.iso.parallel")
-        .with("nodes", n)
-        .with("candidates", candidates.len())
-        .with("threads", threads);
-    let sig1_ref = &sig1;
-    let sig2_ref = &sig2;
-    let outcome = summa_exec::par_map(
-        &candidates,
-        budget,
-        threads,
-        |meter, _, &cand| -> Result<Option<Mapping>, Interrupt> {
-            let _span = meter.span("structure.iso.candidate").with("candidate", cand);
-            meter.charge(1)?;
-            let mut mapping: Vec<Option<usize>> = vec![None; n];
-            let mut used: Vec<bool> = vec![false; n];
-            mapping[0] = Some(cand);
-            used[cand] = true;
-            if consistent(g1, g2, &mapping)
-                && backtrack(g1, g2, sig1_ref, sig2_ref, &mut mapping, &mut used, 1, meter)?
-            {
-                Ok(Some(complete_mapping(mapping)))
-            } else {
-                Ok(None)
-            }
-        },
-    );
-    assemble_first_witness(outcome)
-}
-
-/// Deterministic assembly for candidate-split searches: scan decided
-/// slots in candidate order; the first witness wins (matching the
-/// sequential DFS), an undecided slot before any witness means the
-/// whole question is undecided.
-pub(crate) fn assemble_first_witness<M>(
-    outcome: summa_exec::ParOutcome<Option<M>>,
-) -> Governed<Option<M>> {
-    let interrupted = outcome.interrupted;
-    for slot in outcome.results {
-        match slot {
-            Some(Some(m)) => return Governed::Completed(Some(m)),
-            Some(None) => continue,
-            None => {
-                let i = interrupted.unwrap_or(Interrupt::Cancelled);
-                return Governed::from_interrupt(i, None);
-            }
-        }
-    }
-    match interrupted {
-        None => Governed::Completed(None),
-        Some(i) => Governed::from_interrupt(i, None),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

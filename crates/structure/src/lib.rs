@@ -65,18 +65,15 @@ pub mod isomorphism;
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
     pub use crate::collapse::{
-        find_isomorphic_pairs, find_isomorphic_pairs_governed,
-        find_isomorphic_pairs_metered, find_isomorphic_pairs_parallel_governed,
-        structurally_indistinguishable,
-        structurally_indistinguishable_governed, structurally_indistinguishable_metered,
-        CollapseReport,
+        find_isomorphic_pairs, find_isomorphic_pairs_governed, find_isomorphic_pairs_metered,
+        structurally_indistinguishable, structurally_indistinguishable_governed,
+        structurally_indistinguishable_metered, CollapseReport,
     };
     pub use crate::differentiation::{
         differentiate_greedily, differentiation_radius, DifferentiationOutcome,
     };
     pub use crate::graph::{DefGraph, EdgeKind, LabelMode};
     pub use crate::isomorphism::{
-        find_isomorphism, find_isomorphism_governed, find_isomorphism_metered,
-        find_isomorphism_parallel_governed, Mapping,
+        find_isomorphism, find_isomorphism_governed, find_isomorphism_metered, Mapping,
     };
 }

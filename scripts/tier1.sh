@@ -71,6 +71,13 @@ cargo run -q -p summa-obs --example validate_json -- \
     "$SMOKE/BENCH_parallel.json" bench threads host_cpus generated_at workloads
 echo "    $SMOKE/BENCH_parallel.json: valid"
 
+# Counter ledger: cold-run cache misses may not rise and warm-rerun
+# cache hits may not fall.
+echo "==> bench_diff BENCH_parallel.json"
+cargo run -q -p summa-obs --example bench_diff -- \
+    BENCH_parallel.json "$SMOKE/BENCH_parallel.json" \
+    cache_misses +warm_cache_hits
+
 # Kernel bench smoke: the engine-vs-engine bench asserts verdict and
 # states-popped identity plus strictly fewer kernel label scans on
 # every lane; the validator gates the report format. (The tableau
@@ -80,6 +87,13 @@ SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau
 cargo run -q -p summa-obs --example validate_json -- \
     "$SMOKE/BENCH_tableau.json" bench generated_at workloads
 echo "    $SMOKE/BENCH_tableau.json: valid"
+
+# Counter ledger: states popped and label scans (both engines) may not
+# rise.
+echo "==> bench_diff BENCH_tableau.json"
+cargo run -q -p summa-obs --example bench_diff -- \
+    BENCH_tableau.json "$SMOKE/BENCH_tableau.json" \
+    states_popped reference_label_scans kernel_label_scans
 
 # Serving soak lane: N concurrent tenants against the batched reasoning
 # server — zero dropped requests, bounded queue depth, typed overload

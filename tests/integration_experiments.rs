@@ -161,10 +161,12 @@ fn e11_reasoners() {
     // Beyond EL: the hard ALC family.
     let (voc2, c) = generate::hard_alc(6);
     let mut r = Tableau::new(&TBox::new(), &voc2);
-    assert!(r.is_satisfiable(&c));
+    // A 20,000-node memory wall: a runaway search fails the test.
+    let budget = Budget::new().with_memory(20_000);
+    assert!(r.is_satisfiable_governed(&c, &budget).expect_completed("within the node cap"));
     let (voc3, c2) = generate::hard_alc_unsat(6);
     let mut r2 = Tableau::new(&TBox::new(), &voc3);
-    assert!(!r2.is_satisfiable(&c2));
+    assert!(!r2.is_satisfiable_governed(&c2, &budget).expect_completed("within the node cap"));
 }
 
 /// E12 — OSA rewriting substrate: Peano arithmetic normalizes.

@@ -1,12 +1,15 @@
-//! Differential tests for the parallel executor: every parallel
-//! governed service must produce *identical* completed results to its
-//! sequential counterpart, partial results must be subsets of the
-//! sequential guarantees, reports must be byte-identical at any thread
+//! Differential tests for the parallel executor: parallel
+//! classification and realization must produce *identical* completed
+//! results to the one-thread run, partial results must be subsets of
+//! the complete answer, reports must be byte-identical at any thread
 //! count, and a fault injected into one worker must degrade the whole
-//! grid to a clean governed partial.
+//! grid to a clean governed partial. The corpus services (admission
+//! matrix, collapse sweep, isomorphism searches) run on one thread;
+//! their starved runs must likewise keep only exact rows and genuine
+//! witnesses.
 
 use proptest::prelude::*;
-use summa_core::critique::{syntactic_critique_governed, syntactic_critique_parallel_governed};
+use summa_core::critique::syntactic_critique_governed;
 use summa_core::definitions::Verdict;
 use summa_core::report::AdmissionMatrix;
 use summa_dl::classify::Classify;
@@ -16,12 +19,9 @@ use summa_dl::abox::ABox;
 use summa_dl::concept::Concept;
 use summa_guard::{Budget, ExhaustionReason, FaultInjector, FaultKind, Governed, STEP_SITE};
 use summa_ontonomy::corpus::{animals_signature, vehicles_signature};
-use summa_ontonomy::prelude::{
-    signatures_isomorphic_governed, signatures_isomorphic_parallel_governed,
-};
+use summa_ontonomy::prelude::signatures_isomorphic_governed;
 use summa_structure::prelude::{
-    find_isomorphic_pairs_governed, find_isomorphic_pairs_parallel_governed,
-    find_isomorphism_governed, find_isomorphism_parallel_governed, DefGraph, LabelMode,
+    find_isomorphic_pairs_governed, find_isomorphism_governed, DefGraph, LabelMode,
 };
 
 /// A step cap far above what the small random terminologies need, so
@@ -128,26 +128,14 @@ fn one_shot_fault_in_one_worker_degrades_cleanly() {
 // Corpus services: admission matrix, collapse sweep, signatures
 // ---------------------------------------------------------------------
 
-/// §2 admission matrix: parallel equals sequential cell for cell.
+/// A starved admission matrix only contains rows identical to the
+/// unlimited run's — never half-judged or fabricated ones.
 #[test]
-fn parallel_admission_matrix_equals_sequential() {
-    let seq = syntactic_critique_governed(&Budget::unlimited()).expect_completed("unlimited");
-    for threads in [2usize, 4] {
-        let par = syntactic_critique_parallel_governed(&Budget::unlimited(), threads)
-            .expect_completed("unlimited");
-        assert_eq!(seq.definitions, par.definitions);
-        assert_eq!(verdicts(&seq), verdicts(&par));
-    }
-}
-
-/// A starved parallel admission matrix only contains rows identical to
-/// the sequential truth — never half-judged or fabricated ones.
-#[test]
-fn starved_parallel_admission_matrix_rows_are_exact() {
+fn starved_admission_matrix_rows_are_exact() {
     let truth = syntactic_critique_governed(&Budget::unlimited()).expect_completed("unlimited");
     let truth_rows = verdicts(&truth);
     for steps in [1u64, 7, 13, 23] {
-        let g = syntactic_critique_parallel_governed(&Budget::new().with_steps(steps), 4);
+        let g = syntactic_critique_governed(&Budget::new().with_steps(steps));
         let partial = match g {
             Governed::Exhausted { partial, .. } => partial.expect("partial matrix"),
             Governed::Completed(_) => panic!("a {steps}-step budget cannot finish the matrix"),
@@ -157,50 +145,37 @@ fn starved_parallel_admission_matrix_rows_are_exact() {
         for row in verdicts(&partial) {
             assert!(
                 truth_rows.contains(&row),
-                "partial row for {} must match the sequential truth",
+                "partial row for {} must match the unlimited run",
                 row.0
             );
         }
     }
 }
 
-/// The all-pairs collapse sweep: parallel equals sequential on the
-/// paper corpus, and a starved partial only lists genuine witnesses.
+/// The all-pairs collapse sweep rediscovers the paper corpus's
+/// collapse, and a starved sweep only lists genuine witnesses.
 #[test]
-fn parallel_collapse_sweep_matches_sequential() {
+fn starved_collapse_sweep_lists_only_genuine_collapses() {
     use summa_dl::corpus::{animals_tbox, vehicles_tbox, PaperVocab};
     let p = PaperVocab::new();
     let vehicles = vehicles_tbox(&p);
     let animals = animals_tbox(&p);
-    let seq = find_isomorphic_pairs_governed(&vehicles, &animals, &p.voc, 8, &Budget::unlimited())
+    let full = find_isomorphic_pairs_governed(&vehicles, &animals, &p.voc, 8, &Budget::unlimited())
         .expect_completed("unlimited");
-    assert!(!seq.is_empty(), "the corpus collapse must be rediscovered");
-    for threads in [2usize, 4] {
-        let par = find_isomorphic_pairs_parallel_governed(
-            &vehicles,
-            &animals,
-            &p.voc,
-            8,
-            &Budget::unlimited(),
-            threads,
-        )
-        .expect_completed("unlimited");
-        assert_eq!(seq, par);
-    }
+    assert!(!full.is_empty(), "the corpus collapse must be rediscovered");
     for steps in [1u64, 50, 500] {
-        match find_isomorphic_pairs_parallel_governed(
+        match find_isomorphic_pairs_governed(
             &vehicles,
             &animals,
             &p.voc,
             8,
             &Budget::new().with_steps(steps),
-            4,
         ) {
-            Governed::Completed(pairs) => assert_eq!(seq, pairs),
+            Governed::Completed(pairs) => assert_eq!(full, pairs),
             Governed::Exhausted { partial, .. } => {
                 for pair in partial.expect("partial witness list") {
                     assert!(
-                        seq.contains(&pair),
+                        full.contains(&pair),
                         "every partial entry must be a genuine collapse"
                     );
                 }
@@ -210,71 +185,47 @@ fn parallel_collapse_sweep_matches_sequential() {
     }
 }
 
-/// Graph isomorphism: the candidate-split parallel search returns the
-/// same witness as the sequential DFS on the paper corpus.
+/// Graph isomorphism finds a witness between the paper corpus's
+/// anonymized graphs; a starved search stays undecided rather than
+/// guessing.
 #[test]
-fn parallel_graph_isomorphism_matches_sequential() {
+fn graph_isomorphism_finds_the_corpus_witness() {
     use summa_dl::corpus::{animals_tbox, vehicles_tbox, PaperVocab};
     let p = PaperVocab::new();
     let g1 = DefGraph::from_tbox(&vehicles_tbox(&p), &p.voc, LabelMode::Anonymous);
     let g2 = DefGraph::from_tbox(&animals_tbox(&p), &p.voc, LabelMode::Anonymous);
-    let seq = find_isomorphism_governed(&g1, &g2, &Budget::unlimited())
+    let witness = find_isomorphism_governed(&g1, &g2, &Budget::unlimited())
         .expect_completed("unlimited");
-    assert!(seq.is_some(), "the corpus graphs are isomorphic");
-    for threads in [1usize, 2, 4] {
-        let par = find_isomorphism_parallel_governed(&g1, &g2, &Budget::unlimited(), threads)
-            .expect_completed("unlimited");
-        assert_eq!(seq, par, "witness must match at {threads} threads");
-    }
-    // Starved searches stay undecided rather than guessing.
-    let starved =
-        find_isomorphism_parallel_governed(&g1, &g2, &Budget::new().with_steps(1), 4);
+    assert!(witness.is_some(), "the corpus graphs are isomorphic");
+    let starved = find_isomorphism_governed(&g1, &g2, &Budget::new().with_steps(1));
     assert!(matches!(
         starved,
         Governed::Exhausted { partial: None, .. }
     ));
 }
 
-/// Ontology-signature isomorphism (Bench-Capon & Malcolm encoding):
-/// parallel agrees with sequential on both the collapsing corpus and
-/// the repaired, non-collapsing one.
+/// Ontology-signature isomorphism (Bench-Capon & Malcolm encoding)
+/// finds the collapsing corpus's bijection and none on the repaired
+/// signature.
 #[test]
-fn parallel_signature_isomorphism_matches_sequential() {
+fn signature_isomorphism_finds_only_the_corpus_collapse() {
     let v = vehicles_signature().expect("well-formed");
     let a = animals_signature().expect("well-formed");
-    let seq = signatures_isomorphic_governed(
+    let collapse = signatures_isomorphic_governed(
         &v.ontonomy.signature,
         &a.ontonomy.signature,
         &Budget::unlimited(),
     )
     .expect_completed("unlimited");
-    assert!(seq.is_some());
-    for threads in [1usize, 2, 4] {
-        let par = signatures_isomorphic_parallel_governed(
-            &v.ontonomy.signature,
-            &a.ontonomy.signature,
-            &Budget::unlimited(),
-            threads,
-        )
-        .expect_completed("unlimited");
-        assert_eq!(seq, par);
-    }
+    assert!(collapse.is_some());
     let repaired = summa_ontonomy::corpus::animals_signature_repaired().expect("well-formed");
-    let seq_none = signatures_isomorphic_governed(
+    let none = signatures_isomorphic_governed(
         &v.ontonomy.signature,
         &repaired.ontonomy.signature,
         &Budget::unlimited(),
     )
     .expect_completed("unlimited");
-    assert!(seq_none.is_none());
-    let par_none = signatures_isomorphic_parallel_governed(
-        &v.ontonomy.signature,
-        &repaired.ontonomy.signature,
-        &Budget::unlimited(),
-        4,
-    )
-    .expect_completed("unlimited");
-    assert!(par_none.is_none());
+    assert!(none.is_none());
 }
 
 // ---------------------------------------------------------------------
@@ -384,10 +335,14 @@ proptest! {
         }
     }
 
-    /// The collapse sweep over two *random* terminologies: parallel
-    /// equals sequential, including the order of reported pairs.
+    /// The collapse sweep over two *random* terminologies: a starved
+    /// sweep lists only collapses the complete sweep also reports, in
+    /// the same order.
     #[test]
-    fn parallel_collapse_on_random_tboxes_matches(seed in 0u64..1_000_000, threads in 2usize..6) {
+    fn starved_collapse_on_random_tboxes_lists_only_genuine_collapses(
+        seed in 0u64..1_000_000,
+        steps in 1u64..2_000,
+    ) {
         let (mut voc, t1, _) = generate::random_el(6, 2, 8, seed);
         // Second terminology over the same vocabulary object, distinct
         // atoms — the cross-ontonomy comparison the sweep was made for.
@@ -399,11 +354,16 @@ proptest! {
             let b = fresh[rng.below(fresh.len())];
             t2.subsume(Concept::atom(a), Concept::atom(b));
         }
-        let seq = find_isomorphic_pairs_governed(&t1, &t2, &voc, 3, &capped());
-        prop_assume!(matches!(seq, Governed::Completed(_)));
-        let seq = seq.expect_completed("assumed");
-        let par = find_isomorphic_pairs_parallel_governed(&t1, &t2, &voc, 3, &capped(), threads)
-            .expect_completed("within the sequential step cap");
-        prop_assert_eq!(seq, par);
+        let full = find_isomorphic_pairs_governed(&t1, &t2, &voc, 3, &capped());
+        prop_assume!(matches!(full, Governed::Completed(_)));
+        let full = full.expect_completed("assumed");
+        match find_isomorphic_pairs_governed(&t1, &t2, &voc, 3, &Budget::new().with_steps(steps)) {
+            Governed::Completed(pairs) => prop_assert_eq!(full, pairs),
+            Governed::Exhausted { partial, .. } => {
+                let partial = partial.expect("the sweep always carries a partial");
+                prop_assert!(full.starts_with(&partial), "partial entries are genuine collapses");
+            }
+            Governed::Cancelled { .. } => prop_assert!(false, "nothing cancels this run"),
+        }
     }
 }

@@ -27,6 +27,11 @@ fn engines(tbox: &TBox, voc: &Vocabulary) -> (Tableau, Tableau) {
     )
 }
 
+/// A 20,000-node cap: a memory wall of one unit per spawned node.
+fn node_cap() -> Budget {
+    Budget::new().with_memory(20_000)
+}
+
 /// Classification with every worker pinned to one engine.
 fn classify_pinned(
     tbox: &TBox,
@@ -174,9 +179,14 @@ fn paper_corpora_subsumptions_agree() {
         let atoms: Vec<_> = p.voc.concepts().collect();
         for &sup in &atoms {
             for &sub in &atoms {
+                let (sup, sub) = (Concept::atom(sup), Concept::atom(sub));
                 assert_eq!(
-                    kernel.subsumes(&Concept::atom(sup), &Concept::atom(sub)),
-                    reference.subsumes(&Concept::atom(sup), &Concept::atom(sub)),
+                    kernel
+                        .subsumes_governed(&sup, &sub, &node_cap())
+                        .expect_completed("in budget"),
+                    reference
+                        .subsumes_governed(&sup, &sub, &node_cap())
+                        .expect_completed("in budget"),
                     "engines disagree on {sub:?} ⊑ {sup:?}"
                 );
             }
@@ -229,7 +239,10 @@ proptest! {
         let (mut kernel, mut reference) = engines(&empty, &voc);
         let (sat, roundtrips_ok) = kernel.kernel_trail_roundtrip(&c);
         prop_assert!(roundtrips_ok, "a trail unwind failed to restore the state");
-        prop_assert_eq!(sat, reference.try_is_satisfiable(&c).expect("in budget"));
+        prop_assert_eq!(
+            sat,
+            reference.is_satisfiable_governed(&c, &node_cap()).expect_completed("in budget")
+        );
     }
 }
 
@@ -244,7 +257,7 @@ fn trail_undo_roundtrips_through_merges() {
         assert!(roundtrips_ok, "{name}: trail unwind diverged from snapshot");
         assert_eq!(
             sat,
-            reference.try_is_satisfiable(&c).expect("in budget"),
+            reference.is_satisfiable_governed(&c, &node_cap()).expect_completed("in budget"),
             "{name}: paranoid kernel verdict diverges"
         );
     }
@@ -311,15 +324,19 @@ fn realize_types_are_byte_identical() {
     for ind in abox.individuals() {
         for &c in &atoms {
             let concept = Concept::atom(c);
-            let vk = kernel.try_is_instance(&abox, ind, &concept).expect("in budget");
+            let vk = kernel
+                .is_instance_governed(&abox, ind, &concept, &node_cap())
+                .expect_completed("in budget");
             let vr = reference
-                .try_is_instance(&abox, ind, &concept)
-                .expect("in budget");
+                .is_instance_governed(&abox, ind, &concept, &node_cap())
+                .expect_completed("in budget");
             // The pre-overhaul semantics, verbatim: clone, assert ¬C(a),
             // test consistency.
             let mut extended = abox.clone();
             extended.assert_concept(ind, Concept::not(concept));
-            let cloned = !reference.try_is_consistent(&extended).expect("in budget");
+            let cloned = !reference
+                .is_consistent_governed(&extended, &node_cap())
+                .expect_completed("in budget");
             assert_eq!(vk, vr, "engines disagree on instance check");
             assert_eq!(vk, cloned, "scratch assertion diverges from ABox clone");
         }

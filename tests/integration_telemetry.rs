@@ -247,6 +247,26 @@ fn unknown_telemetry_format_is_typed_and_survivable() {
     assert!(stats.reconciles(), "{stats:?}");
 }
 
+/// The in-flight gauge is the books' quiescence point: a handler
+/// lowers it only after recording its request, so once it reads zero
+/// the recorded count is exact, with no settling on the books
+/// themselves.
+#[test]
+fn zero_in_flight_means_every_answer_is_recorded() {
+    let server =
+        Server::start(config(2, TelemetryConfig::default())).expect("server starts");
+    let mut client = Client::connect(server.addr(), "books").expect("connects");
+    let plane = server.telemetry();
+    for (i, req) in workload().into_iter().enumerate() {
+        client.call(req).expect("answered");
+        wait_until(|| plane.in_flight() == 0);
+        assert_eq!(plane.in_flight(), 0, "request {i} left flight");
+        assert_eq!(plane.recorded_requests(), i as u64 + 1, "request {i} is in the books");
+    }
+    drop(client);
+    assert!(server.shutdown().reconciles());
+}
+
 /// Multi-tenant attribution: each tenant's requests land under its own
 /// label, and the per-tenant sums reconcile with the server's books.
 #[test]
