@@ -31,30 +31,23 @@ use std::sync::{PoisonError, RwLock};
 /// being served — degrading to a recompute, never to a wrong answer.
 type ShardMap = HashMap<(u64, Concept), (bool, u64), FxBuildHasher>;
 
-/// One shard: its map plus its own hit/miss/corruption counters.
-/// Keeping the counters *per shard* (instead of three process-wide
-/// atomics every worker hammers) removes the last piece of cross-shard
-/// write sharing on the probe path, and — because each counter is
-/// updated at the probe itself, not buffered in worker state and
-/// drained at teardown — [`SatCache::stats`] is exact at every instant.
-/// A short-lived reader (a server answering one request and dropping
-/// its pool) sees the same totals a long-lived one would.
+/// One shard: its map plus its own corruption counter. Hits and
+/// misses are counted by the prober, on its meter
+/// (`Tableau::sat_metered`), and reach the run's `Spend` from there. An
+/// eviction happens inside [`SatCache::get`], where no meter sees it,
+/// so `corruptions` stays the cache's own count, bumped on the shard at
+/// the eviction itself.
 #[derive(Debug, Default)]
 struct Shard {
     map: RwLock<ShardMap>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     corruptions: AtomicU64,
 }
 
-/// An exact snapshot of a cache's lifetime counters (summed across
-/// shards at the moment of the call).
+/// An exact snapshot of the cache's own figures, summed across shards
+/// at the moment of the call. It holds no hit or miss tally: the
+/// prober counts those on its meter (`Tableau::sat_metered`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Completed answers served.
-    pub hits: u64,
-    /// Probes that found nothing (or evicted a corrupt entry).
-    pub misses: u64,
     /// Corrupted entries detected and evicted on read.
     pub corruptions: u64,
     /// Entries currently cached.
@@ -118,10 +111,9 @@ impl SatCache {
     }
 
     /// Look up a completed answer for `c` (already in NNF) under the
-    /// TBox with fingerprint `tbox`. Counts a hit or miss on the
-    /// shard's own counters at the probe itself. An entry whose
-    /// checksum no longer matches (bit rot, injected poisoning) is
-    /// *evicted and reported as a miss* — the caller recomputes, and
+    /// TBox with fingerprint `tbox`. An entry whose checksum no longer
+    /// matches (bit rot, injected poisoning) is *evicted, counted as a
+    /// corruption and reported as a miss* — the caller recomputes, and
     /// the answer stays correct.
     pub fn get(&self, tbox: u64, c: &Concept) -> Option<bool> {
         let shard = self.shard(tbox, c);
@@ -133,10 +125,7 @@ impl SatCache {
             .get(&key)
             .copied();
         match found {
-            Some((sat, sum)) if sum == entry_checksum(tbox, c, sat) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(sat)
-            }
+            Some((sat, sum)) if sum == entry_checksum(tbox, c, sat) => Some(sat),
             Some(_) => {
                 // Corrupted entry: evict, count, fall back to recompute.
                 shard.corruptions.fetch_add(1, Ordering::Relaxed);
@@ -145,13 +134,9 @@ impl SatCache {
                     .write()
                     .unwrap_or_else(PoisonError::into_inner)
                     .remove(&key);
-                shard.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
     }
 
@@ -181,40 +166,13 @@ impl SatCache {
             .insert((tbox, c), (!sat, sum));
     }
 
-    /// Lifetime hit count (exact: summed over shard counters).
-    pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Lifetime miss count (exact: summed over shard counters).
-    pub fn misses(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.misses.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Corrupted entries detected (and evicted) on read.
-    pub fn corruptions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.corruptions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// One coherent snapshot of every lifetime counter plus the entry
-    /// count. Because each shard counts at the probe (nothing is
-    /// buffered per worker and drained at teardown), the snapshot is
-    /// exact even for a cache whose pool was just dropped — the
-    /// property the serving layer relies on for per-request accounting.
+    /// One coherent snapshot of the corruption count plus the entry
+    /// count. Each shard counts at the eviction (nothing is buffered
+    /// per worker and drained at teardown), so the snapshot is exact
+    /// even for a cache whose pool was just dropped.
     pub fn stats(&self) -> CacheStats {
         let mut out = CacheStats::default();
         for s in &self.shards {
-            out.hits += s.hits.load(Ordering::Relaxed);
-            out.misses += s.misses.load(Ordering::Relaxed);
             out.corruptions += s.corruptions.load(Ordering::Relaxed);
             out.entries += s
                 .map
@@ -223,18 +181,6 @@ impl SatCache {
                 .len();
         }
         out
-    }
-
-    /// Cached entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.map.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -271,15 +217,9 @@ mod tests {
         assert_eq!(cache.get(7, &a), Some(true));
         // Different TBox fingerprint: separate entry.
         assert_eq!(cache.get(8, &a), None);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 1);
-        // stats() is the same information as one coherent snapshot.
         assert_eq!(
             cache.stats(),
             CacheStats {
-                hits: 1,
-                misses: 2,
                 corruptions: 0,
                 entries: 1
             }
@@ -288,10 +228,11 @@ mod tests {
 
     #[test]
     fn stats_are_exact_without_any_teardown_drain() {
-        // Counters live on the shards and are bumped at the probe, so a
-        // snapshot taken while worker threads still exist — or right
-        // after a short-lived pool dropped — is already exact. Every
-        // probe is accounted; nothing waits for a teardown drain.
+        // The corruption counter lives on the shards and is bumped at
+        // the eviction, so a snapshot taken right after short-lived
+        // threads finish is already exact: nothing waits for a
+        // teardown drain. Each thread poisons and probes keys of its
+        // own while all of them probe the shared healthy entries.
         use std::sync::Arc;
         let mut voc = Vocabulary::new();
         let atoms: Vec<Concept> = (0..32)
@@ -302,23 +243,22 @@ mod tests {
             cache.insert(3, c.clone(), i % 2 == 0);
         }
         std::thread::scope(|scope| {
-            for _ in 0..4 {
+            for w in 0..4u64 {
                 let cache = Arc::clone(&cache);
                 let atoms = &atoms;
                 scope.spawn(move || {
-                    for c in atoms {
-                        cache.get(3, c); // hit
-                        cache.get(4, c); // miss (other fingerprint)
+                    for (i, c) in atoms.iter().enumerate() {
+                        assert_eq!(cache.get(3, c), Some(i % 2 == 0)); // hit
+                        assert_eq!(cache.get(4, c), None); // miss (other fingerprint)
+                        cache.insert_poisoned(10 + w, c.clone(), true);
+                        assert_eq!(cache.get(10 + w, c), None); // evicted
                     }
                 });
             }
         });
         let s = cache.stats();
-        assert_eq!(s.hits, 4 * 32);
-        assert_eq!(s.misses, 4 * 32);
-        assert_eq!(s.corruptions, 0);
+        assert_eq!(s.corruptions, 4 * 32);
         assert_eq!(s.entries, 32);
-        assert_eq!((s.hits, s.misses), (cache.hits(), cache.misses()));
     }
 
     #[test]
@@ -361,15 +301,15 @@ mod tests {
         // served: the read detects the mismatch, evicts, and reports a
         // miss so the caller recomputes.
         cache.insert_poisoned(7, a.clone(), true);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(7, &a), None, "poisoned answer must not be served");
-        assert_eq!(cache.corruptions(), 1);
-        assert_eq!(cache.len(), 0, "corrupt entry evicted");
+        assert_eq!(cache.stats().corruptions, 1);
+        assert_eq!(cache.stats().entries, 0, "corrupt entry evicted");
 
         // The recomputed answer re-enters cleanly and is served again.
         cache.insert(7, a.clone(), true);
         assert_eq!(cache.get(7, &a), Some(true));
-        assert_eq!(cache.corruptions(), 1, "no further corruption seen");
+        assert_eq!(cache.stats().corruptions, 1, "no further corruption seen");
 
         // A healthy entry under a different key is unaffected.
         let b = Concept::atom(voc.concept("B"));
@@ -392,12 +332,11 @@ mod tests {
                 scope.spawn(move || {
                     for (i, c) in atoms.iter().enumerate() {
                         cache.insert(0, c.clone(), (i + w) % 2 == 0);
-                        cache.get(0, c);
+                        assert!(cache.get(0, c).is_some(), "a healthy entry answers");
                     }
                 });
             }
         });
-        assert_eq!(cache.len(), 64);
-        assert!(cache.hits() + cache.misses() == 256);
+        assert_eq!(cache.stats().entries, 64);
     }
 }

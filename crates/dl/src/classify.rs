@@ -26,7 +26,7 @@ use summa_guard::{Budget, Governed, Interrupt, Meter, Spend};
 /// named subsumers (reflexive–transitive).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassHierarchy {
-    subsumers: BTreeMap<ConceptId, BTreeSet<ConceptId>>,
+    pub(crate) subsumers: BTreeMap<ConceptId, BTreeSet<ConceptId>>,
 }
 
 impl ClassHierarchy {

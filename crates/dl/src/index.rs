@@ -7,8 +7,7 @@
 //! then answers the told fragment of the reasoning services by lookup:
 //!
 //! * `sup ⊒ sub` between two *indexed* atoms — one bit test;
-//! * a concept's full subsumer (ancestor) or subsumee (descendant)
-//!   set — one row scan;
+//! * the whole hierarchy, for warm `classify` — one scan of every row.
 //!
 //! Queries mentioning complex concepts, or atoms interned after the
 //! index was built, are not answerable here ([`HierarchyIndex::subsumes`]
@@ -21,7 +20,7 @@
 //!
 //! Like the resilience layer's `SatCache` entries, the index carries
 //! checksums — one per row, each covering `words`, the rank, the
-//! rank's atom and both of the rank's matrix rows. Every lookup
+//! rank's atom and the rank's row of the ancestor matrix. Every lookup
 //! verifies the rows it reads before it answers and returns `None` on
 //! a mismatch, so the caller proves instead; no answer is ever built
 //! from a word or atom entry that failed its check. A lookup costs two
@@ -31,6 +30,7 @@
 use crate::classify::ClassHierarchy;
 use crate::concept::ConceptId;
 use crate::fxhash::FxHasher;
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
 
 /// Magic seed folded into the row checksums so they cannot collide
@@ -49,11 +49,8 @@ pub struct HierarchyIndex {
     /// Row `i`, bit `j`: `atoms[j]` subsumes `atoms[i]` (ancestors,
     /// reflexive).
     ancestors: Vec<u64>,
-    /// The transpose — row `i`, bit `j`: `atoms[j]` is subsumed by
-    /// `atoms[i]` (descendants, reflexive).
-    descendants: Vec<u64>,
     /// `row_checksums[i]` covers `words`, rank `i`, `atoms[i]` and row
-    /// `i` of both matrices.
+    /// `i` of `ancestors`.
     row_checksums: Vec<u64>,
 }
 
@@ -70,56 +67,51 @@ impl HierarchyIndex {
         let words = n.div_ceil(64);
         let rank = |c: ConceptId| atoms.binary_search(&c).ok();
         let mut ancestors = vec![0u64; n * words];
-        let mut descendants = vec![0u64; n * words];
         for (i, &c) in atoms.iter().enumerate() {
             for &s in h.subsumers_ref(c)? {
                 let j = rank(s)?;
                 ancestors[i * words + j / 64] |= 1u64 << (j % 64);
-                descendants[j * words + i / 64] |= 1u64 << (i % 64);
             }
         }
         let mut idx = HierarchyIndex {
             atoms,
             words,
             ancestors,
-            descendants,
             row_checksums: Vec::new(),
         };
         idx.row_checksums = (0..n)
-            .map(|i| idx.row(i).expect("build lays out every row").2)
+            .map(|i| idx.row(i).expect("build lays out every row").1)
             .collect();
         Some(idx)
     }
 
-    /// Rank `i`'s ancestor and descendant rows, with the checksum of
-    /// what rank `i` holds now. `None` when rank `i` or `words` no
-    /// longer address rows inside the matrices.
-    fn row(&self, i: usize) -> Option<(&[u64], &[u64], u64)> {
+    /// Rank `i`'s ancestor row, with the checksum of what rank `i`
+    /// holds now. `None` when rank `i` or `words` no longer address a
+    /// row inside the matrix.
+    fn row(&self, i: usize) -> Option<(&[u64], u64)> {
         let start = i.checked_mul(self.words)?;
-        let end = start.checked_add(self.words)?;
-        let up = self.ancestors.get(start..end)?;
-        let down = self.descendants.get(start..end)?;
+        let up = self.ancestors.get(start..start.checked_add(self.words)?)?;
         let mut h = FxHasher::default();
         h.write_u64(INDEX_CHECKSUM_SEED);
         h.write_usize(self.words);
         h.write_usize(i);
         h.write_u32(self.atoms.get(i)?.0);
-        for &w in up.iter().chain(down) {
+        for &w in up {
             h.write_u64(w);
         }
-        Some((up, down, h.finish()))
+        Some((up, h.finish()))
     }
 
-    /// Rank `i`'s ancestor and descendant rows, provided everything
-    /// its checksum covers still matches it.
-    fn verified(&self, i: usize) -> Option<(&[u64], &[u64])> {
-        let (up, down, sum) = self.row(i)?;
-        (self.row_checksums.get(i) == Some(&sum)).then_some((up, down))
+    /// Rank `i`'s ancestor row, provided everything its checksum
+    /// covers still matches it.
+    fn verified(&self, i: usize) -> Option<&[u64]> {
+        let (up, sum) = self.row(i)?;
+        (self.row_checksums.get(i) == Some(&sum)).then_some(up)
     }
 
     /// Does every row still match its checksum? A mismatch means
     /// silent corruption. Lookups verify the rows they read on their
-    /// own; this is for a consumer that serves the whole index at once.
+    /// own.
     pub fn is_intact(&self) -> bool {
         self.row_checksums.len() == self.atoms.len()
             && (0..self.atoms.len()).all(|i| self.verified(i).is_some())
@@ -154,39 +146,33 @@ impl HierarchyIndex {
         let j = self.atoms.binary_search(&sup).ok()?;
         // Row `j` vouches that `sup` really sits at rank `j`, the bit
         // read from row `i`.
-        let (up, _) = self.verified(i)?;
+        let up = self.verified(i)?;
         self.verified(j)?;
         Some(up.get(j / 64)? & (1u64 << (j % 64)) != 0)
     }
 
-    /// All subsumers of `c` (reflexive), ascending; `None` when `c` is
-    /// not indexed or a row it reads fails its checksum.
-    pub fn subsumers_of(&self, c: ConceptId) -> Option<Vec<ConceptId>> {
-        let i = self.atoms.binary_search(&c).ok()?;
-        self.unpack_row(self.verified(i)?.0)
-    }
-
-    /// All subsumees of `c` (reflexive), ascending; `None` when `c` is
-    /// not indexed or a row it reads fails its checksum.
-    pub fn subsumees_of(&self, c: ConceptId) -> Option<Vec<ConceptId>> {
-        let i = self.atoms.binary_search(&c).ok()?;
-        self.unpack_row(self.verified(i)?.1)
-    }
-
-    /// Map a row's set bits to atoms; each bit's own row vouches for
-    /// the atom entry it reads.
-    fn unpack_row(&self, row: &[u64]) -> Option<Vec<ConceptId>> {
-        let mut out = Vec::new();
-        for (w, &word) in row.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let k = w * 64 + bits.trailing_zeros() as usize;
-                self.verified(k)?;
-                out.push(self.atoms[k]);
-                bits &= bits - 1;
+    /// The whole hierarchy the index was built from, read back row by
+    /// row: `None` when any row fails its checksum, so warm `classify`,
+    /// which serves every row at once, classifies instead. Each row is
+    /// verified once; a bit's atom entry is vouched for by its own row,
+    /// which this pass verifies before it answers.
+    pub fn hierarchy(&self) -> Option<ClassHierarchy> {
+        let mut rows = Vec::with_capacity(self.atoms.len());
+        for (i, &c) in self.atoms.iter().enumerate() {
+            let up = self.verified(i)?;
+            let mut row = Vec::with_capacity(up.iter().map(|w| w.count_ones() as usize).sum());
+            for (w, &word) in up.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    row.push(*self.atoms.get(w * 64 + bits.trailing_zeros() as usize)?);
+                    bits &= bits - 1;
+                }
             }
+            rows.push((c, BTreeSet::from_iter(row)));
         }
-        Some(out)
+        Some(ClassHierarchy {
+            subsumers: BTreeMap::from_iter(rows),
+        })
     }
 }
 
@@ -227,17 +213,9 @@ mod tests {
                     p.voc.concept_name(sub),
                 );
             }
-            let row = idx.subsumers_of(sub).expect("indexed");
-            let want: Vec<ConceptId> = h.subsumers_of(sub).into_iter().collect();
-            assert_eq!(row, want);
         }
-        // Descendants are the exact transpose.
-        for &sup in &rows {
-            let down = idx.subsumees_of(sup).expect("indexed");
-            let want: Vec<ConceptId> =
-                rows.iter().copied().filter(|&sub| h.subsumes(sup, sub)).collect();
-            assert_eq!(down, want);
-        }
+        // Every row reads back as the hierarchy's own subsumer set.
+        assert_eq!(idx.hierarchy(), Some(h));
         // A vocabulary atom outside the TBox is not indexed.
         assert!(!idx.contains(p.dog));
     }
@@ -252,7 +230,8 @@ mod tests {
         assert!(!idx.contains(ghost));
         assert_eq!(idx.subsumes(ghost, p.car), None);
         assert_eq!(idx.subsumes(p.car, ghost), None);
-        assert_eq!(idx.subsumers_of(ghost), None);
+        let read = idx.hierarchy().expect("intact");
+        assert_eq!(read.subsumers_ref(ghost), None);
     }
 
     #[test]
@@ -295,13 +274,13 @@ mod tests {
                 assert_eq!(idx.subsumes(sup, sub), want);
             }
         }
-        assert_eq!(idx.subsumers_of(bad), None);
-        assert_eq!(idx.subsumees_of(bad), None);
+        // The whole read-out refuses rather than serve the bad row.
+        assert_eq!(idx.hierarchy(), None);
     }
 
-    /// The chain `c0 < c1 < … < c{n-1}`, indexed: `sup` (rank `j`)
-    /// subsumes `sub` (rank `i`) iff `j >= i`.
-    fn chain_index(n: usize) -> (Vec<ConceptId>, HierarchyIndex) {
+    /// The chain `c0 < c1 < … < c{n-1}`, classified and indexed: `sup`
+    /// (rank `j`) subsumes `sub` (rank `i`) iff `j >= i`.
+    fn chain_index(n: usize) -> (Vec<ConceptId>, ClassHierarchy, HierarchyIndex) {
         let mut voc = crate::concept::Vocabulary::new();
         let mut tbox = crate::tbox::TBox::new();
         let ids: Vec<ConceptId> = (0..n).map(|i| voc.concept(&format!("c{i}"))).collect();
@@ -313,14 +292,14 @@ mod tests {
         }
         let h = classified(&tbox, &voc);
         let idx = HierarchyIndex::build(&h).expect("closed hierarchy");
-        (ids, idx)
+        (ids, h, idx)
     }
 
     #[test]
     fn sixty_five_atoms_cross_the_word_boundary() {
         // >64 atoms forces words == 2; the bit addressing must still
         // agree with the hierarchy on every pair.
-        let (ids, idx) = chain_index(65);
+        let (ids, _, idx) = chain_index(65);
         assert_eq!(idx.len(), 65);
         for (i, &sub) in ids.iter().enumerate() {
             for (j, &sup) in ids.iter().enumerate() {
@@ -334,22 +313,21 @@ mod tests {
         // Flip every bit of every word the index holds, one flip at a
         // time, on an index whose rows span two words. After each
         // flip no pair may answer anything but the chain's own answer
-        // or `None`, and the whole-index check must fail.
-        let (ids, mut idx) = chain_index(65);
+        // or `None`, and both the whole-index check and the whole
+        // read-out must refuse.
+        let (ids, h, mut idx) = chain_index(65);
         assert_eq!(idx.words, 2);
+        assert_eq!(idx.hierarchy().as_ref(), Some(&h));
         let n = ids.len();
-        let cells = n * idx.words;
-        let fields: [(&str, usize, u32); 5] = [
+        let fields: [(&str, usize, u32); 4] = [
             ("atoms", n, u32::BITS),
-            ("ancestors", cells, u64::BITS),
-            ("descendants", cells, u64::BITS),
+            ("ancestors", n * idx.words, u64::BITS),
             ("row_checksums", n, u64::BITS),
             ("words", 1, usize::BITS),
         ];
         let flip = |idx: &mut HierarchyIndex, field: &str, at: usize, bit: u32| match field {
             "atoms" => idx.atoms[at].0 ^= 1 << bit,
             "ancestors" => idx.ancestors[at] ^= 1 << bit,
-            "descendants" => idx.descendants[at] ^= 1 << bit,
             "row_checksums" => idx.row_checksums[at] ^= 1 << bit,
             _ => idx.words ^= 1 << bit,
         };
@@ -359,6 +337,7 @@ mod tests {
                 for bit in 0..bits {
                     flip(&mut idx, field, at, bit);
                     assert!(!idx.is_intact(), "{field}[{at}] bit {bit} went unnoticed");
+                    assert_eq!(idx.hierarchy(), None, "{field}[{at}] bit {bit} read out");
                     for (i, &sub) in ids.iter().enumerate() {
                         for (j, &sup) in ids.iter().enumerate() {
                             let got = idx.subsumes(sup, sub);
@@ -373,7 +352,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(flips, 65 * 32 + 2 * 130 * 64 + 65 * 64 + 64);
+        assert_eq!(flips, 65 * 32 + 130 * 64 + 65 * 64 + 64);
         assert!(idx.is_intact(), "every flip was undone");
+        assert_eq!(idx.hierarchy(), Some(h));
     }
 }

@@ -159,17 +159,16 @@ pub fn parse_abox(text: &str, voc: &mut Vocabulary) -> Result<ABox, String> {
 }
 
 /// Serialize a classification hierarchy payload. Shared between the
-/// cold classify path and the warm (precomputed) path so the bytes
-/// agree by construction.
+/// cold classify path and the warm path (the hierarchy read back from
+/// the index rows) so the bytes agree by construction.
 fn hierarchy_payload(h: &ClassHierarchy, voc: &Vocabulary) -> Vec<u8> {
     let mut p = Vec::new();
-    let rows: Vec<_> = h.concepts().collect();
-    put_u32(&mut p, rows.len() as u32);
-    for c in rows {
+    put_u32(&mut p, h.concepts().count() as u32);
+    for c in h.concepts() {
         put_str(&mut p, voc.concept_name(c));
-        let subs = h.subsumers_ref(c).cloned().unwrap_or_default();
+        let subs = h.subsumers_ref(c).map(|s| s.iter()).unwrap_or_default();
         put_u32(&mut p, subs.len() as u32);
-        for s in subs {
+        for &s in subs {
             put_str(&mut p, voc.concept_name(s));
         }
     }
@@ -320,24 +319,26 @@ fn subsumes_with(
 }
 
 /// Execute one request preferring the snapshot's warm state: index
-/// lookups for told subsumption, the stored classification for
-/// `classify`, and the epoch-shared
+/// lookups for told subsumption, the hierarchy read back from the
+/// index for `classify`, and the epoch-shared
 /// [`SatCache`](summa_dl::cache::SatCache) (plus index-assisted
 /// most-specific filtering) for realization. Falls back to
 /// [`execute`] — the cold conformance baseline — whenever the
 /// snapshot has no warm state or the op has no warm variant.
 ///
-/// `subsumes` and `realize` reach the index only through
+/// Every warm answer is built only from index rows that passed their
+/// checksums. `subsumes` and `realize` reach the index through
 /// `HierarchyIndex::subsumes`, which verifies the two rows it reads
-/// and answers `None` (so the pair is proved) when either fails its
-/// checksum. `classify` serves the whole stored hierarchy, so it
-/// checks the whole index first and goes cold if any row fails.
+/// and answers `None` (so the pair is proved) when either fails.
+/// `classify` reads every row through `HierarchyIndex::hierarchy` and
+/// goes cold if any row fails.
 ///
 /// Answer bodies are byte-identical to [`execute`] whenever both
-/// complete: the stored hierarchy and index bits are the subsumption
-/// closure the cold path's tableau computes (EL saturation, which
-/// warms an EL snapshot, computes the same closure), and the shared
-/// cache only replays checksummed prover verdicts. What may
+/// complete: the index bits are the subsumption closure the cold
+/// path's tableau computes (EL saturation, which warms an EL
+/// snapshot, computes the same closure), `classify` serializes it
+/// through the cold path's own serializer, and the shared cache only
+/// replays checksummed prover verdicts. What may
 /// legitimately differ is the header-only spend (and, under starved
 /// budgets, the outcome — which is why the server gates the warm path
 /// off for step-capped and fault-injected configurations).
@@ -353,10 +354,10 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            let Some(w) = snap.warm.as_ref().filter(|w| w.index.is_intact()) else {
+            let Some(h) = snap.warm.as_ref().and_then(|w| w.index.hierarchy()) else {
                 return execute(store, req, budget);
             };
-            // The stored hierarchy is the closure the cold path's
+            // The verified rows are the closure the cold path's
             // classifier computes, so the payload bytes are identical;
             // serving it costs one charged step.
             let mut meter = budget.meter();
@@ -364,7 +365,7 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
                 Ok(()) => ok_body(
                     OUTCOME_COMPLETED,
                     REASON_NONE,
-                    Some(hierarchy_payload(&w.hierarchy, &snap.voc)),
+                    Some(hierarchy_payload(&h, &snap.voc)),
                 ),
                 Err(i) => {
                     let (oc, rc) = interrupt_codes(i);
@@ -752,12 +753,23 @@ mod tests {
     #[test]
     fn warm_classify_and_realize_match_cold_bodies() {
         let s = store();
+        // A TBox with no atoms warms to a 0-atom, 0-word index.
+        let empty = s.install_axioms("empty", "").expect("parses");
+        let warm = empty.warm.as_ref().expect("the empty TBox warms");
+        assert_eq!(warm.index.len(), 0);
         for req in [
             Request::Classify {
                 snapshot: "vehicles".into(),
             },
             Request::Realize {
                 snapshot: "vehicles".into(),
+                abox: "beetle : car\n".into(),
+            },
+            Request::Classify {
+                snapshot: "empty".into(),
+            },
+            Request::Realize {
+                snapshot: "empty".into(),
                 abox: "beetle : car\n".into(),
             },
         ] {

@@ -4,18 +4,18 @@
 //! A [`Snapshot`] is immutable once installed: a name, the parsed
 //! [`TBox`], its [`Vocabulary`], the TBox fingerprint (the batching
 //! key), and the store **epoch** at install time. The store maps names
-//! to `Arc<Snapshot>`; a reload builds the new snapshot entirely
-//! off-lock, then swaps the `Arc` under a short write lock. Queries
-//! that resolved the old `Arc` keep reasoning against it — the old
-//! snapshot is freed when its last in-flight batch drops it. The epoch
-//! travels in every response header, so a client can tell which
+//! to `Arc<Snapshot>`; a reload builds the new snapshot off-lock, then
+//! draws its epoch and swaps the `Arc` under a short write lock.
+//! Queries that resolved the old `Arc` keep reasoning against it — the
+//! old snapshot is freed when its last in-flight batch drops it. The
+//! epoch travels in every response header, so a client can tell which
 //! generation of an ontology answered.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use summa_dl::cache::{tbox_fingerprint, SatCache};
-use summa_dl::classify::{ClassHierarchy, Classifier, Classify};
+use summa_dl::classify::{Classifier, Classify};
 use summa_dl::concept::Vocabulary;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::el::ElClassifier;
@@ -55,25 +55,24 @@ pub enum WarmEngine {
 }
 
 /// The warm-path state precomputed at snapshot install time: the full
-/// classification of the snapshot's TBox, its packed
-/// [`HierarchyIndex`], and the epoch-shared [`SatCache`] that
-/// fall-through prover queries share across requests and tenants.
-/// Dropped atomically with its snapshot generation on hot-swap — a
-/// stale index can never answer, because requests resolve the whole
-/// `Arc<Snapshot>` at execute time.
+/// classification of the snapshot's TBox, held once, as its packed
+/// [`HierarchyIndex`] (warm `classify` reads it back from the verified
+/// rows), and the epoch-shared [`SatCache`] that fall-through prover
+/// queries share across requests and tenants. Dropped atomically with
+/// its snapshot generation on hot-swap — a stale index can never
+/// answer, because requests resolve the whole `Arc<Snapshot>` at
+/// execute time.
 #[derive(Debug)]
 pub struct WarmState {
-    /// The completed classification (serialized verbatim for warm
-    /// `classify` answers).
-    pub hierarchy: ClassHierarchy,
-    /// Packed ancestor/descendant bitsets over the hierarchy's atoms.
+    /// The completed classification, packed into checksummed ancestor
+    /// rows over the hierarchy's atoms.
     pub index: HierarchyIndex,
     /// Shared per-(fingerprint, epoch) sat cache; entries are
     /// checksummed as in the resilience layer. Pre-warmed by a tableau
     /// classification, empty after EL saturation (which asks no
     /// satisfiability questions).
     pub cache: Arc<SatCache>,
-    /// The classifier that computed `hierarchy`.
+    /// The classifier that computed the indexed hierarchy.
     pub engine: WarmEngine,
 }
 
@@ -146,25 +145,25 @@ impl SnapshotStore {
         self.next_epoch.load(Ordering::SeqCst)
     }
 
-    /// Install (or replace) a snapshot. The snapshot — including its
-    /// warm classification index — is built entirely before the write
-    /// lock is taken; the lock only swaps one `Arc`.
+    /// Install (or replace) a snapshot. Its contents, warm index
+    /// included, are built before the write lock; the lock draws the
+    /// epoch and swaps one `Arc`, so racing installs of one name publish
+    /// in epoch order. The replaced generation is released off-lock.
     pub fn install(&self, name: &str, tbox: TBox, voc: Vocabulary) -> Arc<Snapshot> {
         let fingerprint = tbox_fingerprint(&tbox);
         let warm = build_warm(&tbox, &voc);
-        let epoch = self.next_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut by_name = self.by_name.write().unwrap_or_else(PoisonError::into_inner);
         let snap = Arc::new(Snapshot {
             name: name.to_string(),
-            epoch,
+            epoch: self.next_epoch.fetch_add(1, Ordering::SeqCst) + 1,
             fingerprint,
             tbox,
             voc,
             warm,
         });
-        self.by_name
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.to_string(), Arc::clone(&snap));
+        let replaced = by_name.insert(name.to_string(), Arc::clone(&snap));
+        drop(by_name);
+        drop(replaced);
         snap
     }
 
@@ -183,14 +182,15 @@ impl SnapshotStore {
 /// [`WarmState`]. The TBox's fragment picks the engine. A TBox that
 /// [`ElClassifier::new`] accepts is saturated under the step ceiling
 /// and the [`WARM_EL_WORDS`] memory ceiling, its read-out charged one
-/// step per named pair, and its shared cache starts empty. Any other TBox is classified by the tableau under the
-/// step ceiling, writing into the cache that becomes the snapshot's
-/// epoch-shared [`SatCache`], so the warm state ships pre-warmed. On an
-/// EL TBox both engines compute the same subsumption closure, so the
-/// hierarchy, and every body served from it, is the same either way.
-/// Returns `None` when classification did not complete or the
-/// hierarchy would not index (partial/unclosed) — the snapshot then
-/// serves cold.
+/// step per named pair, and its shared cache starts empty. Any other
+/// TBox is classified by the tableau under the step ceiling, writing
+/// into the cache that becomes the snapshot's epoch-shared
+/// [`SatCache`], so the warm state ships pre-warmed. On an EL TBox
+/// both engines compute the same subsumption closure, so the index,
+/// and every body served from it, is the same either way. The
+/// hierarchy itself is dropped once indexed. Returns `None` when
+/// classification did not complete or the hierarchy would not index
+/// (partial/unclosed) — the snapshot then serves cold.
 fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
     let cache = Arc::new(SatCache::new());
     let budget = Budget::new().with_steps(WARM_CLASSIFY_STEPS);
@@ -209,10 +209,8 @@ fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
     let Governed::Completed(hierarchy) = governed else {
         return None;
     };
-    let index = HierarchyIndex::build(&hierarchy)?;
     Some(WarmState {
-        hierarchy,
-        index,
+        index: HierarchyIndex::build(&hierarchy)?,
         cache,
         engine,
     })
@@ -284,7 +282,11 @@ mod tests {
         let v = store.get("vehicles").expect("vehicles");
         let warm = v.warm.as_ref().expect("warm built at install");
         assert!(warm.index.is_intact());
-        assert_eq!(warm.index.len(), warm.hierarchy.concepts().count());
+        let tableau = Classify::new(&v.tbox, &v.voc)
+            .run(&Budget::unlimited())
+            .governed
+            .expect_completed("vehicles classifies");
+        assert_eq!(Some(&warm.index), HierarchyIndex::build(&tableau).as_ref());
         // Outside EL the tableau classifies, pre-warming the shared cache.
         assert_eq!(warm.engine, WarmEngine::Tableau);
         assert!(warm.cache.stats().entries > 0);
@@ -311,7 +313,7 @@ mod tests {
             .run(&Budget::new().with_steps(WARM_CLASSIFY_STEPS))
             .governed
             .expect_completed("diamond(8) classifies");
-        assert_eq!(warm.hierarchy, tableau);
+        assert_eq!(Some(&warm.index), HierarchyIndex::build(&tableau).as_ref());
 
         let p = PaperVocab::new();
         for tbox in [vehicles_tbox_el(&p), animals_tbox_el(&p)] {
@@ -461,12 +463,13 @@ mod tests {
         let small = store.install_axioms("small", &text(100)).expect("parses");
         let warm = small.warm.as_ref().expect("101² pairs fit the ceiling");
         assert_eq!(warm.engine, WarmEngine::El);
-        assert_eq!(warm.hierarchy.n_pairs(), 101 * 101);
+        let read = warm.index.hierarchy().expect("intact");
+        assert_eq!(read.n_pairs(), 101 * 101);
         let tableau = Classify::new(&small.tbox, &small.voc)
             .run(&Budget::new().with_steps(WARM_CLASSIFY_STEPS))
             .governed
             .expect_completed("classifies");
-        assert_eq!(warm.hierarchy, tableau);
+        assert_eq!(Some(&warm.index), HierarchyIndex::build(&tableau).as_ref());
     }
 
     #[test]
@@ -481,5 +484,28 @@ mod tests {
         assert_eq!(new.tbox.len(), 2);
         assert!(new.epoch > old.epoch);
         assert_ne!(old.fingerprint, new.fingerprint);
+    }
+
+    /// Racing installs of one name publish in epoch order: once an
+    /// install returns, the name never reads back an older generation.
+    #[test]
+    fn racing_installs_of_one_name_never_publish_an_older_epoch() {
+        let store = SnapshotStore::new();
+        let (tbox, voc) = parse_tbox("a < b").expect("parses");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..2_000 {
+                        let mine = store.install("t", tbox.clone(), voc.clone()).epoch;
+                        let seen = store.get("t").expect("installed").epoch;
+                        assert!(seen >= mine, "installed epoch {mine}, read back {seen}");
+                    }
+                });
+            }
+        });
+        assert_eq!(store.get("t").expect("installed").epoch, 8_000);
+        assert_eq!(store.current_epoch(), 8_000);
     }
 }

