@@ -20,7 +20,10 @@ fn node_cap() -> Budget {
 }
 
 fn print_record() {
-    summa_bench::banner("A1 (ablation)", "absorption in the tableau, DESIGN.md §2 notes");
+    summa_bench::banner(
+        "A1 (ablation)",
+        "absorption in the tableau, DESIGN.md §2 notes",
+    );
     for &n in &[4usize, 6, 8] {
         let (voc, t, ids) = generate::random_el(n, 2, n, 3);
         let query = Concept::atom(ids[0]);

@@ -43,12 +43,7 @@ fn chain_context(n: usize) -> (Text, Context) {
     for i in 1..n {
         let prev = format!("p{}", i - 1);
         let cur = format!("p{i}");
-        ctx.add(Convention::new(
-            &format!("r{i}"),
-            [],
-            [prev.as_str()],
-            &cur,
-        ));
+        ctx.add(Convention::new(&format!("r{i}"), [], [prev.as_str()], &cur));
     }
     (text, ctx)
 }
@@ -63,11 +58,9 @@ fn bench(c: &mut Criterion) {
     });
     for &n in summa_bench::SWEEP_MEDIUM {
         let (t, ctx) = chain_context(n);
-        group.bench_with_input(
-            BenchmarkId::new("fixpoint_chain", n),
-            &n,
-            |bencher, _| bencher.iter(|| interpret(black_box(&t), black_box(&ctx))),
-        );
+        group.bench_with_input(BenchmarkId::new("fixpoint_chain", n), &n, |bencher, _| {
+            bencher.iter(|| interpret(black_box(&t), black_box(&ctx)))
+        });
     }
     group.finish();
 }

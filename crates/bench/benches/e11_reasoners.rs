@@ -52,47 +52,35 @@ fn bench(c: &mut Criterion) {
     // nontrivial per-query cost, so the sweep stays modest.
     for &n in &[8usize, 12, 16] {
         let (voc, t, _) = generate::random_el(n, 3, n * 2, 42);
-        group.bench_with_input(
-            BenchmarkId::new("el_classify", n),
-            &n,
-            |bencher, _| {
-                bencher.iter(|| {
-                    ElClassifier::new(black_box(&t), &voc)
-                        .expect("EL")
-                        .classify(&t, &voc)
-                        .expect("ok")
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("tableau_classify", n),
-            &n,
-            |bencher, _| {
-                bencher.iter(|| {
-                    Classify::new(black_box(&t), &voc)
-                        .run(&Budget::unlimited())
-                        .governed
-                        .expect_completed("ok")
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("el_classify", n), &n, |bencher, _| {
+            bencher.iter(|| {
+                ElClassifier::new(black_box(&t), &voc)
+                    .expect("EL")
+                    .classify(&t, &voc)
+                    .expect("ok")
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("tableau_classify", n), &n, |bencher, _| {
+            bencher.iter(|| {
+                Classify::new(black_box(&t), &voc)
+                    .run(&Budget::unlimited())
+                    .governed
+                    .expect_completed("ok")
+            })
+        });
     }
     // (b) The branching family: tableau only (cost explodes with n —
     // that explosion is the measurement).
     for &n in &[3usize, 4, 5] {
         let (voc, concept) = generate::hard_alc(n);
-        group.bench_with_input(
-            BenchmarkId::new("tableau_hard_alc", n),
-            &n,
-            |bencher, _| {
-                bencher.iter(|| {
-                    // A fresh reasoner each time: no cache effects.
-                    let mut r = Tableau::new(&TBox::new(), &voc);
-                    r.is_satisfiable_governed(black_box(&concept), &Budget::new().with_memory(20_000))
-                        .expect_completed("within the node cap")
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("tableau_hard_alc", n), &n, |bencher, _| {
+            bencher.iter(|| {
+                // A fresh reasoner each time: no cache effects.
+                let mut r = Tableau::new(&TBox::new(), &voc);
+                r.is_satisfiable_governed(black_box(&concept), &Budget::new().with_memory(20_000))
+                    .expect_completed("within the node cap")
+            })
+        });
     }
     group.finish();
 }

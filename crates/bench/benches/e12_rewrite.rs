@@ -62,9 +62,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("peano_addition_nf", n),
             &n,
-            |bencher, _| {
-                bencher.iter(|| rs.normal_form(black_box(&t), 1_000_000).expect("ok"))
-            },
+            |bencher, _| bencher.iter(|| rs.normal_form(black_box(&t), 1_000_000).expect("ok")),
         );
     }
     group.bench_function("critical_pairs", |b| {

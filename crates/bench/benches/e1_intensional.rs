@@ -20,8 +20,14 @@ fn print_record() {
     w1.place(b, 0, 1);
     let space = WorldSpace::structured(vec![w0, w1]);
     let above = IntensionalRelation::aboveness("above", &dom, &space).expect("structured");
-    println!("  (1) [above](w0) = {}", above.at(0).expect("w0").render(&dom));
-    println!("  (3) [above](w1) = {}", above.at(1).expect("w1").render(&dom));
+    println!(
+        "  (1) [above](w0) = {}",
+        above.at(0).expect("w0").render(&dom)
+    );
+    println!(
+        "  (3) [above](w1) = {}",
+        above.at(1).expect("w1").render(&dom)
+    );
     println!(
         "  rigid: {}, distinct extensions: {}",
         above.is_rigid(),
@@ -34,9 +40,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e1_intensional");
     for &n_blocks in &[2usize, 3, 4] {
         let mut dom = Domain::new();
-        let blocks: Vec<Elem> = (0..n_blocks)
-            .map(|i| dom.elem(&format!("b{i}")))
-            .collect();
+        let blocks: Vec<Elem> = (0..n_blocks).map(|i| dom.elem(&format!("b{i}"))).collect();
         let space = WorldSpace::enumerate_blocks(&blocks, 2, 2);
         group.bench_with_input(
             BenchmarkId::new("aboveness_over_enumerated_worlds", n_blocks),

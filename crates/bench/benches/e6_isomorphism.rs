@@ -40,13 +40,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e6_isomorphism");
     group.bench_function("car_dog_check", |b| {
         b.iter(|| {
-            structurally_indistinguishable(
-                black_box(&v),
-                p.car,
-                black_box(&a),
-                p.dog,
-                &p.voc,
-            )
+            structurally_indistinguishable(black_box(&v), p.car, black_box(&a), p.dog, &p.voc)
         })
     });
     group.bench_function("all_pairs_4_vs_8", |b| {

@@ -34,13 +34,9 @@ fn bench(c: &mut Criterion) {
     // the record above up to n=5.
     for &n in &[2usize, 3, 4] {
         let (voc, t) = symmetric_family(n);
-        group.bench_with_input(
-            BenchmarkId::new("count_collapses", n),
-            &n,
-            |bencher, _| {
-                bencher.iter(|| count_internal_collapses(black_box(&t), black_box(&voc), 8))
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("count_collapses", n), &n, |bencher, _| {
+            bencher.iter(|| count_internal_collapses(black_box(&t), black_box(&voc), 8))
+        });
         group.bench_with_input(
             BenchmarkId::new("differentiate_greedily", n),
             &n,

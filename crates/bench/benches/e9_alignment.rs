@@ -75,9 +75,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("synthetic_alignment", n),
             &n,
-            |bencher, _| {
-                bencher.iter(|| Alignment::between(black_box(&space), &f1, &f2))
-            },
+            |bencher, _| bencher.iter(|| Alignment::between(black_box(&space), &f1, &f2)),
         );
     }
     group.finish();

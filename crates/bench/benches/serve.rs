@@ -132,11 +132,7 @@ fn run_lane(
     let registry = server.telemetry().registry();
     let mut phase_p50_ns = [0u64; 4];
     for (i, p) in PHASES.iter().enumerate() {
-        let h = registry.histogram(&format!(
-            "serve.phase.{}.{}",
-            p.name(),
-            Op::Subsumes.name()
-        ));
+        let h = registry.histogram(&format!("serve.phase.{}.{}", p.name(), Op::Subsumes.name()));
         phase_p50_ns[i] = h.quantile_ns(0.50);
     }
 
@@ -209,7 +205,11 @@ fn main() {
         );
         let mut phase_cols = String::new();
         for (i, p) in PHASES.iter().enumerate() {
-            print!("      phase {:<11} p50 {} ns", p.name(), lane.phase_p50_ns[i]);
+            print!(
+                "      phase {:<11} p50 {} ns",
+                p.name(),
+                lane.phase_p50_ns[i]
+            );
             println!();
             write!(
                 phase_cols,

@@ -88,9 +88,15 @@ mod tests {
     fn iso8601_matches_known_instants() {
         assert_eq!(super::iso8601_from_unix(0), "1970-01-01T00:00:00Z");
         // 2000-02-29 (leap day) 12:34:56 UTC.
-        assert_eq!(super::iso8601_from_unix(951_827_696), "2000-02-29T12:34:56Z");
+        assert_eq!(
+            super::iso8601_from_unix(951_827_696),
+            "2000-02-29T12:34:56Z"
+        );
         // 2038-01-19T03:14:07Z, the 32-bit rollover instant.
-        assert_eq!(super::iso8601_from_unix(2_147_483_647), "2038-01-19T03:14:07Z");
+        assert_eq!(
+            super::iso8601_from_unix(2_147_483_647),
+            "2038-01-19T03:14:07Z"
+        );
     }
 
     #[test]

@@ -117,7 +117,9 @@ impl Artifact {
                 ..
             } => Some((constants.clone(), functions.clone(), predicates.clone())),
             Artifact::AxiomSet { lang, .. } => Some((
-                lang.constants().map(|c| lang.constant_name(c).to_string()).collect(),
+                lang.constants()
+                    .map(|c| lang.constant_name(c).to_string())
+                    .collect(),
                 vec![],
                 lang.predicates()
                     .map(|p| (lang.predicate_name(p).to_string(), lang.arity(p)))
@@ -129,7 +131,11 @@ impl Artifact {
                 tbox.atoms()
                     .iter()
                     .map(|&a| (voc.concept_name(a).to_string(), 1))
-                    .chain(tbox.roles().iter().map(|&r| (voc.role_name(r).to_string(), 2)))
+                    .chain(
+                        tbox.roles()
+                            .iter()
+                            .map(|&r| (voc.role_name(r).to_string(), 2)),
+                    )
                     .collect(),
             )),
             _ => None,

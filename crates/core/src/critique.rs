@@ -7,7 +7,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_guard::{Budget, Governed, Interrupt, Meter, Spend};
-use summa_hermeneutic::prelude::{all_contexts, encoding_loss, interpret, trespassers_sign, MeaningVariance};
+use summa_hermeneutic::prelude::{
+    all_contexts, encoding_loss, interpret, trespassers_sign, MeaningVariance,
+};
 use summa_lexfield::prelude::{age_adjectives_dataset, doorknob_dataset, Alignment};
 use summa_structure::prelude::{
     find_isomorphic_pairs_metered, structurally_indistinguishable_metered,
@@ -73,11 +75,7 @@ pub fn syntactic_critique_governed(budget: &Budget) -> Governed<AdmissionMatrix>
 /// deadline/cancellation checkpoint runs *before* the judge so an
 /// expired envelope stops the matrix between cells rather than
 /// mid-judge.
-fn judge_cell(
-    d: &dyn Definition,
-    a: &Artifact,
-    meter: &mut Meter,
-) -> Result<Judgment, Interrupt> {
+fn judge_cell(d: &dyn Definition, a: &Artifact, meter: &mut Meter) -> Result<Judgment, Interrupt> {
     meter.charge(1)?;
     meter.checkpoint()?;
     let _span = meter
@@ -197,9 +195,9 @@ fn semantic_critique_metered(meter: &mut Meter) -> Result<SemanticReport, Interr
         .iter()
         .map(|(a, b)| Alignment::between(&age.space, a, b).total_ambiguity())
         .sum();
-    let age_divisions_all_differ = pairings.iter().all(|(a, b)| {
-        !summa_lexfield::field::same_division(&age.space, a, b)
-    });
+    let age_divisions_all_differ = pairings
+        .iter()
+        .all(|(a, b)| !summa_lexfield::field::same_division(&age.space, a, b));
 
     Ok(SemanticReport {
         car_equals_dog,
@@ -273,7 +271,12 @@ mod tests {
         let m = syntactic_critique();
         // The paper: "many things, from a C program to a very well
         // structured grocery list, to a tax return form would qualify."
-        for artifact in ["grocery list", "C program", "tax return form", "tautology set"] {
+        for artifact in [
+            "grocery list",
+            "C program",
+            "tax return form",
+            "tautology set",
+        ] {
             assert!(
                 m.admitted(artifact, "Guarino (abstracted)"),
                 "{artifact} must qualify once the language is abstracted"
@@ -317,8 +320,7 @@ mod tests {
 
     #[test]
     fn governed_matrix_records_spend_per_cell() {
-        let m = syntactic_critique_governed(&Budget::unlimited())
-            .expect_completed("unlimited");
+        let m = syntactic_critique_governed(&Budget::unlimited()).expect_completed("unlimited");
         assert_eq!(m.unknown_count(), 0);
         for row in &m.cells {
             for j in row {
@@ -376,9 +378,6 @@ mod tests {
         assert!(semantic_critique_governed(&Budget::unlimited()).is_completed());
         assert!(pragmatic_critique_governed(&Budget::unlimited()).is_completed());
         let starved = semantic_critique_governed(&Budget::new().with_steps(3));
-        assert!(matches!(
-            starved,
-            Governed::Exhausted { partial: None, .. }
-        ));
+        assert!(matches!(starved, Governed::Exhausted { partial: None, .. }));
     }
 }

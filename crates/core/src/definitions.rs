@@ -2,9 +2,7 @@
 //! machine-checkable admission judges.
 
 use crate::corpus::Artifact;
-use summa_intensional::commitment::{
-    judge_ontonomy, AdmissionLevel, OntologicalCommitment,
-};
+use summa_intensional::commitment::{judge_ontonomy, AdmissionLevel, OntologicalCommitment};
 use summa_intensional::model::{enumerate_models, ExtModel};
 use summa_intensional::world::WorldSpace;
 
@@ -206,9 +204,7 @@ impl Definition for GuarinoDefinition {
 
     fn admits(&self, artifact: &Artifact, _telos: Option<Telos>) -> Judgment {
         let Some((lang, domain, axioms)) = artifact.as_axioms() else {
-            return Judgment::rejected(
-                "no logical reading: the definition needs a set of axioms",
-            );
+            return Judgment::rejected("no logical reading: the definition needs a set of axioms");
         };
         // The commitment: a single intended world whose model is the
         // first model of the axioms themselves (the designer's intent
@@ -233,7 +229,14 @@ impl Definition for GuarinoDefinition {
             Ok(k) => k,
             Err(e) => return Judgment::undecidable(format!("commitment construction: {e}")),
         };
-        match judge_ontonomy(&lang, &domain, &commitment, &axioms, self.level, MODEL_BUDGET) {
+        match judge_ontonomy(
+            &lang,
+            &domain,
+            &commitment,
+            &axioms,
+            self.level,
+            MODEL_BUDGET,
+        ) {
             Ok(j) if j.admitted => Judgment::admitted(format!(
                 "{} of {} models intended-compatible ({} models total)",
                 j.n_shared, j.n_intended, j.n_models

@@ -59,8 +59,7 @@ pub mod substrates {
 pub mod prelude {
     pub use crate::corpus::{standard_corpus, Artifact};
     pub use crate::critique::{
-        pragmatic_critique, semantic_critique, syntactic_critique, PragmaticReport,
-        SemanticReport,
+        pragmatic_critique, semantic_critique, syntactic_critique, PragmaticReport, SemanticReport,
     };
     pub use crate::definitions::{
         standard_definitions, AiDefinition, BcmDefinition, Definition, GruberDefinition,

@@ -174,11 +174,7 @@ impl SatCache {
         let mut out = CacheStats::default();
         for s in &self.shards {
             out.corruptions += s.corruptions.load(Ordering::Relaxed);
-            out.entries += s
-                .map
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len();
+            out.entries += s.map.read().unwrap_or_else(PoisonError::into_inner).len();
         }
         out
     }

@@ -530,7 +530,10 @@ mod tests {
             }
             abox
         };
-        assert_eq!(abox_fingerprint(&build(false)), abox_fingerprint(&build(true)));
+        assert_eq!(
+            abox_fingerprint(&build(false)),
+            abox_fingerprint(&build(true))
+        );
 
         let mut other = build(false);
         let a = other.individual("a");

@@ -322,10 +322,7 @@ fn classify_row(
             }
             // Negative pruning: a refuted told-superconcept of the
             // candidate refutes the candidate.
-            if told.closure[j]
-                .iter()
-                .any(|&s| decided[s] == Some(false))
-            {
+            if told.closure[j].iter().any(|&s| decided[s] == Some(false)) {
                 decided[j] = Some(false);
                 charge_pruned(meter, &mut stats)?;
                 continue;
@@ -623,10 +620,7 @@ pub fn classify_brute_force_governed(
     for &sub in &atoms {
         let mut set = BTreeSet::new();
         for &sup in &atoms {
-            let query = Concept::and(vec![
-                Concept::atom(sub),
-                Concept::not(Concept::atom(sup)),
-            ]);
+            let query = Concept::and(vec![Concept::atom(sub), Concept::not(Concept::atom(sup))]);
             stats.sat_tests += 1;
             stats.cells += 1;
             meter.count("dl.classify.sat_tests", 1);
@@ -793,8 +787,7 @@ mod tests {
     fn enhanced_matches_brute_force_with_fewer_sat_calls() {
         let (voc, t, _) = chain_tbox();
         let budget = Budget::unlimited();
-        let (brute, bs) =
-            classify_brute_force_governed(&mut Tableau::new(&t, &voc), &t, &budget);
+        let (brute, bs) = classify_brute_force_governed(&mut Tableau::new(&t, &voc), &t, &budget);
         let ClassifyRun {
             governed: enhanced,
             stats: es,
@@ -837,8 +830,7 @@ mod tests {
         assert_eq!(es.pruned, 4);
         // Unsatisfiable concepts subsume under everything.
         assert!(h.subsumes(a, b) && h.subsumes(b, a));
-        let (brute, _) =
-            classify_brute_force_governed(&mut Tableau::new(&t, &voc), &t, &budget);
+        let (brute, _) = classify_brute_force_governed(&mut Tableau::new(&t, &voc), &t, &budget);
         assert_eq!(h, brute.expect_completed("unlimited"));
     }
 

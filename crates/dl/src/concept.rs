@@ -664,20 +664,12 @@ impl Interner {
             CNode::Bottom => Concept::Bottom,
             CNode::Atom(a) => Concept::Atom(*a),
             CNode::Not(x) => Concept::Not(Box::new(self.externalize(*x))),
-            CNode::And(xs) => {
-                Concept::And(xs.iter().map(|&x| self.externalize(x)).collect())
-            }
-            CNode::Or(xs) => {
-                Concept::Or(xs.iter().map(|&x| self.externalize(x)).collect())
-            }
+            CNode::And(xs) => Concept::And(xs.iter().map(|&x| self.externalize(x)).collect()),
+            CNode::Or(xs) => Concept::Or(xs.iter().map(|&x| self.externalize(x)).collect()),
             CNode::Exists(r, x) => Concept::Exists(*r, Box::new(self.externalize(*x))),
             CNode::Forall(r, x) => Concept::Forall(*r, Box::new(self.externalize(*x))),
-            CNode::AtLeast(n, r, x) => {
-                Concept::AtLeast(*n, *r, Box::new(self.externalize(*x)))
-            }
-            CNode::AtMost(n, r, x) => {
-                Concept::AtMost(*n, *r, Box::new(self.externalize(*x)))
-            }
+            CNode::AtLeast(n, r, x) => Concept::AtLeast(*n, *r, Box::new(self.externalize(*x))),
+            CNode::AtMost(n, r, x) => Concept::AtMost(*n, *r, Box::new(self.externalize(*x))),
         }
     }
 
@@ -968,9 +960,7 @@ mod tests {
         match c {
             Concept::And(parts) => {
                 assert_eq!(parts.len(), 2);
-                assert!(parts
-                    .iter()
-                    .any(|p| matches!(p, Concept::AtLeast(4, _, _))));
+                assert!(parts.iter().any(|p| matches!(p, Concept::AtLeast(4, _, _))));
                 assert!(parts.iter().any(|p| matches!(p, Concept::AtMost(4, _, _))));
             }
             other => panic!("expected conjunction, got {other:?}"),
@@ -980,10 +970,7 @@ mod tests {
     #[test]
     fn size_depth_atoms_roles() {
         let (_v, a, b, r) = voc();
-        let c = Concept::exists(
-            r,
-            Concept::and(vec![Concept::atom(a), Concept::atom(b)]),
-        );
+        let c = Concept::exists(r, Concept::and(vec![Concept::atom(a), Concept::atom(b)]));
         assert_eq!(c.size(), 4);
         assert_eq!(c.role_depth(), 1);
         assert_eq!(c.atoms().len(), 2);
@@ -1003,10 +990,7 @@ mod tests {
     #[test]
     fn display_round_trip_shape() {
         let (v, a, b, r) = voc();
-        let c = Concept::and(vec![
-            Concept::atom(a),
-            Concept::exists(r, Concept::atom(b)),
-        ]);
+        let c = Concept::and(vec![Concept::atom(a), Concept::exists(r, Concept::atom(b))]);
         let s = format!("{}", c.display(&v));
         assert!(s.contains('A') && s.contains("∃r.B"));
     }

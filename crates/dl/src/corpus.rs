@@ -273,8 +273,16 @@ mod tests {
         let p = PaperVocab::new();
         let t = vehicles_tbox(&p);
         let mut r = Tableau::new(&t, &p.voc);
-        assert!(subsumes(&mut r, &Concept::atom(p.motorvehicle), &Concept::atom(p.car)));
-        assert!(subsumes(&mut r, &Concept::atom(p.roadvehicle), &Concept::atom(p.car)));
+        assert!(subsumes(
+            &mut r,
+            &Concept::atom(p.motorvehicle),
+            &Concept::atom(p.car)
+        ));
+        assert!(subsumes(
+            &mut r,
+            &Concept::atom(p.roadvehicle),
+            &Concept::atom(p.car)
+        ));
         // And through the chain, a car uses gasoline.
         assert!(subsumes(
             &mut r,
@@ -288,8 +296,16 @@ mod tests {
         let p = PaperVocab::new();
         let t = animals_tbox(&p);
         let mut r = Tableau::new(&t, &p.voc);
-        assert!(subsumes(&mut r, &Concept::atom(p.animal), &Concept::atom(p.dog)));
-        assert!(subsumes(&mut r, &Concept::atom(p.quadruped), &Concept::atom(p.horse)));
+        assert!(subsumes(
+            &mut r,
+            &Concept::atom(p.animal),
+            &Concept::atom(p.dog)
+        ));
+        assert!(subsumes(
+            &mut r,
+            &Concept::atom(p.quadruped),
+            &Concept::atom(p.horse)
+        ));
         assert!(subsumes(
             &mut r,
             &Concept::exists(p.ingests, Concept::atom(p.food)),
@@ -303,12 +319,24 @@ mod tests {
         // Before the repair, quadruped ⋢ animal.
         let before = animals_tbox(&p);
         let mut r0 = Tableau::new(&before, &p.voc);
-        assert!(!subsumes(&mut r0, &Concept::atom(p.animal), &Concept::atom(p.quadruped)));
+        assert!(!subsumes(
+            &mut r0,
+            &Concept::atom(p.animal),
+            &Concept::atom(p.quadruped)
+        ));
         // After, it holds, and dogs remain animals through it.
         let after = animals_tbox_repaired(&p);
         let mut r1 = Tableau::new(&after, &p.voc);
-        assert!(subsumes(&mut r1, &Concept::atom(p.animal), &Concept::atom(p.quadruped)));
-        assert!(subsumes(&mut r1, &Concept::atom(p.animal), &Concept::atom(p.dog)));
+        assert!(subsumes(
+            &mut r1,
+            &Concept::atom(p.animal),
+            &Concept::atom(p.quadruped)
+        ));
+        assert!(subsumes(
+            &mut r1,
+            &Concept::atom(p.animal),
+            &Concept::atom(p.dog)
+        ));
     }
 
     #[test]

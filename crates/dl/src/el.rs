@@ -914,10 +914,7 @@ mod tests {
         let b = voc.concept("B");
         let r = voc.role("r");
         let mut t = TBox::new();
-        t.equiv(
-            Concept::atom(a),
-            Concept::exists(r, Concept::atom(b)),
-        );
+        t.equiv(Concept::atom(a), Concept::exists(r, Concept::atom(b)));
         let c = voc.concept("C");
         t.subsume(Concept::atom(c), Concept::exists(r, Concept::atom(b)));
         let mut el = ElClassifier::new(&t, &voc).unwrap();
@@ -1091,7 +1088,11 @@ mod tests {
         let mut el = ElClassifier::new(&t, &voc).expect("in fragment");
         el.saturate();
         let Checkpoint { state, .. } = el.checkpoint(7);
-        let CheckpointState::ElSaturation { subsumers, mut edges } = state else {
+        let CheckpointState::ElSaturation {
+            subsumers,
+            mut edges,
+        } = state
+        else {
             unreachable!("an EL checkpoint");
         };
         // The derived A →r B round-trips; A →r A is forged.

@@ -16,7 +16,10 @@ pub enum DlError {
         offset: usize,
     },
     /// The TBox is outside the fragment a reasoner supports.
-    OutsideFragment { reasoner: &'static str, detail: String },
+    OutsideFragment {
+        reasoner: &'static str,
+        detail: String,
+    },
 }
 
 impl fmt::Display for DlError {

@@ -79,7 +79,12 @@ pub fn diamond(depth: usize) -> (Vocabulary, TBox, Vec<ConceptId>) {
 /// A random EL TBox: `n` named concepts, `n_roles` roles, `m` axioms,
 /// each of the form `A ⊑ B`, `A ⊑ B ⊓ C`, or `A ⊑ ∃r.B` with equal
 /// probability. Always EL, usually coherent.
-pub fn random_el(n: usize, n_roles: usize, m: usize, seed: u64) -> (Vocabulary, TBox, Vec<ConceptId>) {
+pub fn random_el(
+    n: usize,
+    n_roles: usize,
+    m: usize,
+    seed: u64,
+) -> (Vocabulary, TBox, Vec<ConceptId>) {
     let mut rng = SplitMix64::new(seed);
     let mut voc = Vocabulary::new();
     let ids: Vec<ConceptId> = (0..n).map(|i| voc.concept(&format!("A{i}"))).collect();
@@ -154,10 +159,7 @@ pub fn hard_alc(n: usize) -> (Vocabulary, Concept) {
 /// classification workload of the governance and parallelism suites.
 /// Returns the vocabulary, the TBox, and the `n_probes` probe atoms
 /// whose classification rows carry the hard queries.
-pub fn pigeonhole_tbox(
-    holes: usize,
-    n_probes: usize,
-) -> (Vocabulary, TBox, Vec<ConceptId>) {
+pub fn pigeonhole_tbox(holes: usize, n_probes: usize) -> (Vocabulary, TBox, Vec<ConceptId>) {
     let pigeons = holes + 1;
     let mut voc = Vocabulary::new();
     let mut t = TBox::new();

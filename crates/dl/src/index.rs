@@ -182,10 +182,7 @@ mod tests {
     use crate::corpus::{vehicles_tbox, PaperVocab};
     use summa_guard::Budget;
 
-    fn classified(
-        tbox: &crate::tbox::TBox,
-        voc: &crate::concept::Vocabulary,
-    ) -> ClassHierarchy {
+    fn classified(tbox: &crate::tbox::TBox, voc: &crate::concept::Vocabulary) -> ClassHierarchy {
         crate::classify::Classify::new(tbox, voc)
             .run(&Budget::unlimited())
             .governed

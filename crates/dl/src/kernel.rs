@@ -451,8 +451,7 @@ fn sorted_in_sync(st: &State, it: &Interner) -> bool {
     st.nodes.iter().all(|n| {
         n.sorted.len() == n.label.len()
             && n.sorted.iter().all(|c| n.label.contains(c))
-            && n
-                .sorted
+            && n.sorted
                 .windows(2)
                 .all(|w| it.cmp_structural(w[0], w[1]) == std::cmp::Ordering::Less)
     })
@@ -586,11 +585,10 @@ impl Tableau {
                         if s.st.is_blocked(x) {
                             continue;
                         }
-                        let has = s
-                            .st
-                            .successors(x, r)
-                            .into_iter()
-                            .any(|y| s.st.nodes[y].label.contains(&d));
+                        let has =
+                            s.st.successors(x, r)
+                                .into_iter()
+                                .any(|y| s.st.nodes[y].label.contains(&d));
                         if !has {
                             self.kernel_spawn(s, x, r, [d], meter, "dl.rule.exists")?;
                             note_skips(meter, skipped);
@@ -603,12 +601,11 @@ impl Tableau {
                         if s.st.is_blocked(x) {
                             continue;
                         }
-                        let with_d: Vec<usize> = s
-                            .st
-                            .successors(x, r)
-                            .into_iter()
-                            .filter(|&y| s.st.nodes[y].label.contains(&d))
-                            .collect();
+                        let with_d: Vec<usize> =
+                            s.st.successors(x, r)
+                                .into_iter()
+                                .filter(|&y| s.st.nodes[y].label.contains(&d))
+                                .collect();
                         // Count a maximal pairwise-distinct subset
                         // conservatively: all current ones are candidates.
                         if (with_d.len() as u32) < k {

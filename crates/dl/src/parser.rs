@@ -367,11 +367,7 @@ mod tests {
     #[test]
     fn parses_paper_structure_four() {
         let mut v = Vocabulary::new();
-        let ax = parse_axiom(
-            "car < motorvehicle & roadvehicle & some size.small",
-            &mut v,
-        )
-        .unwrap();
+        let ax = parse_axiom("car < motorvehicle & roadvehicle & some size.small", &mut v).unwrap();
         let mut t = TBox::new();
         t.add(ax);
         assert_eq!(t.len(), 1);

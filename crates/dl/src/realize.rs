@@ -348,9 +348,7 @@ fn most_specific_of_set(
             if d == c {
                 continue;
             }
-            let indexed = index.and_then(|idx| {
-                Some((idx.subsumes(c, d)?, idx.subsumes(d, c)?))
-            });
+            let indexed = index.and_then(|idx| Some((idx.subsumes(c, d)?, idx.subsumes(d, c)?)));
             let (c_subsumes_d, d_subsumes_c) = match indexed {
                 Some(pair) => {
                     meter.charge(1)?;

@@ -477,7 +477,11 @@ impl Tableau {
 
     /// Metered satisfiability for composite services (classification,
     /// realization) that share one [`Meter`] across many inner calls.
-    pub fn sat_metered(&mut self, c: &Concept, meter: &mut Meter) -> std::result::Result<bool, Interrupt> {
+    pub fn sat_metered(
+        &mut self,
+        c: &Concept,
+        meter: &mut Meter,
+    ) -> std::result::Result<bool, Interrupt> {
         let h = self.interner.intern(c);
         let nnf = self.interner.nnf(h);
         if let Some(&r) = self.cache.get(&nnf) {
@@ -1060,7 +1064,10 @@ mod tests {
         let (mut voc, tbox) = setup();
         let a = Concept::atom(voc.concept("A"));
         let mut t = Tableau::new(&tbox, &voc);
-        assert!(!sat(&mut t, &Concept::and(vec![a.clone(), Concept::not(a)])));
+        assert!(!sat(
+            &mut t,
+            &Concept::and(vec![a.clone(), Concept::not(a)])
+        ));
     }
 
     #[test]
@@ -1097,10 +1104,7 @@ mod tests {
         assert!(!sat(&mut t, &c));
         // ∃r.A ⊓ ∀r.B is satisfiable.
         let b = Concept::atom(voc.concept("B"));
-        let d = Concept::and(vec![
-            Concept::exists(r, a),
-            Concept::forall(r, b),
-        ]);
+        let d = Concept::and(vec![Concept::exists(r, a), Concept::forall(r, b)]);
         assert!(sat(&mut t, &d));
     }
 
@@ -1235,7 +1239,12 @@ mod tests {
         abox.assert_concept(socrates, man.clone());
         assert!(consistent(&mut t, &abox));
         assert!(instance(&mut t, &abox, socrates, &mortal));
-        assert!(!instance(&mut t, &abox, socrates, &Concept::not(mortal.clone())));
+        assert!(!instance(
+            &mut t,
+            &abox,
+            socrates,
+            &Concept::not(mortal.clone())
+        ));
         // Assert the contradiction directly: inconsistent.
         abox.assert_concept(socrates, Concept::not(mortal));
         assert!(!consistent(&mut t, &abox));
@@ -1374,6 +1383,9 @@ mod tests {
         let mut t = Tableau::new(&tbox, &voc);
         assert!(sat(&mut t, &a));
         assert!(sat(&mut t, &a)); // cached
-        assert!(!sat(&mut t, &Concept::and(vec![a.clone(), Concept::not(a)])));
+        assert!(!sat(
+            &mut t,
+            &Concept::and(vec![a.clone(), Concept::not(a)])
+        ));
     }
 }

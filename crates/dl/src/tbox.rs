@@ -21,14 +21,12 @@ impl Axiom {
     pub fn to_gcis(&self) -> Vec<(Concept, Concept)> {
         match self {
             Axiom::Subsume { lhs, rhs } => vec![(lhs.clone(), rhs.clone())],
-            Axiom::Equiv { lhs, rhs } => vec![
-                (lhs.clone(), rhs.clone()),
-                (rhs.clone(), lhs.clone()),
-            ],
-            Axiom::Disjoint { a, b } => vec![(
-                Concept::and(vec![a.clone(), b.clone()]),
-                Concept::Bottom,
-            )],
+            Axiom::Equiv { lhs, rhs } => {
+                vec![(lhs.clone(), rhs.clone()), (rhs.clone(), lhs.clone())]
+            }
+            Axiom::Disjoint { a, b } => {
+                vec![(Concept::and(vec![a.clone(), b.clone()]), Concept::Bottom)]
+            }
         }
     }
 }

@@ -40,18 +40,16 @@ fn arb_concept(depth: usize) -> BoxedStrategy<Concept> {
         prop_oneof![
             leaf,
             inner.clone().prop_map(Concept::not),
-            proptest::collection::vec(arb_concept(depth - 1), 2..4)
-                .prop_map(Concept::and),
-            proptest::collection::vec(arb_concept(depth - 1), 2..4)
-                .prop_map(Concept::or),
-            (0u32..2, inner.clone())
-                .prop_map(|(r, c)| Concept::exists(RoleId(r), c)),
-            (0u32..2, inner.clone())
-                .prop_map(|(r, c)| Concept::forall(RoleId(r), c)),
-            (0u32..3, 0u32..2, inner.clone())
-                .prop_map(|(n, r, c)| Concept::at_least(n, RoleId(r), c)),
-            (0u32..3, 0u32..2, inner)
-                .prop_map(|(n, r, c)| Concept::at_most(n, RoleId(r), c)),
+            proptest::collection::vec(arb_concept(depth - 1), 2..4).prop_map(Concept::and),
+            proptest::collection::vec(arb_concept(depth - 1), 2..4).prop_map(Concept::or),
+            (0u32..2, inner.clone()).prop_map(|(r, c)| Concept::exists(RoleId(r), c)),
+            (0u32..2, inner.clone()).prop_map(|(r, c)| Concept::forall(RoleId(r), c)),
+            (0u32..3, 0u32..2, inner.clone()).prop_map(|(n, r, c)| Concept::at_least(
+                n,
+                RoleId(r),
+                c
+            )),
+            (0u32..3, 0u32..2, inner).prop_map(|(n, r, c)| Concept::at_most(n, RoleId(r), c)),
         ]
         .boxed()
     }

@@ -305,43 +305,44 @@ where
     // deterministic backoff, and quarantine after MAX_ATTEMPTS.
     // Returns `Err` only for meter interrupts — a quarantined cell is
     // `Ok` so the worker keeps draining.
-    let supervise = |w: usize, state: &mut S, meter: &mut Meter, idx: usize| -> Result<(), Interrupt> {
-        let tracer = meter.tracer().clone();
-        loop {
-            let attempt = attempts[idx].fetch_add(1, Ordering::Relaxed) + 1;
-            let mark = meter.mark();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                meter.fault_point("exec.task")?;
-                f(state, meter, idx, &items[idx])
-            }));
-            match outcome {
-                Ok(Ok(r)) => {
-                    *lock_recover(&slots[idx]) = Some(r);
-                    return Ok(());
-                }
-                Ok(Err(interrupt)) => return Err(interrupt),
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    meter.rollback_to(&mark);
-                    // The scratch may have been abandoned mid-update;
-                    // rebuild it before touching another cell.
-                    *state = init(w);
-                    if attempt >= MAX_ATTEMPTS {
-                        tracer.add("exec.quarantine", 1);
-                        lock_recover(&quarantine).push(Quarantined {
-                            index: idx,
-                            attempts: attempt,
-                            panic: msg,
-                        });
+    let supervise =
+        |w: usize, state: &mut S, meter: &mut Meter, idx: usize| -> Result<(), Interrupt> {
+            let tracer = meter.tracer().clone();
+            loop {
+                let attempt = attempts[idx].fetch_add(1, Ordering::Relaxed) + 1;
+                let mark = meter.mark();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    meter.fault_point("exec.task")?;
+                    f(state, meter, idx, &items[idx])
+                }));
+                match outcome {
+                    Ok(Ok(r)) => {
+                        *lock_recover(&slots[idx]) = Some(r);
                         return Ok(());
                     }
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    tracer.add("exec.retry", 1);
-                    backoff(backoff_seed, idx as u64, attempt as u64);
+                    Ok(Err(interrupt)) => return Err(interrupt),
+                    Err(payload) => {
+                        let msg = panic_message(payload);
+                        meter.rollback_to(&mark);
+                        // The scratch may have been abandoned mid-update;
+                        // rebuild it before touching another cell.
+                        *state = init(w);
+                        if attempt >= MAX_ATTEMPTS {
+                            tracer.add("exec.quarantine", 1);
+                            lock_recover(&quarantine).push(Quarantined {
+                                index: idx,
+                                attempts: attempt,
+                                panic: msg,
+                            });
+                            return Ok(());
+                        }
+                        retries.fetch_add(1, Ordering::Relaxed);
+                        tracer.add("exec.retry", 1);
+                        backoff(backoff_seed, idx as u64, attempt as u64);
+                    }
                 }
             }
-        }
-    };
+        };
 
     let run_worker = |w: usize| -> Spend {
         let tracer = shared.tracer().clone();
@@ -458,7 +459,9 @@ where
         }
     }
 
-    let quarantined = quarantine.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let quarantined = quarantine
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     // Pooled steps / wall-clock elapsed / peak come from the shared
     // envelope; per-worker cache counters are summed on top. A dead
     // worker's private cache counters are lost with its meter — the
@@ -496,8 +499,8 @@ where
 
 pub mod prelude {
     pub use crate::{
-        default_threads, par_map, par_map_with, par_map_with_drain, ParOutcome,
-        Quarantined, MAX_ATTEMPTS,
+        default_threads, par_map, par_map_with, par_map_with_drain, ParOutcome, Quarantined,
+        MAX_ATTEMPTS,
     };
 }
 
@@ -673,10 +676,18 @@ mod tests {
         assert_eq!(tracer.counter_value("exec.task"), 64);
         assert_eq!(tracer.counter_value("exec.park"), 4);
         let snap = tracer.snapshot();
-        let tasks: Vec<_> = snap.spans.iter().filter(|s| s.name == "exec.task").collect();
+        let tasks: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "exec.task")
+            .collect();
         assert_eq!(tasks.len(), 64);
         assert!(tasks.iter().all(|s| s.depth >= 1), "tasks nest in workers");
-        let workers = snap.spans.iter().filter(|s| s.name == "exec.worker").count();
+        let workers = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "exec.worker")
+            .count();
         assert_eq!(workers, 4);
     }
 
@@ -704,9 +715,11 @@ mod tests {
         // siblings steal its queue and the sweep mops up anything in
         // flight. The outcome is byte-identical to a fault-free run.
         for threads in [1, 4] {
-            let inj = std::sync::Arc::new(
-                FaultInjector::new(7).with_fault_at("exec.worker", 1, FaultKind::Panic),
-            );
+            let inj = std::sync::Arc::new(FaultInjector::new(7).with_fault_at(
+                "exec.worker",
+                1,
+                FaultKind::Panic,
+            ));
             let budget = Budget::unlimited().with_injector(inj);
             let items: Vec<u64> = (0..100).collect();
             let out = par_map(&items, &budget, threads, |m, _, &x| {
@@ -808,9 +821,11 @@ mod tests {
         // Worker death combined with a step trip: the sweep is skipped
         // (the envelope is spent), undecided cells stay None, and the
         // interrupt is reported.
-        let inj = std::sync::Arc::new(
-            FaultInjector::new(7).with_fault_at("exec.worker", 1, FaultKind::Panic),
-        );
+        let inj = std::sync::Arc::new(FaultInjector::new(7).with_fault_at(
+            "exec.worker",
+            1,
+            FaultKind::Panic,
+        ));
         let budget = Budget::new().with_steps(10).with_injector(inj);
         let items: Vec<u64> = (0..100).collect();
         let out = par_map(&items, &budget, 4, |m, _, &x| {
@@ -830,9 +845,11 @@ mod tests {
 
     #[test]
     fn injected_cancellation_at_task_site_cancels_pool() {
-        let inj = std::sync::Arc::new(
-            FaultInjector::new(7).with_fault_at("exec.task", 10, FaultKind::Cancel),
-        );
+        let inj = std::sync::Arc::new(FaultInjector::new(7).with_fault_at(
+            "exec.task",
+            10,
+            FaultKind::Cancel,
+        ));
         let budget = Budget::unlimited().with_injector(inj);
         let items: Vec<u64> = (0..256).collect();
         let out = par_map(&items, &budget, 4, |m, _, &x| {

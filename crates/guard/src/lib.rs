@@ -311,7 +311,10 @@ impl SharedLedger {
         if let Some(i) = self.interrupted() {
             return Err(i);
         }
-        let total = self.memory.fetch_add(n, Ordering::Relaxed).saturating_add(n);
+        let total = self
+            .memory
+            .fetch_add(n, Ordering::Relaxed)
+            .saturating_add(n);
         self.peak_memory.fetch_max(total, Ordering::Relaxed);
         if let Some(max) = self.max_memory {
             if total > max {
@@ -541,7 +544,12 @@ impl fmt::Display for Spend {
             write!(f, ", {} mem units", self.peak_memory)?;
         }
         if self.cache_hits > 0 || self.cache_misses > 0 {
-            write!(f, ", cache {}/{} hit", self.cache_hits, self.cache_hits + self.cache_misses)?;
+            write!(
+                f,
+                ", cache {}/{} hit",
+                self.cache_hits,
+                self.cache_hits + self.cache_misses
+            )?;
         }
         if self.retries > 0 {
             write!(f, ", {} retried", self.retries)?;
@@ -713,10 +721,7 @@ impl Meter {
     ///   poisoning is consumed by storage sites, which corrupt the
     ///   entry being written so integrity checks can catch it.
     #[inline]
-    pub fn fault_point(
-        &mut self,
-        site: &'static str,
-    ) -> Result<Option<FaultKind>, Interrupt> {
+    pub fn fault_point(&mut self, site: &'static str) -> Result<Option<FaultKind>, Interrupt> {
         let Some(injector) = &self.injector else {
             return Ok(None);
         };

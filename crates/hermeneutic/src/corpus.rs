@@ -176,7 +176,10 @@ mod tests {
         // reference, reference feeds scope, property regime feeds the
         // authority inference.
         let (_, rounds, fired) = interpret_traced(&trespassers_sign(), &door_of_building_context());
-        assert!(rounds >= 2, "expected a genuine fixpoint iteration, got {rounds}");
+        assert!(
+            rounds >= 2,
+            "expected a genuine fixpoint iteration, got {rounds}"
+        );
         assert!(fired.len() >= 6);
     }
 

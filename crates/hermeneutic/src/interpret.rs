@@ -73,7 +73,11 @@ impl MeaningVariance {
         }
         MeaningVariance {
             n_distinct: distinct.len(),
-            mean_jaccard_distance: if pairs == 0 { 0.0 } else { dist_sum / pairs as f64 },
+            mean_jaccard_distance: if pairs == 0 {
+                0.0
+            } else {
+                dist_sum / pairs as f64
+            },
             interpretations,
         }
     }

@@ -10,9 +10,8 @@ use summa_hermeneutic::prelude::*;
 /// derivations meaningful).
 fn arb_context() -> impl Strategy<Value = Context> {
     proptest::collection::vec(
-        (0u8..16, 0u8..8, 0u8..8).prop_map(|(cue_mask, prop_idx, yield_idx)| {
-            (cue_mask, prop_idx, yield_idx)
-        }),
+        (0u8..16, 0u8..8, 0u8..8)
+            .prop_map(|(cue_mask, prop_idx, yield_idx)| (cue_mask, prop_idx, yield_idx)),
         1..8,
     )
     .prop_map(|rules| {

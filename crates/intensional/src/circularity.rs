@@ -144,10 +144,7 @@ impl DependencyGraph {
 
     /// The metered DFS, charging one step per edge traversal and per
     /// node retirement.
-    pub fn analyze_metered(
-        &self,
-        meter: &mut Meter,
-    ) -> Result<CircularityReport, Interrupt> {
+    pub fn analyze_metered(&self, meter: &mut Meter) -> Result<CircularityReport, Interrupt> {
         let mut nodes: Vec<Notion> = vec![];
         for &(a, b, _) in &self.edges {
             if !nodes.contains(&a) {
@@ -170,8 +167,7 @@ impl DependencyGraph {
             Grey,
             Black,
         }
-        let mut color: BTreeMap<Notion, Color> =
-            nodes.iter().map(|&n| (n, Color::White)).collect();
+        let mut color: BTreeMap<Notion, Color> = nodes.iter().map(|&n| (n, Color::White)).collect();
         let mut order: Vec<Notion> = vec![];
         // Iterative DFS with an explicit stack of (node, child cursor).
         for &start in &nodes {
@@ -290,10 +286,7 @@ mod tests {
         // The cycle needs three edge traversals; one step cannot reach
         // a verdict.
         let starved = g.analyze_governed(&Budget::new().with_steps(1));
-        assert!(matches!(
-            starved,
-            Governed::Exhausted { partial: None, .. }
-        ));
+        assert!(matches!(starved, Governed::Exhausted { partial: None, .. }));
     }
 
     #[test]

@@ -230,8 +230,8 @@ mod tests {
         .unwrap();
         assert!(j.admitted);
         assert_eq!(j.n_models, 2); // all models satisfy a tautology
-        // …and in fact also under Approximate (it shares all intended
-        // models), which is precisely the over-breadth critique.
+                                   // …and in fact also under Approximate (it shares all intended
+                                   // models), which is precisely the over-breadth critique.
         let j2 =
             judge_ontonomy(&lang, &dom, &k, &taut, AdmissionLevel::Approximate, 10_000).unwrap();
         assert!(j2.admitted);

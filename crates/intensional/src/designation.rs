@@ -81,15 +81,8 @@ impl Description {
 
     /// The signification: the designatum in every world of a
     /// commitment (one model per world).
-    pub fn signification(
-        &self,
-        domain: &Domain,
-        worlds: &[ExtModel],
-    ) -> Result<Vec<Option<Elem>>> {
-        worlds
-            .iter()
-            .map(|m| self.designatum(domain, m))
-            .collect()
+    pub fn signification(&self, domain: &Domain, worlds: &[ExtModel]) -> Result<Vec<Option<Elem>>> {
+        worlds.iter().map(|m| self.designatum(domain, m)).collect()
     }
 }
 
@@ -132,12 +125,7 @@ pub fn compare_descriptions(
 /// Wellington, Blücher), an actual world where Napoleon both won at
 /// Jena and lost at Waterloo, and a counterfactual world where
 /// Wellington lost at Waterloo while Napoleon still won at Jena.
-pub fn husserl_example() -> (
-    Domain,
-    Vec<ExtModel>,
-    Description,
-    Description,
-) {
+pub fn husserl_example() -> (Domain, Vec<ExtModel>, Description, Description) {
     use crate::formula::{Language, TermRef};
     use crate::relation::Relation;
 
@@ -198,8 +186,7 @@ mod tests {
     #[test]
     fn husserl_co_designation_without_co_signification() {
         let (dom, worlds, winner, loser) = husserl_example();
-        let report =
-            compare_descriptions(&dom, &worlds, 0, &winner, &loser).expect("valid worlds");
+        let report = compare_descriptions(&dom, &worlds, 0, &winner, &loser).expect("valid worlds");
         // Same designatum in the actual world: Napoleon.
         assert!(report.co_designate);
         let nap = dom.find("napoleon").expect("in domain");
@@ -248,8 +235,7 @@ mod tests {
     #[test]
     fn identical_descriptions_share_signification() {
         let (dom, worlds, winner, _) = husserl_example();
-        let report =
-            compare_descriptions(&dom, &worlds, 0, &winner, &winner).expect("valid");
+        let report = compare_descriptions(&dom, &worlds, 0, &winner, &winner).expect("valid");
         assert!(report.co_designate);
         assert!(report.same_signification);
     }

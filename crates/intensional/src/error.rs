@@ -39,7 +39,10 @@ impl fmt::Display for IntensionalError {
             IntensionalError::UnboundVariable(v) => write!(f, "unbound variable '{v}'"),
             IntensionalError::UnknownSymbol(s) => write!(f, "unknown symbol '{s}'"),
             IntensionalError::EnumerationTooLarge { bound, budget } => {
-                write!(f, "model enumeration needs {bound} models, budget is {budget}")
+                write!(
+                    f,
+                    "model enumeration needs {bound} models, budget is {budget}"
+                )
             }
         }
     }

@@ -254,13 +254,17 @@ impl fmt::Display for FormulaDisplay<'_> {
             Formula::Eq(a, b) => write!(f, "{} = {}", term(a), term(b)),
             Formula::Not(inner) => write!(f, "¬{}", inner.display(self.lang)),
             Formula::And(fs) => {
-                let parts: Vec<String> =
-                    fs.iter().map(|x| x.display(self.lang).to_string()).collect();
+                let parts: Vec<String> = fs
+                    .iter()
+                    .map(|x| x.display(self.lang).to_string())
+                    .collect();
                 write!(f, "({})", parts.join(" ∧ "))
             }
             Formula::Or(fs) => {
-                let parts: Vec<String> =
-                    fs.iter().map(|x| x.display(self.lang).to_string()).collect();
+                let parts: Vec<String> = fs
+                    .iter()
+                    .map(|x| x.display(self.lang).to_string())
+                    .collect();
                 write!(f, "({})", parts.join(" ∨ "))
             }
             Formula::Implies(a, b) => {

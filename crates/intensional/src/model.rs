@@ -101,9 +101,7 @@ impl ExtModel {
                 }
                 Ok(false)
             }
-            Formula::Implies(a, b) => {
-                Ok(!self.eval(domain, a, env)? || self.eval(domain, b, env)?)
-            }
+            Formula::Implies(a, b) => Ok(!self.eval(domain, a, env)? || self.eval(domain, b, env)?),
             Formula::Forall(x, inner) => {
                 for e in domain.elems() {
                     let prev = env.insert(x.clone(), e);

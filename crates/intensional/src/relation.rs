@@ -98,11 +98,7 @@ mod tests {
         let b = d.elem("b");
         let _c = d.elem("c");
         let dd = d.elem("d");
-        let above = Relation::from_tuples(
-            2,
-            vec![vec![a, b], vec![a, dd], vec![b, dd]],
-        )
-        .unwrap();
+        let above = Relation::from_tuples(2, vec![vec![a, b], vec![a, dd], vec![b, dd]]).unwrap();
         assert_eq!(above.len(), 3);
         assert!(above.contains(&[a, b]));
         assert!(!above.contains(&[b, a]));

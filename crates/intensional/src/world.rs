@@ -197,7 +197,12 @@ impl IntensionalRelation {
     /// Construct by *stipulation*: one extensional relation per world,
     /// given explicitly. Works over any worlds — but the extensions
     /// are then logically prior to the intensional relation.
-    pub fn from_table(name: &str, arity: usize, space: &WorldSpace, table: Vec<Relation>) -> Result<Self> {
+    pub fn from_table(
+        name: &str,
+        arity: usize,
+        space: &WorldSpace,
+        table: Vec<Relation>,
+    ) -> Result<Self> {
         if table.len() != space.len() {
             return Err(IntensionalError::UnknownWorld(table.len()));
         }
@@ -245,7 +250,9 @@ impl IntensionalRelation {
     /// The extension at world `i` — the paper's structure (3):
     /// `[above](w) = {(a,b)}`.
     pub fn at(&self, i: usize) -> Result<&Relation> {
-        self.per_world.get(i).ok_or(IntensionalError::UnknownWorld(i))
+        self.per_world
+            .get(i)
+            .ok_or(IntensionalError::UnknownWorld(i))
     }
 
     /// Is the relation *rigid* (same extension in all worlds)?
@@ -327,7 +334,10 @@ mod tests {
         let (dom, ..) = blocks_domain();
         let space = WorldSpace::opaque(3);
         let err = IntensionalRelation::aboveness("above", &dom, &space).unwrap_err();
-        assert!(matches!(err, IntensionalError::OpaqueWorld { world: 0, .. }));
+        assert!(matches!(
+            err,
+            IntensionalError::OpaqueWorld { world: 0, .. }
+        ));
     }
 
     #[test]
@@ -374,6 +384,9 @@ mod tests {
         w.place(a, 0, 0);
         let space = WorldSpace::from_worlds(vec![World::Blocks(w), World::Opaque(7)]);
         let err = IntensionalRelation::aboveness("above", &dom, &space).unwrap_err();
-        assert!(matches!(err, IntensionalError::OpaqueWorld { world: 1, .. }));
+        assert!(matches!(
+            err,
+            IntensionalError::OpaqueWorld { world: 1, .. }
+        ));
     }
 }

@@ -55,9 +55,9 @@ pub fn atomist_translation(source: &LexicalField, target: &LexicalField) -> Atom
     let mut unexplained = vec![];
     let mut used: Vec<Item> = vec![];
     for s in source.items() {
-        let found = target.items().find(|&t| {
-            !used.contains(&t) && target.range(t) == source.range(s)
-        });
+        let found = target
+            .items()
+            .find(|&t| !used.contains(&t) && target.range(t) == source.range(s));
         match found {
             Some(t) => {
                 used.push(t);

@@ -79,7 +79,9 @@ impl LexicalField {
     /// The items whose range contains a point (a point may be covered
     /// by several items — e.g. Spanish viejo and añejo on aged wine).
     pub fn words_for(&self, p: Point) -> Vec<Item> {
-        self.items().filter(|&i| self.range(i).contains(&p)).collect()
+        self.items()
+            .filter(|&i| self.range(i).contains(&p))
+            .collect()
     }
 
     /// The set of points covered by at least one item.
@@ -124,12 +126,12 @@ pub fn same_division(space: &SemanticSpace, f1: &LexicalField, f2: &LexicalField
     let pts: Vec<Point> = space.points().collect();
     for (i, &a) in pts.iter().enumerate() {
         for &b in &pts[i + 1..] {
-            let together1 = f1.items().any(|w| {
-                f1.range(w).contains(&a) && f1.range(w).contains(&b)
-            });
-            let together2 = f2.items().any(|w| {
-                f2.range(w).contains(&a) && f2.range(w).contains(&b)
-            });
+            let together1 = f1
+                .items()
+                .any(|w| f1.range(w).contains(&a) && f1.range(w).contains(&b));
+            let together2 = f2
+                .items()
+                .any(|w| f2.range(w).contains(&a) && f2.range(w).contains(&b));
             if together1 != together2 {
                 return false;
             }

@@ -135,12 +135,7 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Run a benchmark against one input value.
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
+    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         I: ?Sized,
         F: FnMut(&mut Bencher, &I),

@@ -10,8 +10,8 @@
 //! violation, so CI can gate on report well-formedness without pulling
 //! in a JSON dependency.
 
-use summa_obs::export::{parse_json, Json};
 use std::process::ExitCode;
+use summa_obs::export::{parse_json, Json};
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("validate_json: {msg}");
@@ -44,11 +44,7 @@ fn main() -> ExitCode {
         for (i, w) in items.iter().enumerate() {
             match w.get("name").and_then(Json::as_str) {
                 Some(_) => {}
-                None => {
-                    return fail(&format!(
-                        "{path}: workloads[{i}] lacks a string \"name\""
-                    ))
-                }
+                None => return fail(&format!("{path}: workloads[{i}] lacks a string \"name\"")),
             }
         }
         println!("{path}: ok ({} workloads)", items.len());

@@ -159,12 +159,7 @@ impl Exposition {
 
     /// One counter family with several labelled samples (e.g. a
     /// per-op request counter). `series` pairs label sets with values.
-    pub fn counter_series(
-        &mut self,
-        name: &str,
-        help: &str,
-        series: &[(Vec<(&str, &str)>, u64)],
-    ) {
+    pub fn counter_series(&mut self, name: &str, help: &str, series: &[(Vec<(&str, &str)>, u64)]) {
         self.header(name, Kind::Counter, help);
         for (labels, value) in series {
             self.sample(name, "", labels, &value.to_string());
@@ -195,7 +190,12 @@ impl Exposition {
                 continue;
             }
             let le_s = le.to_string();
-            self.sample(name, "_bucket", &labels_with(labels, "le", &le_s), &cumulative.to_string());
+            self.sample(
+                name,
+                "_bucket",
+                &labels_with(labels, "le", &le_s),
+                &cumulative.to_string(),
+            );
         }
         self.sample(
             name,
@@ -337,7 +337,10 @@ fn parse_value_f64(v: &str) -> Option<f64> {
 
 /// Parse `name{label="v",...} value` — returns (name, labels, value).
 #[allow(clippy::type_complexity)]
-fn parse_sample(line: &str, line_no: usize) -> Result<(String, Vec<(String, String)>, String), String> {
+fn parse_sample(
+    line: &str,
+    line_no: usize,
+) -> Result<(String, Vec<(String, String)>, String), String> {
     let bytes = line.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
@@ -349,7 +352,9 @@ fn parse_sample(line: &str, line_no: usize) -> Result<(String, Vec<(String, Stri
         }
     }
     if i == 0 {
-        return Err(format!("line {line_no}: sample does not start with a metric name"));
+        return Err(format!(
+            "line {line_no}: sample does not start with a metric name"
+        ));
     }
     let name = &line[..i];
     if !metric_name_ok(name) {
@@ -382,7 +387,11 @@ fn parse_sample(line: &str, line_no: usize) -> Result<(String, Vec<(String, Stri
             }
             match chars.next() {
                 Some((_, '"')) => {}
-                _ => return Err(format!("line {line_no}: label {lname} missing opening quote")),
+                _ => {
+                    return Err(format!(
+                        "line {line_no}: label {lname} missing opening quote"
+                    ))
+                }
             }
             let mut lval = String::new();
             let mut escaped = false;
@@ -410,7 +419,9 @@ fn parse_sample(line: &str, line_no: usize) -> Result<(String, Vec<(String, Stri
                 }
             }
             if !closed {
-                return Err(format!("line {line_no}: label {lname} missing closing quote"));
+                return Err(format!(
+                    "line {line_no}: label {lname} missing closing quote"
+                ));
             }
             labels.push((lname, lval));
             match chars.next() {
@@ -434,7 +445,9 @@ fn parse_sample(line: &str, line_no: usize) -> Result<(String, Vec<(String, Stri
     let value = parts.next().unwrap_or_default().to_string();
     if parts.next().is_some() {
         // A trailing field would be a timestamp; we never emit one.
-        return Err(format!("line {line_no}: unexpected trailing field after value"));
+        return Err(format!(
+            "line {line_no}: unexpected trailing field after value"
+        ));
     }
     if parse_value_f64(&value).is_none() {
         return Err(format!("line {line_no}: unparseable value {value:?}"));
@@ -511,8 +524,7 @@ pub fn validate_exposition(text: &str) -> Result<usize, String> {
             // histogram/summary family; a counter legitimately named
             // e.g. `slow_log_dropped_count` keeps its full name.
             let (b, s) = split_suffix(&name);
-            if !s.is_empty()
-                && matches!(kinds.get(&b), Some(Kind::Histogram) | Some(Kind::Summary))
+            if !s.is_empty() && matches!(kinds.get(&b), Some(Kind::Histogram) | Some(Kind::Summary))
             {
                 (b, s)
             } else {
@@ -698,7 +710,12 @@ mod tests {
         for v in [900u64, 1_100, 40_000] {
             h.record(v);
         }
-        e.histogram("serve_execute_ns", "Execute phase.", &[("op", "subsumes")], &h);
+        e.histogram(
+            "serve_execute_ns",
+            "Execute phase.",
+            &[("op", "subsumes")],
+            &h,
+        );
         e.summary(
             "serve_tenant_latency_ns",
             "Per-tenant latency.",
@@ -735,13 +752,9 @@ mod tests {
         // Unknown TYPE kind.
         assert!(validate_exposition("# TYPE x nonsense\nx 1\n").is_err());
         // Bad value.
-        assert!(
-            validate_exposition("# HELP x X.\n# TYPE x counter\nx banana\n").is_err()
-        );
+        assert!(validate_exposition("# HELP x X.\n# TYPE x counter\nx banana\n").is_err());
         // Unclosed label quote.
-        assert!(
-            validate_exposition("# HELP x X.\n# TYPE x counter\nx{a=\"b} 1\n").is_err()
-        );
+        assert!(validate_exposition("# HELP x X.\n# TYPE x counter\nx{a=\"b} 1\n").is_err());
         // Histogram with decreasing cumulative buckets.
         let bad = "# HELP h H.\n# TYPE h histogram\n\
                    h_bucket{le=\"10\"} 5\nh_bucket{le=\"20\"} 3\n\

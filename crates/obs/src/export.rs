@@ -458,10 +458,7 @@ impl JsonParser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -686,7 +683,11 @@ mod tests {
         let snap = sample_snapshot();
         let collapsed = snap.collapsed_stacks();
         let lines: Vec<&str> = collapsed.lines().collect();
-        assert_eq!(lines.len(), 2, "outer + outer;child, aggregated: {collapsed}");
+        assert_eq!(
+            lines.len(),
+            2,
+            "outer + outer;child, aggregated: {collapsed}"
+        );
         assert!(lines.iter().any(|l| l.starts_with("outer ")));
         assert!(lines.iter().any(|l| l.starts_with("outer;child ")));
         // Self time of outer excludes the children: outer's line value
@@ -740,14 +741,9 @@ mod tests {
 
     #[test]
     fn json_parser_handles_the_grammar() {
-        let doc = parse_json(
-            r#"{"a":[1,2.5,-3e2],"b":{"nested":true},"s":"xA\n","n":null}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().items()[2],
-            Json::Num(-300.0)
-        );
+        let doc =
+            parse_json(r#"{"a":[1,2.5,-3e2],"b":{"nested":true},"s":"xA\n","n":null}"#).unwrap();
+        assert_eq!(doc.get("a").unwrap().items()[2], Json::Num(-300.0));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("xA\n"));
         assert_eq!(doc.get("n"), Some(&Json::Null));
         assert!(parse_json("{").is_err());

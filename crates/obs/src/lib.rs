@@ -46,12 +46,12 @@
 //! workspace with no call-site changes; an explicit
 //! [`Budget::with_tracer`](../summa_guard) overrides the gate per run.
 
-pub mod export;
 pub mod expo;
+pub mod export;
 pub mod metrics;
 
-pub use export::{HistogramSummary, SpanRecord, TraceSnapshot};
 pub use expo::{validate_exposition, Exposition};
+pub use export::{HistogramSummary, SpanRecord, TraceSnapshot};
 pub use metrics::{Gauge, Histogram, SeriesRing, SeriesSample};
 
 use std::cell::RefCell;
@@ -276,7 +276,10 @@ impl Tracer {
         if !self.is_enabled() {
             return;
         }
-        self.inner.metrics.counter(name).fetch_add(n, Ordering::Relaxed);
+        self.inner
+            .metrics
+            .counter(name)
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record one latency observation into the log-scale histogram

@@ -395,7 +395,9 @@ impl Registry {
                 .histograms
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            map.iter().map(|(n, h)| (n.clone(), Arc::clone(h))).collect()
+            map.iter()
+                .map(|(n, h)| (n.clone(), Arc::clone(h)))
+                .collect()
         };
         // BTreeMap iteration is already sorted, but re-sort to keep the
         // contract independent of the storage choice.
@@ -436,10 +438,7 @@ mod tests {
         let p50 = h.quantile_ns(0.50);
         let p95 = h.quantile_ns(0.95);
         let p99 = h.quantile_ns(0.99);
-        assert!(
-            (500..4_000).contains(&p50),
-            "p50 ≈ 1 µs bucket, got {p50}"
-        );
+        assert!((500..4_000).contains(&p50), "p50 ≈ 1 µs bucket, got {p50}");
         assert!(p95 >= 500_000, "p95 lands in the slow mode, got {p95}");
         assert!(p99 >= 500_000);
         assert_eq!(h.max_ns(), 1_000_000);
@@ -596,9 +595,18 @@ mod tests {
         assert_eq!(
             samples,
             vec![
-                SeriesSample { t_ns: 200, value: 2 },
-                SeriesSample { t_ns: 300, value: 3 },
-                SeriesSample { t_ns: 400, value: 4 },
+                SeriesSample {
+                    t_ns: 200,
+                    value: 2
+                },
+                SeriesSample {
+                    t_ns: 300,
+                    value: 3
+                },
+                SeriesSample {
+                    t_ns: 400,
+                    value: 4
+                },
             ]
         );
     }

@@ -124,16 +124,16 @@ impl InstanceModel {
             let ext = self.extent(sig, c);
             for (target, attr) in sig.attrs_of_class(c) {
                 for &o in &ext {
-                    let v = self.value(&attr, o).ok_or_else(|| {
-                        OntonomyError::BadValuation {
+                    let v = self
+                        .value(&attr, o)
+                        .ok_or_else(|| OntonomyError::BadValuation {
                             attr: attr.clone(),
                             detail: format!(
                                 "undefined on '{}' (class {})",
                                 self.object_name(o),
                                 sig.class_name(c)
                             ),
-                        }
-                    })?;
+                        })?;
                     match (target, v) {
                         (AttrTarget::Class(cc), Value::Obj(other)) => {
                             if !self.extent(sig, cc).contains(other) {

@@ -72,12 +72,27 @@ pub fn signatures_isomorphic_metered(
     // attribute-count pruning.
     let mut assignment: Vec<Option<usize>> = vec![None; lcs.len()];
     let mut used = vec![false; rcs.len()];
-    if !assign(left, right, &lcs, &rcs, &mut assignment, &mut used, 0, meter)? {
+    if !assign(
+        left,
+        right,
+        &lcs,
+        &rcs,
+        &mut assignment,
+        &mut used,
+        0,
+        meter,
+    )? {
         span.record("found", false);
         return Ok(None);
     }
     span.record("found", true);
-    Ok(mapping_from_assignment(left, right, &lcs, &rcs, &assignment))
+    Ok(mapping_from_assignment(
+        left,
+        right,
+        &lcs,
+        &rcs,
+        &assignment,
+    ))
 }
 
 /// Turn a complete class assignment into the full witnessing mapping,

@@ -41,12 +41,11 @@ pub mod prelude {
     pub use crate::axiom::OntAxiom;
     pub use crate::corpus::vehicles_signature;
     pub use crate::error::OntonomyError;
+    pub use crate::instance::{InstanceModel, InstanceModelBuilder, Object};
     pub use crate::isomorphism::{
         signatures_isomorphic, signatures_isomorphic_governed, SignatureMapping,
     };
-    pub use crate::instance::{InstanceModel, InstanceModelBuilder, Object};
     pub use crate::signature::{
-        AttrTarget, ClassHierarchyBuilder, ClassId, OntologySignature, Ontonomy,
-        SignatureBuilder,
+        AttrTarget, ClassHierarchyBuilder, ClassId, OntologySignature, Ontonomy, SignatureBuilder,
     };
 }

@@ -391,10 +391,7 @@ mod tests {
         let c = b.class("B");
         b.subclass(a, c);
         b.subclass(c, a);
-        assert!(matches!(
-            b.finish(),
-            Err(OntonomyError::ClassCycle { .. })
-        ));
+        assert!(matches!(b.finish(), Err(OntonomyError::ClassCycle { .. })));
     }
 
     #[test]
@@ -408,9 +405,7 @@ mod tests {
         b.attribute(vehicle, "name", AttrTarget::Sort(str_sort));
         let sig = b.finish().unwrap();
         // car inherits "name".
-        assert!(sig
-            .attrs(car, AttrTarget::Sort(str_sort))
-            .contains("name"));
+        assert!(sig.attrs(car, AttrTarget::Sort(str_sort)).contains("name"));
         assert!(sig.check_inheritance().is_ok());
     }
 
@@ -447,9 +442,7 @@ mod tests {
         assert!(sig
             .attrs(car, AttrTarget::Class(wheel))
             .contains("rolls_on"));
-        assert!(sig
-            .attrs(car, AttrTarget::Class(part))
-            .contains("rolls_on"));
+        assert!(sig.attrs(car, AttrTarget::Class(part)).contains("rolls_on"));
         // Mixed class/sort targets are incomparable.
         let str_sort = sig
             .data_domain()
@@ -467,10 +460,7 @@ mod tests {
         let mut b = SignatureBuilder::new(dd);
         let c = b.class("c");
         b.attribute(c, "bogus", AttrTarget::Class(ClassId(99)));
-        assert!(matches!(
-            b.finish(),
-            Err(OntonomyError::UnknownTarget(_))
-        ));
+        assert!(matches!(b.finish(), Err(OntonomyError::UnknownTarget(_))));
     }
 
     #[test]

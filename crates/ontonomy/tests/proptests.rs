@@ -42,7 +42,8 @@ fn arb_signature() -> impl Strategy<Value = OntologySignature> {
             for (c, a) in raw_attrs {
                 b.attribute(classes[c % n], &format!("attr{a}"), AttrTarget::Sort(sort));
             }
-            b.finish().expect("closure makes any declaration well-formed")
+            b.finish()
+                .expect("closure makes any declaration well-formed")
         })
 }
 

@@ -69,7 +69,10 @@ impl AlgebraBuilder {
 
     /// Define the interpretation of `op` on one argument tuple.
     pub fn interpret(&mut self, op: OpId, args: &[Elem], result: Elem) {
-        self.ops.entry(op).or_default().insert(args.to_vec(), result);
+        self.ops
+            .entry(op)
+            .or_default()
+            .insert(args.to_vec(), result);
     }
 
     /// Validate totality and inclusion conditions, then freeze.
@@ -154,21 +157,24 @@ impl Algebra {
     /// Evaluate a term under an assignment of elements to variables.
     pub fn eval(&self, t: &Term, env: &BTreeMap<String, Elem>) -> Result<Elem> {
         match t {
-            Term::Var { name, .. } => env.get(name).copied().ok_or_else(|| {
-                OsaError::BadInterpretation {
-                    op: name.clone(),
-                    detail: "unbound variable".into(),
-                }
-            }),
+            Term::Var { name, .. } => {
+                env.get(name)
+                    .copied()
+                    .ok_or_else(|| OsaError::BadInterpretation {
+                        op: name.clone(),
+                        detail: "unbound variable".into(),
+                    })
+            }
             Term::App { op, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
                     vals.push(self.eval(a, env)?);
                 }
-                self.apply(*op, &vals).ok_or_else(|| OsaError::BadInterpretation {
-                    op: self.signature.op(*op).name.clone(),
-                    detail: format!("undefined on {vals:?}"),
-                })
+                self.apply(*op, &vals)
+                    .ok_or_else(|| OsaError::BadInterpretation {
+                        op: self.signature.op(*op).name.clone(),
+                        detail: format!("undefined on {vals:?}"),
+                    })
             }
         }
     }
@@ -204,10 +210,7 @@ impl Algebra {
             if !self.satisfies(eq)? {
                 return Err(OsaError::BadInterpretation {
                     op: "<theory>".into(),
-                    detail: format!(
-                        "equation {} not satisfied",
-                        eq.display(theory.signature())
-                    ),
+                    detail: format!("equation {} not satisfied", eq.display(theory.signature())),
                 });
             }
         }
@@ -336,10 +339,7 @@ mod tests {
         let zero = sig.resolve("zero", &[]).unwrap();
         // x + x = x is false in Z2 (1+1 = 0 ≠ 1).
         let x = Term::var("x", s);
-        let bad = Equation::new(
-            Term::app(plus, vec![x.clone(), x.clone()]),
-            x.clone(),
-        );
+        let bad = Equation::new(Term::app(plus, vec![x.clone(), x.clone()]), x.clone());
         assert!(!alg.satisfies(&bad).unwrap());
         // x + x = 0 is true in Z2.
         let good = Equation::new(

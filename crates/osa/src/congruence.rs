@@ -120,10 +120,7 @@ impl CongruenceClosure {
     /// step per candidate pair examined. Interrupting mid-round leaves
     /// a sound under-approximation of the closure (`dirty` stays set,
     /// so a later call resumes the fixpoint).
-    fn propagate_metered(
-        &mut self,
-        meter: &mut Meter,
-    ) -> std::result::Result<(), Interrupt> {
+    fn propagate_metered(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
         while self.dirty {
             self.dirty = false;
             let n = self.terms.len();
@@ -143,9 +140,7 @@ impl CongruenceClosure {
                         ),
                         _ => continue,
                     };
-                    if name_i != name_j
-                        || self.children[i].len() != self.children[j].len()
-                    {
+                    if name_i != name_j || self.children[i].len() != self.children[j].len() {
                         continue;
                     }
                     let congruent = {
@@ -197,12 +192,7 @@ impl CongruenceClosure {
     /// Budget-governed equality query. On exhaustion or cancellation
     /// the partial verdict is `false` meaning *not yet proved equal* —
     /// full propagation could still merge the two classes.
-    pub fn are_equal_governed(
-        &mut self,
-        a: &Term,
-        b: &Term,
-        budget: &Budget,
-    ) -> Governed<bool> {
+    pub fn are_equal_governed(&mut self, a: &Term, b: &Term, budget: &Budget) -> Governed<bool> {
         let mut meter = budget.meter();
         match self.are_equal_metered(a, b, &mut meter) {
             Ok(eq) => Governed::Completed(eq),
@@ -213,12 +203,7 @@ impl CongruenceClosure {
     /// Budget-governed assertion. The partial `()` signals the
     /// equation was recorded but its congruence consequences are only
     /// partially propagated (sound, incomplete).
-    pub fn assert_equal_governed(
-        &mut self,
-        a: &Term,
-        b: &Term,
-        budget: &Budget,
-    ) -> Governed<()> {
+    pub fn assert_equal_governed(&mut self, a: &Term, b: &Term, budget: &Budget) -> Governed<()> {
         let mut meter = budget.meter();
         match self.assert_equal_metered(a, b, &mut meter) {
             Ok(()) => Governed::Completed(()),
@@ -257,10 +242,7 @@ impl CongruenceClosure {
 }
 
 /// Build a closure from a set of ground identities.
-pub fn from_identities(
-    signature: Signature,
-    identities: &[(Term, Term)],
-) -> CongruenceClosure {
+pub fn from_identities(signature: Signature, identities: &[(Term, Term)]) -> CongruenceClosure {
     let mut cc = CongruenceClosure::new(signature);
     for (a, b) in identities {
         cc.assert_equal(a, b);
@@ -417,11 +399,7 @@ mod tests {
             tower = Term::app(f, vec![tower]);
         }
         cc.assert_equal(&Term::app(f, vec![a.clone()]), &a);
-        let g = cc.are_equal_governed(
-            &tower,
-            &a,
-            &summa_guard::Budget::new().with_steps(1),
-        );
+        let g = cc.are_equal_governed(&tower, &a, &summa_guard::Budget::new().with_steps(1));
         match g {
             summa_guard::Governed::Completed(true) => {} // already merged
             summa_guard::Governed::Exhausted { partial, .. } => {

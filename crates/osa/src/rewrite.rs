@@ -178,12 +178,7 @@ impl RewriteSystem {
 
     /// Budget-governed ground equality. No meaningful partial verdict
     /// exists when normalization is cut short, so the partial is `None`.
-    pub fn ground_equal_governed(
-        &self,
-        a: &Term,
-        b: &Term,
-        budget: &Budget,
-    ) -> Governed<bool> {
+    pub fn ground_equal_governed(&self, a: &Term, b: &Term, budget: &Budget) -> Governed<bool> {
         let mut meter = budget.meter();
         match self.joinable_metered(a, b, &mut meter) {
             Ok(eq) => Governed::Completed(eq),
@@ -241,10 +236,7 @@ impl RewriteSystem {
     /// joinable within `budget` steps. For terminating systems this is
     /// confluence (Newman's lemma). Returns the first non-joinable pair
     /// as a witness, `None` when locally confluent.
-    pub fn local_confluence_counterexample(
-        &self,
-        budget: usize,
-    ) -> Result<Option<CriticalPair>> {
+    pub fn local_confluence_counterexample(&self, budget: usize) -> Result<Option<CriticalPair>> {
         for cp in self.critical_pairs() {
             if !self.joinable(&cp.left, &cp.right, budget)? {
                 return Ok(Some(cp));
@@ -317,8 +309,11 @@ impl RewriteSystem {
                 }
                 let mut idx = vec![0usize; choices.len()];
                 loop {
-                    let args: Vec<Term> =
-                        idx.iter().zip(&choices).map(|(&i, c)| c[i].clone()).collect();
+                    let args: Vec<Term> = idx
+                        .iter()
+                        .zip(&choices)
+                        .map(|(&i, c)| c[i].clone())
+                        .collect();
                     let t = Term::app(op, args);
                     if t.depth() == depth {
                         new_terms.push((decl.result.index(), t));
@@ -370,7 +365,13 @@ mod tests {
     use crate::signature::SignatureBuilder;
 
     /// Peano naturals with addition.
-    fn peano() -> (Theory, crate::sort::SortId, crate::signature::OpId, crate::signature::OpId, crate::signature::OpId) {
+    fn peano() -> (
+        Theory,
+        crate::sort::SortId,
+        crate::signature::OpId,
+        crate::signature::OpId,
+        crate::signature::OpId,
+    ) {
         let mut b = SignatureBuilder::new();
         let nat = b.sort("Nat");
         let zero = b.op("zero", &[], nat);

@@ -150,14 +150,12 @@ impl Signature {
                 if d1.name != d2.name || d1.args.len() != d2.args.len() {
                     continue;
                 }
-                if self.poset.leq_seq(&d1.args, &d2.args) && !self.poset.leq(d1.result, d2.result)
-                {
+                if self.poset.leq_seq(&d1.args, &d2.args) && !self.poset.leq(d1.result, d2.result) {
                     return Err(OsaError::NonMonotoneOverload {
                         op: d1.name.clone(),
                     });
                 }
-                if self.poset.leq_seq(&d2.args, &d1.args) && !self.poset.leq(d2.result, d1.result)
-                {
+                if self.poset.leq_seq(&d2.args, &d1.args) && !self.poset.leq(d2.result, d1.result) {
                     return Err(OsaError::NonMonotoneOverload {
                         op: d1.name.clone(),
                     });
@@ -216,9 +214,7 @@ impl Signature {
                 .ops
                 .iter()
                 .filter(|d2| {
-                    d2.name == name
-                        && d2.args.len() == w.len()
-                        && self.poset.leq_seq(&w, &d2.args)
+                    d2.name == name && d2.args.len() == w.len() && self.poset.leq_seq(&w, &d2.args)
                 })
                 .map(|d2| d2.result)
                 .collect();

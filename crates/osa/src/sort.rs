@@ -298,8 +298,7 @@ impl SortPoset {
 
     /// Greatest lower bounds (maximal common lower bounds) of `a`, `b`.
     pub fn glbs(&self, a: SortId, b: SortId) -> Vec<SortId> {
-        let common: Vec<SortId> = self
-            .geq[a.index()]
+        let common: Vec<SortId> = self.geq[a.index()]
             .iter_ones()
             .filter(|&i| self.geq[b.index()].get(i))
             .map(|i| SortId(i as u32))
@@ -314,8 +313,7 @@ impl SortPoset {
 
     /// Least upper bounds (minimal common upper bounds) of `a`, `b`.
     pub fn lubs(&self, a: SortId, b: SortId) -> Vec<SortId> {
-        let common: Vec<SortId> = self
-            .leq[a.index()]
+        let common: Vec<SortId> = self.leq[a.index()]
             .iter_ones()
             .filter(|&i| self.leq[b.index()].get(i))
             .map(|i| SortId(i as u32))

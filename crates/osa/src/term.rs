@@ -170,10 +170,7 @@ impl Term {
     /// Apply a substitution.
     pub fn substitute(&self, subst: &Substitution) -> Term {
         match self {
-            Term::Var { name, .. } => subst
-                .get(name)
-                .cloned()
-                .unwrap_or_else(|| self.clone()),
+            Term::Var { name, .. } => subst.get(name).cloned().unwrap_or_else(|| self.clone()),
             Term::App { op, args } => Term::App {
                 op: *op,
                 args: args.iter().map(|a| a.substitute(subst)).collect(),
@@ -312,8 +309,14 @@ fn match_into(sig: &Signature, pattern: &Term, subject: &Term, subst: &mut Subst
                 }
             }
         }
-        Term::App { op: pop, args: pargs } => match subject {
-            Term::App { op: sop, args: sargs } => {
+        Term::App {
+            op: pop,
+            args: pargs,
+        } => match subject {
+            Term::App {
+                op: sop,
+                args: sargs,
+            } => {
                 // Overloads of the same name are treated as the same
                 // symbol for matching purposes.
                 if sig.op(*pop).name != sig.op(*sop).name || pargs.len() != sargs.len() {
@@ -355,8 +358,7 @@ pub fn unify(sig: &Signature, a: &Term, b: &Term) -> Option<Substitution> {
                     return None;
                 }
                 // Compose: apply the new binding to existing bindings.
-                let single: Substitution =
-                    [(name.clone(), other.clone())].into_iter().collect();
+                let single: Substitution = [(name.clone(), other.clone())].into_iter().collect();
                 for v in subst.values_mut() {
                     *v = v.substitute(&single);
                 }
@@ -487,10 +489,7 @@ mod tests {
     fn unify_basic() {
         let (sig, nat, zero, succ, plus) = nat_sig();
         // plus(x, zero) =? plus(succ(y), z)
-        let l = Term::app(
-            plus,
-            vec![Term::var("x", nat), Term::constant(zero)],
-        );
+        let l = Term::app(plus, vec![Term::var("x", nat), Term::constant(zero)]);
         let r = Term::app(
             plus,
             vec![

@@ -9,8 +9,11 @@ use summa_osa::prelude::*;
 // ---------------------------------------------------------------------
 
 fn arb_poset() -> impl Strategy<Value = SortPoset> {
-    (2usize..8, proptest::collection::vec((0usize..8, 0usize..8), 0..12)).prop_map(
-        |(n, raw_edges)| {
+    (
+        2usize..8,
+        proptest::collection::vec((0usize..8, 0usize..8), 0..12),
+    )
+        .prop_map(|(n, raw_edges)| {
             let mut b = SortPosetBuilder::new();
             let sorts: Vec<SortId> = (0..n).map(|i| b.sort(&format!("S{i}"))).collect();
             for (i, j) in raw_edges {
@@ -20,8 +23,7 @@ fn arb_poset() -> impl Strategy<Value = SortPoset> {
                 }
             }
             b.finish().expect("index-ordered edges cannot cycle")
-        },
-    )
+        })
 }
 
 proptest! {
@@ -159,9 +161,7 @@ enum TermSpec {
 
 fn arb_term_spec(depth: usize) -> BoxedStrategy<(TermSpec, u32)> {
     if depth == 0 {
-        (0u32..5)
-            .prop_map(|n| (TermSpec::Num(n), n))
-            .boxed()
+        (0u32..5).prop_map(|n| (TermSpec::Num(n), n)).boxed()
     } else {
         prop_oneof![
             (0u32..5).prop_map(|n| (TermSpec::Num(n), n)),

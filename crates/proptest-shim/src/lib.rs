@@ -231,7 +231,10 @@ pub fn union<T>(alternatives: Vec<BoxedStrategy<T>>) -> BoxedStrategy<T>
 where
     T: 'static,
 {
-    assert!(!alternatives.is_empty(), "prop_oneof! needs at least one arm");
+    assert!(
+        !alternatives.is_empty(),
+        "prop_oneof! needs at least one arm"
+    );
     UnionStrategy { alternatives }.boxed()
 }
 
@@ -493,7 +496,8 @@ macro_rules! prop_assert_ne {
         let (a, b) = (&$a, &$b);
         if *a == *b {
             return Err($crate::TestCaseError::fail(format!(
-                "prop_assert_ne! failed: both {:?}", a
+                "prop_assert_ne! failed: both {:?}",
+                a
             )));
         }
     }};

@@ -100,7 +100,11 @@ fn phase_stress() {
         h.join().expect("client thread");
     }
     let sent = (CLIENTS * ROUNDS * mixed_workload().len()) as u64;
-    assert_eq!(answered.load(Ordering::Relaxed), sent, "zero dropped requests");
+    assert_eq!(
+        answered.load(Ordering::Relaxed),
+        sent,
+        "zero dropped requests"
+    );
     let stats = server.shutdown();
     assert_eq!(stats.accepted, sent);
     assert_eq!(stats.completed, sent);
@@ -210,7 +214,10 @@ fn phase_drain_under_load() {
         h.join().expect("client thread");
     }
     assert!(stats.reconciles(), "drain keeps exact books: {stats:?}");
-    assert!(stats.accepted > 0, "the burst did real work before the drain");
+    assert!(
+        stats.accepted > 0,
+        "the burst did real work before the drain"
+    );
     println!(
         "  drain: {} answered mid-burst, {} typed rejections, books exact — OK",
         stats.completed, stats.rejected_overload
@@ -260,7 +267,10 @@ fn phase_telemetry() {
     // means every answered request is in the books.
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.telemetry().in_flight() != 0 {
-        assert!(Instant::now() < deadline, "in-flight requests never settled");
+        assert!(
+            Instant::now() < deadline,
+            "in-flight requests never settled"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -279,15 +289,20 @@ fn phase_telemetry() {
     let prom = scraper
         .telemetry_text(TELEMETRY_FORMAT_PROMETHEUS)
         .expect("prometheus scrape");
-    let families =
-        validate_exposition(&prom).unwrap_or_else(|e| panic!("exposition invalid: {e}"));
-    assert!(families >= 10, "a real scrape has many families: {families}");
+    let families = validate_exposition(&prom).unwrap_or_else(|e| panic!("exposition invalid: {e}"));
+    assert!(
+        families >= 10,
+        "a real scrape has many families: {families}"
+    );
     let chrome = scraper
         .telemetry_text(TELEMETRY_FORMAT_CHROME_SLOWLOG)
         .expect("chrome scrape");
     let events =
         validate_chrome_trace(&chrome).unwrap_or_else(|e| panic!("chrome trace invalid: {e}"));
-    assert!(events as u64 > captured, "phase spans for every captured query");
+    assert!(
+        events as u64 > captured,
+        "phase spans for every captured query"
+    );
 
     // Artifacts for `scripts/tier1.sh` and the CI telemetry lane.
     let target = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
@@ -298,7 +313,10 @@ fn phase_telemetry() {
     drop(scraper);
     let stats = server.shutdown();
     assert!(stats.reconciles(), "exact accounting: {stats:?}");
-    assert_eq!(stats.completed, recorded, "plane reconciles with the server books");
+    assert_eq!(
+        stats.completed, recorded,
+        "plane reconciles with the server books"
+    );
     println!(
         "  telemetry: {sent} observed, {captured} captured + {dropped} evicted of {triggered} sampled, \
          {families} exposition families, {events} trace events — OK"

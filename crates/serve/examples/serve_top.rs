@@ -98,8 +98,16 @@ fn render(frame: usize, frames: usize, s: &Samples) {
     let occ = get(s, "summa_serve_batch_occupancy");
     let gmax = q.max(inf).max(occ).max(1.0);
     println!("  queue depth      {:>6}  {}", q as i64, bar(q, gmax, 24));
-    println!("  in flight        {:>6}  {}", inf as i64, bar(inf, gmax, 24));
-    println!("  batch occupancy  {:>6}  {}", occ as i64, bar(occ, gmax, 24));
+    println!(
+        "  in flight        {:>6}  {}",
+        inf as i64,
+        bar(inf, gmax, 24)
+    );
+    println!(
+        "  batch occupancy  {:>6}  {}",
+        occ as i64,
+        bar(occ, gmax, 24)
+    );
     println!();
 
     // Per-op throughput, aggregated over tenants.
@@ -160,7 +168,11 @@ fn render(frame: usize, frames: usize, s: &Samples) {
         "  warm path: {} index hits, {} index misses ({:.0}% hit), {} shared-cache hits",
         ih as u64,
         im as u64,
-        if warm_total > 0.0 { ih / warm_total * 100.0 } else { 0.0 },
+        if warm_total > 0.0 {
+            ih / warm_total * 100.0
+        } else {
+            0.0
+        },
         get(s, "summa_serve_cache_shared_hit_total") as u64,
     );
     println!(
@@ -210,7 +222,9 @@ fn main() {
         .map(|a| a.parse().expect("frames"))
         .unwrap_or(if attach.is_some() { usize::MAX } else { 12 });
     let interval = Duration::from_millis(
-        args.get(2).map(|a| a.parse().expect("interval_ms")).unwrap_or(250),
+        args.get(2)
+            .map(|a| a.parse().expect("interval_ms"))
+            .unwrap_or(250),
     );
 
     // Self-hosted demo: a telemetry-armed server plus load tenants.

@@ -107,10 +107,7 @@ pub(crate) fn scheduler_loop(shared: Arc<Shared>) {
         // remainder; the coalescing scan runs after the lock drops,
         // so admissions never serialize behind batch formation.
         let (first, mut rest) = {
-            let mut q = shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(first) = q.pop_front() {
                     break (first, std::mem::take(&mut *q));
@@ -132,10 +129,7 @@ pub(crate) fn scheduler_loop(shared: Arc<Shared>) {
         // (Admissions racing the scan see a shorter queue, so depth
         // gating is approximate for the scan's duration — by design.)
         let depth_after = {
-            let mut q = shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             while let Some(p) = rest.pop_back() {
                 q.push_front(p);
             }
@@ -205,7 +199,10 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Pending>, popped_at: Instant, batc
         match gate {
             Ok(Ok(_)) => break true,
             Ok(Err(_)) | Err(_) if attempts < BATCH_ATTEMPTS => {
-                shared.counters.batch_retries.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .counters
+                    .batch_retries
+                    .fetch_add(1, Ordering::Relaxed);
             }
             _ => break false,
         }
@@ -310,7 +307,10 @@ fn answer(
         return; // a retried attempt already answered
     }
     if status == wire::STATUS_ENGINE_ERROR {
-        shared.counters.engine_errors.fetch_add(1, Ordering::Relaxed);
+        shared
+            .counters
+            .engine_errors
+            .fetch_add(1, Ordering::Relaxed);
     }
     match served {
         SERVED_INDEX => {

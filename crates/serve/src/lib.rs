@@ -55,9 +55,8 @@ pub mod prelude {
     pub use crate::snapshot::{parse_tbox, Snapshot, SnapshotStore};
     pub use crate::telemetry::{SlowTrigger, TelemetryConfig, TelemetryPlane};
     pub use crate::wire::{
-        Envelope, OkBody, Op, Overload, Payload, ProtoError, Request, Response,
-        OUTCOME_CANCELLED, OUTCOME_COMPLETED, OUTCOME_EXHAUSTED, STATUS_ENGINE_ERROR,
-        STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR, TELEMETRY_FORMAT_CHROME_SLOWLOG,
-        TELEMETRY_FORMAT_PROMETHEUS,
+        Envelope, OkBody, Op, Overload, Payload, ProtoError, Request, Response, OUTCOME_CANCELLED,
+        OUTCOME_COMPLETED, OUTCOME_EXHAUSTED, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_OVERLOADED,
+        STATUS_PROTOCOL_ERROR, TELEMETRY_FORMAT_CHROME_SLOWLOG, TELEMETRY_FORMAT_PROMETHEUS,
     };
 }

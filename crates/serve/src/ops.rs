@@ -137,8 +137,8 @@ pub fn parse_abox(text: &str, voc: &mut Vocabulary) -> Result<ABox, String> {
             if name.is_empty() || name.split_whitespace().count() != 1 {
                 return Err(format!("line {}: bad individual name", lineno + 1));
             }
-            let c = parse_concept(expr.trim(), voc)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let c =
+                parse_concept(expr.trim(), voc).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let ind = abox.individual(name);
             abox.assert_concept(ind, c);
         } else {
@@ -259,8 +259,7 @@ fn subsumes_with(
     // Index fast path, clone-free: both names resolve as told atoms
     // of the snapshot's own vocabulary and the closure has the bit.
     if let Some(w) = warm {
-        if let (Some(sub_id), Some(sup_id)) =
-            (told_atom(&snap.voc, sub), told_atom(&snap.voc, sup))
+        if let (Some(sub_id), Some(sup_id)) = (told_atom(&snap.voc, sub), told_atom(&snap.voc, sup))
         {
             if let Some(holds) = w.index.subsumes(sup_id, sub_id) {
                 return index_answer(holds, snap.epoch, budget);
@@ -496,7 +495,10 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
                                 .map(|s| s.to_string())
                                 .or_else(|| payload.downcast_ref::<String>().cloned())
                                 .unwrap_or_else(|| "non-string panic payload".to_string());
-                            (verdict_code(Verdict::Unknown), format!("judge panicked: {msg}"))
+                            (
+                                verdict_code(Verdict::Unknown),
+                                format!("judge panicked: {msg}"),
+                            )
                         }
                     };
                     let mut p = Vec::new();
@@ -641,8 +643,9 @@ mod tests {
         let Some(Payload::Hierarchy(rows)) = ok.payload else {
             panic!("hierarchy payload");
         };
-        assert!(rows.iter().any(|(c, subs)| c == "car"
-            && subs.iter().any(|s| s == "motorvehicle")));
+        assert!(rows
+            .iter()
+            .any(|(c, subs)| c == "car" && subs.iter().any(|s| s == "motorvehicle")));
 
         let starved = execute(&s, &req, &Budget::new().with_steps(3));
         assert_eq!(starved.status, STATUS_OK);

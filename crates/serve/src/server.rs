@@ -25,7 +25,7 @@ use crate::ops;
 use crate::snapshot::SnapshotStore;
 use crate::telemetry::{TelemetryConfig, TelemetryPlane};
 use crate::wire::{
-    self, Envelope, Overload, ProtoError, Request, Response, FrameError, STATUS_OVERLOADED,
+    self, Envelope, FrameError, Overload, ProtoError, Request, Response, STATUS_OVERLOADED,
     STATUS_PROTOCOL_ERROR,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -494,7 +494,10 @@ fn accept_loop(
             shared.cfg.pool_budget.meter().fault_point("serve.accept")
         }));
         if !matches!(gate, Ok(Ok(_))) {
-            shared.counters.accept_faults.fetch_add(1, Ordering::Relaxed);
+            shared
+                .counters
+                .accept_faults
+                .fetch_add(1, Ordering::Relaxed);
             continue;
         }
         if let Ok(clone) = stream.try_clone() {
@@ -579,7 +582,13 @@ fn reject_protocol(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, e: Pro
     let _ = send(stream, &resp);
 }
 
-fn reject_overload(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, o: Overload, detail: &str) {
+fn reject_overload(
+    shared: &Arc<Shared>,
+    stream: &mut TcpStream,
+    id: u64,
+    o: Overload,
+    detail: &str,
+) {
     shared
         .counters
         .rejected_overload
@@ -676,7 +685,10 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
             let t0 = Instant::now();
             let ex = ops::execute(&shared.store, &env.request, &shared.cfg.request_budget());
             if ex.status == wire::STATUS_OK {
-                shared.counters.snapshot_loads.fetch_add(1, Ordering::Relaxed);
+                shared
+                    .counters
+                    .snapshot_loads
+                    .fetch_add(1, Ordering::Relaxed);
             }
             let resp = Response {
                 id: env.id,
@@ -693,7 +705,13 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
         _ => {
             // Admission gates, cheapest first.
             if shared.draining.load(Ordering::SeqCst) {
-                reject_overload(shared, stream, env.id, Overload::Draining, "server draining");
+                reject_overload(
+                    shared,
+                    stream,
+                    env.id,
+                    Overload::Draining,
+                    "server draining",
+                );
                 return true;
             }
             let key = env

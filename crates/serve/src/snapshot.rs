@@ -271,9 +271,7 @@ mod tests {
         assert_eq!(snap.epoch, before + 1);
         assert_eq!(snap.tbox.len(), 2);
         assert!(snap.voc.find_concept("vehicle").is_some());
-        assert!(store
-            .install_axioms("broken", "car < < vehicle")
-            .is_err());
+        assert!(store.install_axioms("broken", "car < < vehicle").is_err());
     }
 
     #[test]

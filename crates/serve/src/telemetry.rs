@@ -48,8 +48,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-use summa_guard::obs::export::json_escape;
 use summa_guard::obs::expo::{sanitize_name, Exposition};
+use summa_guard::obs::export::json_escape;
 use summa_guard::obs::metrics::{Gauge, Histogram, Registry, SeriesRing};
 
 /// Number of wire opcodes ([`Op`] discriminants are `0..NUM_OPS`).
@@ -704,8 +704,8 @@ impl TelemetryPlane {
 mod tests {
     use super::*;
     use crate::wire::STATUS_ENGINE_ERROR;
-    use summa_guard::obs::export::validate_chrome_trace;
     use summa_guard::obs::expo::validate_exposition;
+    use summa_guard::obs::export::validate_chrome_trace;
 
     fn plane(cfg: TelemetryConfig) -> TelemetryPlane {
         TelemetryPlane::new(cfg)
@@ -790,7 +790,15 @@ mod tests {
         };
         p.observe_request(&t, "t0", Op::Ping, &exhausted, PhaseNs::default(), 0, 10);
         // Over threshold: sampled.
-        p.observe_request(&t, "t0", Op::Ping, &ok_resp(4), PhaseNs::default(), 0, 5_000);
+        p.observe_request(
+            &t,
+            "t0",
+            Op::Ping,
+            &ok_resp(4),
+            PhaseNs::default(),
+            0,
+            5_000,
+        );
         let triggers: Vec<SlowTrigger> = p.slow_log().iter().map(|q| q.trigger).collect();
         assert_eq!(
             triggers,
@@ -842,7 +850,9 @@ mod tests {
         p.sample_batch(3, 1);
         let text = p.prometheus_text();
         validate_exposition(&text).expect("exposition lints clean");
-        assert!(text.contains("summa_serve_tenant_requests_total{tenant=\"acme\",op=\"subsumes\"} 1"));
+        assert!(
+            text.contains("summa_serve_tenant_requests_total{tenant=\"acme\",op=\"subsumes\"} 1")
+        );
         assert!(text.contains("summa_serve_phase_execute_ns_count{op=\"subsumes\"} 1"));
         let json = p.slow_log_chrome_json();
         let n = validate_chrome_trace(&json).expect("chrome trace validates");

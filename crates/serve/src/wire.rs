@@ -163,10 +163,15 @@ pub enum Request {
         sup: String,
     },
     /// Classify the named snapshot's TBox.
-    Classify { snapshot: String },
+    Classify {
+        snapshot: String,
+    },
     /// Realize an ABox (one assertion per line, see
     /// [`crate::ops::parse_abox`]) against the named snapshot.
-    Realize { snapshot: String, abox: String },
+    Realize {
+        snapshot: String,
+        abox: String,
+    },
     /// Judge one corpus artifact under one named definition.
     Admit {
         artifact: String,
@@ -177,7 +182,10 @@ pub enum Request {
     /// Parse `axioms` (one `C < D` / `C = D` axiom per line) and
     /// install it under `name`, bumping the store epoch. In-flight
     /// queries keep the snapshot they started with.
-    LoadSnapshot { name: String, axioms: String },
+    LoadSnapshot {
+        name: String,
+        axioms: String,
+    },
     /// Server counters (admin; not part of the conformance surface).
     Stats,
     /// Scrape the telemetry plane (admin). `format` selects the
@@ -185,7 +193,9 @@ pub enum Request {
     /// exposition, [`TELEMETRY_FORMAT_CHROME_SLOWLOG`] for a
     /// Chrome-trace JSON dump of the slow-query log. Unknown formats
     /// answer with a typed protocol error.
-    Telemetry { format: u8 },
+    Telemetry {
+        format: u8,
+    },
 }
 
 impl Request {
@@ -626,7 +636,10 @@ pub enum Payload {
     /// undecided individuals are absent.
     Realization(Vec<(String, Vec<String>, Vec<String>)>),
     /// One admission judgment.
-    Judgment { verdict: u8, reason: String },
+    Judgment {
+        verdict: u8,
+        reason: String,
+    },
     /// The full admission matrix.
     Matrix {
         definitions: Vec<String>,
@@ -1016,7 +1029,10 @@ mod tests {
         let mut bytes = 10u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(b"abc");
         let mut cursor = std::io::Cursor::new(bytes);
-        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Truncated)));
+        assert!(matches!(
+            read_frame(&mut cursor),
+            Err(FrameError::Truncated)
+        ));
     }
 
     #[test]

@@ -194,9 +194,7 @@ pub fn find_isomorphic_pairs_metered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use summa_dl::corpus::{
-        animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab,
-    };
+    use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 
     #[test]
     fn car_equals_dog_before_repair() {
@@ -213,9 +211,7 @@ mod tests {
         let v = vehicles_tbox(&p);
         let a = animals_tbox(&p);
         assert!(structurally_indistinguishable(&v, p.pickup, &a, p.horse, &p.voc).is_some());
-        assert!(
-            structurally_indistinguishable(&v, p.motorvehicle, &a, p.animal, &p.voc).is_some()
-        );
+        assert!(structurally_indistinguishable(&v, p.motorvehicle, &a, p.animal, &p.voc).is_some());
         assert!(
             structurally_indistinguishable(&v, p.roadvehicle, &a, p.quadruped, &p.voc).is_some()
         );

@@ -285,10 +285,10 @@ mod tests {
         ) && g.node_label(*t) == "small"));
         // roadvehicle —has(4)→ wheel
         let rv = g.node_of(p.roadvehicle).unwrap();
-        assert!(g.out_edges(rv).any(|(_, t, k)| matches!(
-            k,
-            EdgeKind::Role { card: Some(4), .. }
-        ) && g.node_label(*t) == "wheel"));
+        assert!(g.out_edges(rv).any(
+            |(_, t, k)| matches!(k, EdgeKind::Role { card: Some(4), .. })
+                && g.node_label(*t) == "wheel"
+        ));
     }
 
     #[test]

@@ -257,11 +257,7 @@ mod tests {
         // Any complete mapping needs one charge per node, so a budget
         // below the node count must exhaust instead of answering.
         assert!(g.n_nodes() > 1);
-        let starved = find_isomorphism_governed(
-            &g,
-            &g,
-            &summa_guard::Budget::new().with_steps(1),
-        );
+        let starved = find_isomorphism_governed(&g, &g, &summa_guard::Budget::new().with_steps(1));
         assert!(matches!(
             starved,
             summa_guard::Governed::Exhausted { partial: None, .. }

@@ -22,7 +22,10 @@ fn main() {
         println!();
     }
 
-    println!("Admission counts (of {} artifacts):", matrix.artifacts.len());
+    println!(
+        "Admission counts (of {} artifacts):",
+        matrix.artifacts.len()
+    );
     for d in &matrix.definitions {
         println!("  {:<26} {}", d, matrix.admission_count(d));
     }

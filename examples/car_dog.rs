@@ -35,7 +35,10 @@ fn main() {
 
     match structurally_indistinguishable(&vehicles, p.car, &animals, p.dog, &p.voc) {
         Some(mapping) => {
-            println!("CAR ≅ DOG: the skeletons are isomorphic ({} nodes mapped).", mapping.len());
+            println!(
+                "CAR ≅ DOG: the skeletons are isomorphic ({} nodes mapped).",
+                mapping.len()
+            );
             println!("If meaning is structure, CAR = DOG. \"I expect quite a few people to");
             println!("object to this identification on ground of affection either toward");
             println!("their poodle or toward their BMW.\"\n");

@@ -69,7 +69,10 @@ fn describe<T>(what: &str, g: &Governed<T>) {
 fn main() {
     let (voc, t, probe) = pigeonhole(6);
 
-    println!("pigeonhole(6): {} GCIs, provably incoherent only after", t.axioms().len());
+    println!(
+        "pigeonhole(6): {} GCIs, provably incoherent only after",
+        t.axioms().len()
+    );
     println!("an exponential search. Governed calls on it:\n");
 
     // A step budget: abstract work units, deterministic.

@@ -55,7 +55,10 @@ fn main() {
 
     // The dependency analysis.
     let guarino = DependencyGraph::guarino();
-    println!("The dependency graph of Guarino's construction:\n{}", guarino.render());
+    println!(
+        "The dependency graph of Guarino's construction:\n{}",
+        guarino.render()
+    );
     match guarino.analyze().cycle {
         Some(cycle) => {
             let names: Vec<&str> = cycle.iter().map(|n| n.name()).collect();
@@ -66,10 +69,7 @@ fn main() {
     println!();
 
     let repaired = DependencyGraph::guarino_with_primitive_worlds();
-    println!(
-        "With primitive world state:\n{}",
-        repaired.render()
-    );
+    println!("With primitive world state:\n{}", repaired.render());
     match repaired.analyze().topological_order {
         Some(order) => {
             let names: Vec<&str> = order.iter().map(|n| n.name()).collect();
@@ -96,8 +96,8 @@ fn main() {
     // Husserl: designation ≠ signification.
     println!("\n== Husserl: the winner at Jena / the loser at Waterloo ==\n");
     let (hdom, worlds, winner, loser) = husserl_example();
-    let report = compare_descriptions(&hdom, &worlds, 0, &winner, &loser)
-        .expect("valid actual world");
+    let report =
+        compare_descriptions(&hdom, &worlds, 0, &winner, &loser).expect("valid actual world");
     let name = |e: Option<Elem>| match e {
         Some(e) => hdom.name(e).to_string(),
         None => "(none)".to_string(),

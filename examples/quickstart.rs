@@ -54,10 +54,7 @@ fn main() {
     // §3–4 — the pragmatic critique: the death of the reader.
     println!("== §3–4 Pragmatic critique ==\n");
     let prag = pragmatic_critique();
-    println!(
-        "contexts read:                 {}",
-        prag.n_contexts
-    );
+    println!("contexts read:                 {}", prag.n_contexts);
     println!(
         "distinct meanings of one sign: {}",
         prag.n_distinct_meanings
@@ -66,10 +63,7 @@ fn main() {
         "mean meaning distance:         {:.2}",
         prag.mean_meaning_distance
     );
-    println!(
-        "loss from freezing one code:   {:.2}",
-        prag.encoding_loss
-    );
+    println!("loss from freezing one code:   {:.2}", prag.encoding_loss);
     println!(
         "\n\"There is no objective, essential or immutable meaning that can \
          be encoded … without the active, culturally and historically \

@@ -65,6 +65,8 @@ fn main() {
     std::fs::write("trace_car_dog.json", &chrome).expect("write trace_car_dog.json");
     std::fs::write("trace_car_dog.folded", snap.collapsed_stacks())
         .expect("write trace_car_dog.folded");
-    println!("wrote trace_car_dog.json ({events} trace events) — open it at https://ui.perfetto.dev");
+    println!(
+        "wrote trace_car_dog.json ({events} trace events) — open it at https://ui.perfetto.dev"
+    );
     println!("wrote trace_car_dog.folded — feed it to flamegraph.pl / inferno");
 }

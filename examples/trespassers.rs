@@ -19,7 +19,12 @@ fn main() {
     let contexts = all_contexts();
     for ctx in &contexts {
         let (props, rounds, fired) = interpret_traced(&text, ctx);
-        println!("— In context '{}' ({} conventions, {} rounds of the circle):", ctx.name(), ctx.len(), rounds);
+        println!(
+            "— In context '{}' ({} conventions, {} rounds of the circle):",
+            ctx.name(),
+            ctx.len(),
+            rounds
+        );
         for p in &props {
             println!("    {p}");
         }

@@ -42,8 +42,8 @@ const SEEDS: &[&str] = &[
 /// Characters the mutator may inject: every token-significant symbol,
 /// identifier material, whitespace, and some hostile outliers.
 const POOL: &[char] = &[
-    '&', '|', '~', '.', '(', ')', '<', '=', '⊓', '⊔', '¬', '⊑', '≡', 'a', 'Z', '0', '9', '_',
-    ' ', '\t', '\n', 's', 'o', 'm', 'e', 'l', 't', '🦀', '\u{0}', 'é', '£',
+    '&', '|', '~', '.', '(', ')', '<', '=', '⊓', '⊔', '¬', '⊑', '≡', 'a', 'Z', '0', '9', '_', ' ',
+    '\t', '\n', 's', 'o', 'm', 'e', 'l', 't', '🦀', '\u{0}', 'é', '£',
 ];
 
 /// One deterministic mutant of `seed` (always valid UTF-8 — edits are
@@ -89,10 +89,7 @@ fn mutate(rng: &mut SplitMix64, seed: &str, other: &str) -> String {
             let ochars: Vec<char> = other.chars().collect();
             let cut_a = rng.below(chars.len() + 1);
             let cut_b = rng.below(ochars.len() + 1);
-            chars[..cut_a]
-                .iter()
-                .chain(&ochars[cut_b..])
-                .collect()
+            chars[..cut_a].iter().chain(&ochars[cut_b..]).collect()
         }
         // Truncate.
         _ => chars[..rng.below(chars.len() + 1)].iter().collect(),
@@ -111,9 +108,8 @@ fn check(input: &str) {
                 parse_concept(&owned, &mut voc).map(|_| ())
             }
         }));
-        let parsed = outcome.unwrap_or_else(|_| {
-            panic!("parser panicked on {:?} (axiom_mode={axiom_mode})", input)
-        });
+        let parsed = outcome
+            .unwrap_or_else(|_| panic!("parser panicked on {:?} (axiom_mode={axiom_mode})", input));
         if let Err(e) = parsed {
             match e {
                 DlError::Parse {

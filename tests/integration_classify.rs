@@ -94,8 +94,7 @@ fn diamond_acceptance_ratio_holds_at_debug_size() {
     // suite checks it on the cheaper diamond(5) (63 atoms).
     let (voc, tbox, _) = generate::diamond(5);
     let budget = Budget::unlimited();
-    let (brute, bs) =
-        classify_brute_force_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
+    let (brute, bs) = classify_brute_force_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
     let (enhanced, es) = enhanced(&tbox, &voc, &budget);
     assert_eq!(
         brute.expect_completed("unlimited"),
@@ -111,10 +110,7 @@ fn diamond_acceptance_ratio_holds_at_debug_size() {
 
 #[test]
 fn parallel_enhanced_rows_equal_sequential_at_four_workers() {
-    for (voc, tbox, _) in [
-        generate::diamond(4),
-        generate::random_el(10, 2, 12, 0xBEEF),
-    ] {
+    for (voc, tbox, _) in [generate::diamond(4), generate::random_el(10, 2, 12, 0xBEEF)] {
         let seq = Classify::new(&tbox, &voc).run(&Budget::unlimited());
         let par = Classify::new(&tbox, &voc)
             .threads(4)

@@ -71,10 +71,7 @@ fn guarino_strictness_levels_are_nested_on_the_corpus() {
 
 #[test]
 fn admission_levels_are_exposed_consistently() {
-    assert_eq!(
-        GuarinoDefinition::exact().level,
-        AdmissionLevel::Exact
-    );
+    assert_eq!(GuarinoDefinition::exact().level, AdmissionLevel::Exact);
     assert_eq!(
         GuarinoDefinition::approximate().level,
         AdmissionLevel::Approximate

@@ -163,10 +163,14 @@ fn e11_reasoners() {
     let mut r = Tableau::new(&TBox::new(), &voc2);
     // A 20,000-node memory wall: a runaway search fails the test.
     let budget = Budget::new().with_memory(20_000);
-    assert!(r.is_satisfiable_governed(&c, &budget).expect_completed("within the node cap"));
+    assert!(r
+        .is_satisfiable_governed(&c, &budget)
+        .expect_completed("within the node cap"));
     let (voc3, c2) = generate::hard_alc_unsat(6);
     let mut r2 = Tableau::new(&TBox::new(), &voc3);
-    assert!(!r2.is_satisfiable_governed(&c2, &budget).expect_completed("within the node cap"));
+    assert!(!r2
+        .is_satisfiable_governed(&c2, &budget)
+        .expect_completed("within the node cap"));
 }
 
 /// E12 — OSA rewriting substrate: Peano arithmetic normalizes.

@@ -83,7 +83,13 @@ fn tableau_exhausts_with_partial_under_step_budget() {
     let started = Instant::now();
     let g = reasoner.is_satisfiable_governed(&probe, &Budget::new().with_steps(1_000));
     assert!(
-        matches!(g, Governed::Exhausted { reason: ExhaustionReason::Steps, .. }),
+        matches!(
+            g,
+            Governed::Exhausted {
+                reason: ExhaustionReason::Steps,
+                ..
+            }
+        ),
         "expected step exhaustion, got {}",
         g.status()
     );
@@ -103,7 +109,13 @@ fn tableau_exhausts_under_deadline() {
         &Budget::new().with_deadline(Duration::from_millis(10)),
     );
     assert!(
-        matches!(g, Governed::Exhausted { reason: ExhaustionReason::Deadline, .. }),
+        matches!(
+            g,
+            Governed::Exhausted {
+                reason: ExhaustionReason::Deadline,
+                ..
+            }
+        ),
         "expected deadline exhaustion, got {}",
         g.status()
     );
@@ -138,9 +150,7 @@ fn classification_degrades_to_sound_partial_hierarchy() {
         .expect("EL fragment")
         .classify_governed(&t, &voc, &Budget::new().with_steps(1_000));
     let (reason_is_steps, partial) = match g {
-        Governed::Exhausted { reason, partial } => {
-            (reason == ExhaustionReason::Steps, partial)
-        }
+        Governed::Exhausted { reason, partial } => (reason == ExhaustionReason::Steps, partial),
         other => panic!("expected exhaustion, got {}", other.status()),
     };
     assert!(reason_is_steps);
@@ -291,10 +301,7 @@ fn cancellation_stops_the_reasoner() {
     let mut reasoner = Tableau::new(&t, &voc);
     let token = CancelToken::new();
     token.cancel(); // cancelled before the search starts
-    let g = reasoner.is_satisfiable_governed(
-        &probe,
-        &Budget::new().with_cancel(token),
-    );
+    let g = reasoner.is_satisfiable_governed(&probe, &Budget::new().with_cancel(token));
     assert!(
         matches!(g, Governed::Cancelled { .. }),
         "expected cancellation, got {}",

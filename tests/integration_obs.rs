@@ -87,10 +87,7 @@ fn tableau_subsumption_is_identical_traced_and_untraced() {
         let mut answers = vec![];
         for &sub in &atoms {
             for &sup in &atoms {
-                let q = Concept::and(vec![
-                    Concept::atom(sub),
-                    Concept::not(Concept::atom(sup)),
-                ]);
+                let q = Concept::and(vec![Concept::atom(sub), Concept::not(Concept::atom(sup))]);
                 answers.push(reasoner.sat_metered(&q, &mut meter).expect("unlimited"));
             }
         }
@@ -158,7 +155,9 @@ fn osa_rewriting_is_identical_traced_and_untraced() {
     let term = Term::app(plus, vec![num(7), num(5)]);
     let run = |budget: &Budget| {
         let mut meter = budget.meter();
-        let nf = rs.normal_form_metered(&term, &mut meter).expect("unlimited");
+        let nf = rs
+            .normal_form_metered(&term, &mut meter)
+            .expect("unlimited");
         (nf, meter.spend())
     };
     let (on, on_spend) = run(&traced());
@@ -176,10 +175,8 @@ fn structure_collapse_is_identical_traced_and_untraced() {
     let a = animals_tbox(&p);
     let run = |budget: &Budget| {
         let mut meter = budget.meter();
-        let m = structurally_indistinguishable_metered(
-            &v, p.car, &a, p.dog, &p.voc, 8, &mut meter,
-        )
-        .expect("unlimited");
+        let m = structurally_indistinguishable_metered(&v, p.car, &a, p.dog, &p.voc, 8, &mut meter)
+            .expect("unlimited");
         (m, meter.spend())
     };
     let (on, on_spend) = run(&traced());
@@ -196,12 +193,9 @@ fn ontonomy_isomorphism_is_identical_traced_and_untraced() {
     let a = animals_signature().expect("well-formed");
     let run = |budget: &Budget| {
         let mut meter = budget.meter();
-        let m = signatures_isomorphic_metered(
-            &v.ontonomy.signature,
-            &a.ontonomy.signature,
-            &mut meter,
-        )
-        .expect("unlimited");
+        let m =
+            signatures_isomorphic_metered(&v.ontonomy.signature, &a.ontonomy.signature, &mut meter)
+                .expect("unlimited");
         (m, meter.spend())
     };
     let (on, on_spend) = run(&traced());
@@ -225,8 +219,14 @@ fn syntactic_critique_is_identical_traced_and_untraced() {
 #[test]
 fn parallel_classification_is_identical_traced_and_untraced() {
     let (voc, tbox, _) = generate::random_el(10, 2, 14, 7);
-    let on = Classify::new(&tbox, &voc).threads(4).run(&traced()).governed;
-    let off = Classify::new(&tbox, &voc).threads(4).run(&untraced()).governed;
+    let on = Classify::new(&tbox, &voc)
+        .threads(4)
+        .run(&traced())
+        .governed;
+    let off = Classify::new(&tbox, &voc)
+        .threads(4)
+        .run(&untraced())
+        .governed;
     assert_eq!(on, off);
 }
 

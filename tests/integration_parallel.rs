@@ -12,11 +12,11 @@ use proptest::prelude::*;
 use summa_core::critique::syntactic_critique_governed;
 use summa_core::definitions::Verdict;
 use summa_core::report::AdmissionMatrix;
+use summa_dl::abox::ABox;
 use summa_dl::classify::Classify;
+use summa_dl::concept::Concept;
 use summa_dl::generate;
 use summa_dl::prelude::Realize;
-use summa_dl::abox::ABox;
-use summa_dl::concept::Concept;
 use summa_guard::{Budget, ExhaustionReason, FaultInjector, FaultKind, Governed, STEP_SITE};
 use summa_ontonomy::corpus::{animals_signature, vehicles_signature};
 use summa_ontonomy::prelude::signatures_isomorphic_governed;
@@ -42,9 +42,7 @@ fn verdicts(m: &AdmissionMatrix) -> Vec<(String, Vec<(Verdict, String)>)> {
         .map(|(a, row)| {
             (
                 a.clone(),
-                row.iter()
-                    .map(|j| (j.verdict, j.reason.clone()))
-                    .collect(),
+                row.iter().map(|j| (j.verdict, j.reason.clone())).collect(),
             )
         })
         .collect()
@@ -194,14 +192,11 @@ fn graph_isomorphism_finds_the_corpus_witness() {
     let p = PaperVocab::new();
     let g1 = DefGraph::from_tbox(&vehicles_tbox(&p), &p.voc, LabelMode::Anonymous);
     let g2 = DefGraph::from_tbox(&animals_tbox(&p), &p.voc, LabelMode::Anonymous);
-    let witness = find_isomorphism_governed(&g1, &g2, &Budget::unlimited())
-        .expect_completed("unlimited");
+    let witness =
+        find_isomorphism_governed(&g1, &g2, &Budget::unlimited()).expect_completed("unlimited");
     assert!(witness.is_some(), "the corpus graphs are isomorphic");
     let starved = find_isomorphism_governed(&g1, &g2, &Budget::new().with_steps(1));
-    assert!(matches!(
-        starved,
-        Governed::Exhausted { partial: None, .. }
-    ));
+    assert!(matches!(starved, Governed::Exhausted { partial: None, .. }));
 }
 
 /// Ontology-signature isomorphism (Bench-Capon & Malcolm encoding)

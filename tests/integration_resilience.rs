@@ -331,10 +331,7 @@ fn realization_resumes_to_the_uninterrupted_answer() {
             "forged checkpoint must restart, got {:?}",
             run.resume
         );
-        assert_eq!(
-            run.governed.expect_completed("restart completes"),
-            expected
-        );
+        assert_eq!(run.governed.expect_completed("restart completes"), expected);
     }
 }
 
@@ -409,10 +406,7 @@ fn corrupt_checkpoints_degrade_to_clean_restarts() {
             matches!(run.resume, ResumeOutcome::Restarted { .. }),
             "flipped byte at {at} must not resume"
         );
-        assert_eq!(
-            run.governed.expect_completed("restart completes"),
-            expected
-        );
+        assert_eq!(run.governed.expect_completed("restart completes"), expected);
     }
 
     // The untouched checkpoint *does* resume...
@@ -446,8 +440,9 @@ fn corrupt_checkpoints_degrade_to_clean_restarts() {
 /// chaos runs are replayable, not merely survivable.
 #[test]
 fn env_schedule_replay_is_deterministic() {
-    let plan = std::env::var("SUMMA_FAULT_PLAN")
-        .unwrap_or_else(|_| "exec.task@3=panic; exec.worker@1=panic; dl.cache.insert@2=poison".into());
+    let plan = std::env::var("SUMMA_FAULT_PLAN").unwrap_or_else(|_| {
+        "exec.task@3=panic; exec.worker@1=panic; dl.cache.insert@2=poison".into()
+    });
     let seed = std::env::var("SUMMA_FAULT_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -460,8 +455,7 @@ fn env_schedule_replay_is_deterministic() {
     let expected = baseline(&tbox, &voc);
     let mut fired = Vec::new();
     for _ in 0..2 {
-        let injector =
-            Arc::new(FaultInjector::parse_plan(&plan, seed).expect("chaos plan parses"));
+        let injector = Arc::new(FaultInjector::parse_plan(&plan, seed).expect("chaos plan parses"));
         let budget = Budget::unlimited().with_injector(Arc::clone(&injector));
         let got = Classify::new(&tbox, &voc)
             .threads(threads)

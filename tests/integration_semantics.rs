@@ -98,12 +98,10 @@ fn pragmatic_and_semantic_reports_compose() {
 fn hermeneutic_interpretations_are_stable_under_context_order() {
     let text = trespassers_sign();
     let contexts = all_contexts();
-    let forward: Vec<Interpretation> =
-        contexts.iter().map(|c| interpret(&text, c)).collect();
+    let forward: Vec<Interpretation> = contexts.iter().map(|c| interpret(&text, c)).collect();
     let mut reversed = contexts.clone();
     reversed.reverse();
-    let backward: Vec<Interpretation> =
-        reversed.iter().map(|c| interpret(&text, c)).collect();
+    let backward: Vec<Interpretation> = reversed.iter().map(|c| interpret(&text, c)).collect();
     for (i, f) in forward.iter().enumerate() {
         assert_eq!(*f, backward[contexts.len() - 1 - i]);
     }

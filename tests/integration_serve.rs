@@ -173,11 +173,7 @@ fn fault_plan_is_observable_and_conformant() {
         snapshot: "vehicles".into(),
         abox: "beetle : car\n".into(),
     };
-    let direct = ops::execute(
-        &SnapshotStore::with_builtins(),
-        &req,
-        &cfg.request_budget(),
-    );
+    let direct = ops::execute(&SnapshotStore::with_builtins(), &req, &cfg.request_budget());
     let ok = decode_ok_body(Op::Realize, &direct.body).expect("decodes");
     assert_eq!(ok.outcome, summa_serve::wire::OUTCOME_EXHAUSTED);
     assert_eq!(ok.reason, summa_serve::wire::REASON_FAULT);

@@ -124,8 +124,7 @@ fn bcm_signature_isomorphism_parallels_the_dl_collapse() {
     let p = PaperVocab::new();
     let vt = vehicles_tbox(&p);
     let at = animals_tbox(&p);
-    let dl_collapse =
-        structurally_indistinguishable(&vt, p.car, &at, p.dog, &p.voc).is_some();
+    let dl_collapse = structurally_indistinguishable(&vt, p.car, &at, p.dog, &p.voc).is_some();
 
     // BCM level: the signatures are isomorphic too.
     let v = vehicles_signature().expect("well-formed");
@@ -133,5 +132,8 @@ fn bcm_signature_isomorphism_parallels_the_dl_collapse() {
     let bcm_collapse =
         signatures_isomorphic(&v.ontonomy.signature, &a.ontonomy.signature).is_some();
 
-    assert!(dl_collapse && bcm_collapse, "the collapse is formalism-independent");
+    assert!(
+        dl_collapse && bcm_collapse,
+        "the collapse is formalism-independent"
+    );
 }

@@ -40,8 +40,16 @@ fn the_reasoner_confirms_what_the_graphs_show() {
     // Reasoning: car ⊑ motorvehicle; dog ⊑ animal — parallel facts.
     let mut rv = Tableau::new(&vehicles, &p.voc);
     let mut ra = Tableau::new(&animals, &p.voc);
-    assert!(subsumes(&mut rv, &Concept::atom(p.motorvehicle), &Concept::atom(p.car)));
-    assert!(subsumes(&mut ra, &Concept::atom(p.animal), &Concept::atom(p.dog)));
+    assert!(subsumes(
+        &mut rv,
+        &Concept::atom(p.motorvehicle),
+        &Concept::atom(p.car)
+    ));
+    assert!(subsumes(
+        &mut ra,
+        &Concept::atom(p.animal),
+        &Concept::atom(p.dog)
+    ));
 
     // Structure: the two TBoxes collapse pairwise.
     assert!(structurally_indistinguishable(&vehicles, p.car, &animals, p.dog, &p.voc).is_some());
@@ -85,8 +93,16 @@ fn repair_changes_reasoning_and_structure_together() {
     // Logically: quadruped ⊑ animal holds only after the repair.
     let mut r0 = Tableau::new(&before, &p.voc);
     let mut r1 = Tableau::new(&after, &p.voc);
-    assert!(!subsumes(&mut r0, &Concept::atom(p.animal), &Concept::atom(p.quadruped)));
-    assert!(subsumes(&mut r1, &Concept::atom(p.animal), &Concept::atom(p.quadruped)));
+    assert!(!subsumes(
+        &mut r0,
+        &Concept::atom(p.animal),
+        &Concept::atom(p.quadruped)
+    ));
+    assert!(subsumes(
+        &mut r1,
+        &Concept::atom(p.animal),
+        &Concept::atom(p.quadruped)
+    ));
 
     // Structurally: the collapse with the vehicles disappears.
     assert!(structurally_indistinguishable(&vehicles, p.car, &before, p.dog, &p.voc).is_some());
@@ -95,7 +111,11 @@ fn repair_changes_reasoning_and_structure_together() {
     // And the vehicle side is untouched: roadvehicle ⋢ motorvehicle
     // ("a horse-drawn cart … with four wheels but no engine").
     let mut rv = Tableau::new(&vehicles, &p.voc);
-    assert!(!subsumes(&mut rv, &Concept::atom(p.motorvehicle), &Concept::atom(p.roadvehicle)));
+    assert!(!subsumes(
+        &mut rv,
+        &Concept::atom(p.motorvehicle),
+        &Concept::atom(p.roadvehicle)
+    ));
 }
 
 #[test]
@@ -120,8 +140,7 @@ fn automated_repair_reproduces_the_papers_manual_repair() {
     let mut voc = p.voc.clone();
     let vehicles = vehicles_tbox(&p);
     let animals = animals_tbox(&p);
-    let (added, remaining, repaired) =
-        differentiate_against(&vehicles, &animals, &mut voc, 8, 64);
+    let (added, remaining, repaired) = differentiate_against(&vehicles, &animals, &mut voc, 8, 64);
     assert!(added >= 1);
     assert!(remaining.is_empty());
     // The repaired TBox must remain coherent.

@@ -257,7 +257,9 @@ fn trail_undo_roundtrips_through_merges() {
         assert!(roundtrips_ok, "{name}: trail unwind diverged from snapshot");
         assert_eq!(
             sat,
-            reference.is_satisfiable_governed(&c, &node_cap()).expect_completed("in budget"),
+            reference
+                .is_satisfiable_governed(&c, &node_cap())
+                .expect_completed("in budget"),
             "{name}: paranoid kernel verdict diverges"
         );
     }

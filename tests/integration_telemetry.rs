@@ -175,8 +175,7 @@ fn telemetry_conformance_four_threads() {
 /// requests that come back non-OK or non-completed enter the log.
 #[test]
 fn error_triggers_tail_sample_without_threshold() {
-    let server =
-        Server::start(config(2, TelemetryConfig::default())).expect("server starts");
+    let server = Server::start(config(2, TelemetryConfig::default())).expect("server starts");
     let mut client = Client::connect(server.addr(), "t").expect("connects");
     assert_eq!(client.ping().expect("ok").status, STATUS_OK);
     let resp = client.classify("no-such-ontology").expect("typed error");
@@ -191,7 +190,10 @@ fn error_triggers_tail_sample_without_threshold() {
         server.telemetry().recorded_requests() == 3 && server.telemetry().slow_log_counts().2 == 2
     });
     let (captured, dropped, triggered) = server.telemetry().slow_log_counts();
-    assert_eq!(triggered, 2, "error + interrupted outcomes trigger; ping does not");
+    assert_eq!(
+        triggered, 2,
+        "error + interrupted outcomes trigger; ping does not"
+    );
     assert_eq!(captured, 2);
     assert_eq!(dropped, 0);
     assert_eq!(server.telemetry().recorded_requests(), 3);
@@ -239,7 +241,9 @@ fn disabled_telemetry_records_nothing_and_stays_conformant() {
 fn unknown_telemetry_format_is_typed_and_survivable() {
     let server = Server::start(ServerConfig::default()).expect("server starts");
     let mut client = Client::connect(server.addr(), "t").expect("connects");
-    let resp = client.telemetry(200).expect("typed rejection, not a disconnect");
+    let resp = client
+        .telemetry(200)
+        .expect("typed rejection, not a disconnect");
     assert_eq!(resp.status, STATUS_PROTOCOL_ERROR);
     assert_eq!(client.ping().expect("answered").status, STATUS_OK);
     drop(client);
@@ -253,15 +257,18 @@ fn unknown_telemetry_format_is_typed_and_survivable() {
 /// themselves.
 #[test]
 fn zero_in_flight_means_every_answer_is_recorded() {
-    let server =
-        Server::start(config(2, TelemetryConfig::default())).expect("server starts");
+    let server = Server::start(config(2, TelemetryConfig::default())).expect("server starts");
     let mut client = Client::connect(server.addr(), "books").expect("connects");
     let plane = server.telemetry();
     for (i, req) in workload().into_iter().enumerate() {
         client.call(req).expect("answered");
         wait_until(|| plane.in_flight() == 0);
         assert_eq!(plane.in_flight(), 0, "request {i} left flight");
-        assert_eq!(plane.recorded_requests(), i as u64 + 1, "request {i} is in the books");
+        assert_eq!(
+            plane.recorded_requests(),
+            i as u64 + 1,
+            "request {i} is in the books"
+        );
     }
     drop(client);
     assert!(server.shutdown().reconciles());
@@ -271,8 +278,7 @@ fn zero_in_flight_means_every_answer_is_recorded() {
 /// label, and the per-tenant sums reconcile with the server's books.
 #[test]
 fn per_tenant_attribution_reconciles() {
-    let server =
-        Server::start(config(4, TelemetryConfig::default())).expect("server starts");
+    let server = Server::start(config(4, TelemetryConfig::default())).expect("server starts");
     let addr = server.addr();
     let handles: Vec<_> = ["alpha", "beta"]
         .into_iter()

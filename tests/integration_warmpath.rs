@@ -185,7 +185,14 @@ fn cold_escape_hatch_disables_the_warm_path() {
     }
     drop(client);
     let stats = server.shutdown();
-    assert_eq!((stats.index_hits, stats.index_misses, stats.cache_shared_hits), (0, 0, 0));
+    assert_eq!(
+        (
+            stats.index_hits,
+            stats.index_misses,
+            stats.cache_shared_hits
+        ),
+        (0, 0, 0)
+    );
 }
 
 /// Arming the chaos fault plan makes the config warm-ineligible: the
@@ -250,7 +257,11 @@ fn hot_swap_replaces_the_index_generation() {
     assert_eq!(r2.epoch, v2.epoch, "answered by the new generation");
     assert_eq!(r2.served, SERVED_INDEX, "rebuilt index answers");
     let ok = decode_ok_body(Op::Subsumes, &r2.body).expect("decodes");
-    assert_eq!(ok.payload, Some(Payload::Subsumes(false)), "stale answer leaked");
+    assert_eq!(
+        ok.payload,
+        Some(Payload::Subsumes(false)),
+        "stale answer leaked"
+    );
     let r3 = client
         .subsumes("migratory", "puffin", "animal")
         .expect("answered");
