@@ -9,8 +9,11 @@
 //! *and* issued satisfiability calls, since the sat-call count is the
 //! machine-independent measure the traversal actually optimizes. On
 //! the workloads inside the EL fragment an `el` lane adds EL
-//! saturation (`ElClassifier`, the engine snapshot install uses there),
-//! whose machine-independent counter is its completion steps.
+//! saturation (`ElClassifier`), whose machine-independent counter is
+//! its completion steps, and an `el_index` lane times what snapshot
+//! install runs there: `ElClassifier::new` plus `index_metered`, which
+//! saturates and packs the rows straight into the `HierarchyIndex`,
+//! charging one step per named pair first (`el_pairs`).
 //!
 //! Every instrumented run asserts the hierarchies are byte-identical
 //! across lanes, and the diamond lattice additionally asserts the
@@ -30,6 +33,7 @@ use summa_dl::classify::{classify_brute_force_governed, Classifier, Classify, Cl
 use summa_dl::concept::Vocabulary;
 use summa_dl::el::ElClassifier;
 use summa_dl::generate;
+use summa_dl::index::HierarchyIndex;
 use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
 use summa_guard::Budget;
@@ -97,6 +101,12 @@ fn main() {
                             .and_then(|mut el| el.classify(&w.tbox, &w.voc))
                     })
                 });
+                g.bench_function(format!("{}/el_index", w.name), |b| {
+                    b.iter(|| {
+                        ElClassifier::new(&w.tbox, &w.voc)
+                            .map(|mut el| el.index_metered(&mut Budget::unlimited().meter()))
+                    })
+                });
             }
         }
         g.finish();
@@ -118,17 +128,26 @@ fn main() {
             brute, enhanced,
             "enhanced hierarchy must be byte-identical to brute force"
         );
-        // The EL lane, where the workload is in the fragment: one
-        // metered saturation, then the hierarchy read off it.
-        let el_steps = ElClassifier::new(&w.tbox, &w.voc).ok().map(|mut el| {
+        // The EL lanes, where the workload is in the fragment: one
+        // metered saturation, the hierarchy read off it, then the rows
+        // packed into the index, which charges only the named pairs on
+        // a saturated classifier.
+        let el_counts = ElClassifier::new(&w.tbox, &w.voc).ok().map(|mut el| {
             let mut meter = budget.meter();
             el.saturate_metered(&mut meter).expect("unlimited");
+            let steps = meter.steps();
             let h = el.classify(&w.tbox, &w.voc).expect("saturated");
             assert_eq!(
                 h, enhanced,
                 "EL hierarchy must be byte-identical to the enhanced one"
             );
-            meter.steps()
+            let index = el.index_metered(&mut meter).expect("unlimited");
+            assert_eq!(
+                Some(&index),
+                HierarchyIndex::build(&enhanced).as_ref(),
+                "the packed index must equal the enhanced hierarchy's"
+            );
+            (steps, meter.steps() - steps)
         });
         let ratio = enhanced_stats.sat_tests as f64 / brute_stats.sat_tests.max(1) as f64;
         if w.name == "diamond" {
@@ -160,17 +179,25 @@ fn main() {
             enhanced_stats.pruned,
             speedup,
         );
-        let el_fields = match el_steps {
-            Some(steps) => {
+        let el_fields = match el_counts {
+            Some((steps, pairs)) => {
                 let el_ns = c
                     .ns_per_iter("classify_strategy", &format!("{}/el", w.name))
                     .expect("timed");
+                let el_index_ns = c
+                    .ns_per_iter("classify_strategy", &format!("{}/el_index", w.name))
+                    .expect("timed");
                 println!(
-                    "  {:<12} el: {steps} steps, {:.2}x the enhanced wall time",
+                    "  {:<12} el: {steps} steps, {:.2}x the enhanced wall time; \
+                     el_index: {pairs} pairs, {:.2}x the el wall time",
                     "",
                     el_ns as f64 / enhanced_ns.max(1) as f64,
+                    el_index_ns as f64 / el_ns.max(1) as f64,
                 );
-                format!(", \"el_ns\": {el_ns}, \"el_steps\": {steps}")
+                format!(
+                    ", \"el_ns\": {el_ns}, \"el_index_ns\": {el_index_ns}, \
+                     \"el_steps\": {steps}, \"el_pairs\": {pairs}"
+                )
             }
             None => String::new(),
         };
@@ -204,7 +231,7 @@ fn main() {
         Err(_) => "null".to_string(),
     };
     let caveat = if smoke() {
-        ",\n  \"caveat\": \"smoke mode (SUMMA_BENCH_SMOKE=1): one sample per lane, wall times are format placeholders; sat-call counts and EL steps are exact either way\"".to_string()
+        ",\n  \"caveat\": \"smoke mode (SUMMA_BENCH_SMOKE=1): one sample per lane, wall times are format placeholders; sat-call counts, EL steps and EL pairs are exact either way\"".to_string()
     } else {
         String::new()
     };

@@ -84,6 +84,14 @@ impl ClassHierarchy {
         self.subsumers.keys().copied()
     }
 
+    /// Every concept with its subsumers, both ascending.
+    pub fn rows(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (ConceptId, impl ExactSizeIterator<Item = ConceptId> + '_)> + '_
+    {
+        self.subsumers.iter().map(|(&c, s)| (c, s.iter().copied()))
+    }
+
     /// Number of subsumption pairs (reflexive included).
     pub fn n_pairs(&self) -> usize {
         self.subsumers.values().map(BTreeSet::len).sum()

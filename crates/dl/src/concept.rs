@@ -308,17 +308,17 @@ impl Concept {
 
     /// All atomic concept ids occurring in the expression.
     pub fn atoms(&self) -> BTreeSet<ConceptId> {
-        let mut out = BTreeSet::new();
+        let mut out = Vec::new();
         self.collect_atoms(&mut out);
-        out
+        BTreeSet::from_iter(out)
     }
 
-    fn collect_atoms(&self, out: &mut BTreeSet<ConceptId>) {
+    /// Push every atom occurrence, repeats included, for a caller that
+    /// builds one set from many expressions.
+    pub(crate) fn collect_atoms(&self, out: &mut Vec<ConceptId>) {
         match self {
             Concept::Top | Concept::Bottom => {}
-            Concept::Atom(c) => {
-                out.insert(*c);
-            }
+            Concept::Atom(c) => out.push(*c),
             Concept::Not(c) => c.collect_atoms(out),
             Concept::And(cs) | Concept::Or(cs) => {
                 for c in cs {

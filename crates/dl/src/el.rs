@@ -29,11 +29,14 @@
 //! classification charges its read-out one step per named pair before
 //! building it, and cuts a partial one at the budget's step ceiling.
 //! The serving layer relies on both charges to bound the install-time
-//! classification of in-fragment snapshots.
+//! classification of in-fragment snapshots, which
+//! [`ElClassifier::index_metered`] packs straight from the completed
+//! rows into a [`HierarchyIndex`] under the same charges.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState};
 use crate::concept::{Concept, ConceptId, RoleId, Vocabulary};
 use crate::error::{DlError, Result};
+use crate::index::HierarchyIndex;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use summa_guard::{Interrupt, Meter};
@@ -128,8 +131,8 @@ pub struct ElClassifier {
     n_atoms: u32,
     top: Atom,
     bottom: Atom,
-    /// Map from user concept ids to internal atoms.
-    user: BTreeMap<ConceptId, Atom>,
+    /// The TBox's names, ascending: `names[a]` is user atom `a`.
+    names: Vec<ConceptId>,
     rules: Rules,
     /// `u64` words per bit row: `⌈n_atoms / 64⌉`.
     words: usize,
@@ -152,7 +155,8 @@ struct Normalizer {
     top: Atom,
     bottom: Atom,
     axioms: Vec<NfAxiom>,
-    user: BTreeMap<ConceptId, Atom>,
+    /// The TBox's names, ascending: `names[a]` is user atom `a`.
+    names: Vec<ConceptId>,
 }
 
 impl ElClassifier {
@@ -175,17 +179,17 @@ impl ElClassifier {
                 });
             }
         }
+        // User atoms come first, in `ConceptId` order: user atom `i` is
+        // rank `i` of the TBox's names, so `index_metered` packs
+        // saturation rows as index rows.
+        let names: Vec<ConceptId> = tbox.atoms().into_iter().collect();
         let mut norm = Normalizer {
-            n_atoms: 0,
+            n_atoms: names.len() as u32,
             top: 0,
             bottom: 0,
             axioms: vec![],
-            user: BTreeMap::new(),
+            names,
         };
-        // Reserve user atoms.
-        for c in tbox.atoms() {
-            norm.user_atom(c);
-        }
         norm.top = norm.fresh();
         norm.bottom = norm.fresh();
         for (l, r) in &gcis {
@@ -199,7 +203,7 @@ impl ElClassifier {
             top: norm.top,
             bottom: norm.bottom,
             rules: Rules::build(&norm.axioms, n, norm.bottom),
-            user: norm.user,
+            names: norm.names,
             words: n.div_ceil(64),
             rows: Vec::new(),
             edges: Vec::new(),
@@ -365,6 +369,11 @@ impl ElClassifier {
         Ok(subsumers.iter().map(BTreeSet::len).sum())
     }
 
+    /// The user atom of one of the TBox's names.
+    fn atom_of(&self, c: ConceptId) -> Option<Atom> {
+        self.names.binary_search(&c).ok().map(|a| a as Atom)
+    }
+
     /// Row `x` of the subsumer matrix; `None` before any saturation.
     fn row(&self, x: Atom) -> Option<&[u64]> {
         self.rows.get(x as usize * self.words..)?.get(..self.words)
@@ -396,18 +405,18 @@ impl ElClassifier {
         // to the names it holds.
         let mut name: Vec<Option<ConceptId>> = vec![None; self.n_atoms as usize];
         for &c in atoms {
-            if let Some(&a) = self.user.get(&c) {
+            if let Some(a) = self.atom_of(c) {
                 name[a as usize] = Some(c);
             }
         }
-        let named_words = self.user.values().max().map_or(0, |&a| a as usize / 64 + 1);
+        let named_words = self.names.len().div_ceil(64);
         let everything: Vec<ConceptId> = name.iter().flatten().copied().collect();
         let mut left =
             usize::try_from(limit.saturating_sub(atoms.len() as u64)).unwrap_or(usize::MAX);
         atoms
             .iter()
             .map(|&sub| {
-                let row = self.user.get(&sub).and_then(|&a| self.row(a));
+                let row = self.atom_of(sub).and_then(|a| self.row(a));
                 let mut take = |names: &mut dyn Iterator<Item = ConceptId>| {
                     let set: BTreeSet<ConceptId> = names.filter(|&c| c != sub).take(left).collect();
                     left -= set.len();
@@ -434,14 +443,14 @@ impl ElClassifier {
     /// An upper bound when `atoms` repeats a name.
     pub(crate) fn named_pairs(&self, atoms: &[ConceptId]) -> u64 {
         let mut wanted = vec![0; self.words];
-        for &a in atoms.iter().filter_map(|c| self.user.get(c)) {
+        for a in atoms.iter().filter_map(|&c| self.atom_of(c)) {
             set_bit(&mut wanted, a);
         }
         let everything: u64 = wanted.iter().map(|w| u64::from(w.count_ones())).sum();
         atoms
             .iter()
             .map(|sub| {
-                let Some((a, row)) = self.user.get(sub).and_then(|&a| Some((a, self.row(a)?)))
+                let Some((a, row)) = self.atom_of(*sub).and_then(|a| Some((a, self.row(a)?)))
                 else {
                     return 1;
                 };
@@ -458,10 +467,54 @@ impl ElClassifier {
             .sum()
     }
 
+    /// Saturate under `meter`, charge the read-out one step per named
+    /// pair, and pack the completed rows straight into a
+    /// [`HierarchyIndex`] over the TBox's names, with no
+    /// [`ClassHierarchy`](crate::classify::ClassHierarchy) in between.
+    /// The charges are
+    /// [`classify_governed`](crate::classify::Classifier::classify_governed)'s
+    /// on the same TBox, and the index equals
+    /// [`HierarchyIndex::build`] of its hierarchy.
+    ///
+    /// [`new`](Self::new) reserves the user atoms first, in `ConceptId`
+    /// order, so user atom `i` is index rank `i`: index row `i` is
+    /// saturation row `i` cut to the named words, with every name set
+    /// when the row holds ⊥, the bits past the last name masked off and
+    /// the reflexive bit set. On interrupt no index is built and the
+    /// partial saturation is kept, as by
+    /// [`saturate_metered`](Self::saturate_metered).
+    pub fn index_metered(
+        &mut self,
+        meter: &mut Meter,
+    ) -> std::result::Result<HierarchyIndex, Interrupt> {
+        let names = self.names.clone();
+        let n = names.len();
+        let _span = meter.span("dl.el.index").with("atoms", n);
+        self.saturate_metered(meter)?;
+        meter.charge(self.named_pairs(&names))?;
+        let words = n.div_ceil(64);
+        // The bits of a row's last word that stand for names.
+        let tail = u64::MAX >> (words * 64 - n);
+        let mut ancestors = Vec::with_capacity(n * words);
+        for x in 0..n as Atom {
+            let row = self.row(x).expect("saturated");
+            if has_bit(row, self.bottom) {
+                // An unsatisfiable concept is subsumed by every name.
+                ancestors.resize(ancestors.len() + words, u64::MAX);
+            } else {
+                ancestors.extend_from_slice(&row[..words]);
+            }
+            let packed = &mut ancestors[x as usize * words..];
+            packed[words - 1] &= tail;
+            set_bit(packed, x);
+        }
+        Ok(HierarchyIndex::from_rows(names, ancestors))
+    }
+
     /// Does `sup` subsume `sub` (both named concepts) under the TBox?
     pub fn subsumes(&mut self, sup: ConceptId, sub: ConceptId) -> bool {
         self.saturate();
-        let (Some(&sa), Some(&ba)) = (self.user.get(&sub), self.user.get(&sup)) else {
+        let (Some(sa), Some(ba)) = (self.atom_of(sub), self.atom_of(sup)) else {
             return false;
         };
         let row = self.row(sa).expect("saturated");
@@ -471,8 +524,8 @@ impl ElClassifier {
     /// Is a named concept unsatisfiable (subsumed by ⊥)?
     pub fn is_unsatisfiable(&mut self, c: ConceptId) -> bool {
         self.saturate();
-        match self.user.get(&c) {
-            Some(&a) => has_bit(self.row(a).expect("saturated"), self.bottom),
+        match self.atom_of(c) {
+            Some(a) => has_bit(self.row(a).expect("saturated"), self.bottom),
             None => false,
         }
     }
@@ -480,14 +533,13 @@ impl ElClassifier {
     /// All named subsumers of a named concept.
     pub fn subsumers_of(&mut self, c: ConceptId) -> Vec<ConceptId> {
         self.saturate();
-        let Some(&a) = self.user.get(&c) else {
+        let Some(a) = self.atom_of(c) else {
             return vec![];
         };
         let row = self.row(a).expect("saturated");
-        self.user
-            .iter()
-            .filter(|(_, &atom)| has_bit(row, atom))
-            .map(|(&id, _)| id)
+        (0..self.names.len() as Atom)
+            .filter(|&atom| has_bit(row, atom))
+            .map(|atom| self.names[atom as usize])
             .collect()
     }
 }
@@ -501,7 +553,8 @@ impl Normalizer {
         match c {
             Concept::Top => self.top,
             Concept::Bottom => self.bottom,
-            Concept::Atom(id) => self.user_atom(*id),
+            // `new` reserved every name of the TBox.
+            Concept::Atom(id) => self.names.binary_search(id).expect("a reserved name") as Atom,
             Concept::And(parts) => {
                 let atoms: Vec<Atom> = parts.iter().map(|p| self.atomize(p)).collect();
                 // Fold pairwise: fresh ⊑-equivalent conjunction atoms.
@@ -527,15 +580,6 @@ impl Normalizer {
             // Checked by the constructor.
             other => unreachable!("non-EL concept {other:?} after fragment check"),
         }
-    }
-
-    fn user_atom(&mut self, id: ConceptId) -> Atom {
-        if let Some(&a) = self.user.get(&id) {
-            return a;
-        }
-        let a = self.fresh();
-        self.user.insert(id, a);
-        a
     }
 
     fn fresh(&mut self) -> Atom {
@@ -924,8 +968,9 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // Differential: the EL hierarchy equals tableau classification on
-    // every in-fragment TBox family, and completion steps stay pinned.
+    // Differential: the EL hierarchy and the row-packed index equal
+    // tableau classification on every in-fragment TBox family, and
+    // completion steps stay pinned.
     // -----------------------------------------------------------------
 
     use crate::classify::{Classifier, Classify};
@@ -933,6 +978,11 @@ mod tests {
     use crate::generate;
     use summa_guard::{Budget, ExhaustionReason, Governed};
 
+    /// EL classification equals the tableau's on `t`, and so does the
+    /// row-packed index: it verifies, it equals `HierarchyIndex::build`
+    /// of the tableau's hierarchy and of `classify_governed`'s, and a
+    /// step ceiling affords it exactly when it affords
+    /// `classify_governed`, so both charge the same steps.
     fn assert_el_matches_tableau(t: &TBox, voc: &Vocabulary, what: &str) {
         let el = ElClassifier::new(t, voc)
             .expect("in fragment")
@@ -943,6 +993,40 @@ mod tests {
             .governed
             .expect_completed("unlimited");
         assert_eq!(el, tableau, "EL and tableau hierarchies differ on {what}");
+
+        let fresh = || ElClassifier::new(t, voc).expect("in fragment");
+        let mut meter = Budget::unlimited().meter();
+        let index = fresh().index_metered(&mut meter).expect("unlimited");
+        assert!(index.is_intact(), "{what}: the packed index verifies");
+        assert_eq!(
+            Some(&index),
+            HierarchyIndex::build(&tableau).as_ref(),
+            "{what}: packed index vs the tableau's"
+        );
+        let steps = meter.steps();
+        for max in [steps, steps - 1] {
+            let budget = Budget::new().with_steps(max);
+            let packed = fresh().index_metered(&mut budget.meter());
+            match (packed, fresh().classify_governed(t, voc, &budget)) {
+                (Ok(packed), Governed::Completed(h)) if max == steps => assert_eq!(
+                    Some(packed),
+                    HierarchyIndex::build(&h),
+                    "{what}: packed index vs classify_governed's"
+                ),
+                (
+                    Err(Interrupt::Exhausted(ExhaustionReason::Steps)),
+                    Governed::Exhausted {
+                        reason: ExhaustionReason::Steps,
+                        ..
+                    },
+                ) if max < steps => {}
+                (packed, governed) => panic!(
+                    "{what} at {max} of {steps} steps: packed {}, governed {}",
+                    packed.is_ok(),
+                    governed.is_completed()
+                ),
+            }
+        }
     }
 
     /// Steps of one uninterrupted saturation.
@@ -1052,6 +1136,112 @@ mod tests {
         t.equiv(at(e), at(f));
         t.subsume(at(f), at(b));
         assert_el_matches_tableau(&t, &voc, "equivalences");
+
+        // No names at all: an empty index, with and without ⊥.
+        assert_el_matches_tableau(&TBox::new(), &voc, "empty");
+        let mut t = TBox::new();
+        t.subsume(Concept::Top, Concept::Bottom);
+        assert_el_matches_tableau(&t, &voc, "⊤ ⊑ ⊥ alone");
+    }
+
+    /// Rows of more than one word, with unsatisfiable names: the ⊥ fill
+    /// sets every name of a row, and the last word keeps only the bits
+    /// of names (⊤, ⊥ and the fresh atoms sit right past them), so the
+    /// packed index still equals the tableau's, at and across the word
+    /// boundary.
+    #[test]
+    fn row_packing_fills_bottom_and_masks_the_last_word() {
+        let at = Concept::atom;
+        for n in [64, 65, 70, 128] {
+            let mut voc = Vocabulary::new();
+            let ids: Vec<ConceptId> = (0..n).map(|i| voc.concept(&format!("c{i}"))).collect();
+            let r = voc.role("r");
+            // c0 ⊑ … ⊑ c{n-2} with c5 ⊑ ⊥, so c0..=c5 are unsatisfiable;
+            // c{n-1} ⊑ ∃r.c0 is too, through its edge.
+            let mut t = TBox::new();
+            for w in ids[..n - 1].windows(2) {
+                t.subsume(at(w[0]), at(w[1]));
+            }
+            t.subsume(at(ids[5]), Concept::Bottom);
+            t.subsume(at(ids[n - 1]), Concept::exists(r, at(ids[0])));
+            assert_el_matches_tableau(&t, &voc, &format!("{n} names"));
+
+            let index = ElClassifier::new(&t, &voc)
+                .expect("in fragment")
+                .index_metered(&mut Budget::unlimited().meter())
+                .expect("unlimited");
+            for &sup in &ids {
+                for sub in [ids[5], ids[n - 1]] {
+                    assert_eq!(index.subsumes(sup, sub), Some(true), "{n} names");
+                }
+                assert_eq!(
+                    index.subsumes(sup, ids[6]),
+                    Some(ids[6..n - 1].contains(&sup))
+                );
+            }
+        }
+    }
+
+    /// Rows restored from a checkpoint need not hold their reflexive
+    /// facts, and saturation never adds them: the packed index sets the
+    /// reflexive bit anyway, as `classify_governed`'s read-out keeps the
+    /// reflexive pair, and both charge a step for it.
+    #[test]
+    fn packed_rows_are_reflexive_even_when_restored_rows_are_not() {
+        let (voc, t, _) = generate::diamond(3);
+        let fresh = || ElClassifier::new(&t, &voc).expect("in fragment");
+        let empty = Checkpoint {
+            fingerprint: 7,
+            state: CheckpointState::ElSaturation {
+                subsumers: vec![BTreeSet::new(); fresh().n_atoms as usize],
+                edges: BTreeMap::new(),
+            },
+        }
+        .to_bytes();
+        let restored = || {
+            let mut el = fresh();
+            el.resume_from(&empty, 7).expect("well-formed");
+            el
+        };
+        let budget = Budget::unlimited();
+        let mut meter = budget.meter();
+        let index = restored().index_metered(&mut meter).expect("unlimited");
+        let h = restored()
+            .classify_governed(&t, &voc, &budget)
+            .expect_completed("unlimited");
+        assert_eq!(h.n_pairs(), t.atoms().len(), "only the reflexive pairs");
+        assert_eq!(Some(index), HierarchyIndex::build(&h));
+        // The pass that finds no work, then one step per pair.
+        assert_eq!(meter.steps(), 1 + h.n_pairs() as u64);
+    }
+
+    /// `new` reserves the user atoms first, in `ConceptId` order, so
+    /// user atom `i` is rank `i` of the TBox's names, with ⊤ and ⊥ right
+    /// after them: `index_metered` packs saturation row `i` as index
+    /// row `i` on this alone. The vehicles corpus shares its vocabulary
+    /// with the animals, so its names are not consecutive ids.
+    #[test]
+    fn user_atom_i_is_rank_i() {
+        let p = PaperVocab::new();
+        let (dvoc, dt, _) = generate::diamond(5);
+        let (rvoc, rt, _) = generate::random_el(12, 2, 16, 7);
+        let (vt, at) = (vehicles_tbox_el(&p), animals_tbox_el(&p));
+        for (t, voc) in [(&vt, &p.voc), (&at, &p.voc), (&dt, &dvoc), (&rt, &rvoc)] {
+            let el = ElClassifier::new(t, voc).expect("in fragment");
+            let names: Vec<ConceptId> = t.atoms().into_iter().collect();
+            assert_eq!(el.names, names);
+            for (i, &c) in names.iter().enumerate() {
+                assert_eq!(el.atom_of(c), Some(i as Atom));
+            }
+            assert_eq!(
+                (el.top, el.bottom),
+                (names.len() as Atom, names.len() as Atom + 1)
+            );
+            let index = { el }
+                .index_metered(&mut Budget::unlimited().meter())
+                .expect("unlimited");
+            assert_eq!(index.atoms(), names);
+        }
     }
 
     /// Completion steps are fixed by the TBox (one per fact, one per

@@ -2,12 +2,22 @@
 //! subsumption closure over named concepts, packed into u64-word
 //! bitsets for O(1) `subsumes` answers with zero tableau calls.
 //!
-//! A [`HierarchyIndex`] is built once from a **completed**
-//! [`ClassHierarchy`] (snapshot-install time in the serving layer) and
-//! then answers the told fragment of the reasoning services by lookup:
+//! A [`HierarchyIndex`] is built once, at snapshot install in the
+//! serving layer, from a **completed** classification, and then
+//! answers the told fragment of the reasoning services by lookup:
 //!
 //! * `sup ⊒ sub` between two *indexed* atoms — one bit test;
-//! * the whole hierarchy, for warm `classify` — one scan of every row.
+//! * every row at once, for warm `classify` — one check of every row
+//!   ([`HierarchyIndex::verified_rows`]), then one scan.
+//!
+//! There are two ways in, and one constructor behind both lays out
+//! the rows and computes their checksums. The tableau's
+//! [`ClassHierarchy`] goes through [`HierarchyIndex::build`]. A
+//! saturated EL classifier packs its subsumer rows straight in
+//! ([`ElClassifier::index_metered`](crate::el::ElClassifier::index_metered)),
+//! with no hierarchy in between: its user atoms are numbered in
+//! `ConceptId` order, so saturation row `i` is index row `i` cut to
+//! the named words.
 //!
 //! Queries mentioning complex concepts, or atoms interned after the
 //! index was built, are not answerable here ([`HierarchyIndex::subsumes`]
@@ -30,7 +40,6 @@
 use crate::classify::ClassHierarchy;
 use crate::concept::ConceptId;
 use crate::fxhash::FxHasher;
-use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hasher;
 
 /// Magic seed folded into the row checksums so they cannot collide
@@ -38,7 +47,7 @@ use std::hash::Hasher;
 const INDEX_CHECKSUM_SEED: u64 = 0x1D0_5EED_u64;
 
 /// A reflexive–transitive-closure subsumption index over interned atom
-/// handles. Immutable after [`HierarchyIndex::build`].
+/// handles. Immutable once built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HierarchyIndex {
     /// Indexed atoms, sorted ascending; row/bit positions are ranks in
@@ -73,16 +82,27 @@ impl HierarchyIndex {
                 ancestors[i * words + j / 64] |= 1u64 << (j % 64);
             }
         }
+        Some(HierarchyIndex::from_rows(atoms, ancestors))
+    }
+
+    /// Seal ancestor rows laid out rank by rank over `atoms` (sorted
+    /// ascending), `ceil(atoms.len() / 64)` words per row, by computing
+    /// their checksums. The one constructor behind
+    /// [`build`](Self::build) and the EL install path, which packs
+    /// saturation rows straight in.
+    pub(crate) fn from_rows(atoms: Vec<ConceptId>, ancestors: Vec<u64>) -> HierarchyIndex {
+        let words = atoms.len().div_ceil(64);
+        debug_assert_eq!(ancestors.len(), atoms.len() * words);
         let mut idx = HierarchyIndex {
             atoms,
             words,
             ancestors,
             row_checksums: Vec::new(),
         };
-        idx.row_checksums = (0..n)
-            .map(|i| idx.row(i).expect("build lays out every row").1)
+        idx.row_checksums = (0..idx.atoms.len())
+            .map(|i| idx.row(i).expect("rows are laid out rank by rank").1)
             .collect();
-        Some(idx)
+        idx
     }
 
     /// Rank `i`'s ancestor row, with the checksum of what rank `i`
@@ -151,36 +171,84 @@ impl HierarchyIndex {
         Some(up.get(j / 64)? & (1u64 << (j % 64)) != 0)
     }
 
-    /// The whole hierarchy the index was built from, read back row by
-    /// row: `None` when any row fails its checksum, so warm `classify`,
-    /// which serves every row at once, classifies instead. Each row is
-    /// verified once; a bit's atom entry is vouched for by its own row,
-    /// which this pass verifies before it answers.
-    pub fn hierarchy(&self) -> Option<ClassHierarchy> {
-        let mut rows = Vec::with_capacity(self.atoms.len());
-        for (i, &c) in self.atoms.iter().enumerate() {
-            let up = self.verified(i)?;
-            let mut row = Vec::with_capacity(up.iter().map(|w| w.count_ones() as usize).sum());
-            for (w, &word) in up.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    row.push(*self.atoms.get(w * 64 + bits.trailing_zeros() as usize)?);
-                    bits &= bits - 1;
-                }
-            }
-            rows.push((c, BTreeSet::from_iter(row)));
+    /// Every row in rank order, each as its atom and its ancestors,
+    /// once all of them have passed their checksums and hold no bit
+    /// past the last rank: `None` on any failure, before a row is read,
+    /// so warm `classify`, which serves every row at once, classifies
+    /// instead. A bit's atom entry is vouched for by its own row, which
+    /// this check covers.
+    pub fn verified_rows(
+        &self,
+    ) -> Option<impl ExactSizeIterator<Item = (ConceptId, Ancestors<'_>)> + '_> {
+        let n = self.atoms.len();
+        let in_range = |up: &[u64]| {
+            up.iter().enumerate().all(|(w, &word)| {
+                word == 0 || w * 64 + (u64::BITS - word.leading_zeros()) as usize <= n
+            })
+        };
+        if !(0..n).all(|i| self.verified(i).is_some_and(in_range)) {
+            return None;
         }
-        Some(ClassHierarchy {
-            subsumers: BTreeMap::from_iter(rows),
-        })
+        Some((0..n).map(move |i| {
+            let row = &self.ancestors[i * self.words..][..self.words];
+            let ancestors = Ancestors {
+                atoms: &self.atoms,
+                row,
+                word: 0,
+                bits: row.first().copied().unwrap_or(0),
+            };
+            (self.atoms[i], ancestors)
+        }))
     }
 }
+
+/// The atoms of one verified ancestor row, ascending: what
+/// [`HierarchyIndex::verified_rows`] yields per row.
+#[derive(Debug, Clone)]
+pub struct Ancestors<'a> {
+    atoms: &'a [ConceptId],
+    row: &'a [u64],
+    /// The word being read, and its bits not yet yielded.
+    word: usize,
+    bits: u64,
+}
+
+impl Iterator for Ancestors<'_> {
+    type Item = ConceptId;
+
+    fn next(&mut self) -> Option<ConceptId> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.row.get(self.word)?;
+        }
+        let j = self.word * 64 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.atoms[j])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let later = self.row.get(self.word + 1..).unwrap_or_default();
+        let n = self.bits.count_ones() + later.iter().map(|w| w.count_ones()).sum::<u32>();
+        (n as usize, Some(n as usize))
+    }
+}
+
+impl ExactSizeIterator for Ancestors<'_> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::{vehicles_tbox, PaperVocab};
     use summa_guard::Budget;
+
+    /// The hierarchy read back from the verified rows, as warm
+    /// `classify` serves it.
+    fn read_back(idx: &HierarchyIndex) -> Option<ClassHierarchy> {
+        let rows = idx.verified_rows()?;
+        Some(ClassHierarchy {
+            subsumers: rows.map(|(c, up)| (c, up.collect())).collect(),
+        })
+    }
 
     fn classified(tbox: &crate::tbox::TBox, voc: &crate::concept::Vocabulary) -> ClassHierarchy {
         crate::classify::Classify::new(tbox, voc)
@@ -212,7 +280,7 @@ mod tests {
             }
         }
         // Every row reads back as the hierarchy's own subsumer set.
-        assert_eq!(idx.hierarchy(), Some(h));
+        assert_eq!(read_back(&idx), Some(h));
         // A vocabulary atom outside the TBox is not indexed.
         assert!(!idx.contains(p.dog));
     }
@@ -227,7 +295,7 @@ mod tests {
         assert!(!idx.contains(ghost));
         assert_eq!(idx.subsumes(ghost, p.car), None);
         assert_eq!(idx.subsumes(p.car, ghost), None);
-        let read = idx.hierarchy().expect("intact");
+        let read = read_back(&idx).expect("intact");
         assert_eq!(read.subsumers_ref(ghost), None);
     }
 
@@ -272,7 +340,20 @@ mod tests {
             }
         }
         // The whole read-out refuses rather than serve the bad row.
-        assert_eq!(idx.hierarchy(), None);
+        assert_eq!(read_back(&idx), None);
+    }
+
+    /// Rows sealed with a bit past the last rank verify, since their
+    /// checksums cover that bit, but no atom stands behind it: the
+    /// read-out refuses them whole instead of reading past the atoms.
+    #[test]
+    fn a_bit_past_the_last_rank_is_refused() {
+        let atoms = vec![ConceptId(3), ConceptId(8)];
+        let sound = HierarchyIndex::from_rows(atoms.clone(), vec![0b01, 0b11]);
+        assert!(sound.verified_rows().is_some());
+        let stray = HierarchyIndex::from_rows(atoms, vec![0b101, 0b11]);
+        assert!(stray.is_intact());
+        assert!(stray.verified_rows().is_none());
     }
 
     /// The chain `c0 < c1 < … < c{n-1}`, classified and indexed: `sup`
@@ -314,7 +395,7 @@ mod tests {
         // read-out must refuse.
         let (ids, h, mut idx) = chain_index(65);
         assert_eq!(idx.words, 2);
-        assert_eq!(idx.hierarchy().as_ref(), Some(&h));
+        assert_eq!(read_back(&idx).as_ref(), Some(&h));
         let n = ids.len();
         let fields: [(&str, usize, u32); 4] = [
             ("atoms", n, u32::BITS),
@@ -334,7 +415,7 @@ mod tests {
                 for bit in 0..bits {
                     flip(&mut idx, field, at, bit);
                     assert!(!idx.is_intact(), "{field}[{at}] bit {bit} went unnoticed");
-                    assert_eq!(idx.hierarchy(), None, "{field}[{at}] bit {bit} read out");
+                    assert_eq!(read_back(&idx), None, "{field}[{at}] bit {bit} read out");
                     for (i, &sub) in ids.iter().enumerate() {
                         for (j, &sup) in ids.iter().enumerate() {
                             let got = idx.subsumes(sup, sub);
@@ -351,6 +432,6 @@ mod tests {
         }
         assert_eq!(flips, 65 * 32 + 130 * 64 + 65 * 64 + 64);
         assert!(idx.is_intact(), "every flip was undone");
-        assert_eq!(idx.hierarchy(), Some(h));
+        assert_eq!(read_back(&idx), Some(h));
     }
 }

@@ -92,14 +92,18 @@ impl TBox {
             .collect()
     }
 
-    /// All atomic concepts mentioned.
+    /// All atomic concepts mentioned, gathered in a single pass over
+    /// the axioms and sorted into one set.
     pub fn atoms(&self) -> BTreeSet<ConceptId> {
-        let mut out = BTreeSet::new();
-        for (l, r) in self.gcis() {
-            out.extend(l.atoms());
-            out.extend(r.atoms());
+        let mut out = Vec::new();
+        for ax in &self.axioms {
+            let (Axiom::Subsume { lhs, rhs }
+            | Axiom::Equiv { lhs, rhs }
+            | Axiom::Disjoint { a: lhs, b: rhs }) = ax;
+            lhs.collect_atoms(&mut out);
+            rhs.collect_atoms(&mut out);
         }
-        out
+        BTreeSet::from_iter(out)
     }
 
     /// All roles mentioned.

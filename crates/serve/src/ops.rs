@@ -29,8 +29,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use summa_core::prelude::{standard_corpus, standard_definitions, Verdict};
 use summa_dl::abox::ABox;
-use summa_dl::classify::{ClassHierarchy, Classify};
-use summa_dl::concept::{Concept, Vocabulary};
+use summa_dl::classify::Classify;
+use summa_dl::concept::{Concept, ConceptId, Vocabulary};
 use summa_dl::parser::parse_concept;
 use summa_dl::realize::{Realization, Realize};
 use summa_dl::tableau::Tableau;
@@ -158,17 +158,20 @@ pub fn parse_abox(text: &str, voc: &mut Vocabulary) -> Result<ABox, String> {
     Ok(abox)
 }
 
-/// Serialize a classification hierarchy payload. Shared between the
-/// cold classify path and the warm path (the hierarchy read back from
-/// the index rows) so the bytes agree by construction.
-fn hierarchy_payload(h: &ClassHierarchy, voc: &Vocabulary) -> Vec<u8> {
+/// Serialize a classification hierarchy payload from its rows: every
+/// concept with its subsumers, both ascending. The cold classify path
+/// passes the computed hierarchy's rows and the warm path the index's
+/// verified rows, so the bytes agree by construction.
+fn hierarchy_payload<S: ExactSizeIterator<Item = ConceptId>>(
+    rows: impl ExactSizeIterator<Item = (ConceptId, S)>,
+    voc: &Vocabulary,
+) -> Vec<u8> {
     let mut p = Vec::new();
-    put_u32(&mut p, h.concepts().count() as u32);
-    for c in h.concepts() {
+    put_u32(&mut p, rows.len() as u32);
+    for (c, subs) in rows {
         put_str(&mut p, voc.concept_name(c));
-        let subs = h.subsumers_ref(c).map(|s| s.iter()).unwrap_or_default();
         put_u32(&mut p, subs.len() as u32);
-        for &s in subs {
+        for s in subs {
             put_str(&mut p, voc.concept_name(s));
         }
     }
@@ -318,8 +321,8 @@ fn subsumes_with(
 }
 
 /// Execute one request preferring the snapshot's warm state: index
-/// lookups for told subsumption, the hierarchy read back from the
-/// index for `classify`, and the epoch-shared
+/// lookups for told subsumption, the index's verified rows for
+/// `classify`, and the epoch-shared
 /// [`SatCache`](summa_dl::cache::SatCache) (plus index-assisted
 /// most-specific filtering) for realization. Falls back to
 /// [`execute`] — the cold conformance baseline — whenever the
@@ -329,8 +332,9 @@ fn subsumes_with(
 /// checksums. `subsumes` and `realize` reach the index through
 /// `HierarchyIndex::subsumes`, which verifies the two rows it reads
 /// and answers `None` (so the pair is proved) when either fails.
-/// `classify` reads every row through `HierarchyIndex::hierarchy` and
-/// goes cold if any row fails.
+/// `classify` checks every row through `HierarchyIndex::verified_rows`
+/// before it writes a byte, goes cold if any row fails, and serializes
+/// straight from the rows.
 ///
 /// Answer bodies are byte-identical to [`execute`] whenever both
 /// complete: the index bits are the subsumption closure the cold
@@ -353,18 +357,18 @@ pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Ex
             let Some(snap) = store.get(snapshot) else {
                 return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
             };
-            let Some(h) = snap.warm.as_ref().and_then(|w| w.index.hierarchy()) else {
+            let Some(rows) = snap.warm.as_ref().and_then(|w| w.index.verified_rows()) else {
                 return execute(store, req, budget);
             };
             // The verified rows are the closure the cold path's
             // classifier computes, so the payload bytes are identical;
-            // serving it costs one charged step.
+            // serving them costs one charged step.
             let mut meter = budget.meter();
             let body = match meter.charge(1) {
                 Ok(()) => ok_body(
                     OUTCOME_COMPLETED,
                     REASON_NONE,
-                    Some(hierarchy_payload(&h, &snap.voc)),
+                    Some(hierarchy_payload(rows, &snap.voc)),
                 ),
                 Err(i) => {
                     let (oc, rc) = interrupt_codes(i);
@@ -435,7 +439,7 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
             // A fresh private cache per run: within-request reuse only,
             // so the spend's cache counters are history-independent.
             let run = Classify::new(&snap.tbox, &snap.voc).run(budget);
-            let body = governed_body(&run.governed, |h| hierarchy_payload(h, &snap.voc));
+            let body = governed_body(&run.governed, |h| hierarchy_payload(h.rows(), &snap.voc));
             Executed {
                 status: STATUS_OK,
                 epoch: snap.epoch,

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use summa_dl::cache::{tbox_fingerprint, SatCache};
-use summa_dl::classify::{Classifier, Classify};
+use summa_dl::classify::Classify;
 use summa_dl::concept::Vocabulary;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::el::ElClassifier;
@@ -56,8 +56,8 @@ pub enum WarmEngine {
 
 /// The warm-path state precomputed at snapshot install time: the full
 /// classification of the snapshot's TBox, held once, as its packed
-/// [`HierarchyIndex`] (warm `classify` reads it back from the verified
-/// rows), and the epoch-shared [`SatCache`] that fall-through prover
+/// [`HierarchyIndex`] (warm `classify` serializes its verified rows),
+/// and the epoch-shared [`SatCache`] that fall-through prover
 /// queries share across requests and tenants. Dropped atomically with
 /// its snapshot generation on hot-swap — a stale index can never
 /// answer, because requests resolve the whole `Arc<Snapshot>` at
@@ -65,7 +65,7 @@ pub enum WarmEngine {
 #[derive(Debug)]
 pub struct WarmState {
     /// The completed classification, packed into checksummed ancestor
-    /// rows over the hierarchy's atoms.
+    /// rows over the TBox's atoms.
     pub index: HierarchyIndex,
     /// Shared per-(fingerprint, epoch) sat cache; entries are
     /// checksummed as in the resilience layer. Pre-warmed by a tableau
@@ -182,35 +182,36 @@ impl SnapshotStore {
 /// [`WarmState`]. The TBox's fragment picks the engine. A TBox that
 /// [`ElClassifier::new`] accepts is saturated under the step ceiling
 /// and the [`WARM_EL_WORDS`] memory ceiling, its read-out charged one
-/// step per named pair, and its shared cache starts empty. Any other
-/// TBox is classified by the tableau under the step ceiling, writing
-/// into the cache that becomes the snapshot's epoch-shared
-/// [`SatCache`], so the warm state ships pre-warmed. On an EL TBox
+/// step per named pair, and its completed rows packed straight into
+/// the index ([`ElClassifier::index_metered`]: no hierarchy is built);
+/// its shared cache starts empty. Any other TBox is classified by the
+/// tableau under the step ceiling, writing into the cache that becomes
+/// the snapshot's epoch-shared [`SatCache`], so the warm state ships
+/// pre-warmed, and its hierarchy is indexed and dropped. On an EL TBox
 /// both engines compute the same subsumption closure, so the index,
-/// and every body served from it, is the same either way. The
-/// hierarchy itself is dropped once indexed. Returns `None` when
-/// classification did not complete or the hierarchy would not index
-/// (partial/unclosed) — the snapshot then serves cold.
+/// and every body served from it, is the same either way. Returns
+/// `None` when classification did not complete or the hierarchy would
+/// not index (partial/unclosed) — the snapshot then serves cold.
 fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
     let cache = Arc::new(SatCache::new());
     let budget = Budget::new().with_steps(WARM_CLASSIFY_STEPS);
-    let (engine, governed) = match ElClassifier::new(tbox, voc) {
-        Ok(mut el) => (
-            WarmEngine::El,
-            el.classify_governed(tbox, voc, &budget.with_memory(WARM_EL_WORDS)),
-        ),
+    let (index, engine) = match ElClassifier::new(tbox, voc) {
+        Ok(mut el) => {
+            let mut meter = budget.with_memory(WARM_EL_WORDS).meter();
+            (el.index_metered(&mut meter).ok()?, WarmEngine::El)
+        }
         Err(_) => {
             let run = Classify::new(tbox, voc)
                 .cache(Arc::clone(&cache))
                 .run(&budget);
-            (WarmEngine::Tableau, run.governed)
+            let Governed::Completed(hierarchy) = run.governed else {
+                return None;
+            };
+            (HierarchyIndex::build(&hierarchy)?, WarmEngine::Tableau)
         }
     };
-    let Governed::Completed(hierarchy) = governed else {
-        return None;
-    };
     Some(WarmState {
-        index: HierarchyIndex::build(&hierarchy)?,
+        index,
         cache,
         engine,
     })
@@ -240,6 +241,7 @@ pub fn parse_tbox(text: &str) -> Result<(TBox, Vocabulary), String> {
 mod tests {
     use super::*;
     use crate::wire::MAX_FRAME;
+    use summa_dl::classify::Classifier;
     use summa_dl::corpus::{animals_tbox_el, vehicles_tbox_el};
     use summa_dl::generate;
     use summa_guard::{ExhaustionReason, Interrupt};
@@ -408,6 +410,12 @@ mod tests {
                 ..
             }
         ));
+        let mut el = ElClassifier::new(&snap.tbox, &snap.voc).expect("in fragment");
+        assert_eq!(
+            el.index_metered(&mut budget.meter()),
+            Err(Interrupt::Exhausted(ExhaustionReason::Memory)),
+            "the install path refuses the rows the same way"
+        );
     }
 
     /// The step ceiling bounds the hierarchy as well as saturation.
@@ -457,12 +465,18 @@ mod tests {
             panic!("the read-out exceeds the step ceiling");
         };
         assert!(partial.n_pairs() as u64 <= WARM_CLASSIFY_STEPS);
+        let mut el = ElClassifier::new(&snap.tbox, &snap.voc).expect("in fragment");
+        assert_eq!(
+            el.index_metered(&mut budget.meter()),
+            Err(Interrupt::Exhausted(ExhaustionReason::Steps)),
+            "the install path charges the pairs before packing them"
+        );
 
         let small = store.install_axioms("small", &text(100)).expect("parses");
         let warm = small.warm.as_ref().expect("101² pairs fit the ceiling");
         assert_eq!(warm.engine, WarmEngine::El);
-        let read = warm.index.hierarchy().expect("intact");
-        assert_eq!(read.n_pairs(), 101 * 101);
+        let rows = warm.index.verified_rows().expect("intact");
+        assert_eq!(rows.map(|(_, up)| up.len()).sum::<usize>(), 101 * 101);
         let tableau = Classify::new(&small.tbox, &small.voc)
             .run(&Budget::new().with_steps(WARM_CLASSIFY_STEPS))
             .governed

@@ -54,12 +54,13 @@ cargo run -q -p summa-obs --example validate_json -- \
 echo "    $SMOKE/BENCH_classify.json: valid"
 
 # Counter ledger: the smoke run's exact counters must be no worse than
-# the committed report's (sat calls and EL steps may not rise, pruned
-# cells may not fall); wall times are printed, never gated.
+# the committed report's (sat calls, EL steps and the EL index's
+# charged pairs may not rise, pruned cells may not fall); wall times
+# are printed, never gated.
 echo "==> bench_diff BENCH_classify.json"
 cargo run -q -p summa-obs --example bench_diff -- \
     BENCH_classify.json "$SMOKE/BENCH_classify.json" \
-    brute_force_sat_tests enhanced_sat_tests +enhanced_pruned el_steps
+    brute_force_sat_tests enhanced_sat_tests +enhanced_pruned el_steps el_pairs
 
 # Parallel bench smoke: one sample per lane of one-thread vs
 # SUMMA_BENCH_THREADS-way classification; the bench asserts both
@@ -148,6 +149,15 @@ for workload in told swap; do
         'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
     echo "    $workload: exit 0, \"correct\": true"
 done
+
+# Formatting: the workspace must be rustfmt-clean (perfbench/ is its
+# own package, outside the workspace).
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "==> cargo fmt --all --check"
+    cargo fmt --all --check
+else
+    echo "==> rustfmt not installed; skipping format check"
+fi
 
 # Lint every target (libraries, tests, benches, examples), not only
 # the libraries.
