@@ -1227,17 +1227,14 @@ mod tests {
         let (rvoc, rt, _) = generate::random_el(12, 2, 16, 7);
         let (vt, at) = (vehicles_tbox_el(&p), animals_tbox_el(&p));
         for (t, voc) in [(&vt, &p.voc), (&at, &p.voc), (&dt, &dvoc), (&rt, &rvoc)] {
-            let el = ElClassifier::new(t, voc).expect("in fragment");
+            let mut el = ElClassifier::new(t, voc).expect("in fragment");
             let names: Vec<ConceptId> = t.atoms().into_iter().collect();
             assert_eq!(el.names, names);
-            for (i, &c) in names.iter().enumerate() {
-                assert_eq!(el.atom_of(c), Some(i as Atom));
-            }
             assert_eq!(
                 (el.top, el.bottom),
                 (names.len() as Atom, names.len() as Atom + 1)
             );
-            let index = { el }
+            let index = el
                 .index_metered(&mut Budget::unlimited().meter())
                 .expect("unlimited");
             assert_eq!(index.atoms(), names);
