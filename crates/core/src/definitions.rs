@@ -2,7 +2,7 @@
 //! machine-checkable admission judges.
 
 use crate::corpus::Artifact;
-use summa_intensional::commitment::{judge_ontonomy, AdmissionLevel, OntologicalCommitment};
+use summa_intensional::commitment::{judge_ontonomy_over, AdmissionLevel, OntologicalCommitment};
 use summa_intensional::model::{enumerate_models, ExtModel};
 use summa_intensional::world::WorldSpace;
 
@@ -229,14 +229,9 @@ impl Definition for GuarinoDefinition {
             Ok(k) => k,
             Err(e) => return Judgment::undecidable(format!("commitment construction: {e}")),
         };
-        match judge_ontonomy(
-            &lang,
-            &domain,
-            &commitment,
-            &axioms,
-            self.level,
-            MODEL_BUDGET,
-        ) {
+        // The judgement reads the same enumeration: the model space is
+        // walked once per admission.
+        match judge_ontonomy_over(&all, &domain, &commitment, &axioms, self.level) {
             Ok(j) if j.admitted => Judgment::admitted(format!(
                 "{} of {} models intended-compatible ({} models total)",
                 j.n_shared, j.n_intended, j.n_models

@@ -69,16 +69,28 @@ const SHARDS: usize = 16;
 /// Hash a TBox into the cache key space: every GCI is normalized to
 /// NNF and hashed, and the per-axiom hashes are combined
 /// order-independently, so two TBoxes that state the same axioms in a
-/// different order share cache entries.
+/// different order share cache entries. The GCIs are borrowed from the
+/// axioms, and a side is normalized only when it is not in NNF already
+/// (`Concept::is_nnf`), so a TBox of atomic axioms is hashed without
+/// building a concept.
 pub fn tbox_fingerprint(tbox: &TBox) -> u64 {
     let mut acc: u64 = 0x5361_6e74_696e_6906; // arbitrary nonzero seed
-    for (l, r) in tbox.gcis() {
+    for (l, r) in tbox.gci_refs() {
         let mut h = DefaultHasher::new();
-        l.nnf().hash(&mut h);
-        r.nnf().hash(&mut h);
+        hash_nnf(&l, &mut h);
+        hash_nnf(r, &mut h);
         acc = acc.wrapping_add(h.finish());
     }
     acc
+}
+
+/// Hash `c.nnf()` into `h`, building it only when it differs from `c`.
+fn hash_nnf(c: &Concept, h: &mut DefaultHasher) {
+    if c.is_nnf() {
+        c.hash(h);
+    } else {
+        c.nnf().hash(h);
+    }
 }
 
 /// A concurrent satisfiability cache shared across reasoners and
@@ -201,6 +213,77 @@ mod tests {
         let mut t3 = TBox::new();
         t3.subsume(a, c);
         assert_ne!(tbox_fingerprint(&t1), tbox_fingerprint(&t3));
+    }
+
+    /// The fingerprint as it was computed before the borrowing walk:
+    /// a copy of every GCI, each side normalized.
+    fn reference_fingerprint(tbox: &TBox) -> u64 {
+        let mut acc: u64 = 0x5361_6e74_696e_6906;
+        for (l, r) in tbox.gcis() {
+            let mut h = DefaultHasher::new();
+            l.nnf().hash(&mut h);
+            r.nnf().hash(&mut h);
+            acc = acc.wrapping_add(h.finish());
+        }
+        acc
+    }
+
+    /// The fingerprint keys the batch queue, the shared cache and
+    /// checkpoints, so the borrowing walk must give the reference's
+    /// value on every TBox: the paper corpora, the generators, and
+    /// axioms with ¬, ∀, ≥, ≤, ⊔, ≡ and disjointness, in and out of
+    /// NNF.
+    #[test]
+    fn fingerprint_equals_the_reference() {
+        use crate::corpus::{
+            animals_tbox, animals_tbox_el, animals_tbox_repaired, vehicles_tbox, vehicles_tbox_el,
+            PaperVocab,
+        };
+        use crate::generate;
+        let p = PaperVocab::new();
+        let mut tboxes = vec![
+            vehicles_tbox(&p),
+            animals_tbox(&p),
+            animals_tbox_repaired(&p),
+            vehicles_tbox_el(&p),
+            animals_tbox_el(&p),
+            TBox::new(),
+        ];
+        for depth in [1, 4, 8] {
+            tboxes.push(generate::diamond(depth).1);
+        }
+        for seed in [0, 7, 1405] {
+            tboxes.push(generate::random_el(12, 2, 16, seed).1);
+        }
+        tboxes.push(generate::pigeonhole_tbox(3, 2).1);
+        tboxes.push(generate::chain(40).1);
+
+        let mut voc = Vocabulary::new();
+        let [a, b, c] = ["A", "B", "C"].map(|n| Concept::atom(voc.concept(n)));
+        let r = voc.role("r");
+        let mut t = TBox::new();
+        t.subsume(Concept::not(a.clone()), Concept::forall(r, b.clone()));
+        t.subsume(
+            Concept::at_least(2, r, a.clone()),
+            Concept::at_most(1, r, Concept::not(c.clone())),
+        );
+        t.equiv(a.clone(), Concept::or(vec![b.clone(), c.clone()]));
+        t.disjoint(b.clone(), c.clone());
+        t.subsume(
+            Concept::not(Concept::and(vec![a.clone(), Concept::exists(r, b.clone())])),
+            Concept::not(Concept::at_most(3, r, Concept::Top)),
+        );
+        // Raw constructor shapes that `and`/`or` would normalize.
+        t.subsume(
+            Concept::And(vec![c.clone(), b.clone(), b.clone()]),
+            Concept::Or(vec![Concept::Bottom, a.clone()]),
+        );
+        t.equiv(Concept::Not(Box::new(Concept::Top)), Concept::And(vec![a]));
+        tboxes.push(t);
+
+        for (i, t) in tboxes.iter().enumerate() {
+            assert_eq!(tbox_fingerprint(t), reference_fingerprint(t), "TBox {i}");
+        }
     }
 
     #[test]

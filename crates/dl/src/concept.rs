@@ -5,9 +5,10 @@
 //! qualified number restrictions ≥n r.C / ≤n r.C (the paper's
 //! `∃₄has.wheels` is `≥4 has.wheel ⊓ ≤4 has.wheel`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasher, Hasher};
 
 /// Interned atomic concept name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,45 +18,105 @@ pub struct ConceptId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoleId(pub u32);
 
-/// One namespace of interned names. Ids are positions in `names`,
-/// which alone define equality and `Debug`; `ids` is the derived
-/// name → id lookup. Names can arrive over the wire, so the lookup
-/// keeps std's keyed hasher. Each name is one `Arc<str>` shared by
-/// both halves, so cloning a namespace copies no string bytes.
+/// One namespace of interned names. Ids are positions in the list of
+/// names, which alone defines equality and `Debug`: the names are kept
+/// back to back in `text`, name `id` ending at `ends[id]`. `slots` is
+/// the derived name → id lookup, an open-addressing table that keeps
+/// each name's hash beside its id. Names can arrive over the wire, so
+/// the lookup keeps std's keyed hasher. A name is hashed once per
+/// lookup, hit or miss, and never again: the table grows by moving the
+/// kept hashes. Interning a new name copies its bytes into `text` and
+/// allocates only when one of the three buffers grows, and a clone
+/// copies three buffers whatever the number of names.
 #[derive(Clone, Default)]
 struct Names {
-    names: Vec<Arc<str>>,
-    ids: HashMap<Arc<str>, u32>,
+    text: String,
+    ends: Vec<usize>,
+    /// `(hash, id)` per slot, [`EMPTY`] ids marking free slots; the
+    /// length is zero or a power of two, at least twice the number of
+    /// names.
+    slots: Vec<(u32, u32)>,
+    keys: RandomState,
 }
+
+/// The id of a free slot in [`Names::slots`].
+const EMPTY: u32 = u32::MAX;
 
 impl Names {
     fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.ids.get(name) {
+        let hash = self.hash(name);
+        if let Some(id) = self.lookup(name, hash) {
             return id;
         }
-        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 interned names");
-        let name: Arc<str> = Arc::from(name);
-        self.names.push(Arc::clone(&name));
-        self.ids.insert(name, id);
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("fewer than 2^32 - 1 interned names");
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        if 2 * self.len() > self.slots.len() {
+            let grown = vec![(0, EMPTY); (2 * self.slots.len()).max(16)];
+            for (hash, id) in std::mem::replace(&mut self.slots, grown) {
+                if id != EMPTY {
+                    self.place(hash, id);
+                }
+            }
+        }
+        self.place(hash, id);
         id
     }
 
     fn find(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
+        self.lookup(name, self.hash(name))
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        let mut h = self.keys.build_hasher();
+        h.write(name.as_bytes());
+        // The table indexes by the low bits; 32 of them cover any
+        // table a `u32` id space can fill.
+        h.finish() as u32
+    }
+
+    fn lookup(&self, name: &str, hash: u32) -> Option<u32> {
+        let mask = self.slots.len().checked_sub(1)?;
+        let mut at = hash as usize & mask;
+        loop {
+            let (h, id) = self.slots[at];
+            if id == EMPTY {
+                return None;
+            }
+            if h == hash && self.name(id) == name {
+                return Some(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Put `id` in the first free slot from its hash's home slot on.
+    fn place(&mut self, hash: u32, id: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while self.slots[at].1 != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = (hash, id);
     }
 
     fn name(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.text[start..self.ends[id]]
     }
 
     fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 }
 
 impl PartialEq for Names {
     fn eq(&self, other: &Names) -> bool {
-        self.names == other.names
+        self.ends == other.ends && self.text == other.text
     }
 }
 
@@ -63,7 +124,9 @@ impl Eq for Names {}
 
 impl fmt::Debug for Names {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.names.fmt(f)
+        f.debug_list()
+            .entries((0..self.len() as u32).map(|id| self.name(id)))
+            .finish()
     }
 }
 
@@ -174,42 +237,60 @@ impl Concept {
     }
 
     /// n-ary conjunction, flattening nested conjunctions and dropping ⊤.
+    /// Parts with nothing to flatten or drop are sorted where they lie.
     pub fn and(cs: Vec<Concept>) -> Concept {
-        let mut flat = vec![];
-        for c in cs {
-            match c {
-                Concept::And(inner) => flat.extend(inner),
-                Concept::Top => {}
-                Concept::Bottom => return Concept::Bottom,
-                other => flat.push(other),
+        let flat = if cs
+            .iter()
+            .any(|c| matches!(c, Concept::And(_) | Concept::Top | Concept::Bottom))
+        {
+            let mut flat = vec![];
+            for c in cs {
+                match c {
+                    Concept::And(inner) => flat.extend(inner),
+                    Concept::Top => {}
+                    Concept::Bottom => return Concept::Bottom,
+                    other => flat.push(other),
+                }
             }
-        }
-        flat.sort();
-        flat.dedup();
-        match flat.len() {
-            0 => Concept::Top,
-            1 => flat.pop().expect("len checked"),
-            _ => Concept::And(flat),
-        }
+            flat
+        } else {
+            cs
+        };
+        Concept::nary(flat, Concept::Top, Concept::And)
     }
 
-    /// n-ary disjunction, flattening and dropping ⊥.
+    /// n-ary disjunction, flattening and dropping ⊥. Parts with nothing
+    /// to flatten or drop are sorted where they lie.
     pub fn or(cs: Vec<Concept>) -> Concept {
-        let mut flat = vec![];
-        for c in cs {
-            match c {
-                Concept::Or(inner) => flat.extend(inner),
-                Concept::Bottom => {}
-                Concept::Top => return Concept::Top,
-                other => flat.push(other),
+        let flat = if cs
+            .iter()
+            .any(|c| matches!(c, Concept::Or(_) | Concept::Top | Concept::Bottom))
+        {
+            let mut flat = vec![];
+            for c in cs {
+                match c {
+                    Concept::Or(inner) => flat.extend(inner),
+                    Concept::Bottom => {}
+                    Concept::Top => return Concept::Top,
+                    other => flat.push(other),
+                }
             }
-        }
+            flat
+        } else {
+            cs
+        };
+        Concept::nary(flat, Concept::Bottom, Concept::Or)
+    }
+
+    /// Sort and dedup flat parts: `unit` for none, the part for one,
+    /// `join` of them otherwise.
+    fn nary(mut flat: Vec<Concept>, unit: Concept, join: fn(Vec<Concept>) -> Concept) -> Concept {
         flat.sort();
         flat.dedup();
         match flat.len() {
-            0 => Concept::Bottom,
+            0 => unit,
             1 => flat.pop().expect("len checked"),
-            _ => Concept::Or(flat),
+            _ => join(flat),
         }
     }
 
@@ -275,6 +356,31 @@ impl Concept {
                 // ¬(≤n r.C) = ≥(n+1) r.C
                 Concept::AtMost(n, r, c) => Concept::at_least(n + 1, *r, c.nnf()),
             },
+        }
+    }
+
+    /// True when [`nnf`](Self::nnf) would return an equal concept, so a
+    /// caller can use `self` in its place without building it: negation
+    /// only on atoms, and every ⊓ and ⊔ in the shape [`and`](Self::and)
+    /// and [`or`](Self::or) build (at least two parts, sorted, no
+    /// repeats, no ⊤ or ⊥, none of its own kind).
+    pub(crate) fn is_nnf(&self) -> bool {
+        let parts_nnf = |cs: &[Concept], nested: fn(&Concept) -> bool| {
+            cs.len() >= 2
+                && cs.windows(2).all(|w| w[0] < w[1])
+                && cs.iter().all(|c| {
+                    !matches!(c, Concept::Top | Concept::Bottom) && !nested(c) && c.is_nnf()
+                })
+        };
+        match self {
+            Concept::Top | Concept::Bottom | Concept::Atom(_) => true,
+            Concept::Not(c) => matches!(**c, Concept::Atom(_)),
+            Concept::And(cs) => parts_nnf(cs, |c| matches!(c, Concept::And(_))),
+            Concept::Or(cs) => parts_nnf(cs, |c| matches!(c, Concept::Or(_))),
+            Concept::Exists(_, c)
+            | Concept::Forall(_, c)
+            | Concept::AtLeast(_, _, c)
+            | Concept::AtMost(_, _, c) => c.is_nnf(),
         }
     }
 
@@ -1088,6 +1194,36 @@ mod tests {
                     "structural order must match Ord for {x:?} vs {y:?}"
                 );
             }
+        }
+    }
+
+    /// `is_nnf` never claims a concept `nnf` would change, and it
+    /// recognises the NNF of every corpus concept, raw constructor
+    /// shapes included.
+    #[test]
+    fn is_nnf_holds_only_where_nnf_is_the_identity() {
+        let (_v, a, b, r) = voc();
+        let (a, b) = (Concept::atom(a), Concept::atom(b));
+        let mut corpus = interner_corpus();
+        corpus.extend([
+            Concept::And(vec![b.clone(), a.clone()]),
+            Concept::And(vec![a.clone(), a.clone()]),
+            Concept::And(vec![a.clone()]),
+            Concept::And(vec![]),
+            Concept::And(vec![a.clone(), Concept::And(vec![a.clone(), b.clone()])]),
+            Concept::Or(vec![Concept::Bottom, a.clone()]),
+            Concept::Or(vec![a.clone(), Concept::Or(vec![a.clone(), b.clone()])]),
+            Concept::And(vec![a.clone(), Concept::Or(vec![a.clone(), b.clone()])]),
+            Concept::Not(Box::new(Concept::Top)),
+            Concept::Not(Box::new(Concept::Not(Box::new(a.clone())))),
+            Concept::Exists(r, Box::new(Concept::And(vec![b, a]))),
+        ]);
+        for c in corpus {
+            let n = c.nnf();
+            if c.is_nnf() {
+                assert_eq!(n, c, "is_nnf claimed {c:?}");
+            }
+            assert!(n.is_nnf(), "the NNF of {c:?} is {n:?}");
         }
     }
 

@@ -19,6 +19,19 @@
 //! so a completed run's step count depends on the TBox alone, not on
 //! the order the work was done in.
 //!
+//! Set-up copies nothing: [`ElClassifier::new`] checks the fragment and
+//! atomizes in one walk over the GCIs the TBox lends it, and keeps each
+//! rule index as one packed list per kind. A fresh saturation seeds
+//! every row with its *told closure* over the atomic `A ⊑ B` rules,
+//! computed in reverse topological order straight into the rows, so
+//! the seeded rows are closed under CR1. The seeded facts are then
+//! charged and fired row by row, each firing only the rules its atom
+//! has besides CR1: a taxonomy's facts cost a bit test, not a chain of
+//! inserts. Facts the rules derive from there on take the pending-work
+//! path. The seeding adds no matrix, and the fixpoint, the facts
+//! charged on the way to it and so the step count are those of seeding
+//! `S(x) = {x, ⊤}` alone.
+//!
 //! The matrices are quadratic in internal atoms while steps grow with
 //! derived facts, so a step budget alone does not bound a saturation's
 //! memory. [`ElClassifier::saturate_metered`] charges the matrices to
@@ -65,62 +78,110 @@ enum NfAxiom {
 /// The normalized TBox, indexed by atom for rule application.
 #[derive(Debug, Clone)]
 struct Rules {
-    /// CR1: `sub[a]` holds every `b` with `a ⊑ b`.
-    sub: Vec<Vec<Atom>>,
-    /// CR2: `conj[a]` holds every `(a₂, b)` with `a ⊓ a₂ ⊑ b`, under
-    /// both conjunct orders.
-    conj: Vec<Vec<(Atom, Atom)>>,
-    /// CR3: `exists_rhs[a]` holds every link `(r, b)` with `a ⊑ ∃r.b`.
-    exists_rhs: Vec<Vec<Link>>,
-    /// CR4: `exists_lhs[a]` holds every `(r, b)` with `∃r.a ⊑ b`.
-    exists_lhs: Vec<Vec<(RoleId, Atom)>>,
+    /// CR1: `sub` of `a` holds every `b` with `a ⊑ b`.
+    sub: Lists<Atom>,
+    /// CR2: `conj` of `a` holds every `(a₂, b)` with `a ⊓ a₂ ⊑ b`,
+    /// under both conjunct orders.
+    conj: Lists<(Atom, Atom)>,
+    /// CR3: `exists_rhs` of `a` holds every link `(r, b)` with
+    /// `a ⊑ ∃r.b`.
+    exists_rhs: Lists<Link>,
+    /// CR4: `exists_lhs` of `a` holds every `(r, b)` with `∃r.a ⊑ b`.
+    exists_lhs: Lists<(RoleId, Atom)>,
     /// Each link's role and target.
     links: Vec<(RoleId, Atom)>,
-    /// Reverse role edges: `into[y]` holds the links whose target is `y`.
-    into: Vec<Vec<Link>>,
+    /// Reverse role edges: `into` of `y` holds the links whose target
+    /// is `y`.
+    into: Lists<Link>,
     /// One bit row of the subsumers an edge target passes back to the
     /// edge's source: every `a` of some `∃r.a ⊑ b` (CR4), and ⊥ (CR5).
     passed_back: Vec<u64>,
+    /// One bit row of the atoms with a CR2 or CR3 rule.
+    local: Vec<u64>,
 }
 
 impl Rules {
     fn build(axioms: &[NfAxiom], n: usize, bottom: Atom) -> Rules {
-        let mut rules = Rules {
-            sub: vec![Vec::new(); n],
-            conj: vec![Vec::new(); n],
-            exists_rhs: vec![Vec::new(); n],
-            exists_lhs: vec![Vec::new(); n],
-            links: Vec::new(),
-            into: vec![Vec::new(); n],
-            passed_back: vec![0; n.div_ceil(64)],
-        };
-        set_bit(&mut rules.passed_back, bottom);
+        let mut sub = Vec::new();
+        let mut conj = Vec::new();
+        let mut exists_rhs = Vec::new();
+        let mut exists_lhs = Vec::new();
+        let mut links = Vec::new();
+        let mut into = Vec::new();
+        let mut passed_back = vec![0; n.div_ceil(64)];
+        set_bit(&mut passed_back, bottom);
+        let mut local = vec![0; n.div_ceil(64)];
         let mut link_of: BTreeMap<(RoleId, Atom), Link> = BTreeMap::new();
         for ax in axioms {
             match *ax {
-                NfAxiom::Sub(a, b) => rules.sub[a as usize].push(b),
+                NfAxiom::Sub(a, b) => sub.push((a, b)),
                 NfAxiom::Conj(a1, a2, b) => {
-                    rules.conj[a1 as usize].push((a2, b));
+                    conj.push((a1, (a2, b)));
+                    set_bit(&mut local, a1);
                     if a1 != a2 {
-                        rules.conj[a2 as usize].push((a1, b));
+                        conj.push((a2, (a1, b)));
+                        set_bit(&mut local, a2);
                     }
                 }
                 NfAxiom::ExistsRhs(a, r, b) => {
                     let l = *link_of.entry((r, b)).or_insert_with(|| {
-                        let l = rules.links.len() as Link;
-                        rules.links.push((r, b));
-                        rules.into[b as usize].push(l);
+                        let l = links.len() as Link;
+                        links.push((r, b));
+                        into.push((b, l));
                         l
                     });
-                    rules.exists_rhs[a as usize].push(l);
+                    exists_rhs.push((a, l));
+                    set_bit(&mut local, a);
                 }
                 NfAxiom::ExistsLhs(r, a, b) => {
-                    rules.exists_lhs[a as usize].push((r, b));
-                    set_bit(&mut rules.passed_back, a);
+                    exists_lhs.push((a, (r, b)));
+                    set_bit(&mut passed_back, a);
                 }
             }
         }
-        rules
+        Rules {
+            sub: Lists::group(n, sub),
+            conj: Lists::group(n, conj),
+            exists_rhs: Lists::group(n, exists_rhs),
+            exists_lhs: Lists::group(n, exists_lhs),
+            links,
+            into: Lists::group(n, into),
+            passed_back,
+            local,
+        }
+    }
+}
+
+/// One list per atom, packed into a single allocation: atom `a`'s
+/// items are `items[starts[a]..starts[a + 1]]`.
+#[derive(Debug, Clone)]
+struct Lists<T> {
+    starts: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Lists<T> {
+    /// Group `(atom, item)` pairs by atom, each atom's items in the
+    /// order given.
+    fn group(n: usize, mut pairs: Vec<(Atom, T)>) -> Lists<T> {
+        pairs.sort_by_key(|&(a, _)| a);
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut at = 0;
+        for a in 0..=n {
+            while pairs.get(at).is_some_and(|&(b, _)| (b as usize) < a) {
+                at += 1;
+            }
+            starts.push(at as u32);
+        }
+        Lists {
+            starts,
+            items: pairs.into_iter().map(|(_, item)| item).collect(),
+        }
+    }
+
+    fn of(&self, a: Atom) -> &[T] {
+        let a = a as usize;
+        &self.items[self.starts[a] as usize..self.starts[a + 1] as usize]
     }
 }
 
@@ -157,6 +218,9 @@ struct Normalizer {
     axioms: Vec<NfAxiom>,
     /// The TBox's names, ascending: `names[a]` is user atom `a`.
     names: Vec<ConceptId>,
+    /// Whether `names` is every id below its length, so that user atom
+    /// `a` is name `a`, as for a TBox parsed into a fresh vocabulary.
+    dense: bool,
 }
 
 impl ElClassifier {
@@ -166,9 +230,26 @@ impl ElClassifier {
     /// outside EL (⊥ is tolerated anywhere; it simply makes the side
     /// unsatisfiable).
     pub fn new(tbox: &TBox, voc: &Vocabulary) -> Result<Self> {
-        let gcis = tbox.gcis();
-        for (l, r) in &gcis {
-            if !el_ok(l) || !el_ok(r) {
+        // User atoms come first, in `ConceptId` order: user atom `i` is
+        // rank `i` of the TBox's names, so `index_metered` packs
+        // saturation rows as index rows.
+        let names = tbox.atom_list();
+        let mut norm = Normalizer {
+            n_atoms: names.len() as u32,
+            top: 0,
+            bottom: 0,
+            axioms: vec![],
+            dense: names
+                .last()
+                .is_none_or(|last| last.0 as usize + 1 == names.len()),
+            names,
+        };
+        norm.top = norm.fresh();
+        norm.bottom = norm.fresh();
+        // One walk over the borrowed GCIs checks the fragment and
+        // atomizes: the first GCI outside EL is the one reported.
+        for (l, r) in tbox.gci_refs() {
+            let (Some(la), Some(ra)) = (norm.atomize(&l), norm.atomize(r)) else {
                 return Err(DlError::OutsideFragment {
                     reasoner: "EL",
                     detail: format!(
@@ -177,24 +258,7 @@ impl ElClassifier {
                         r.display(voc)
                     ),
                 });
-            }
-        }
-        // User atoms come first, in `ConceptId` order: user atom `i` is
-        // rank `i` of the TBox's names, so `index_metered` packs
-        // saturation rows as index rows.
-        let names: Vec<ConceptId> = tbox.atoms().into_iter().collect();
-        let mut norm = Normalizer {
-            n_atoms: names.len() as u32,
-            top: 0,
-            bottom: 0,
-            axioms: vec![],
-            names,
-        };
-        norm.top = norm.fresh();
-        norm.bottom = norm.fresh();
-        for (l, r) in &gcis {
-            let la = norm.atomize(l);
-            let ra = norm.atomize(r);
+            };
             norm.axioms.push(NfAxiom::Sub(la, ra));
         }
         let n = norm.n_atoms as usize;
@@ -245,29 +309,37 @@ impl ElClassifier {
             .with("atoms", self.n_atoms as u64);
         let rows = u64::from(self.n_atoms) + self.rules.links.len() as u64;
         meter.charge_memory(rows.saturating_mul(2 * self.words as u64))?;
-        // Start from the persisted partial state when one exists (an
-        // earlier interrupted run, or a restored checkpoint); seed
-        // `S(x) = {x, ⊤}` otherwise. Every known fact and edge starts
-        // pending, so the rules replay them: on a fresh start that is
-        // the classic seeding, on resume it only ever adds entailed
-        // consequences, and the monotone rules reach the fixpoint an
-        // uninterrupted run does.
-        if self.rows.is_empty() {
-            self.rows = vec![0; self.n_atoms as usize * self.words];
-            self.edges = vec![0; self.rules.links.len() * self.words];
-            for x in 0..self.n_atoms {
-                let row = &mut self.rows[x as usize * self.words..][..self.words];
-                set_bit(row, x);
-                set_bit(row, self.top);
+        // A fresh start seeds each row with its told closure, then fires
+        // the rest of the rules on those facts (`fire_told`); the facts
+        // that derives turn pending. A resume starts from the persisted
+        // partial state (an earlier interrupted run, or a restored
+        // checkpoint) with every known fact and edge pending, so the
+        // rules replay them; they only ever add entailed consequences.
+        // Either way the monotone rules reach the fixpoint an
+        // uninterrupted run does, and each fact and edge is charged once.
+        let fresh = self.rows.is_empty();
+        let mut run = if fresh {
+            let mut rows = vec![0; self.n_atoms as usize * self.words];
+            seed_told_closure(&mut rows, self.words, &self.rules.sub, self.top);
+            Run {
+                rules: &self.rules,
+                bottom: self.bottom,
+                facts: Matrix::settled(rows, self.words),
+                edges: Matrix::settled(vec![0; self.rules.links.len() * self.words], self.words),
             }
-        }
-        let mut run = Run {
-            rules: &self.rules,
-            bottom: self.bottom,
-            facts: Matrix::pending_all(std::mem::take(&mut self.rows), self.words),
-            edges: Matrix::pending_all(std::mem::take(&mut self.edges), self.words),
+        } else {
+            Run {
+                rules: &self.rules,
+                bottom: self.bottom,
+                facts: Matrix::pending_all(std::mem::take(&mut self.rows), self.words),
+                edges: Matrix::pending_all(std::mem::take(&mut self.edges), self.words),
+            }
         };
-        let outcome = run.saturate(meter);
+        let outcome = if fresh {
+            run.fire_told(meter).and_then(|()| run.saturate(meter))
+        } else {
+            run.saturate(meter)
+        };
         // Keep whatever was proved — complete on Ok, a sound partial
         // under-approximation on interrupt. Edges persist alongside so
         // a later resume (or checkpoint) loses none of CR3's work.
@@ -545,21 +617,27 @@ impl ElClassifier {
 }
 
 impl Normalizer {
-    /// Reduce an arbitrary EL concept to a single atom, introducing
-    /// fresh definitional atoms as needed (the atom is *equivalent* to
-    /// the concept because both directions of the definitional axioms
-    /// are added where required).
-    fn atomize(&mut self, c: &Concept) -> Atom {
-        match c {
+    /// Reduce an EL concept to a single atom, introducing fresh
+    /// definitional atoms as needed (the atom is *equivalent* to the
+    /// concept because both directions of the definitional axioms are
+    /// added where required). `None` when the concept is outside EL.
+    fn atomize(&mut self, c: &Concept) -> Option<Atom> {
+        Some(match c {
             Concept::Top => self.top,
             Concept::Bottom => self.bottom,
             // `new` reserved every name of the TBox.
+            Concept::Atom(id) if self.dense => id.0,
             Concept::Atom(id) => self.names.binary_search(id).expect("a reserved name") as Atom,
             Concept::And(parts) => {
-                let atoms: Vec<Atom> = parts.iter().map(|p| self.atomize(p)).collect();
+                let atoms: Vec<Atom> = parts
+                    .iter()
+                    .map(|p| self.atomize(p))
+                    .collect::<Option<_>>()?;
                 // Fold pairwise: fresh ⊑-equivalent conjunction atoms.
-                let mut acc = atoms[0];
-                for &a in &atoms[1..] {
+                // An empty conjunction is ⊤.
+                let mut atoms = atoms.into_iter();
+                let mut acc = atoms.next().unwrap_or(self.top);
+                for a in atoms {
                     let fresh = self.fresh();
                     // acc ⊓ a ⊑ fresh and fresh ⊑ acc, fresh ⊑ a
                     self.axioms.push(NfAxiom::Conj(acc, a, fresh));
@@ -570,22 +648,123 @@ impl Normalizer {
                 acc
             }
             Concept::Exists(r, inner) => {
-                let ia = self.atomize(inner);
+                let ia = self.atomize(inner)?;
                 let fresh = self.fresh();
                 // ∃r.ia ⊑ fresh and fresh ⊑ ∃r.ia
                 self.axioms.push(NfAxiom::ExistsLhs(*r, ia, fresh));
                 self.axioms.push(NfAxiom::ExistsRhs(fresh, *r, ia));
                 fresh
             }
-            // Checked by the constructor.
-            other => unreachable!("non-EL concept {other:?} after fragment check"),
-        }
+            Concept::Not(_)
+            | Concept::Or(_)
+            | Concept::Forall(..)
+            | Concept::AtLeast(..)
+            | Concept::AtMost(..) => return None,
+        })
     }
 
     fn fresh(&mut self) -> Atom {
         let a = self.n_atoms;
         self.n_atoms += 1;
         a
+    }
+}
+
+/// Seed each subsumer row with its told closure: the atom itself, ⊤,
+/// and every atom it reaches over the `A ⊑ B` rules (CR1), ⊤'s rules
+/// included, so every seeded row is closed under CR1 and holds only
+/// facts CR1 derives. Tarjan's algorithm finishes the strongly
+/// connected components of that graph in reverse topological order, so
+/// when a component finishes, every row it points out of is complete;
+/// its members (atoms made equivalent by a cycle of `⊑`, as `≡` makes)
+/// share one row. Each edge ORs one finished row into another.
+fn seed_told_closure(rows: &mut [u64], words: usize, sub: &Lists<Atom>, top: Atom) {
+    /// `order` of an atom not yet reached.
+    const UNSEEN: u32 = u32::MAX;
+    /// `low` of an atom whose component has finished.
+    const DONE: u32 = u32::MAX;
+    let n = rows.len() / words;
+    // The `k`-th atom `x` points to: its `sub` rules, then ⊤.
+    let next = |x: Atom, k: usize| {
+        let told = sub.of(x);
+        match told.get(k) {
+            Some(&b) => Some(b),
+            None => (k == told.len() && x != top).then_some(top),
+        }
+    };
+    let mut order = vec![UNSEEN; n];
+    let mut low = vec![0; n];
+    let mut reached = 0;
+    // Atoms reached whose component has not finished, and the walk's
+    // path, each atom with the number of edges it has taken.
+    let mut open: Vec<Atom> = Vec::new();
+    let mut walk: Vec<(Atom, usize)> = Vec::new();
+    for root in 0..n as Atom {
+        if order[root as usize] != UNSEEN {
+            continue;
+        }
+        walk.push((root, 0));
+        order[root as usize] = reached;
+        low[root as usize] = reached;
+        reached += 1;
+        open.push(root);
+        while let Some((x, k)) = walk.last_mut() {
+            let x = *x;
+            if let Some(y) = next(x, *k) {
+                *k += 1;
+                let y = y as usize;
+                if order[y] == UNSEEN {
+                    order[y] = reached;
+                    low[y] = reached;
+                    reached += 1;
+                    open.push(y as Atom);
+                    walk.push((y as Atom, 0));
+                } else if low[y] != DONE {
+                    low[x as usize] = low[x as usize].min(order[y]);
+                }
+                continue;
+            }
+            walk.pop();
+            if let Some(&(parent, _)) = walk.last() {
+                low[parent as usize] = low[parent as usize].min(low[x as usize]);
+            }
+            if low[x as usize] != order[x as usize] {
+                continue;
+            }
+            // `x` roots a component: the open atoms from `x` on. Its row
+            // gathers every member and every finished row they reach.
+            let from = open.iter().rposition(|&m| m == x).expect("x is open");
+            for &m in &open[from..] {
+                set_bit(&mut rows[x as usize * words..], m);
+                for y in (0..).map_while(|k| next(m, k)) {
+                    if low[y as usize] == DONE {
+                        or_row(rows, words, x, y);
+                    }
+                }
+            }
+            for m in open.drain(from..) {
+                low[m as usize] = DONE;
+                if m != x {
+                    let at = x as usize * words;
+                    rows.copy_within(at..at + words, m as usize * words);
+                }
+            }
+        }
+    }
+}
+
+/// `rows[x] |= rows[y]`, rows of `words` words, `x ≠ y`.
+fn or_row(rows: &mut [u64], words: usize, x: Atom, y: Atom) {
+    let (x, y) = (x as usize * words, y as usize * words);
+    let (dst, src) = if x < y {
+        let (head, tail) = rows.split_at_mut(y);
+        (&mut head[x..x + words], &tail[..words])
+    } else {
+        let (head, tail) = rows.split_at_mut(x);
+        (&mut tail[..words], &head[y..y + words])
+    };
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d |= s;
     }
 }
 
@@ -601,6 +780,18 @@ struct Matrix {
 }
 
 impl Matrix {
+    /// Wrap `bits` with no bit pending.
+    fn settled(bits: Vec<u64>, words: usize) -> Matrix {
+        let rows = bits.len() / words;
+        Matrix {
+            words,
+            pending: vec![0; bits.len()],
+            bits,
+            queue: VecDeque::new(),
+            queued: vec![false; rows],
+        }
+    }
+
     /// Wrap `bits` with every set bit pending.
     fn pending_all(bits: Vec<u64>, words: usize) -> Matrix {
         let queued: Vec<bool> = bits
@@ -676,10 +867,12 @@ impl Run<'_> {
     fn saturate(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
         loop {
             if let Some(x) = self.facts.next_row() {
+                // Whether x is the target of any link, asked once a row.
+                let target = !self.rules.into.of(x).is_empty();
                 let mut from = 0;
                 while let Some(a) = self.facts.take_pending(x, &mut from) {
                     meter.charge(1)?;
-                    self.fire_fact(x, a);
+                    self.fire_fact(x, a, target);
                 }
             } else if let Some(l) = self.edges.next_row() {
                 let passed = self.passed_back(l);
@@ -697,30 +890,75 @@ impl Run<'_> {
         }
     }
 
-    /// The rules triggered by the fact `a ∈ S(x)`.
-    fn fire_fact(&mut self, x: Atom, a: Atom) {
+    /// Charge and fire every told fact, the bits a fresh start seeded,
+    /// row by row. The seeded rows are closed under CR1, so a told fact
+    /// fires only the rules its atom has besides CR1, and the told
+    /// facts of a word whose atoms have none are charged in one call
+    /// and fire nothing. Each row is read once, a word at a time, and a
+    /// bit set but not pending there is a told fact: a fact the rules
+    /// derive turns pending and is left to [`Run::saturate`].
+    fn fire_told(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
         let rules = self.rules;
-        let (xi, ai) = (x as usize, a as usize);
-        // CR1: a ⊑ b.
-        for &b in &rules.sub[ai] {
-            self.facts.insert(x, b);
-        }
-        // CR2: a ⊓ a₂ ⊑ b with a₂ already in S(x).
-        for &(a2, b) in &rules.conj[ai] {
-            if has_bit(self.facts.row(x), a2) {
-                self.facts.insert(x, b);
+        let words = self.facts.words;
+        for x in 0..(self.facts.bits.len() / words) as Atom {
+            let target = !rules.into.of(x).is_empty();
+            for w in 0..words {
+                let at = x as usize * words + w;
+                let told = self.facts.bits[at] & !self.facts.pending[at];
+                let mut active = rules.local[w];
+                if target {
+                    active |= rules.passed_back[w];
+                }
+                let quiet = (told & !active).count_ones();
+                if quiet > 0 {
+                    meter.charge(u64::from(quiet))?;
+                }
+                let mut fire = told & active;
+                while fire != 0 {
+                    let a = (w * 64) as Atom + fire.trailing_zeros();
+                    fire &= fire - 1;
+                    meter.charge(1)?;
+                    self.fire_rules(x, a, target);
+                }
             }
         }
-        // CR3: a ⊑ ∃r.b derives the edge x →r b.
-        for &l in &rules.exists_rhs[ai] {
-            self.edges.insert(l, x);
+        Ok(())
+    }
+
+    /// The rules triggered by the fact `a ∈ S(x)`; `target` tells
+    /// whether any link points at `x`.
+    fn fire_fact(&mut self, x: Atom, a: Atom, target: bool) {
+        // CR1: a ⊑ b.
+        for &b in self.rules.sub.of(a) {
+            self.facts.insert(x, b);
+        }
+        self.fire_rules(x, a, target);
+    }
+
+    /// The rules besides CR1 triggered by the fact `a ∈ S(x)`.
+    fn fire_rules(&mut self, x: Atom, a: Atom, target: bool) {
+        let rules = self.rules;
+        if has_bit(&rules.local, a) {
+            // CR2: a ⊓ a₂ ⊑ b with a₂ already in S(x).
+            for &(a2, b) in rules.conj.of(a) {
+                if has_bit(self.facts.row(x), a2) {
+                    self.facts.insert(x, b);
+                }
+            }
+            // CR3: a ⊑ ∃r.b derives the edge x →r b.
+            for &l in rules.exists_rhs.of(a) {
+                self.edges.insert(l, x);
+            }
+        }
+        if !target || !has_bit(&rules.passed_back, a) {
+            return;
         }
         // CR4 and CR5 with x as an edge target: a new subsumer of x
         // reaches the source w of every derived edge w →r x.
-        for &l in &rules.into[xi] {
+        for &l in rules.into.of(x) {
             let role = rules.links[l as usize].0;
             let fires = |&(r, _): &(RoleId, Atom)| r == role;
-            if a != self.bottom && !rules.exists_lhs[ai].iter().any(fires) {
+            if a != self.bottom && !rules.exists_lhs.of(a).iter().any(fires) {
                 continue;
             }
             for w in 0..self.edges.words {
@@ -728,7 +966,7 @@ impl Run<'_> {
                 while sources != 0 {
                     let src = (w * 64) as Atom + sources.trailing_zeros();
                     sources &= sources - 1;
-                    for &(r, b) in &rules.exists_lhs[ai] {
+                    for &(r, b) in rules.exists_lhs.of(a) {
                         if r == role {
                             self.facts.insert(src, b);
                         }
@@ -758,7 +996,9 @@ impl Run<'_> {
                     out.push(a);
                 }
                 out.extend(
-                    self.rules.exists_lhs[a as usize]
+                    self.rules
+                        .exists_lhs
+                        .of(a)
                         .iter()
                         .filter(|&&(r, _)| r == role)
                         .map(|&(_, b)| b),
@@ -786,16 +1026,6 @@ fn ones(row: &[u64]) -> impl Iterator<Item = Atom> + '_ {
         })
         .map(move |bits| (w * 64) as Atom + bits.trailing_zeros())
     })
-}
-
-/// EL admissibility including ⊥ (which plain `Concept::is_el` excludes).
-fn el_ok(c: &Concept) -> bool {
-    match c {
-        Concept::Top | Concept::Bottom | Concept::Atom(_) => true,
-        Concept::And(cs) => cs.iter().all(el_ok),
-        Concept::Exists(_, inner) => el_ok(inner),
-        _ => false,
-    }
 }
 
 #[cfg(test)]

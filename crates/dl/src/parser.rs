@@ -20,6 +20,16 @@
 //!
 //! Names are interned into the supplied [`Vocabulary`] on sight.
 //!
+//! Parsing copies nothing it does not keep. The lexer writes a line's
+//! tokens into a buffer, and a name token borrows its text from the
+//! line; [`parse_axiom_text`] reads a TBox's text once, lexing each line
+//! into the same buffer, and reads a taxonomy line (`A < B`) straight
+//! off its three tokens. A name's text is copied once, when the
+//! vocabulary first sees it. An error copies the input into its
+//! [`DlError::Parse`], and only then. The parser this one replaced is
+//! kept in the test suite as its oracle: on every input both give the
+//! same value, or the same error text and offset.
+//!
 //! ```
 //! use summa_dl::prelude::*;
 //! let mut voc = Vocabulary::new();
@@ -29,11 +39,12 @@
 
 use crate::concept::{Concept, Vocabulary};
 use crate::error::{DlError, Result};
-use crate::tbox::Axiom;
+use crate::tbox::{Axiom, TBox};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Name(String),
+/// A token. A name borrows its text from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'t> {
+    Name(&'t str),
     Num(u32),
     Amp,
     Pipe,
@@ -45,153 +56,202 @@ enum Tok {
     Equals,
 }
 
-/// Tokens paired with the byte offset where each begins.
-fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
-    let mut out = vec![];
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(at, ch)) = chars.peek() {
-        match ch {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '&' | '⊓' => {
-                chars.next();
-                out.push((Tok::Amp, at));
-            }
-            '|' | '⊔' => {
-                chars.next();
-                out.push((Tok::Pipe, at));
-            }
-            '~' | '¬' => {
-                chars.next();
-                out.push((Tok::Tilde, at));
-            }
-            '.' => {
-                chars.next();
-                out.push((Tok::Dot, at));
-            }
-            '(' => {
-                chars.next();
-                out.push((Tok::LParen, at));
-            }
-            ')' => {
-                chars.next();
-                out.push((Tok::RParen, at));
-            }
-            '<' | '⊑' => {
-                chars.next();
-                out.push((Tok::Less, at));
-            }
-            '=' | '≡' => {
-                chars.next();
-                out.push((Tok::Equals, at));
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: u32 = 0;
-                while let Some(&(_, d)) = chars.peek() {
-                    if let Some(v) = d.to_digit(10) {
-                        // Overflowing literals are a syntax error, not
-                        // a panic (found by the corpus fuzzer).
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(v))
-                            .ok_or_else(|| DlError::Parse {
-                                input: input.to_string(),
-                                detail: "number literal too large".to_string(),
-                                offset: at,
-                            })?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push((Tok::Num(n), at));
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                out.push((Tok::Name(s), at));
-            }
-            other => {
-                return Err(DlError::Parse {
-                    input: input.to_string(),
-                    detail: format!("unexpected character '{other}'"),
-                    offset: at,
-                })
-            }
-        }
+/// A token and the byte offset where it begins.
+type Spanned<'t> = (Tok<'t>, usize);
+
+fn parse_error(input: &str, offset: usize, detail: String) -> DlError {
+    DlError::Parse {
+        input: input.to_string(),
+        detail,
+        offset,
     }
-    Ok(out)
+}
+
+/// Lex `text` from byte `from` into `out`, replacing what it held,
+/// each token with its offset from `from`. With `line`, lexing stops at
+/// the first `\n`; otherwise `\n` is whitespace. Returns where it
+/// stopped: that `\n`, or the end of `text`. The whole input is lexed
+/// before any of it is parsed, so a lexical error anywhere wins over a
+/// syntax error; it comes back as its offset from `from` and detail.
+/// ASCII is read a byte at a time; a character is decoded only where a
+/// byte is not ASCII.
+fn lex<'t>(
+    text: &'t str,
+    from: usize,
+    line: bool,
+    out: &mut Vec<Spanned<'t>>,
+) -> std::result::Result<usize, (usize, String)> {
+    out.clear();
+    let bytes = text.as_bytes();
+    let mut at = from;
+    while let Some(&b) = bytes.get(at) {
+        let (tok, len) = match b {
+            b'\n' if line => return Ok(at),
+            b' ' | b'\t'..=b'\r' => {
+                at += 1;
+                continue;
+            }
+            b'&' => (Tok::Amp, 1),
+            b'|' => (Tok::Pipe, 1),
+            b'~' => (Tok::Tilde, 1),
+            b'.' => (Tok::Dot, 1),
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b'<' => (Tok::Less, 1),
+            b'=' => (Tok::Equals, 1),
+            b'0'..=b'9' => {
+                let len = bytes[at..]
+                    .iter()
+                    .take_while(|d| d.is_ascii_digit())
+                    .count();
+                // Overflowing literals are a syntax error, not a panic
+                // (found by the corpus fuzzer).
+                let n = bytes[at..at + len].iter().try_fold(0u32, |n, &d| {
+                    n.checked_mul(10)?.checked_add(u32::from(d - b'0'))
+                });
+                let Some(n) = n else {
+                    return Err((at - from, "number literal too large".into()));
+                };
+                (Tok::Num(n), len)
+            }
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => name(text, at),
+            _ => {
+                let c = text[at..].chars().next().expect("`at` is a char boundary");
+                match c {
+                    c if c.is_whitespace() => {
+                        at += c.len_utf8();
+                        continue;
+                    }
+                    '⊓' => (Tok::Amp, c.len_utf8()),
+                    '⊔' => (Tok::Pipe, c.len_utf8()),
+                    '¬' => (Tok::Tilde, c.len_utf8()),
+                    '⊑' => (Tok::Less, c.len_utf8()),
+                    '≡' => (Tok::Equals, c.len_utf8()),
+                    c if is_name_char(c) => name(text, at),
+                    other => return Err((at - from, format!("unexpected character '{other}'"))),
+                }
+            }
+        };
+        out.push((tok, at - from));
+        at += len;
+    }
+    Ok(text.len())
+}
+
+/// The name starting at byte `at`, and its length: letters, digits
+/// and underscores, Unicode ones included.
+fn name(input: &str, at: usize) -> (Tok<'_>, usize) {
+    let bytes = input.as_bytes();
+    let mut end = at;
+    loop {
+        end += bytes[end..]
+            .iter()
+            .take_while(|&&b| b.is_ascii_alphanumeric() || b == b'_')
+            .count();
+        if bytes.get(end).is_none_or(u8::is_ascii) {
+            break;
+        }
+        let c = input[end..]
+            .chars()
+            .next()
+            .expect("`end` is a char boundary");
+        if !is_name_char(c) {
+            break;
+        }
+        end += c.len_utf8();
+    }
+    (Tok::Name(&input[at..end]), end - at)
+}
+
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Names the grammar reads as constructors, never as concept names.
+fn is_keyword(name: &str) -> bool {
+    matches!(
+        name,
+        "top" | "bottom" | "some" | "all" | "atleast" | "atmost" | "exactly"
+    )
 }
 
 /// Maximum nesting depth of the recursive descent before parsing is
-/// refused. The recursion `unary → concept → conj → unary` otherwise
-/// grows the call stack linearly with input nesting, and inputs like
+/// refused: at most this many `unary` frames may be open at once, so
+/// `top` inside 255 parentheses parses and inside 256 it does not. The
+/// recursion `unary → concept → conj → unary` otherwise grows the call
+/// stack linearly with input nesting, and inputs like
 /// `"(".repeat(2000)` overflow it (found by the corpus fuzzer). Deep
 /// enough for any concept a human or the generators write; shallow
 /// enough to stay far from the 2 MiB test-thread stack.
-const MAX_NESTING: usize = 256;
+pub const MAX_NESTING: usize = 256;
 
-struct Parser<'a> {
-    toks: Vec<(Tok, usize)>,
+struct Parser<'t, 'p> {
+    toks: &'p [Spanned<'t>],
     pos: usize,
-    voc: &'a mut Vocabulary,
-    input: String,
+    voc: &'p mut Vocabulary,
+    input: &'t str,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'t, 'p> Parser<'t, 'p> {
+    fn new(input: &'t str, toks: &'p [Spanned<'t>], voc: &'p mut Vocabulary) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            voc,
+            input,
+            depth: 0,
+        }
+    }
+
     /// Byte offset of the token at `pos` (end of input when past the
     /// last token) — what error messages point at.
     fn offset(&self) -> usize {
         self.toks
             .get(self.pos)
-            .map(|&(_, at)| at)
-            .unwrap_or(self.input.len())
+            .map_or(self.input.len(), |&(_, at)| at)
     }
 
     fn err_at(&self, offset: usize, detail: impl Into<String>) -> DlError {
-        DlError::Parse {
-            input: self.input.clone(),
-            detail: detail.into(),
-            offset,
-        }
+        parse_error(self.input, offset, detail.into())
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|(t, _)| t)
+    fn peek(&self) -> Option<Tok<'t>> {
+        self.toks.get(self.pos).map(|&(t, _)| t)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|(t, _)| t.clone());
+    fn next(&mut self) -> Option<Tok<'t>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: &Tok) -> Result<()> {
+    fn expect(&mut self, t: Tok<'t>) -> Result<()> {
         let at = self.offset();
         match self.next() {
-            Some(got) if got == *t => Ok(()),
+            Some(got) if got == t => Ok(()),
             got => Err(self.err_at(at, format!("expected {t:?}, got {got:?}"))),
+        }
+    }
+
+    /// Refuse tokens left over after a complete parse.
+    fn finish(&self) -> Result<()> {
+        if self.pos == self.toks.len() {
+            Ok(())
+        } else {
+            Err(self.err_at(self.offset(), "trailing tokens"))
         }
     }
 
     fn concept(&mut self) -> Result<Concept> {
         let first = self.conj()?;
-        if self.peek() != Some(&Tok::Pipe) {
+        if self.peek() != Some(Tok::Pipe) {
             return Ok(first);
         }
         let mut parts = vec![first];
-        while self.peek() == Some(&Tok::Pipe) {
+        while self.peek() == Some(Tok::Pipe) {
             self.next();
             parts.push(self.conj()?);
         }
@@ -200,11 +260,11 @@ impl<'a> Parser<'a> {
 
     fn conj(&mut self) -> Result<Concept> {
         let first = self.unary()?;
-        if self.peek() != Some(&Tok::Amp) {
+        if self.peek() != Some(Tok::Amp) {
             return Ok(first);
         }
         let mut parts = vec![first];
-        while self.peek() == Some(&Tok::Amp) {
+        while self.peek() == Some(Tok::Amp) {
             self.next();
             parts.push(self.unary()?);
         }
@@ -229,10 +289,10 @@ impl<'a> Parser<'a> {
         };
         let at = self.offset();
         let role = match self.next() {
-            Some(Tok::Name(r)) => self.voc.role(&r),
+            Some(Tok::Name(r)) => self.voc.role(r),
             got => return Err(self.err_at(at, format!("expected role after '{kw}', got {got:?}"))),
         };
-        self.expect(&Tok::Dot)?;
+        self.expect(Tok::Dot)?;
         let inner = self.unary()?;
         let n = || n.ok_or_else(|| self.err_at(kw_at, format!("'{kw}' requires a count")));
         Ok(match kw {
@@ -261,60 +321,118 @@ impl<'a> Parser<'a> {
             Some(Tok::Tilde) => Ok(Concept::not(self.unary()?)),
             Some(Tok::LParen) => {
                 let c = self.concept()?;
-                self.expect(&Tok::RParen)?;
+                self.expect(Tok::RParen)?;
                 Ok(c)
             }
-            Some(Tok::Name(name)) => match name.as_str() {
+            Some(Tok::Name(name)) if is_keyword(name) => match name {
                 "top" => Ok(Concept::Top),
                 "bottom" => Ok(Concept::Bottom),
-                kw @ ("some" | "all" | "atleast" | "atmost" | "exactly") => {
-                    let kw = kw.to_string();
-                    self.quantified(&kw, at)
-                }
-                _ => Ok(Concept::atom(self.voc.concept(&name))),
+                _ => self.quantified(name, at),
             },
+            Some(Tok::Name(name)) => Ok(Concept::atom(self.voc.concept(name))),
             got => Err(self.err_at(at, format!("expected concept, got {got:?}"))),
+        }
+    }
+
+    /// `C < D` or `C = D`. The operator is checked only once both sides
+    /// have parsed, so a malformed side is the error reported first. A
+    /// taxonomy line, two names and the operator, is read straight off
+    /// its three tokens.
+    fn axiom(&mut self) -> Result<Axiom> {
+        if let [(Tok::Name(l), _), (op @ (Tok::Less | Tok::Equals), _), (Tok::Name(r), _)] =
+            *self.toks
+        {
+            if !is_keyword(l) && !is_keyword(r) {
+                let lhs = Concept::atom(self.voc.concept(l));
+                let rhs = Concept::atom(self.voc.concept(r));
+                self.pos = 3;
+                return Ok(if op == Tok::Less {
+                    Axiom::Subsume { lhs, rhs }
+                } else {
+                    Axiom::Equiv { lhs, rhs }
+                });
+            }
+        }
+        let lhs = self.concept()?;
+        let op_at = self.offset();
+        let op = self.next();
+        let rhs = self.concept()?;
+        self.finish()?;
+        match op {
+            Some(Tok::Less) => Ok(Axiom::Subsume { lhs, rhs }),
+            Some(Tok::Equals) => Ok(Axiom::Equiv { lhs, rhs }),
+            got => Err(self.err_at(op_at, format!("expected '<' or '=', got {got:?}"))),
         }
     }
 }
 
 /// Parse a concept expression, interning new names into `voc`.
 pub fn parse_concept(input: &str, voc: &mut Vocabulary) -> Result<Concept> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-        voc,
-        input: input.to_string(),
-        depth: 0,
-    };
+    let mut toks = Vec::new();
+    lex(input, 0, false, &mut toks).map_err(|(at, detail)| parse_error(input, at, detail))?;
+    let mut p = Parser::new(input, &toks, voc);
     let c = p.concept()?;
-    if p.pos != p.toks.len() {
-        return Err(p.err_at(p.offset(), "trailing tokens"));
-    }
+    p.finish()?;
     Ok(c)
 }
 
 /// Parse an axiom `C < D` (subsumption) or `C = D` (equivalence).
 pub fn parse_axiom(input: &str, voc: &mut Vocabulary) -> Result<Axiom> {
-    let mut p = Parser {
-        toks: lex(input)?,
-        pos: 0,
-        voc,
-        input: input.to_string(),
-        depth: 0,
-    };
-    let lhs = p.concept()?;
-    let op_at = p.offset();
-    let op = p.next();
-    let rhs = p.concept()?;
-    if p.pos != p.toks.len() {
-        return Err(p.err_at(p.offset(), "trailing tokens"));
+    let mut toks = Vec::new();
+    lex(input, 0, false, &mut toks).map_err(|(at, detail)| parse_error(input, at, detail))?;
+    Parser::new(input, &toks, voc).axiom()
+}
+
+/// Parse axiom text, one axiom per line, into a fresh TBox and the
+/// vocabulary of its names, numbered in the order they are first seen.
+/// Lines end at `\n`; each is trimmed, and blank lines and lines
+/// starting with `#` are skipped. On the first line that does not
+/// parse, returns its number (counting from 1) with the error
+/// [`parse_axiom`] gives for the trimmed line.
+///
+/// The text is read once: the lexer runs from a line's first
+/// non-blank byte to its `\n`, writing every line's tokens into the
+/// same buffer, and the trimmed line is cut out only to parse them.
+pub fn parse_axiom_text(text: &str) -> std::result::Result<(TBox, Vocabulary), (usize, DlError)> {
+    let mut voc = Vocabulary::new();
+    // Room for one axiom a line, so the axioms are never moved.
+    let mut tbox = TBox::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+    let mut toks = Vec::new();
+    let mut at = 0;
+    let mut number = 0;
+    while at < text.len() {
+        number += 1;
+        let start = at + blank_len(&text[at..]);
+        let line_end = || text[start..].find('\n').map_or(text.len(), |i| start + i);
+        match text.as_bytes().get(start) {
+            None => break,
+            Some(b'\n') => {
+                at = start + 1;
+                continue;
+            }
+            Some(b'#') => {
+                at = line_end() + 1;
+                continue;
+            }
+            Some(_) => {}
+        }
+        let end = lex(text, start, true, &mut toks).map_err(|(offset, detail)| {
+            let line = text[start..line_end()].trim_end();
+            (number, parse_error(line, offset, detail))
+        })?;
+        let line = text[start..end].trim_end();
+        let axiom = Parser::new(line, &toks, &mut voc).axiom();
+        tbox.add(axiom.map_err(|e| (number, e))?);
+        at = end + 1;
     }
-    match op {
-        Some(Tok::Less) => Ok(Axiom::Subsume { lhs, rhs }),
-        Some(Tok::Equals) => Ok(Axiom::Equiv { lhs, rhs }),
-        got => Err(p.err_at(op_at, format!("expected '<' or '=', got {got:?}"))),
-    }
+    Ok((tbox, voc))
+}
+
+/// Length of the whitespace other than `\n` that `s` starts with.
+fn blank_len(s: &str) -> usize {
+    s.char_indices()
+        .find(|&(_, c)| c == '\n' || !c.is_whitespace())
+        .map_or(s.len(), |(i, _)| i)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Terminological boxes (TBoxes): general concept inclusion axioms.
 
 use crate::concept::{Concept, ConceptId, RoleId, Vocabulary};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A terminological axiom.
@@ -43,6 +44,13 @@ impl TBox {
         Self::default()
     }
 
+    /// An empty TBox with room for `n` axioms.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        TBox {
+            axioms: Vec::with_capacity(n),
+        }
+    }
+
     /// The axioms in insertion order.
     pub fn axioms(&self) -> &[Axiom] {
         &self.axioms
@@ -83,6 +91,25 @@ impl TBox {
         self.axioms.iter().flat_map(Axiom::to_gcis).collect()
     }
 
+    /// The GCIs of [`gcis`](Self::gcis), in the same order, borrowed
+    /// from the axioms instead of copied. Only a disjointness axiom
+    /// builds its left side, the conjunction `a ⊓ b`.
+    pub(crate) fn gci_refs(&self) -> impl Iterator<Item = (Cow<'_, Concept>, &Concept)> {
+        self.axioms.iter().flat_map(|ax| {
+            let (first, second) = match ax {
+                Axiom::Subsume { lhs, rhs } => ((Cow::Borrowed(lhs), rhs), None),
+                Axiom::Equiv { lhs, rhs } => {
+                    ((Cow::Borrowed(lhs), rhs), Some((Cow::Borrowed(rhs), lhs)))
+                }
+                Axiom::Disjoint { a, b } => {
+                    let both = Concept::and(vec![a.clone(), b.clone()]);
+                    ((Cow::Owned(both), &Concept::Bottom), None)
+                }
+            };
+            std::iter::once(first).chain(second)
+        })
+    }
+
     /// The *internalization* of each GCI as a universal constraint in
     /// NNF: `¬lhs ⊔ rhs`, to be asserted at every tableau node.
     pub fn universal_constraints(&self) -> Vec<Concept> {
@@ -95,6 +122,13 @@ impl TBox {
     /// All atomic concepts mentioned, gathered in a single pass over
     /// the axioms and sorted into one set.
     pub fn atoms(&self) -> BTreeSet<ConceptId> {
+        BTreeSet::from_iter(self.atom_list())
+    }
+
+    /// [`atoms`](Self::atoms) as an ascending list. Ids dense enough
+    /// (as one vocabulary hands them out) are marked in a bit row
+    /// instead of sorted.
+    pub(crate) fn atom_list(&self) -> Vec<ConceptId> {
         let mut out = Vec::new();
         for ax in &self.axioms {
             let (Axiom::Subsume { lhs, rhs }
@@ -103,13 +137,33 @@ impl TBox {
             lhs.collect_atoms(&mut out);
             rhs.collect_atoms(&mut out);
         }
-        BTreeSet::from_iter(out)
+        match out.iter().max() {
+            Some(&ConceptId(max)) if (max as usize) < 64 * out.len() => {
+                let mut seen = vec![0u64; max as usize / 64 + 1];
+                for &ConceptId(c) in &out {
+                    seen[c as usize / 64] |= 1 << (c % 64);
+                }
+                out.clear();
+                for (w, &word) in seen.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        out.push(ConceptId(w as u32 * 64 + bits.trailing_zeros()));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+            _ => {
+                out.sort_unstable();
+                out.dedup();
+            }
+        }
+        out
     }
 
     /// All roles mentioned.
     pub fn roles(&self) -> BTreeSet<RoleId> {
         let mut out = BTreeSet::new();
-        for (l, r) in self.gcis() {
+        for (l, r) in self.gci_refs() {
             out.extend(l.roles());
             out.extend(r.roles());
         }
@@ -119,12 +173,12 @@ impl TBox {
     /// True when every axiom is in the EL fragment (no ≡ with non-EL
     /// sides, no negation/disjunction/∀/number restrictions).
     pub fn is_el(&self) -> bool {
-        self.gcis().iter().all(|(l, r)| l.is_el() && r.is_el())
+        self.gci_refs().all(|(l, r)| l.is_el() && r.is_el())
     }
 
     /// Total size (constructors) of all axioms.
     pub fn size(&self) -> usize {
-        self.gcis().iter().map(|(l, r)| l.size() + r.size()).sum()
+        self.gci_refs().map(|(l, r)| l.size() + r.size()).sum()
     }
 
     /// Render the whole TBox against a vocabulary, one axiom per line.
@@ -166,6 +220,26 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert!(g.contains(&(a.clone(), b.clone())));
         assert!(g.contains(&(b, a)));
+    }
+
+    /// The borrowing walk yields exactly `gcis()`, in order, on every
+    /// axiom kind.
+    #[test]
+    fn gci_refs_equal_gcis() {
+        let mut v = Vocabulary::new();
+        let [a, b, c] = ["A", "B", "C"].map(|n| Concept::atom(v.concept(n)));
+        let r = v.role("r");
+        let mut t = TBox::new();
+        t.subsume(a.clone(), Concept::exists(r, b.clone()));
+        t.equiv(b.clone(), Concept::and(vec![a.clone(), c.clone()]));
+        t.disjoint(c.clone(), a.clone());
+        t.subsume(Concept::Top, c);
+        let walked: Vec<(Concept, Concept)> = t
+            .gci_refs()
+            .map(|(l, r)| (l.into_owned(), r.clone()))
+            .collect();
+        assert_eq!(walked, t.gcis());
+        assert_eq!(walked.len(), 5);
     }
 
     #[test]

@@ -114,8 +114,20 @@ pub fn judge_ontonomy(
     budget: u64,
 ) -> Result<OntonomyJudgment> {
     let all = enumerate_models(lang, domain, budget)?;
+    judge_ontonomy_over(&all, domain, commitment, axioms, level)
+}
+
+/// [`judge_ontonomy`] over models the caller has already enumerated:
+/// `all` must be every model of the language over `domain`.
+pub fn judge_ontonomy_over(
+    all: &[ExtModel],
+    domain: &Domain,
+    commitment: &OntologicalCommitment,
+    axioms: &[Formula],
+    level: AdmissionLevel,
+) -> Result<OntonomyJudgment> {
     let mut models_of_axioms: Vec<&ExtModel> = vec![];
-    for m in &all {
+    for m in all {
         if m.satisfies_all(domain, axioms)? {
             models_of_axioms.push(m);
         }

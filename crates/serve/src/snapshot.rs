@@ -20,8 +20,8 @@ use summa_dl::concept::Vocabulary;
 use summa_dl::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
 use summa_dl::el::ElClassifier;
 use summa_dl::index::HierarchyIndex;
-use summa_dl::parser::parse_axiom;
-use summa_dl::tbox::{Axiom, TBox};
+use summa_dl::parser::parse_axiom_text;
+use summa_dl::tbox::TBox;
 use summa_guard::{Budget, Governed};
 
 /// Step ceiling for the install-time warm classification. A hostile
@@ -218,23 +218,10 @@ fn build_warm(tbox: &TBox, voc: &Vocabulary) -> Option<WarmState> {
 }
 
 /// Parse axiom text into a `(TBox, Vocabulary)` pair without touching
-/// any store (used by [`SnapshotStore::install_axioms`] and tests).
+/// any store (used by [`SnapshotStore::install_axioms`] and tests):
+/// [`parse_axiom_text`], its error as `line N: <parse error>`.
 pub fn parse_tbox(text: &str) -> Result<(TBox, Vocabulary), String> {
-    let mut voc = Vocabulary::new();
-    let mut tbox = TBox::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match parse_axiom(line, &mut voc) {
-            Ok(Axiom::Subsume { lhs, rhs }) => tbox.subsume(lhs, rhs),
-            Ok(Axiom::Equiv { lhs, rhs }) => tbox.equiv(lhs, rhs),
-            Ok(Axiom::Disjoint { a, b }) => tbox.disjoint(a, b),
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
-        }
-    }
-    Ok((tbox, voc))
+    parse_axiom_text(text).map_err(|(line, e)| format!("line {line}: {e}"))
 }
 
 #[cfg(test)]
@@ -274,6 +261,19 @@ mod tests {
         assert_eq!(snap.tbox.len(), 2);
         assert!(snap.voc.find_concept("vehicle").is_some());
         assert!(store.install_axioms("broken", "car < < vehicle").is_err());
+    }
+
+    /// A bad line is reported by number, counting blank and comment
+    /// lines, with the parser's message for the trimmed line.
+    #[test]
+    fn parse_errors_name_the_line() {
+        assert_eq!(
+            parse_tbox("a < b\n\n# c\n  x < < y \r\nz < a\n").unwrap_err(),
+            "line 4: cannot parse 'x < < y' at byte 4: expected concept, got Some(Less)"
+        );
+        let (tbox, voc) = parse_tbox("# only\r\n\r\nb < a\r\n").expect("parses");
+        assert_eq!(tbox.len(), 1);
+        assert_eq!(voc.find_concept("b").map(|c| c.0), Some(0));
     }
 
     #[test]

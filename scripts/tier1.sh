@@ -96,6 +96,23 @@ cargo run -q -p summa-obs --example bench_diff -- \
     BENCH_tableau.json "$SMOKE/BENCH_tableau.json" \
     states_popped reference_label_scans kernel_label_scans
 
+# Install bench smoke: parse and install `diamond(8)`'s axiom text
+# once per lane; the bench asserts the install warms by EL saturation
+# and that its allocation counts repeat exactly, and the validator
+# gates the report format.
+echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench install"
+SUMMA_BENCH_SMOKE=1 cargo bench --bench install
+cargo run -q -p summa-obs --example validate_json -- \
+    "$SMOKE/BENCH_install.json" bench generated_at workloads
+echo "    $SMOKE/BENCH_install.json: valid"
+
+# Counter ledger: the heap allocations of one parse and of one install
+# may not rise.
+echo "==> bench_diff BENCH_install.json"
+cargo run -q -p summa-obs --example bench_diff -- \
+    BENCH_install.json "$SMOKE/BENCH_install.json" \
+    parse_allocs install_allocs
+
 # Serving soak lane: N concurrent tenants against the batched reasoning
 # server — zero dropped requests, bounded queue depth, typed overload
 # rejections, and a drain-under-load whose accounting reconciles

@@ -1,4 +1,5 @@
-//! A deterministic corpus fuzzer for the DL concept/axiom parser.
+//! A deterministic corpus fuzzer for the DL concept/axiom parser, and
+//! its differential suite.
 //!
 //! Seeds mirror the paper corpus of `summa_dl::corpus` in the
 //! parser's concrete syntax; thousands of mutants (character edits,
@@ -7,11 +8,25 @@
 //! the parser never panics, and every rejection is a
 //! `DlError::Parse` whose byte offset lies inside (or exactly at the
 //! end of) the mutated input.
+//!
+//! The differential half holds the borrowed-token parser to the one it
+//! replaced (`support/parser_reference.rs`): on every seed and mutant,
+//! every corpus and generated TBox rendered to text, and the grammar's
+//! corners, both give the same value, or the same error with the same
+//! text and offset, and leave the same vocabulary behind.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use summa_dl::concept::Concept;
+use summa_dl::corpus::{
+    animals_tbox, animals_tbox_el, animals_tbox_repaired, vehicles_tbox, vehicles_tbox_el,
+};
 use summa_dl::error::DlError;
-use summa_dl::generate::SplitMix64;
-use summa_dl::prelude::{parse_axiom, parse_concept, Vocabulary};
+use summa_dl::generate::{self, SplitMix64};
+use summa_dl::parser::{parse_axiom_text, MAX_NESTING};
+use summa_dl::prelude::{parse_axiom, parse_concept, Axiom, PaperVocab, TBox, Vocabulary};
+
+#[path = "support/parser_reference.rs"]
+mod reference;
 
 /// The paper corpus (structures (4), (8), (9)–(11)) plus grammar
 /// corners: every operator, keyword, unicode alias, and nesting form.
@@ -139,6 +154,137 @@ fn check(input: &str) {
     }
 }
 
+/// Both parsers on one input, in both modes: equal values or equal
+/// errors, and equal vocabularies after, since names are interned as
+/// they are met.
+fn check_differential(input: &str) {
+    let (mut new, mut old) = (Vocabulary::new(), Vocabulary::new());
+    assert_eq!(
+        parse_concept(input, &mut new),
+        reference::parse_concept(input, &mut old),
+        "parse_concept({input:?})"
+    );
+    assert_eq!(new, old, "vocabulary after parse_concept({input:?})");
+    let (mut new, mut old) = (Vocabulary::new(), Vocabulary::new());
+    assert_eq!(
+        parse_axiom(input, &mut new),
+        reference::parse_axiom(input, &mut old),
+        "parse_axiom({input:?})"
+    );
+    assert_eq!(new, old, "vocabulary after parse_axiom({input:?})");
+}
+
+/// Both parsers on one axiom text: the same `(TBox, Vocabulary)`, ids
+/// in first-seen order, or the same line number and error.
+fn check_text(text: &str) {
+    assert_eq!(
+        parse_axiom_text(text),
+        reference::parse_axiom_text(text),
+        "parse_axiom_text({text:?})"
+    );
+}
+
+/// A concept in the parser grammar, ASCII operators only.
+fn render(c: &Concept, voc: &Vocabulary) -> String {
+    let join = |parts: &[Concept], sep: &str| {
+        let inner: Vec<String> = parts.iter().map(|p| render(p, voc)).collect();
+        format!("({})", inner.join(sep))
+    };
+    match c {
+        Concept::Top => "top".into(),
+        Concept::Bottom => "bottom".into(),
+        Concept::Atom(a) => voc.concept_name(*a).into(),
+        Concept::Not(x) => format!("~{}", render(x, voc)),
+        Concept::And(xs) => join(xs, " & "),
+        Concept::Or(xs) => join(xs, " | "),
+        Concept::Exists(r, x) => format!("some {}.{}", voc.role_name(*r), render(x, voc)),
+        Concept::Forall(r, x) => format!("all {}.{}", voc.role_name(*r), render(x, voc)),
+        Concept::AtLeast(n, r, x) => {
+            format!("atleast {n} {}.{}", voc.role_name(*r), render(x, voc))
+        }
+        Concept::AtMost(n, r, x) => format!("atmost {n} {}.{}", voc.role_name(*r), render(x, voc)),
+    }
+}
+
+/// A TBox as axiom text, one axiom per line; disjointness as `⊓ ⊑ ⊥`.
+fn render_tbox(tbox: &TBox, voc: &Vocabulary) -> String {
+    let mut out = String::new();
+    for ax in tbox.axioms() {
+        let line = match ax {
+            Axiom::Subsume { lhs, rhs } => format!("{} < {}", render(lhs, voc), render(rhs, voc)),
+            Axiom::Equiv { lhs, rhs } => format!("{} = {}", render(lhs, voc), render(rhs, voc)),
+            Axiom::Disjoint { a, b } => {
+                format!("({} & {}) < bottom", render(a, voc), render(b, voc))
+            }
+        };
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out
+}
+
+/// The same text with the grammar's Unicode operators.
+fn unicode(text: &str) -> String {
+    text.replace(" & ", " ⊓ ")
+        .replace(" | ", " ⊔ ")
+        .replace('~', "¬")
+        .replace(" < ", " ⊑ ")
+        .replace(" = ", " ≡ ")
+}
+
+/// Every corpus and generated TBox as text, each also with Unicode
+/// operators, CRLF line ends, and comments, blank lines and stray
+/// indentation between its axioms.
+fn rendered_texts() -> Vec<String> {
+    let p = PaperVocab::new();
+    let mut tboxes: Vec<(TBox, Vocabulary)> = [
+        vehicles_tbox(&p),
+        animals_tbox(&p),
+        animals_tbox_repaired(&p),
+        vehicles_tbox_el(&p),
+        animals_tbox_el(&p),
+    ]
+    .into_iter()
+    .map(|t| (t, p.voc.clone()))
+    .collect();
+    for depth in [1, 3, 8] {
+        let (voc, t, _) = generate::diamond(depth);
+        tboxes.push((t, voc));
+    }
+    for seed in [0, 7, 1405, 0x5EED] {
+        let (voc, t, _) = generate::random_el(12, 2, 16, seed);
+        tboxes.push((t, voc));
+    }
+    for (holes, probes) in [(2, 1), (3, 2), (6, 1)] {
+        let (voc, t, _) = generate::pigeonhole_tbox(holes, probes);
+        tboxes.push((t, voc));
+    }
+    let (voc, t, _) = generate::chain(50);
+    tboxes.push((t, voc));
+    let mut texts = Vec::new();
+    for (t, voc) in &tboxes {
+        let text = render_tbox(t, voc);
+        let decorated: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match i % 4 {
+                0 => format!("# axiom {i}\n{line}\n"),
+                1 => format!("\n  {line}\t\n"),
+                2 => format!("{line}\r\n"),
+                _ => format!("\u{3000}{line}\n   # done\n"),
+            })
+            .collect();
+        texts.extend([unicode(&text), text.replace('\n', "\r\n"), decorated, text]);
+    }
+    texts
+}
+
+/// `top` inside `levels - 1` parentheses: a concept whose parse opens
+/// `levels` nested frames.
+fn nested(levels: usize) -> String {
+    format!("{}top{}", "(".repeat(levels - 1), ")".repeat(levels - 1))
+}
+
 /// Every unmutated seed must parse as a concept or an axiom.
 #[test]
 fn seeds_are_well_formed() {
@@ -200,5 +346,133 @@ fn hostile_inputs_are_rejected_not_crashed() {
     ];
     for input in hostile {
         check(input);
+    }
+}
+
+/// The seeds and 6 000 mutants through both parsers.
+#[test]
+fn seeds_and_mutants_parse_as_the_reference_parses() {
+    for seed in SEEDS {
+        check_differential(seed);
+    }
+    let mut rng = SplitMix64::new(0x5EED_F00D);
+    for round in 0..6_000usize {
+        let seed = SEEDS[round % SEEDS.len()];
+        let other = SEEDS[rng.below(SEEDS.len())];
+        let mut mutant = mutate(&mut rng, seed, other);
+        if rng.chance(1, 3) {
+            mutant = mutate(&mut rng, &mutant, other);
+        }
+        check_differential(&mutant);
+    }
+}
+
+/// Every corpus and generated TBox, rendered, parses to the same TBox
+/// and vocabulary; so does every mutant of those texts, or it fails on
+/// the same line with the same error.
+#[test]
+fn rendered_tboxes_parse_as_the_reference_parses() {
+    let texts = rendered_texts();
+    for text in &texts {
+        check_text(text);
+        let (tbox, _) = parse_axiom_text(text).expect("rendered text parses");
+        assert!(!tbox.is_empty());
+    }
+    let mut rng = SplitMix64::new(0x7E57);
+    for round in 0..3_000usize {
+        let text = &texts[round % texts.len()];
+        let other = &texts[rng.below(texts.len())];
+        // Mutate one line at a time, so the text stays large.
+        let lines: Vec<&str> = text.lines().collect();
+        let at = rng.below(lines.len());
+        let mut out = lines.clone();
+        let mutant = mutate(&mut rng, lines[at], other);
+        out[at] = &mutant;
+        check_text(&out.join("\n"));
+    }
+}
+
+/// Grammar corners: nesting at the ceiling and one past it, literal
+/// overflow, every operator in both spellings, `exactly`, line ends and
+/// comments, Unicode names and whitespace.
+#[test]
+fn grammar_corners_parse_as_the_reference_parses() {
+    let deepest = nested(MAX_NESTING);
+    let too_deep = nested(MAX_NESTING + 1);
+    let mut voc = Vocabulary::new();
+    assert_eq!(parse_concept(&deepest, &mut voc), Ok(Concept::Top));
+    match parse_concept(&too_deep, &mut voc) {
+        Err(DlError::Parse { detail, offset, .. }) => {
+            assert_eq!(detail, format!("nesting deeper than {MAX_NESTING}"));
+            assert_eq!(offset, MAX_NESTING);
+        }
+        other => panic!("one level past the ceiling must be refused, got {other:?}"),
+    }
+    let exists_deepest = format!("{}b", "some r.".repeat(MAX_NESTING - 1));
+    let exists_too_deep = format!("{}b", "some r.".repeat(MAX_NESTING));
+    let tilde_too_deep = format!("{}a", "~".repeat(MAX_NESTING));
+    let inputs = [
+        deepest.clone(),
+        too_deep.clone(),
+        format!("a < {deepest}"),
+        format!("{too_deep} = a"),
+        format!("a < {exists_deepest}"),
+        format!("a < {exists_too_deep}"),
+        tilde_too_deep,
+        "atleast 4294967295 r.top".into(),
+        "atleast 4294967296 r.top".into(),
+        "atmost 99999999999999999999 r.top < a".into(),
+        "a < atleast 0 r.(b | ~c)".into(),
+        "x < exactly 3 has.(wheel & ~flat) & all has.(round ⊔ bottom)".into(),
+        "exactly 4 has.wheel = car".into(),
+        "exactly has.wheel".into(),
+        "exactly 4 .wheel".into(),
+        "exactly 4 has wheel".into(),
+        "¬a ⊓ ¬¬b ⊑ c ⊔ (d ⊓ e)".into(),
+        "a ≡ b ⊓ some r.¬c".into(),
+        "a ⊑ b ≡ c".into(),
+        "äpfel < frucht_β & some hat.schale²".into(),
+        "名前 < 概念".into(),
+        "a\u{2028}<\u{00A0}b".into(),
+        "a < b\r".into(),
+        "a < (b".into(),
+        "a < b)".into(),
+        "(a < b)".into(),
+        "top < bottom".into(),
+        "bottom = top".into(),
+        "some < all".into(),
+        "a < some".into(),
+        "a < some r".into(),
+        "a < some 4.b".into(),
+        "a < atleast r.b".into(),
+        "4 < a".into(),
+        "a # b".into(),
+        "a < b @".into(),
+        "🦀 < a".into(),
+        "_ < __x".into(),
+        "a1 < 1a".into(),
+        "".into(),
+        "<".into(),
+        "a <".into(),
+        "a".into(),
+    ];
+    for input in &inputs {
+        check_differential(input);
+        check_text(input);
+    }
+    let texts = [
+        format!("# header\r\n\r\n{deepest} < a\r\n  # indented comment\n\tb < c  \n"),
+        format!("a < b\n{too_deep} < c\n"),
+        "a < b\n   \n# x\nc < d\ne f\n".into(),
+        "a < b\n\u{3000}\n\u{85}c < d\u{85}\n".into(),
+        "a < b\n#\n# é 🦀 @ anything\nb < c".into(),
+        "\n\n\n".into(),
+        "a ⊑ b\r\nb ⊑ c\r\nc ≡ a ⊓ d\r\n".into(),
+        "x < atleast 99999999999999999999 r.top\ny < z\n".into(),
+        "a < b\n  c < d # trailing comment\n".into(),
+        "a < b\rc < d\n".into(),
+    ];
+    for text in &texts {
+        check_text(text);
     }
 }

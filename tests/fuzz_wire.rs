@@ -9,11 +9,12 @@
 //! All randomness is a seeded SplitMix64 stream — failures replay
 //! exactly.
 
+use summa_dl::parser::MAX_NESTING;
 use summa_serve::client::Client;
 use summa_serve::server::{Server, ServerConfig};
 use summa_serve::wire::{
-    decode_protocol_error, encode_request, Envelope, Request, MAX_FRAME, STATUS_OK,
-    STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
+    decode_ok_body, decode_protocol_error, encode_request, Envelope, Op, Payload, Request,
+    MAX_FRAME, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 
 /// SplitMix64 — tiny, seedable, good enough for byte fuzz.
@@ -305,4 +306,73 @@ fn interleaved_hostile_and_honest_tenants() {
     let stats = server.shutdown();
     assert!(stats.reconciles(), "{stats:?}");
     assert_eq!(stats.accepted, stats.completed);
+}
+
+/// Hostile axiom text over the wire: nesting at the parser's ceiling
+/// installs, one level deeper and an overflowing literal are typed parse
+/// errors naming the line, and a frame of nearly 1 MiB of distinct names
+/// installs (past the EL memory ceiling it ships cold). None of it
+/// wedges the server: a second connection still answers, and the books
+/// reconcile.
+#[test]
+fn hostile_axiom_text_installs_or_fails_typed() {
+    let server = server();
+    let mut client = Client::connect(server.addr(), "axioms").expect("connects");
+    let installed = |resp: summa_serve::wire::Response| {
+        assert_eq!(resp.status, STATUS_OK, "installs");
+        let ok = decode_ok_body(Op::LoadSnapshot, &resp.body).expect("decodes");
+        let Some(Payload::SnapshotInstalled { atoms, .. }) = ok.payload else {
+            panic!("an install payload");
+        };
+        atoms
+    };
+    let parse_error = |resp: summa_serve::wire::Response| {
+        assert_eq!(resp.status, STATUS_PROTOCOL_ERROR);
+        let (code, msg) = decode_protocol_error(&resp.body).expect("typed");
+        assert_eq!(code, 10, "ParseError: {msg}");
+        msg
+    };
+
+    // `some r.` opens one frame each, and `b` the last: exactly the
+    // ceiling, then one past it.
+    let deepest = format!("a < {}b\n", "some r.".repeat(MAX_NESTING - 1));
+    let resp = client.load_snapshot("deep", &deepest).expect("answered");
+    assert_eq!(installed(resp), 2);
+    let resp = client.subsumes("deep", "a", "a").expect("answered");
+    assert_eq!(resp.status, STATUS_OK, "the deep snapshot serves");
+    let too_deep = format!("a < b\na < {}b\n", "some r.".repeat(MAX_NESTING));
+    let msg = parse_error(client.load_snapshot("deep", &too_deep).expect("answered"));
+    assert!(msg.contains("line 2: cannot parse"), "{msg}");
+    assert!(
+        msg.ends_with(&format!("nesting deeper than {MAX_NESTING}")),
+        "{msg}"
+    );
+
+    let overflow = "a < atleast 99999999999999999999 r.b\n";
+    let msg = parse_error(client.load_snapshot("deep", overflow).expect("answered"));
+    assert!(
+        msg.ends_with("at byte 12: number literal too large"),
+        "{msg}"
+    );
+
+    // Distinct names up to about 90% of the frame, one chain link a
+    // line.
+    let mut wide = String::new();
+    let mut names = 0;
+    while wide.len() < MAX_FRAME as usize * 9 / 10 {
+        wide += &format!("n{names} < n{}\n", names + 1);
+        names += 1;
+    }
+    let resp = client.load_snapshot("wide", &wide).expect("answered");
+    assert_eq!(installed(resp), names as u64 + 1);
+
+    // The failed loads replaced nothing, and the server still serves
+    // another connection.
+    let resp = client.subsumes("deep", "a", "a").expect("answered");
+    assert_eq!(resp.status, STATUS_OK);
+    let mut other = Client::connect(server.addr(), "other").expect("connects");
+    probe(&mut other);
+    drop((client, other));
+    let stats = server.shutdown();
+    assert!(stats.reconciles(), "{stats:?}");
 }
