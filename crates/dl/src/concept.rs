@@ -237,60 +237,42 @@ impl Concept {
     }
 
     /// n-ary conjunction, flattening nested conjunctions and dropping ⊤.
-    /// Parts with nothing to flatten or drop are sorted where they lie.
     pub fn and(cs: Vec<Concept>) -> Concept {
-        let flat = if cs
-            .iter()
-            .any(|c| matches!(c, Concept::And(_) | Concept::Top | Concept::Bottom))
-        {
-            let mut flat = vec![];
-            for c in cs {
-                match c {
-                    Concept::And(inner) => flat.extend(inner),
-                    Concept::Top => {}
-                    Concept::Bottom => return Concept::Bottom,
-                    other => flat.push(other),
-                }
+        let mut flat = vec![];
+        for c in cs {
+            match c {
+                Concept::And(inner) => flat.extend(inner),
+                Concept::Top => {}
+                Concept::Bottom => return Concept::Bottom,
+                other => flat.push(other),
             }
-            flat
-        } else {
-            cs
-        };
-        Concept::nary(flat, Concept::Top, Concept::And)
-    }
-
-    /// n-ary disjunction, flattening and dropping ⊥. Parts with nothing
-    /// to flatten or drop are sorted where they lie.
-    pub fn or(cs: Vec<Concept>) -> Concept {
-        let flat = if cs
-            .iter()
-            .any(|c| matches!(c, Concept::Or(_) | Concept::Top | Concept::Bottom))
-        {
-            let mut flat = vec![];
-            for c in cs {
-                match c {
-                    Concept::Or(inner) => flat.extend(inner),
-                    Concept::Bottom => {}
-                    Concept::Top => return Concept::Top,
-                    other => flat.push(other),
-                }
-            }
-            flat
-        } else {
-            cs
-        };
-        Concept::nary(flat, Concept::Bottom, Concept::Or)
-    }
-
-    /// Sort and dedup flat parts: `unit` for none, the part for one,
-    /// `join` of them otherwise.
-    fn nary(mut flat: Vec<Concept>, unit: Concept, join: fn(Vec<Concept>) -> Concept) -> Concept {
+        }
         flat.sort();
         flat.dedup();
         match flat.len() {
-            0 => unit,
+            0 => Concept::Top,
             1 => flat.pop().expect("len checked"),
-            _ => join(flat),
+            _ => Concept::And(flat),
+        }
+    }
+
+    /// n-ary disjunction, flattening and dropping ⊥.
+    pub fn or(cs: Vec<Concept>) -> Concept {
+        let mut flat = vec![];
+        for c in cs {
+            match c {
+                Concept::Or(inner) => flat.extend(inner),
+                Concept::Bottom => {}
+                Concept::Top => return Concept::Top,
+                other => flat.push(other),
+            }
+        }
+        flat.sort();
+        flat.dedup();
+        match flat.len() {
+            0 => Concept::Bottom,
+            1 => flat.pop().expect("len checked"),
+            _ => Concept::Or(flat),
         }
     }
 

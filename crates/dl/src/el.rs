@@ -25,12 +25,12 @@
 //! every row with its *told closure* over the atomic `A ⊑ B` rules,
 //! computed in reverse topological order straight into the rows, so
 //! the seeded rows are closed under CR1. The seeded facts are then
-//! charged and fired row by row, each firing only the rules its atom
-//! has besides CR1: a taxonomy's facts cost a bit test, not a chain of
-//! inserts. Facts the rules derive from there on take the pending-work
-//! path. The seeding adds no matrix, and the fixpoint, the facts
-//! charged on the way to it and so the step count are those of seeding
-//! `S(x) = {x, ⊤}` alone.
+//! charged a row word at a time, and only those whose atom has a rule
+//! besides CR1 fire one: a taxonomy's facts cost a bit test, not a
+//! chain of inserts. Facts the rules derive from there on take the
+//! pending-work path, as every fact of a resumed run does. The seeding
+//! adds no matrix, and the fixpoint, the facts charged on the way to it
+//! and so the step count are those of seeding `S(x) = {x, ⊤}` alone.
 //!
 //! The matrices are quadratic in internal atoms while steps grow with
 //! derived facts, so a step budget alone does not bound a saturation's
@@ -218,9 +218,6 @@ struct Normalizer {
     axioms: Vec<NfAxiom>,
     /// The TBox's names, ascending: `names[a]` is user atom `a`.
     names: Vec<ConceptId>,
-    /// Whether `names` is every id below its length, so that user atom
-    /// `a` is name `a`, as for a TBox parsed into a fresh vocabulary.
-    dense: bool,
 }
 
 impl ElClassifier {
@@ -239,9 +236,6 @@ impl ElClassifier {
             top: 0,
             bottom: 0,
             axioms: vec![],
-            dense: names
-                .last()
-                .is_none_or(|last| last.0 as usize + 1 == names.len()),
             names,
         };
         norm.top = norm.fresh();
@@ -309,31 +303,31 @@ impl ElClassifier {
             .with("atoms", self.n_atoms as u64);
         let rows = u64::from(self.n_atoms) + self.rules.links.len() as u64;
         meter.charge_memory(rows.saturating_mul(2 * self.words as u64))?;
-        // A fresh start seeds each row with its told closure, then fires
-        // the rest of the rules on those facts (`fire_told`); the facts
-        // that derives turn pending. A resume starts from the persisted
-        // partial state (an earlier interrupted run, or a restored
-        // checkpoint) with every known fact and edge pending, so the
-        // rules replay them; they only ever add entailed consequences.
-        // Either way the monotone rules reach the fixpoint an
-        // uninterrupted run does, and each fact and edge is charged once.
+        // A fresh start seeds each row with its told closure and fires
+        // the other rules on those facts (`fire_told`); what they derive
+        // turns pending. A resume starts from the persisted partial state
+        // (an earlier interrupted run, or a restored checkpoint), whose
+        // rows need not be closed under CR1, with every known fact and
+        // edge pending, so the rules replay them; they only ever add
+        // entailed consequences. Either way the monotone rules reach the
+        // fixpoint an uninterrupted run does, and each fact and edge is
+        // charged once.
         let fresh = self.rows.is_empty();
-        let mut run = if fresh {
-            let mut rows = vec![0; self.n_atoms as usize * self.words];
-            seed_told_closure(&mut rows, self.words, &self.rules.sub, self.top);
-            Run {
-                rules: &self.rules,
-                bottom: self.bottom,
-                facts: Matrix::settled(rows, self.words),
-                edges: Matrix::settled(vec![0; self.rules.links.len() * self.words], self.words),
-            }
+        if fresh {
+            self.rows = vec![0; self.n_atoms as usize * self.words];
+            self.edges = vec![0; self.rules.links.len() * self.words];
+            seed_told_closure(&mut self.rows, self.words, &self.rules.sub, self.top);
+        }
+        let wrap = if fresh {
+            Matrix::settled
         } else {
-            Run {
-                rules: &self.rules,
-                bottom: self.bottom,
-                facts: Matrix::pending_all(std::mem::take(&mut self.rows), self.words),
-                edges: Matrix::pending_all(std::mem::take(&mut self.edges), self.words),
-            }
+            Matrix::pending_all
+        };
+        let mut run = Run {
+            rules: &self.rules,
+            bottom: self.bottom,
+            facts: wrap(std::mem::take(&mut self.rows), self.words),
+            edges: wrap(std::mem::take(&mut self.edges), self.words),
         };
         let outcome = if fresh {
             run.fire_told(meter).and_then(|()| run.saturate(meter))
@@ -626,7 +620,6 @@ impl Normalizer {
             Concept::Top => self.top,
             Concept::Bottom => self.bottom,
             // `new` reserved every name of the TBox.
-            Concept::Atom(id) if self.dense => id.0,
             Concept::Atom(id) => self.names.binary_search(id).expect("a reserved name") as Atom,
             Concept::And(parts) => {
                 let atoms: Vec<Atom> = parts
@@ -782,13 +775,12 @@ struct Matrix {
 impl Matrix {
     /// Wrap `bits` with no bit pending.
     fn settled(bits: Vec<u64>, words: usize) -> Matrix {
-        let rows = bits.len() / words;
         Matrix {
             words,
             pending: vec![0; bits.len()],
+            queued: vec![false; bits.len() / words],
             bits,
             queue: VecDeque::new(),
-            queued: vec![false; rows],
         }
     }
 
@@ -867,12 +859,10 @@ impl Run<'_> {
     fn saturate(&mut self, meter: &mut Meter) -> std::result::Result<(), Interrupt> {
         loop {
             if let Some(x) = self.facts.next_row() {
-                // Whether x is the target of any link, asked once a row.
-                let target = !self.rules.into.of(x).is_empty();
                 let mut from = 0;
                 while let Some(a) = self.facts.take_pending(x, &mut from) {
                     meter.charge(1)?;
-                    self.fire_fact(x, a, target);
+                    self.fire_fact(x, a);
                 }
             } else if let Some(l) = self.edges.next_row() {
                 let passed = self.passed_back(l);
@@ -901,6 +891,7 @@ impl Run<'_> {
         let rules = self.rules;
         let words = self.facts.words;
         for x in 0..(self.facts.bits.len() / words) as Atom {
+            // CR4 and CR5 reach a fact of `x` only if a link targets `x`.
             let target = !rules.into.of(x).is_empty();
             for w in 0..words {
                 let at = x as usize * words + w;
@@ -918,40 +909,34 @@ impl Run<'_> {
                     let a = (w * 64) as Atom + fire.trailing_zeros();
                     fire &= fire - 1;
                     meter.charge(1)?;
-                    self.fire_rules(x, a, target);
+                    self.fire_rules(x, a);
                 }
             }
         }
         Ok(())
     }
 
-    /// The rules triggered by the fact `a ∈ S(x)`; `target` tells
-    /// whether any link points at `x`.
-    fn fire_fact(&mut self, x: Atom, a: Atom, target: bool) {
+    /// The rules triggered by the fact `a ∈ S(x)`.
+    fn fire_fact(&mut self, x: Atom, a: Atom) {
         // CR1: a ⊑ b.
         for &b in self.rules.sub.of(a) {
             self.facts.insert(x, b);
         }
-        self.fire_rules(x, a, target);
+        self.fire_rules(x, a);
     }
 
     /// The rules besides CR1 triggered by the fact `a ∈ S(x)`.
-    fn fire_rules(&mut self, x: Atom, a: Atom, target: bool) {
+    fn fire_rules(&mut self, x: Atom, a: Atom) {
         let rules = self.rules;
-        if has_bit(&rules.local, a) {
-            // CR2: a ⊓ a₂ ⊑ b with a₂ already in S(x).
-            for &(a2, b) in rules.conj.of(a) {
-                if has_bit(self.facts.row(x), a2) {
-                    self.facts.insert(x, b);
-                }
-            }
-            // CR3: a ⊑ ∃r.b derives the edge x →r b.
-            for &l in rules.exists_rhs.of(a) {
-                self.edges.insert(l, x);
+        // CR2: a ⊓ a₂ ⊑ b with a₂ already in S(x).
+        for &(a2, b) in rules.conj.of(a) {
+            if has_bit(self.facts.row(x), a2) {
+                self.facts.insert(x, b);
             }
         }
-        if !target || !has_bit(&rules.passed_back, a) {
-            return;
+        // CR3: a ⊑ ∃r.b derives the edge x →r b.
+        for &l in rules.exists_rhs.of(a) {
+            self.edges.insert(l, x);
         }
         // CR4 and CR5 with x as an edge target: a new subsumer of x
         // reaches the source w of every derived edge w →r x.

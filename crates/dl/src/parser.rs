@@ -395,8 +395,7 @@ pub fn parse_axiom(input: &str, voc: &mut Vocabulary) -> Result<Axiom> {
 /// same buffer, and the trimmed line is cut out only to parse them.
 pub fn parse_axiom_text(text: &str) -> std::result::Result<(TBox, Vocabulary), (usize, DlError)> {
     let mut voc = Vocabulary::new();
-    // Room for one axiom a line, so the axioms are never moved.
-    let mut tbox = TBox::with_capacity(text.bytes().filter(|&b| b == b'\n').count() + 1);
+    let mut tbox = TBox::new();
     let mut toks = Vec::new();
     let mut at = 0;
     let mut number = 0;

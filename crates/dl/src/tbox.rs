@@ -44,13 +44,6 @@ impl TBox {
         Self::default()
     }
 
-    /// An empty TBox with room for `n` axioms.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        TBox {
-            axioms: Vec::with_capacity(n),
-        }
-    }
-
     /// The axioms in insertion order.
     pub fn axioms(&self) -> &[Axiom] {
         &self.axioms
@@ -125,9 +118,7 @@ impl TBox {
         BTreeSet::from_iter(self.atom_list())
     }
 
-    /// [`atoms`](Self::atoms) as an ascending list. Ids dense enough
-    /// (as one vocabulary hands them out) are marked in a bit row
-    /// instead of sorted.
+    /// [`atoms`](Self::atoms) as an ascending list.
     pub(crate) fn atom_list(&self) -> Vec<ConceptId> {
         let mut out = Vec::new();
         for ax in &self.axioms {
@@ -137,26 +128,8 @@ impl TBox {
             lhs.collect_atoms(&mut out);
             rhs.collect_atoms(&mut out);
         }
-        match out.iter().max() {
-            Some(&ConceptId(max)) if (max as usize) < 64 * out.len() => {
-                let mut seen = vec![0u64; max as usize / 64 + 1];
-                for &ConceptId(c) in &out {
-                    seen[c as usize / 64] |= 1 << (c % 64);
-                }
-                out.clear();
-                for (w, &word) in seen.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        out.push(ConceptId(w as u32 * 64 + bits.trailing_zeros()));
-                        bits &= bits - 1;
-                    }
-                }
-            }
-            _ => {
-                out.sort_unstable();
-                out.dedup();
-            }
-        }
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
