@@ -1,28 +1,19 @@
-//! Serving-layer latency/throughput bench: batched vs unbatched
-//! scheduling, and cold vs warm serving, over the real TCP loopback
-//! path.
+//! Serving-layer latency/throughput bench: cold vs warm serving over
+//! the real TCP loopback path.
 //!
 //! Each lane starts an in-process [`summa_serve::server::Server`]
 //! with the telemetry plane armed, drives it with concurrent
 //! synchronous clients, and measures client-observed latency per
 //! request. The report (`BENCH_serve.json`) carries p50/p95 latency
-//! and aggregate throughput per lane, the scheduler's own batch
-//! counters, **the plane's per-phase p50s** (queue-wait /
-//! batch-formation / execute / serialize), and — for the warm-path
-//! lanes — the index hit rate and the `served` breakdown
-//! (index / shared-cache / prover), so a cold/warm gap can be
-//! attributed instead of argued about.
+//! and aggregate throughput per lane, **the plane's per-phase p50s**
+//! (queue-wait / pick-up / execute / serialize), the index hit rate
+//! and the `served` breakdown (index / shared-cache / prover), so a
+//! cold/warm gap can be attributed instead of argued about.
 //!
-//! Lanes:
-//!
-//! * `subsumes/unbatched` vs `subsumes/batched` — the scheduling
-//!   comparison, run **cold** (`cold: true`) so both lanes measure the
-//!   prover path and the batching delta is not drowned by index
-//!   lookups;
-//! * `subsumes/cold` vs `subsumes/warm` — the same batched workload
-//!   with the warm path off and on. The acceptance gate lives here: in
-//!   a real (non-smoke) run the warm lane's server-side `execute`
-//!   phase p50 must be at least 5× faster than the cold lane's.
+//! Lanes: `subsumes/cold` vs `subsumes/warm`, the same workload with
+//! the warm path off and on. The acceptance gate lives here: in a real
+//! (non-smoke) run the warm lane's server-side `execute` phase p50
+//! must be at least 5× faster than the cold lane's.
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the run so CI can validate the report
 //! format without paying for a measurement (the 5× gate is skipped —
@@ -40,15 +31,12 @@ use summa_serve::wire::{Op, STATUS_OK};
 
 struct LaneResult {
     name: String,
-    max_batch: usize,
     cold: bool,
     clients: usize,
     requests: u64,
     p50_ns: u64,
     p95_ns: u64,
     throughput_rps: f64,
-    batches: u64,
-    max_batch_observed: u64,
     /// Server-side p50 per phase for the benched op, in `PHASES`
     /// order — scraped from the telemetry plane, not re-measured.
     phase_p50_ns: [u64; 4],
@@ -83,18 +71,11 @@ impl LaneResult {
 }
 
 /// Drive one lane: `clients` concurrent tenants, `per_client`
-/// subsumption queries each, against a server with the given batch
-/// ceiling, warm (`cold: false`) or per-request-fresh (`cold: true`).
-fn run_lane(
-    name: &str,
-    max_batch: usize,
-    cold: bool,
-    clients: usize,
-    per_client: usize,
-) -> LaneResult {
+/// subsumption queries each, against a warm (`cold: false`) or
+/// per-request-fresh (`cold: true`) server.
+fn run_lane(name: &str, cold: bool, clients: usize, per_client: usize) -> LaneResult {
     let server = Server::start(ServerConfig {
         threads: 4,
-        max_batch,
         cold,
         telemetry: TelemetryConfig::default(),
         ..ServerConfig::default()
@@ -150,15 +131,12 @@ fn run_lane(
     };
     LaneResult {
         name: name.to_string(),
-        max_batch,
         cold,
         clients,
         requests: latencies.len() as u64,
         p50_ns: pct(0.50),
         p95_ns: pct(0.95),
         throughput_rps: latencies.len() as f64 / wall.as_secs_f64().max(1e-9),
-        batches: stats.batches,
-        max_batch_observed: stats.max_batch,
         phase_p50_ns,
         served_index: stats.index_hits,
         served_cache: stats.index_misses,
@@ -174,21 +152,17 @@ fn main() {
         .unwrap_or(1);
     let (clients, per_client) = if smoke() { (2, 8) } else { (4, 150) };
 
+    // The warm-path comparison: identical workload, warmth toggled.
     let lanes = [
-        // Scheduling comparison, pinned cold so both lanes prove.
-        run_lane("subsumes/unbatched", 1, true, clients, per_client),
-        run_lane("subsumes/batched", 8, true, clients, per_client),
-        // The warm-path comparison: identical workload, warmth toggled.
-        run_lane("subsumes/cold", 8, true, clients, per_client),
-        run_lane("subsumes/warm", 8, false, clients, per_client),
+        run_lane("subsumes/cold", true, clients, per_client),
+        run_lane("subsumes/warm", false, clients, per_client),
     ];
 
     let mut entries = Vec::new();
     for lane in &lanes {
         println!(
             "  {:<20} {} reqs x {} clients ({}): p50 {} ns, p95 {} ns, {:.0} req/s, \
-             {} batches (max {}), index hit rate {:.2} \
-             (served index/cache/prover {}/{}/{})",
+             index hit rate {:.2} (served index/cache/prover {}/{}/{})",
             lane.name,
             lane.requests,
             lane.clients,
@@ -196,8 +170,6 @@ fn main() {
             lane.p50_ns,
             lane.p95_ns,
             lane.throughput_rps,
-            lane.batches,
-            lane.max_batch_observed,
             lane.index_hit_rate(),
             lane.served_index,
             lane.served_cache,
@@ -223,21 +195,17 @@ fn main() {
         let mut e = String::new();
         write!(
             e,
-            "    {{\"name\": \"{}\", \"max_batch\": {}, \"cold\": {}, \"clients\": {}, \
+            "    {{\"name\": \"{}\", \"cold\": {}, \"clients\": {}, \
              \"requests\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"throughput_rps\": {:.1}, \"batches\": {}, \
-             \"max_batch_observed\": {}, \"index_hit_rate\": {:.4}, \
+             \"throughput_rps\": {:.1}, \"index_hit_rate\": {:.4}, \
              \"served\": {{\"index\": {}, \"cache\": {}, \"prover\": {}}}, {}}}",
             json_escape(&lane.name),
-            lane.max_batch,
             lane.cold,
             lane.clients,
             lane.requests,
             lane.p50_ns,
             lane.p95_ns,
             lane.throughput_rps,
-            lane.batches,
-            lane.max_batch_observed,
             lane.index_hit_rate(),
             lane.served_index,
             lane.served_cache,
@@ -253,8 +221,9 @@ fn main() {
     // server-side execute phase must be at least 5× faster at p50 than
     // the same workload proved cold. Smoke runs skip the gate (tiny
     // counts measure scheduling noise, not reasoning).
-    let cold_exec = lanes[2].execute_p50_ns();
-    let warm_exec = lanes[3].execute_p50_ns();
+    let [cold, warm] = &lanes;
+    let cold_exec = cold.execute_p50_ns();
+    let warm_exec = warm.execute_p50_ns();
     let speedup = cold_exec as f64 / warm_exec.max(1) as f64;
     println!(
         "\n  warm path: execute p50 cold {} ns vs warm {} ns ({speedup:.1}x)",
@@ -266,9 +235,9 @@ fn main() {
             "warm execute p50 ({warm_exec} ns) must be >=5x faster than cold ({cold_exec} ns)"
         );
         assert!(
-            lanes[3].index_hit_rate() > 0.99,
+            warm.index_hit_rate() > 0.99,
             "named-pair workload must answer from the index: {:.4}",
-            lanes[3].index_hit_rate()
+            warm.index_hit_rate()
         );
     }
 
@@ -281,22 +250,12 @@ fn main() {
     } else {
         String::new()
     };
-    let anomaly_note = "on 1-core hosts the batched lane can still measure slower than unbatched \
-                        at p50: batch formation now runs outside the queue lock (the scheduler \
-                        steals the pending queue under the lock and scans off-lock, so admissions \
-                        no longer serialize behind the coalescing scan), but a coalesced batch \
-                        still wakes its blocked connection handlers in one burst that \
-                        time-slices over the single core. the phase_*_p50_ns columns bound the \
-                        server-side share; the rest of the client-observed gap is wakeup \
-                        scheduling under core contention. batching trades per-request latency \
-                        for throughput and only pays off when cores are available";
     let json = format!(
-        "{{\n  \"bench\": \"serve_latency\",\n  \"host_cpus\": {},\n  \"summa_threads_env\": {},\n  \"generated_at\": \"{}\",\n  \"warm_execute_speedup\": {:.2},\n  \"anomaly_note\": \"{}\"{},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"serve_latency\",\n  \"host_cpus\": {},\n  \"summa_threads_env\": {},\n  \"generated_at\": \"{}\",\n  \"warm_execute_speedup\": {:.2}{},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         host_cpus,
         summa_threads,
         summa_bench::iso8601_utc_now(),
         speedup,
-        json_escape(anomaly_note),
         caveat,
         entries.join(",\n"),
     );

@@ -228,11 +228,10 @@ mod tests {
         acc
     }
 
-    /// The fingerprint keys the batch queue, the shared cache and
-    /// checkpoints, so the borrowing walk must give the reference's
-    /// value on every TBox: the paper corpora, the generators, and
-    /// axioms with ¬, ∀, ≥, ≤, ⊔, ≡ and disjointness, in and out of
-    /// NNF.
+    /// The fingerprint keys the shared cache and checkpoints, so the
+    /// borrowing walk must give the reference's value on every TBox:
+    /// the paper corpora, the generators, and axioms with ¬, ∀, ≥, ≤,
+    /// ⊔, ≡ and disjointness, in and out of NNF.
     #[test]
     fn fingerprint_equals_the_reference() {
         use crate::corpus::{

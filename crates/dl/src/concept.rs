@@ -397,26 +397,26 @@ impl Concept {
     /// All atomic concept ids occurring in the expression.
     pub fn atoms(&self) -> BTreeSet<ConceptId> {
         let mut out = Vec::new();
-        self.collect_atoms(&mut out);
+        self.for_each_atom(&mut |c| out.push(c));
         BTreeSet::from_iter(out)
     }
 
-    /// Push every atom occurrence, repeats included, for a caller that
-    /// builds one set from many expressions.
-    pub(crate) fn collect_atoms(&self, out: &mut Vec<ConceptId>) {
+    /// Visit every atom occurrence, repeats included, for a caller that
+    /// gathers the atoms of many expressions.
+    pub(crate) fn for_each_atom(&self, f: &mut impl FnMut(ConceptId)) {
         match self {
             Concept::Top | Concept::Bottom => {}
-            Concept::Atom(c) => out.push(*c),
-            Concept::Not(c) => c.collect_atoms(out),
+            Concept::Atom(c) => f(*c),
+            Concept::Not(c) => c.for_each_atom(f),
             Concept::And(cs) | Concept::Or(cs) => {
                 for c in cs {
-                    c.collect_atoms(out);
+                    c.for_each_atom(f);
                 }
             }
             Concept::Exists(_, c)
             | Concept::Forall(_, c)
             | Concept::AtLeast(_, _, c)
-            | Concept::AtMost(_, _, c) => c.collect_atoms(out),
+            | Concept::AtMost(_, _, c) => c.for_each_atom(f),
         }
     }
 

@@ -19,15 +19,16 @@
 //! so a completed run's step count depends on the TBox alone, not on
 //! the order the work was done in.
 //!
-//! Set-up copies nothing: [`ElClassifier::new`] checks the fragment and
-//! atomizes in one walk over the GCIs the TBox lends it, and keeps each
-//! rule index as one packed list per kind. A fresh saturation seeds
-//! every row with its *told closure* over the atomic `A ⊑ B` rules,
-//! computed in reverse topological order straight into the rows, so
-//! the seeded rows are closed under CR1. The seeded facts are then
-//! charged a row word at a time, and only those whose atom has a rule
-//! besides CR1 fire one: a taxonomy's facts cost a bit test, not a
-//! chain of inserts. Facts the rules derive from there on take the
+//! Set-up copies nothing: [`ElClassifier::new`] numbers the TBox's
+//! names through a table indexed by id (no sort, no search), checks the
+//! fragment and atomizes in one walk over the GCIs the TBox lends it,
+//! and keeps each rule index as one packed list per kind. A fresh
+//! saturation seeds every row with its *told closure* over the atomic
+//! `A ⊑ B` rules, computed in reverse topological order straight into
+//! the rows, so the seeded rows are closed under CR1. The seeded facts
+//! are then charged a row word at a time, and only those whose atom
+//! has a rule besides CR1 fire one: a taxonomy's facts cost a bit
+//! test, not a chain of inserts. Facts the rules derive from there on take the
 //! pending-work path, as every fact of a resumed run does. The seeding
 //! adds no matrix, and the fixpoint, the facts charged on the way to it
 //! and so the step count are those of seeding `S(x) = {x, ⊤}` alone.
@@ -216,6 +217,8 @@ struct Normalizer {
     top: Atom,
     bottom: Atom,
     axioms: Vec<NfAxiom>,
+    /// `rank[id]` is the user atom of the TBox's name `id`.
+    rank: Vec<Atom>,
     /// The TBox's names, ascending: `names[a]` is user atom `a`.
     names: Vec<ConceptId>,
 }
@@ -230,12 +233,13 @@ impl ElClassifier {
         // User atoms come first, in `ConceptId` order: user atom `i` is
         // rank `i` of the TBox's names, so `index_metered` packs
         // saturation rows as index rows.
-        let names = tbox.atom_list();
+        let (rank, names) = number_names(tbox);
         let mut norm = Normalizer {
             n_atoms: names.len() as u32,
             top: 0,
             bottom: 0,
             axioms: vec![],
+            rank,
             names,
         };
         norm.top = norm.fresh();
@@ -619,8 +623,8 @@ impl Normalizer {
         Some(match c {
             Concept::Top => self.top,
             Concept::Bottom => self.bottom,
-            // `new` reserved every name of the TBox.
-            Concept::Atom(id) => self.names.binary_search(id).expect("a reserved name") as Atom,
+            // `new` numbered every name of the TBox.
+            Concept::Atom(id) => self.rank[id.0 as usize],
             Concept::And(parts) => {
                 let atoms: Vec<Atom> = parts
                     .iter()
@@ -661,6 +665,26 @@ impl Normalizer {
         self.n_atoms += 1;
         a
     }
+}
+
+/// Number the TBox's names in id order, with no sort and no search:
+/// mark each id the TBox uses in a table sized by its largest id, then
+/// give the marked ids consecutive atoms. Returns the table (`rank[id]`
+/// is the user atom of name `id`) and the names in atom order.
+fn number_names(tbox: &TBox) -> (Vec<Atom>, Vec<ConceptId>) {
+    const UNUSED: Atom = Atom::MAX;
+    let mut len = 0;
+    tbox.for_each_atom(|c| len = len.max(c.0 as usize + 1));
+    let mut rank = vec![UNUSED; len];
+    tbox.for_each_atom(|c| rank[c.0 as usize] = 0);
+    let mut names = Vec::with_capacity(rank.iter().filter(|&&r| r != UNUSED).count());
+    for (id, r) in rank.iter_mut().enumerate() {
+        if *r != UNUSED {
+            *r = names.len() as Atom;
+            names.push(ConceptId(id as u32));
+        }
+    }
+    (rank, names)
 }
 
 /// Seed each subsumer row with its told closure: the atom itself, ⊤,

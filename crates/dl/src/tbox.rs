@@ -115,22 +115,22 @@ impl TBox {
     /// All atomic concepts mentioned, gathered in a single pass over
     /// the axioms and sorted into one set.
     pub fn atoms(&self) -> BTreeSet<ConceptId> {
-        BTreeSet::from_iter(self.atom_list())
+        let mut out = Vec::new();
+        self.for_each_atom(|c| out.push(c));
+        out.sort_unstable();
+        out.dedup();
+        BTreeSet::from_iter(out)
     }
 
-    /// [`atoms`](Self::atoms) as an ascending list.
-    pub(crate) fn atom_list(&self) -> Vec<ConceptId> {
-        let mut out = Vec::new();
+    /// Visit every atom occurrence of every axiom, repeats included.
+    pub(crate) fn for_each_atom(&self, mut f: impl FnMut(ConceptId)) {
         for ax in &self.axioms {
             let (Axiom::Subsume { lhs, rhs }
             | Axiom::Equiv { lhs, rhs }
             | Axiom::Disjoint { a: lhs, b: rhs }) = ax;
-            lhs.collect_atoms(&mut out);
-            rhs.collect_atoms(&mut out);
+            lhs.for_each_atom(&mut f);
+            rhs.for_each_atom(&mut f);
         }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// All roles mentioned.

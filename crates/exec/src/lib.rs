@@ -1,9 +1,9 @@
 //! # summa-exec — a governed, supervised, work-stealing executor
 //!
 //! Classification and realization are worst-case-exponential grids of
-//! *independent* cells (subsumption rows, individuals), and the server
-//! answers batches of independent requests. This crate spends the
-//! hardware on those grids while keeping resource governance intact:
+//! *independent* cells (subsumption rows, individuals). This crate
+//! spends the hardware on those grids, through one entry point
+//! ([`par_map_with_drain`]), while keeping resource governance intact:
 //! every worker charges one [`SharedBudget`] envelope, so step pools,
 //! deadlines, memory proxies, cancellation, and injected faults all
 //! propagate cooperatively across threads, and a [`Governed`] partial
@@ -225,7 +225,7 @@ impl StealQueues {
     }
 }
 
-/// Parallel map with worker-local state.
+/// Parallel map with worker-local state and a per-worker teardown hook.
 ///
 /// `init(worker_id)` builds each worker's private scratch (a tableau,
 /// a definition set — anything `!Sync` or needing `&mut`); `f` is
@@ -234,33 +234,17 @@ impl StealQueues {
 /// worker stops draining and the interrupt is already published to its
 /// siblings through the shared ledger.
 ///
+/// After a worker finishes draining (or trips), `drain(worker_id,
+/// state)` receives its final state — the place to harvest worker-local
+/// statistics (e.g. a reasoner's interner hit counts) that would
+/// otherwise be dropped on the scope join. The hook runs on the
+/// worker's own thread, inside its `exec.worker` span, before the park
+/// counter ticks. A worker that dies by panic forfeits its hook (its
+/// scratch may be corrupt); the recovery sweep that re-runs its cells
+/// gets a hook call of its own, under worker id 0.
+///
 /// With `threads <= 1` (or one item) everything runs inline on the
 /// caller's thread — same code path, no spawns.
-pub fn par_map_with<T, R, S, I, F>(
-    items: &[T],
-    budget: &Budget,
-    threads: usize,
-    init: I,
-    f: F,
-) -> ParOutcome<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, &mut Meter, usize, &T) -> Result<R, Interrupt> + Sync,
-{
-    par_map_with_drain(items, budget, threads, init, f, |_, _| {})
-}
-
-/// [`par_map_with`] plus a per-worker teardown hook: after a worker
-/// finishes draining (or trips), `drain(worker_id, state)` receives its
-/// final state — the place to harvest worker-local statistics (e.g. a
-/// reasoner's interner hit counts) that would otherwise be dropped on
-/// the scope join. The hook runs on the worker's own thread, inside its
-/// `exec.worker` span, before the park counter ticks. A worker that
-/// dies by panic forfeits its hook (its scratch may be corrupt); the
-/// recovery sweep that re-runs its cells gets a hook call of its own,
-/// under worker id 0.
 pub fn par_map_with_drain<T, R, S, I, F, D>(
     items: &[T],
     budget: &Budget,
@@ -487,21 +471,8 @@ where
     }
 }
 
-/// [`par_map_with`] without worker-local state.
-pub fn par_map<T, R, F>(items: &[T], budget: &Budget, threads: usize, f: F) -> ParOutcome<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&mut Meter, usize, &T) -> Result<R, Interrupt> + Sync,
-{
-    par_map_with(items, budget, threads, |_| (), |_, m, i, t| f(m, i, t))
-}
-
 pub mod prelude {
-    pub use crate::{
-        default_threads, par_map, par_map_with, par_map_with_drain, ParOutcome, Quarantined,
-        MAX_ATTEMPTS,
-    };
+    pub use crate::{default_threads, par_map_with_drain, ParOutcome, Quarantined, MAX_ATTEMPTS};
 }
 
 #[cfg(test)]
@@ -509,12 +480,30 @@ mod tests {
     use super::*;
     use summa_guard::{CancelToken, ExhaustionReason, FaultInjector, FaultKind, STEP_SITE};
 
+    /// [`par_map_with_drain`] with no worker state: a no-op init and
+    /// drain around a stateless cell function.
+    fn run_stateless<T, R, F>(items: &[T], budget: &Budget, threads: usize, f: F) -> ParOutcome<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&mut Meter, usize, &T) -> Result<R, Interrupt> + Sync,
+    {
+        par_map_with_drain(
+            items,
+            budget,
+            threads,
+            |_| (),
+            |_, m, i, t| f(m, i, t),
+            |_, _| {},
+        )
+    }
+
     #[test]
     fn par_map_matches_sequential_at_any_thread_count() {
         let items: Vec<u64> = (0..100).collect();
         let expected: Vec<Option<u64>> = items.iter().map(|x| Some(x * x)).collect();
         for threads in [1, 2, 4, 8] {
-            let out = par_map(&items, &Budget::unlimited(), threads, |m, _, &x| {
+            let out = run_stateless(&items, &Budget::unlimited(), threads, |m, _, &x| {
                 m.charge(1)?;
                 Ok(x * x)
             });
@@ -527,7 +516,7 @@ mod tests {
     #[test]
     fn starved_pool_yields_partial_with_reason() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, &Budget::new().with_steps(50), 4, |m, _, &x| {
+        let out = run_stateless(&items, &Budget::new().with_steps(50), 4, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });
@@ -551,7 +540,7 @@ mod tests {
         let budget = Budget::new().with_cancel(token.clone());
         token.cancel();
         let items: Vec<u64> = (0..10_000).collect();
-        let out = par_map(&items, &budget, 4, |m, _, &x| {
+        let out = run_stateless(&items, &budget, 4, |m, _, &x| {
             // checkpoint() forces the token check regardless of the
             // check interval.
             m.checkpoint()?;
@@ -570,7 +559,7 @@ mod tests {
         ));
         let budget = Budget::new().with_injector(std::sync::Arc::clone(&inj));
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, &budget, 4, |m, _, &x| {
+        let out = run_stateless(&items, &budget, 4, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });
@@ -587,7 +576,7 @@ mod tests {
     #[test]
     fn worker_local_state_is_per_worker() {
         let items: Vec<u64> = (0..200).collect();
-        let out = par_map_with(
+        let out = par_map_with_drain(
             &items,
             &Budget::unlimited(),
             4,
@@ -597,6 +586,7 @@ mod tests {
                 *count += 1;
                 Ok(x + 1)
             },
+            |_, _| {},
         );
         assert!(out.is_complete());
         assert_eq!(
@@ -636,7 +626,7 @@ mod tests {
     #[test]
     fn into_governed_maps_interrupts() {
         let items: Vec<u64> = (0..10).collect();
-        let out = par_map(&items, &Budget::new().with_steps(3), 2, |m, _, &x| {
+        let out = run_stateless(&items, &Budget::new().with_steps(3), 2, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });
@@ -668,7 +658,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let budget = Budget::unlimited().with_tracer(tracer.clone());
         let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, &budget, 4, |m, _, &x| {
+        let out = run_stateless(&items, &budget, 4, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });
@@ -695,7 +685,7 @@ mod tests {
     fn tracing_does_not_change_results_or_spend() {
         let items: Vec<u64> = (0..128).collect();
         let run = |budget: &Budget| {
-            par_map(items.as_slice(), budget, 4, |m, _, &x| {
+            run_stateless(items.as_slice(), budget, 4, |m, _, &x| {
                 m.charge(1)?;
                 Ok(x.wrapping_mul(x))
             })
@@ -722,7 +712,7 @@ mod tests {
             ));
             let budget = Budget::unlimited().with_injector(inj);
             let items: Vec<u64> = (0..100).collect();
-            let out = par_map(&items, &budget, threads, |m, _, &x| {
+            let out = run_stateless(&items, &budget, threads, |m, _, &x| {
                 m.charge(1)?;
                 Ok(x * 3)
             });
@@ -749,7 +739,7 @@ mod tests {
                 std::sync::Arc::new(FaultInjector::new(7).with_fault_at(site, 5, FaultKind::Panic));
             let budget = Budget::unlimited().with_injector(inj);
             let items: Vec<u64> = (0..64).collect();
-            let out = par_map(&items, &budget, threads, |m, _, &x| {
+            let out = run_stateless(&items, &budget, threads, |m, _, &x| {
                 m.charge(1)?;
                 Ok(x + 1)
             });
@@ -767,7 +757,7 @@ mod tests {
     #[test]
     fn repeatedly_panicking_cell_is_quarantined_and_reported() {
         let items: Vec<u64> = (0..16).collect();
-        let out = par_map(&items, &Budget::unlimited(), 1, |m, i, &x| {
+        let out = run_stateless(&items, &Budget::unlimited(), 1, |m, i, &x| {
             if i == 7 {
                 panic!("cell 7 is cursed");
             }
@@ -801,7 +791,7 @@ mod tests {
         let tracer = Tracer::enabled();
         let budget = Budget::unlimited().with_tracer(tracer.clone());
         let items: Vec<u64> = (0..8).collect();
-        let out = par_map(&items, &budget, 1, |m, i, &x| {
+        let out = run_stateless(&items, &budget, 1, |m, i, &x| {
             if i == 3 {
                 panic!("boom");
             }
@@ -828,7 +818,7 @@ mod tests {
         ));
         let budget = Budget::new().with_steps(10).with_injector(inj);
         let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, &budget, 4, |m, _, &x| {
+        let out = run_stateless(&items, &budget, 4, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });
@@ -852,7 +842,7 @@ mod tests {
         ));
         let budget = Budget::unlimited().with_injector(inj);
         let items: Vec<u64> = (0..256).collect();
-        let out = par_map(&items, &budget, 4, |m, _, &x| {
+        let out = run_stateless(&items, &budget, 4, |m, _, &x| {
             m.charge(1)?;
             Ok(x)
         });

@@ -231,10 +231,10 @@ pub struct SeriesSample {
 
 /// Fixed-capacity ring buffer of [`SeriesSample`]s with evict-oldest
 /// semantics and an explicit dropped counter — the storage behind
-/// sampled gauges (queue depth over time, batch occupancy over time).
+/// sampled gauges (queue depth over time, in-flight over time).
 ///
-/// Push takes a short mutex; it runs on sampling paths (scheduler
-/// loop, scrape), never on the per-request hot path.
+/// Push takes a short mutex; the server's queue workers push once per
+/// pop, outside any request's execution.
 #[derive(Debug)]
 pub struct SeriesRing {
     capacity: usize,

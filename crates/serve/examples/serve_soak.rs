@@ -71,7 +71,6 @@ fn phase_stress() {
     let queue_capacity = 64;
     let server = Server::start(ServerConfig {
         threads: 4,
-        max_batch: 8,
         queue_capacity,
         ..ServerConfig::default()
     })
@@ -116,8 +115,8 @@ fn phase_stress() {
         stats.max_queue_depth
     );
     println!(
-        "  stress: {sent} requests, {} batches (max {}), queue high-water {} — OK",
-        stats.batches, stats.max_batch, stats.max_queue_depth
+        "  stress: {sent} requests, {} worker dispatches, queue high-water {} — OK",
+        stats.batches, stats.max_queue_depth
     );
 }
 
@@ -180,7 +179,6 @@ fn phase_backpressure() {
 fn phase_drain_under_load() {
     let server = Server::start(ServerConfig {
         threads: 2,
-        max_batch: 4,
         ..ServerConfig::default()
     })
     .expect("server starts");
@@ -229,7 +227,6 @@ fn phase_telemetry() {
     const ROUNDS: usize = 5;
     let server = Server::start(ServerConfig {
         threads: 4,
-        max_batch: 8,
         telemetry: TelemetryConfig {
             // Zero threshold: every request tail-samples, so the soak
             // exercises capture, eviction, and the dropped counter.

@@ -1,6 +1,6 @@
 //! `top` for a running summa-serve: polls the versioned `Telemetry`
-//! wire op and renders a live terminal dashboard — queue/in-flight/
-//! batch gauges, per-op throughput, per-tenant/per-op latency
+//! wire op and renders a live terminal dashboard — queue-depth and
+//! in-flight gauges, per-op throughput, per-tenant/per-op latency
 //! quantiles, and the tail-sampled slow-query log counters.
 //!
 //! ```text
@@ -95,18 +95,12 @@ fn render(frame: usize, frames: usize, s: &Samples) {
 
     let q = get(s, "summa_serve_queue_depth");
     let inf = get(s, "summa_serve_in_flight");
-    let occ = get(s, "summa_serve_batch_occupancy");
-    let gmax = q.max(inf).max(occ).max(1.0);
+    let gmax = q.max(inf).max(1.0);
     println!("  queue depth      {:>6}  {}", q as i64, bar(q, gmax, 24));
     println!(
         "  in flight        {:>6}  {}",
         inf as i64,
         bar(inf, gmax, 24)
-    );
-    println!(
-        "  batch occupancy  {:>6}  {}",
-        occ as i64,
-        bar(occ, gmax, 24)
     );
     println!();
 
@@ -231,7 +225,6 @@ fn main() {
     let demo = if attach.is_none() {
         let server = Server::start(ServerConfig {
             threads: 4,
-            max_batch: 8,
             telemetry: TelemetryConfig {
                 slow_threshold_ns: Some(400_000),
                 ..TelemetryConfig::default()

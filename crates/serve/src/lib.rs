@@ -1,4 +1,4 @@
-//! # summa-serve — a batched, multi-tenant reasoning service
+//! # summa-serve — a multi-tenant reasoning service
 //!
 //! Serves the `summa_dl` / `summa_core` reasoning surface over a
 //! length-prefixed, versioned binary TCP protocol: `ping`, `subsumes`,
@@ -12,11 +12,12 @@
 //!   protocol errors, typed overload rejections.
 //! * [`snapshot`] — epoch-versioned ontology snapshots; hot-swap never
 //!   blocks in-flight queries (old generations stay alive via `Arc`).
-//! * the batching scheduler — coalesces requests that read the same
-//!   snapshot generation onto one `summa_exec` pool dispatch. Batching
-//!   changes throughput, never answers: each request runs under its
-//!   own private budget, tableau, and cache ([`ops::execute`]), so a
-//!   served answer is byte-identical to a direct library call.
+//! * the queue workers — `threads` persistent threads, each popping one
+//!   admitted request off the bounded queue and running it to its
+//!   answer, so a long request holds one worker, not the server. Each
+//!   request runs under its own private budget, tableau, and cache
+//!   ([`ops::execute`]), so a served answer is byte-identical to a
+//!   direct library call whichever worker runs it.
 //! * [`server`] — admission control (bounded queue, per-tenant
 //!   in-flight caps and step quotas; overload is a *typed response*,
 //!   never a disconnect) and graceful drain with exact accounting
@@ -25,18 +26,19 @@
 //! A fifth, passive layer — [`telemetry`] — holds every server count
 //! in its registry (so [`server::ServeStats`] and a scrape read the
 //! same counters), decomposes every served request into phase
-//! histograms (queue-wait / batch-formation / execute / serialize)
-//! keyed by op and tenant, samples queue/batch gauges into time-series
-//! rings, and tail-samples slow or errored requests into a bounded
-//! slow-query log. It is scraped over the wire via the versioned
+//! histograms (queue-wait / pick-up / execute / serialize) keyed by
+//! op and tenant, samples the queue-depth and in-flight gauges into
+//! time-series rings, and tail-samples slow or errored requests into
+//! a bounded slow-query log. It is scraped over the wire via the versioned
 //! `Telemetry` op (Prometheus-style text or a Chrome-trace dump of the
 //! slow log) and never alters response bytes; disabled, its recording
 //! costs one relaxed atomic load per request.
 //!
 //! Chaos coverage rides through the existing `summa_guard` fault
-//! plane: the server exposes `serve.accept` and `serve.batch` fault
-//! sites on its pool budget, and each request budget can arm a
-//! deterministic per-request plan (used by the conformance suite).
+//! plane: the server exposes `serve.accept` (per connection) and
+//! `serve.batch` (per request, at a worker's pick-up) fault sites on
+//! its pool budget, and each request budget can arm a deterministic
+//! per-request plan (used by the conformance suite).
 //!
 //! No dependencies beyond the workspace.
 
@@ -47,7 +49,7 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod wire;
 
-pub(crate) mod batch;
+pub(crate) mod worker;
 
 pub mod prelude {
     pub use crate::client::Client;

@@ -1,8 +1,8 @@
 //! The operations behind the wire protocol, shared verbatim between
-//! the server's batch executor and the conformance suite.
+//! the server's queue workers and the conformance suite.
 //!
 //! [`execute`] is *the* direct library call: the server invokes it for
-//! every batched request, and `tests/integration_serve.rs` invokes it
+//! every queued request, and `tests/integration_serve.rs` invokes it
 //! straight from the test process and compares bytes. Determinism
 //! contract: for a fixed snapshot, request, and request [`Budget`]
 //! (including any per-request fault injector), the returned
@@ -13,8 +13,8 @@
 //!   **fresh** [`SatCache`](summa_dl::cache::SatCache) (no
 //!   cross-request warmth leaks into `Spend.cache_hits`),
 //! * parallel substrates run at `threads = 1` *inside* a request
-//!   (parallelism comes from batching many requests, which never
-//!   shares an envelope), and
+//!   (parallelism comes from running many requests at once, one per
+//!   queue worker, which never share an envelope), and
 //! * `Spend.elapsed` — the one wall-clock field — never enters the
 //!   body (it rides in the response header).
 

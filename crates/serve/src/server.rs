@@ -8,19 +8,18 @@
 //! its step quota? Failing any gate produces a **typed**
 //! [`wire::Overload`] response on the same connection — overload is
 //! never expressed as a disconnect. Admitted requests are answered
-//! exactly once, even across injected scheduler faults (the batch
-//! layer degrades to typed engine errors, never silence).
+//! exactly once, even across injected worker faults (a worker degrades
+//! them to typed engine errors, never silence).
 //!
 //! ## Drain accounting
 //!
-//! [`Server::shutdown`] stops the accept loop, lets the scheduler
+//! [`Server::shutdown`] stops the accept loop, lets the workers
 //! drain the queue, waits for the last admitted response to be
 //! *written*, then closes connections and joins every thread. The
 //! final [`ServeStats`] must reconcile: `accepted == completed`, and
 //! every frame ever read is accounted as completed, overload-rejected,
 //! protocol-rejected, or admin-answered.
 
-use crate::batch::{scheduler_loop, Pending, Slot};
 use crate::ops;
 use crate::snapshot::SnapshotStore;
 use crate::telemetry::{TelemetryConfig, TelemetryPlane};
@@ -28,6 +27,7 @@ use crate::wire::{
     self, Envelope, FrameError, Overload, ProtoError, Request, Response, STATUS_OVERLOADED,
     STATUS_PROTOCOL_ERROR,
 };
+use crate::worker::{worker_loop, Pending, Slot};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,12 +45,10 @@ use summa_guard::{Budget, FaultInjector};
 /// them.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for batch execution (the `summa_exec` pool
-    /// width). Defaults to [`summa_exec::default_threads`]
-    /// (`SUMMA_THREADS` aware).
+    /// Queue workers: how many admitted requests execute at once.
+    /// Defaults to [`summa_exec::default_threads`] (`SUMMA_THREADS`
+    /// aware).
     pub threads: usize,
-    /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
     /// Bounded queue capacity; admission beyond it is a typed
     /// [`Overload::QueueFull`].
     pub queue_capacity: usize,
@@ -64,11 +62,12 @@ pub struct ServerConfig {
     /// Deterministic fault plan armed on **every request budget** as a
     /// fresh injector (`(plan, seed)`, [`FaultInjector::parse_plan`]
     /// syntax). Fresh-per-request arrival counters keep the plan's
-    /// behavior independent of batching and thread interleaving — the
-    /// conformance suite replays the same plan on its direct calls.
+    /// behavior independent of which worker runs the request and of
+    /// thread interleaving — the conformance suite replays the same
+    /// plan on its direct calls.
     pub request_fault_plan: Option<(String, u64)>,
-    /// Envelope for the pool/scheduler itself (carries the injector
-    /// for the `serve.accept` / `serve.batch` chaos sites; an
+    /// Envelope for the server itself (carries the injector for the
+    /// `serve.accept` / `serve.batch` chaos sites; an
     /// unlimited default falls back to the process-global injector,
     /// so `SUMMA_FAULT_PLAN` covers the server too).
     pub pool_budget: Budget,
@@ -91,7 +90,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             threads: summa_exec::default_threads(),
-            max_batch: 8,
             queue_capacity: 256,
             tenant_max_pending: 32,
             tenant_step_quota: None,
@@ -157,7 +155,6 @@ pub(crate) struct ServeCounters {
     pub rejected_overload: Arc<AtomicU64>,
     pub admin: Arc<AtomicU64>,
     pub batches: Arc<AtomicU64>,
-    pub max_batch: Arc<AtomicU64>,
     pub max_queue_depth: Arc<AtomicU64>,
     pub snapshot_loads: Arc<AtomicU64>,
     pub accept_faults: Arc<AtomicU64>,
@@ -178,7 +175,6 @@ impl ServeCounters {
             rejected_overload: registry.counter("serve.rejected_overload"),
             admin: registry.counter("serve.admin"),
             batches: registry.counter("serve.batches"),
-            max_batch: registry.counter("serve.max_batch"),
             max_queue_depth: registry.counter("serve.max_queue_depth"),
             snapshot_loads: registry.counter("serve.snapshot_loads"),
             accept_faults: registry.counter("serve.accept_faults"),
@@ -201,7 +197,6 @@ impl ServeCounters {
             rejected_overload: load(&self.rejected_overload),
             admin: load(&self.admin),
             batches: load(&self.batches),
-            max_batch: load(&self.max_batch),
             max_queue_depth: load(&self.max_queue_depth),
             snapshot_loads: load(&self.snapshot_loads),
             accept_faults: load(&self.accept_faults),
@@ -232,17 +227,15 @@ pub struct ServeStats {
     pub rejected_overload: u64,
     /// Admin requests (stats, snapshot loads) answered inline.
     pub admin: u64,
-    /// Batches executed.
+    /// Worker dispatches: one per admitted request a worker popped.
     pub batches: u64,
-    /// Largest batch coalesced.
-    pub max_batch: u64,
     /// High-water queue depth observed at admission.
     pub max_queue_depth: u64,
     /// Snapshots installed over the wire.
     pub snapshot_loads: u64,
     /// Connections dropped by the `serve.accept` chaos site.
     pub accept_faults: u64,
-    /// `serve.batch` fault retries.
+    /// `serve.batch` gate retries.
     pub batch_retries: u64,
     /// Requests answered straight from a snapshot's precomputed
     /// [`HierarchyIndex`](summa_dl::index::HierarchyIndex) (subset of
@@ -276,7 +269,6 @@ impl ServeStats {
             ("rejected_overload".into(), self.rejected_overload),
             ("admin".into(), self.admin),
             ("batches".into(), self.batches),
-            ("max_batch".into(), self.max_batch),
             ("max_queue_depth".into(), self.max_queue_depth),
             ("snapshot_loads".into(), self.snapshot_loads),
             ("accept_faults".into(), self.accept_faults),
@@ -289,10 +281,10 @@ impl ServeStats {
 }
 
 /// State shared between the accept loop, connection handlers, and the
-/// scheduler.
+/// queue workers.
 pub(crate) struct Shared {
     pub cfg: ServerConfig,
-    /// `cfg.warm_eligible()`, resolved once at startup — the batch
+    /// `cfg.warm_eligible()`, resolved once at startup — the queue
     /// workers branch on this per request.
     pub warm: bool,
     pub store: SnapshotStore,
@@ -316,7 +308,7 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
-    sched_handle: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -355,10 +347,14 @@ impl Server {
         });
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let sched_shared = Arc::clone(&shared);
-        let sched_handle = std::thread::Builder::new()
-            .name("serve-sched".into())
-            .spawn(move || scheduler_loop(sched_shared))?;
+        let workers = (0..shared.cfg.threads.max(1))
+            .map(|_| {
+                let worker_shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name("serve-worker".into())
+                    .spawn(move || worker_loop(worker_shared))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
 
         let accept_shared = Arc::clone(&shared);
         let accept_conns = Arc::clone(&conn_handles);
@@ -370,7 +366,7 @@ impl Server {
             addr,
             shared,
             accept_handle: Some(accept_handle),
-            sched_handle: Some(sched_handle),
+            workers,
             conn_handles,
         })
     }
@@ -411,7 +407,7 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Let the scheduler drain the queue and the handlers write the
+        // Let the workers drain the queue and the handlers write the
         // last admitted responses.
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
@@ -433,9 +429,18 @@ impl Server {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Scheduler: queue is empty and draining is set → exits.
-        self.shared.queue_cv.notify_all();
-        if let Some(h) = self.sched_handle.take() {
+        // Workers: queue is empty and draining is set → each exits.
+        // Notifying under the queue lock reaches a worker that checked
+        // the flag just before it was set: it is waiting by now.
+        {
+            let _q = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.shared.queue_cv.notify_all();
+        }
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
         // Unblock handler reads; clients already got every response.
@@ -465,7 +470,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept_handle.is_some() || self.sched_handle.is_some() {
+        if self.accept_handle.is_some() || !self.workers.is_empty() {
             let _ = self.shutdown_inner();
         }
     }
@@ -613,7 +618,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
     match &env.request {
         // Admin surface: answered inline from server state, bypassing
         // the queue (stats must work *during* overload, and loads must
-        // not contend with the batches reading current snapshots).
+        // not contend with the requests reading current snapshots).
         Request::Stats => {
             shared.counters.admin.fetch_add(1, Ordering::Relaxed);
             let entries = shared.counters.stats().entries();
@@ -714,11 +719,6 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 );
                 return true;
             }
-            let key = env
-                .request
-                .snapshot_name()
-                .and_then(|n| shared.store.get(n))
-                .map(|s| (s.fingerprint, s.epoch));
             let op = env.request.op();
             {
                 let mut tenants = shared
@@ -785,13 +785,12 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 let slot = Arc::new(Slot::new());
                 q.push_back(Pending {
                     env,
-                    key,
                     slot: Arc::clone(&slot),
                     enqueued: admitted_at,
                 });
                 drop(q);
                 drop(tenants);
-                shared.queue_cv.notify_all();
+                shared.queue_cv.notify_one();
                 let (resp, mut phases) = slot.wait();
                 let ser_t0 = Instant::now();
                 let ok = send(stream, &resp);

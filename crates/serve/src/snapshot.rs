@@ -2,12 +2,12 @@
 //! answers against, hot-swappable without blocking in-flight queries.
 //!
 //! A [`Snapshot`] is immutable once installed: a name, the parsed
-//! [`TBox`], its [`Vocabulary`], the TBox fingerprint (the batching
-//! key), and the store **epoch** at install time. The store maps names
+//! [`TBox`], its [`Vocabulary`], the TBox fingerprint, and the store
+//! **epoch** at install time. The store maps names
 //! to `Arc<Snapshot>`; a reload builds the new snapshot off-lock, then
 //! draws its epoch and swaps the `Arc` under a short write lock.
 //! Queries that resolved the old `Arc` keep reasoning against it — the
-//! old snapshot is freed when its last in-flight batch drops it. The
+//! old snapshot is freed when its last in-flight request drops it. The
 //! epoch travels in every response header, so a client can tell which
 //! generation of an ontology answered.
 
@@ -82,8 +82,7 @@ pub struct Snapshot {
     pub name: String,
     /// Store epoch at install time; strictly increases across installs.
     pub epoch: u64,
-    /// [`tbox_fingerprint`] of the TBox — requests against the same
-    /// fingerprint+epoch are batchable.
+    /// [`tbox_fingerprint`] of the TBox, reported by `load_snapshot`.
     pub fingerprint: u64,
     pub tbox: TBox,
     pub voc: Vocabulary,

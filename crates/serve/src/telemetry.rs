@@ -22,8 +22,8 @@
 //!   tenant ledger lock is already held) — so the per-request path is
 //!   plain atomics. The only locks are at admission (piggybacking on
 //!   existing locks), in the slow-query log (taken only for requests
-//!   that already tripped tail sampling), and in the scheduler's
-//!   once-per-batch ring sampling.
+//!   that already tripped tail sampling), and in the workers'
+//!   once-per-pop ring sampling.
 //! * **Response bytes are untouched.** The plane observes `Response`
 //!   values after they are built; it never feeds back into bodies.
 //!
@@ -71,10 +71,11 @@ const ALL_OPS: [Op; NUM_OPS] = [
 /// The phases a served request decomposes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Admission to the scheduler popping it off the queue.
+    /// Admission to a worker popping it off the queue.
     QueueWait,
-    /// Greedy batch coalescing (shared by every request in the batch).
-    BatchForm,
+    /// The worker's pick-up: pop to execute start (the `serve.batch`
+    /// gate).
+    Pickup,
     /// [`crate::ops::execute`] under the request's private budget.
     Execute,
     /// Encoding + writing the response frame.
@@ -84,7 +85,7 @@ pub enum Phase {
 /// Phases in pipeline order.
 pub const PHASES: [Phase; 4] = [
     Phase::QueueWait,
-    Phase::BatchForm,
+    Phase::Pickup,
     Phase::Execute,
     Phase::Serialize,
 ];
@@ -93,7 +94,7 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::QueueWait => "queue_wait",
-            Phase::BatchForm => "batch_form",
+            Phase::Pickup => "pickup",
             Phase::Execute => "execute",
             Phase::Serialize => "serialize",
         }
@@ -102,19 +103,19 @@ impl Phase {
     fn index(self) -> usize {
         match self {
             Phase::QueueWait => 0,
-            Phase::BatchForm => 1,
+            Phase::Pickup => 1,
             Phase::Execute => 2,
             Phase::Serialize => 3,
         }
     }
 }
 
-/// Per-request phase durations, threaded from the scheduler through
-/// the response slot to the connection handler.
+/// Per-request phase durations, threaded from the worker through the
+/// response slot to the connection handler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNs {
     pub queue_wait_ns: u64,
-    pub batch_form_ns: u64,
+    pub pickup_ns: u64,
     pub execute_ns: u64,
     pub serialize_ns: u64,
 }
@@ -123,7 +124,7 @@ impl PhaseNs {
     fn get(&self, p: Phase) -> u64 {
         match p {
             Phase::QueueWait => self.queue_wait_ns,
-            Phase::BatchForm => self.batch_form_ns,
+            Phase::Pickup => self.pickup_ns,
             Phase::Execute => self.execute_ns,
             Phase::Serialize => self.serialize_ns,
         }
@@ -257,14 +258,12 @@ pub struct TelemetryPlane {
     registry: Registry,
     /// `[op][phase]` histogram handles, resolved at construction.
     phase_hist: Vec<[Arc<Histogram>; 4]>,
-    /// Current-value gauges (queue depth, in-flight, batch occupancy).
+    /// Current-value gauges (queue depth, in-flight).
     queue_depth: Arc<Gauge>,
     in_flight: Arc<Gauge>,
-    batch_occupancy: Arc<Gauge>,
-    /// Time series behind the gauges, sampled once per batch.
+    /// Time series behind the gauges, sampled once per queue pop.
     queue_depth_ring: SeriesRing,
     in_flight_ring: SeriesRing,
-    batch_occupancy_ring: SeriesRing,
     /// Tenant handles; the map is bounded by [`TENANT_CAP`] + the
     /// overflow entry.
     tenants: Mutex<BTreeMap<String, Arc<TenantTelemetry>>>,
@@ -285,7 +284,6 @@ impl TelemetryPlane {
             .collect();
         let queue_depth = registry.gauge("serve.queue_depth");
         let in_flight = registry.gauge("serve.in_flight");
-        let batch_occupancy = registry.gauge("serve.batch_occupancy");
         let mut tenants = BTreeMap::new();
         tenants.insert(
             OVERFLOW_TENANT.to_string(),
@@ -296,10 +294,8 @@ impl TelemetryPlane {
             origin: Instant::now(),
             queue_depth,
             in_flight,
-            batch_occupancy,
             queue_depth_ring: SeriesRing::new(cfg.ring_capacity),
             in_flight_ring: SeriesRing::new(cfg.ring_capacity),
-            batch_occupancy_ring: SeriesRing::new(cfg.ring_capacity),
             tenants: Mutex::new(tenants),
             slow_log: Mutex::new(SlowLog::default()),
             scrapes: AtomicU64::new(0),
@@ -366,18 +362,17 @@ impl TelemetryPlane {
         self.in_flight.get()
     }
 
-    /// Once-per-batch sampling: update the batch-occupancy gauge and
-    /// push all three gauge values into their time-series rings.
-    pub fn sample_batch(&self, batch_size: usize, queue_depth: usize) {
+    /// Once-per-pop sampling: set the queue-depth gauge to the depth
+    /// a worker left behind and push both gauge values into their
+    /// time-series rings.
+    pub fn sample_queue(&self, queue_depth: usize) {
         if !self.enabled() {
             return;
         }
         let t_ns = self.now_ns();
-        self.batch_occupancy.set(batch_size as i64);
         self.queue_depth.set(queue_depth as i64);
         self.queue_depth_ring.push(t_ns, queue_depth as i64);
         self.in_flight_ring.push(t_ns, self.in_flight.get());
-        self.batch_occupancy_ring.push(t_ns, batch_size as i64);
     }
 
     /// Record one answered request: phase histograms (by op), total
@@ -507,12 +502,6 @@ impl TelemetryPlane {
                 "Admitted requests not yet answered.",
                 &self.in_flight,
                 &self.in_flight_ring,
-            ),
-            (
-                "summa_serve_batch_occupancy",
-                "Size of the most recent batch.",
-                &self.batch_occupancy,
-                &self.batch_occupancy_ring,
             ),
         ] {
             e.gauge(name, help, &[], gauge.get());
@@ -677,7 +666,6 @@ impl TelemetryPlane {
         for (name, ring) in [
             ("queue_depth", &self.queue_depth_ring),
             ("in_flight", &self.in_flight_ring),
-            ("batch_occupancy", &self.batch_occupancy_ring),
         ] {
             for s in ring.samples() {
                 events.push(format!(
@@ -732,7 +720,7 @@ mod tests {
         });
         let t = p.tenant("t0");
         p.observe_request(&t, "t0", Op::Ping, &ok_resp(1), PhaseNs::default(), 0, 10);
-        p.sample_batch(4, 2);
+        p.sample_queue(2);
         assert_eq!(p.recorded_requests(), 0);
         assert_eq!(p.slow_log_counts(), (0, 0, 0));
         assert!(p.queue_depth_ring.is_empty());
@@ -840,14 +828,14 @@ mod tests {
             &ok_resp(7),
             PhaseNs {
                 queue_wait_ns: 100,
-                batch_form_ns: 50,
+                pickup_ns: 50,
                 execute_ns: 900,
                 serialize_ns: 30,
             },
             10,
             1_080,
         );
-        p.sample_batch(3, 1);
+        p.sample_queue(1);
         let text = p.prometheus_text();
         validate_exposition(&text).expect("exposition lints clean");
         assert!(

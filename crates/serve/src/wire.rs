@@ -212,17 +212,6 @@ impl Request {
             Request::Telemetry { .. } => Op::Telemetry,
         }
     }
-
-    /// The snapshot a request reads, when it reads one — the batching
-    /// key comes from here.
-    pub fn snapshot_name(&self) -> Option<&str> {
-        match self {
-            Request::Subsumes { snapshot, .. }
-            | Request::Classify { snapshot }
-            | Request::Realize { snapshot, .. } => Some(snapshot),
-            _ => None,
-        }
-    }
 }
 
 /// A request plus its routing envelope.

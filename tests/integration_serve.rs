@@ -4,11 +4,14 @@
 //! 1 and at 4 worker threads, on the warm and the cold served path,
 //! with and without a fixed per-request fault plan. Plus: overload is a typed response (never a
 //! disconnect), snapshot hot-swap bumps epochs without breaking
-//! in-flight conformance, and the server's `serve.accept` /
-//! `serve.batch` chaos sites degrade to typed answers, never to
-//! dropped requests.
+//! in-flight conformance, the server's `serve.accept` /
+//! `serve.batch` chaos sites and panics inside a request degrade to
+//! typed answers, never to dropped requests or lost workers, and a long
+//! request holds one queue worker, never the whole server.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use summa_guard::{Budget, FaultInjector};
 use summa_serve::client::Client;
 use summa_serve::ops::{self, Executed};
@@ -22,7 +25,8 @@ use summa_serve::wire::{
 /// The fixed chaos plan the conformance runs replay on both sides.
 /// Each request executes under a **fresh** injector (fresh arrival
 /// counters), so the plan's firing pattern is a pure function of the
-/// request — independent of batching, thread count, and transport.
+/// request — independent of which worker runs it, thread count, and
+/// transport.
 const FAULT_PLAN: &str = "dl.cache.insert@3=trip;dl.realize.individual@1=trip";
 const FAULT_SEED: u64 = 1405;
 
@@ -84,7 +88,6 @@ fn workload() -> Vec<Request> {
 fn config(threads: usize, plan: Option<&str>) -> ServerConfig {
     ServerConfig {
         threads,
-        max_batch: 4,
         request_fault_plan: plan.map(|p| (p.to_string(), FAULT_SEED)),
         ..ServerConfig::default()
     }
@@ -188,8 +191,8 @@ fn fault_plan_is_observable_and_conformant() {
 }
 
 /// Four concurrent tenants replay the full workload; every answer from
-/// every interleaving must match the single baseline, and the batch
-/// scheduler must actually coalesce.
+/// every interleaving must match the single baseline, and the queue
+/// workers must actually dispatch.
 #[test]
 fn concurrent_tenants_conform_and_batch() {
     let cfg = config(4, None);
@@ -363,11 +366,11 @@ fn step_quota_depletes_across_requests() {
 }
 
 /// A transient `serve.batch` fault is retried and the answers are
-/// unaffected; a persistent one degrades every request in the batch to
-/// a typed engine error — admitted work is never silently dropped.
+/// unaffected; a persistent one degrades the request it gates to a
+/// typed engine error — admitted work is never silently dropped.
 #[test]
 fn batch_faults_retry_then_degrade_to_typed_errors() {
-    // One panic at the first batch gate: retry absorbs it.
+    // One panic at the first request's gate: retry absorbs it.
     let injector = FaultInjector::parse_plan("serve.batch@1=panic", 0).expect("plan");
     let server = Server::start(ServerConfig {
         pool_budget: Budget::unlimited().with_injector(Arc::new(injector)),
@@ -396,12 +399,117 @@ fn batch_faults_retry_then_degrade_to_typed_errors() {
     let mut client = Client::connect(server.addr(), "t").expect("connects");
     let resp = client.ping().expect("answered, not dropped");
     assert_eq!(resp.status, STATUS_ENGINE_ERROR);
-    // Later batches see a spent plan and succeed.
+    // Later requests see a spent plan and succeed.
     let resp = client.ping().expect("answered");
     assert_eq!(resp.status, STATUS_OK);
     drop(client);
     let stats = server.shutdown();
     assert_eq!(stats.engine_errors, 1);
+    assert_eq!(stats.accepted, 2);
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// A request whose execution panics on every attempt (a fresh request
+/// budget per attempt re-arms the plan's step fault) answers a typed
+/// engine error, and the server's only worker lives on: a `ping`,
+/// which charges no step, is answered after it.
+#[test]
+fn panicking_request_leaves_its_worker_serving() {
+    let server = Server::start(ServerConfig {
+        threads: 1,
+        request_fault_plan: Some(("meter.step@1=panic".to_string(), FAULT_SEED)),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr(), "t").expect("connects");
+    let resp = client
+        .subsumes("vehicles", "car", "motorvehicle")
+        .expect("answered, not dropped");
+    assert_eq!(resp.status, STATUS_ENGINE_ERROR);
+    let resp = client.ping().expect("answered by the same worker");
+    assert_eq!(resp.status, STATUS_OK);
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.engine_errors, 1);
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// An unsatisfiable propositional concept the prover refutes only by
+/// search: the pigeonhole principle for 5 pigeons in 4 holes, times two
+/// free choices that double the search twice (~0.5 s of tableau work).
+fn pigeonhole_concept() -> String {
+    const HOLES: usize = 4;
+    let mut parts = vec!["(a0 | b0)".to_string(), "(a1 | b1)".to_string()];
+    for i in 0..=HOLES {
+        let holes: Vec<String> = (0..HOLES).map(|j| format!("p{i}h{j}")).collect();
+        parts.push(format!("({})", holes.join(" | ")));
+    }
+    for j in 0..HOLES {
+        for i in 0..=HOLES {
+            for k in (i + 1)..=HOLES {
+                parts.push(format!("(~p{i}h{j} | ~p{k}h{j})"));
+            }
+        }
+    }
+    parts.join(" & ")
+}
+
+/// A long prover request holds one queue worker, not the server: while
+/// it runs, a told pair from a second tenant is answered by the other
+/// worker, in a small fraction of the long request's time. Pinned at
+/// two workers, whatever `SUMMA_THREADS` says.
+#[test]
+fn long_request_does_not_hold_back_other_tenants() {
+    let cfg = ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let long = Request::Subsumes {
+        snapshot: "animals-repaired".into(),
+        sub: pigeonhole_concept(),
+        sup: "bottom".into(),
+    };
+    let told = Request::Subsumes {
+        snapshot: "vehicles".into(),
+        sub: "car".into(),
+        sup: "motorvehicle".into(),
+    };
+    let want = baseline(&cfg, &[long.clone(), told.clone()]);
+    let server = Server::start(cfg).expect("server starts");
+    let addr = server.addr();
+    let long_done = Arc::new(AtomicBool::new(false));
+    let tenant_a = {
+        let long_done = Arc::clone(&long_done);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, "tenant-a").expect("connects");
+            let t0 = Instant::now();
+            let resp = client.call(long).expect("answered");
+            long_done.store(true, Ordering::SeqCst);
+            (resp, t0.elapsed())
+        })
+    };
+    while server.stats().accepted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut client = Client::connect(addr, "tenant-b").expect("connects");
+    let t0 = Instant::now();
+    let resp_b = client.call(told).expect("answered");
+    let told_latency = t0.elapsed();
+    assert!(
+        !long_done.load(Ordering::SeqCst),
+        "the told pair was answered only after the long request"
+    );
+    let (resp_a, long_latency) = tenant_a.join().expect("tenant a");
+    assert!(
+        told_latency * 2 < long_latency,
+        "the told pair waited: {told_latency:?} beside {long_latency:?}"
+    );
+    for (resp, want) in [(&resp_a, &want[0]), (&resp_b, &want[1])] {
+        assert_eq!(resp.status, want.status);
+        assert_eq!(resp.body, want.body);
+    }
+    drop(client);
+    let stats = server.shutdown();
     assert_eq!(stats.accepted, 2);
     assert!(stats.reconciles(), "{stats:?}");
 }

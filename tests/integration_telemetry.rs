@@ -75,7 +75,6 @@ fn workload() -> Vec<Request> {
 fn config(threads: usize, telemetry: TelemetryConfig) -> ServerConfig {
     ServerConfig {
         threads,
-        max_batch: 4,
         request_fault_plan: Some((FAULT_PLAN.to_string(), FAULT_SEED)),
         telemetry,
         ..ServerConfig::default()

@@ -95,7 +95,6 @@ fn baseline(cfg: &ServerConfig, reqs: &[Request]) -> Vec<Executed> {
 fn assert_warm_conformance(threads: usize) {
     let cfg = ServerConfig {
         threads,
-        max_batch: 4,
         cold: false,
         ..ServerConfig::default()
     };
@@ -378,7 +377,6 @@ fn assert_el_warm_conformance(threads: usize) {
     store.install("zoo", animals_tbox_el(&p), p.voc.clone());
     let cfg = ServerConfig {
         threads,
-        max_batch: 4,
         cold: false,
         ..ServerConfig::default()
     };
