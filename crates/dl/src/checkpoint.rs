@@ -129,15 +129,6 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Human-readable kind tag (used in traces and error messages).
-    pub fn kind_name(&self) -> &'static str {
-        match self.state {
-            CheckpointState::Classification(_) => "classification",
-            CheckpointState::Realization { .. } => "realization",
-            CheckpointState::ElSaturation { .. } => "el-saturation",
-        }
-    }
-
     /// How many completed rows / facts the checkpoint carries.
     pub fn restorable(&self) -> usize {
         match &self.state {

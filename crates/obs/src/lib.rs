@@ -367,11 +367,6 @@ impl Span {
             ctx.attrs.push((key, value.into()));
         }
     }
-
-    /// Is this guard actually recording? (False on disabled tracers.)
-    pub fn is_recording(&self) -> bool {
-        self.ctx.is_some()
-    }
 }
 
 impl Drop for Span {

@@ -93,29 +93,23 @@ impl RewriteSystem {
         None
     }
 
-    /// Rewrite to normal form, giving up after `budget` steps.
+    /// Rewrite to normal form, giving up after `budget` steps:
+    /// [`RewriteSystem::normal_form_metered`] under a `budget`-step
+    /// [`Budget`], with any interrupt reported as
+    /// [`OsaError::StepBudgetExceeded`].
     pub fn normal_form(&self, t: &Term, budget: usize) -> Result<Term> {
-        let mut cur = t.clone();
-        for _ in 0..budget {
-            match self.step(&cur) {
-                Some(next) => cur = next,
-                None => return Ok(cur),
-            }
-        }
-        if self.step(&cur).is_none() {
-            Ok(cur)
-        } else {
-            Err(OsaError::StepBudgetExceeded { budget })
-        }
+        let mut meter = Budget::new().with_steps(budget as u64).meter();
+        self.normal_form_metered(t, &mut meter)
+            .map_err(|_| OsaError::StepBudgetExceeded { budget })
     }
 
     /// Metered normalization: every rewrite step charges the shared
     /// meter. On interrupt the error carries the partially rewritten
     /// term (every step taken so far was a valid `=_E` step, so the
-    /// partial is equal to the input modulo the theory). Mirrors the
-    /// legacy [`RewriteSystem::normal_form`] quirk: a term that happens
-    /// to already be in normal form when the meter trips still counts
-    /// as completed.
+    /// partial is equal to the input modulo the theory). A term that
+    /// happens to already be in normal form when the meter trips still
+    /// counts as completed, so a `budget`-step meter allows up to
+    /// `budget` rewrites and then a normal-form check.
     pub fn normal_form_metered(
         &self,
         t: &Term,

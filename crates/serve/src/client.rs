@@ -7,7 +7,7 @@
 //! calls without a client-side abstraction in the way.
 
 use crate::wire::{self, Envelope, Request, Response};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// A blocking single-connection client.
@@ -90,11 +90,6 @@ impl Client {
     /// Half-close our write side so the server sees EOF.
     pub fn finish_writes(&mut self) -> io::Result<()> {
         self.stream.shutdown(std::net::Shutdown::Write)
-    }
-
-    /// Read raw bytes (fuzz helper; bypasses frame decoding).
-    pub fn read_exact_raw(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.stream.read_exact(buf)
     }
 
     // ---- convenience wrappers ------------------------------------

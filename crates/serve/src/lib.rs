@@ -2,9 +2,10 @@
 //!
 //! Serves the `summa_dl` / `summa_core` reasoning surface over a
 //! length-prefixed, versioned binary TCP protocol: `ping`, `subsumes`,
-//! `classify`, `realize`, `admit`, `critique`, plus admin ops for
-//! snapshot hot-swap and server stats. Every response carries the
-//! request's deterministic [`summa_guard::Spend`] and a trace handle.
+//! `classify`, `realize`, `admit`, `critique` and `load_snapshot`
+//! (snapshot hot-swap), plus `stats` and `telemetry` scrapes. Every
+//! response carries the request's deterministic
+//! [`summa_guard::Spend`] and a trace handle.
 //!
 //! The service is built from four layers:
 //!
@@ -18,10 +19,11 @@
 //!   request runs under its own private budget, tableau, and cache
 //!   ([`ops::execute`]), so a served answer is byte-identical to a
 //!   direct library call whichever worker runs it.
-//! * [`server`] — admission control (bounded queue, per-tenant
-//!   in-flight caps and step quotas; overload is a *typed response*,
-//!   never a disconnect) and graceful drain with exact accounting
-//!   (`accepted == completed`, always).
+//! * [`server`] — one admission path for every request but a scrape,
+//!   snapshot loads included (bounded queue, per-tenant in-flight caps
+//!   and step quotas, kept on one record per tenant; overload is a
+//!   *typed response*, never a disconnect), and graceful drain with
+//!   exact accounting (`accepted == completed`, always).
 //!
 //! A fifth, passive layer — [`telemetry`] — holds every server count
 //! in its registry (so [`server::ServeStats`] and a scrape read the
@@ -36,9 +38,10 @@
 //!
 //! Chaos coverage rides through the existing `summa_guard` fault
 //! plane: the server exposes `serve.accept` (per connection) and
-//! `serve.batch` (per request, at a worker's pick-up) fault sites on
-//! its pool budget, and each request budget can arm a deterministic
-//! per-request plan (used by the conformance suite).
+//! `serve.batch` (per admitted request, snapshot loads included, at a
+//! worker's pick-up) fault sites on its pool budget, and each request
+//! budget can arm a deterministic per-request plan (used by the
+//! conformance suite).
 //!
 //! No dependencies beyond the workspace.
 

@@ -20,10 +20,10 @@
 
 use crate::snapshot::{Snapshot, SnapshotStore, WarmState};
 use crate::wire::{
-    self, put_str, put_u32, put_u64, ProtoError, Request, OUTCOME_CANCELLED, OUTCOME_COMPLETED,
-    OUTCOME_EXHAUSTED, REASON_DEADLINE, REASON_FAULT, REASON_MEMORY, REASON_NONE, REASON_STEPS,
-    REASON_TASK_FAILURE, SERVED_CACHE, SERVED_INDEX, SERVED_PROVER, STATUS_OK,
-    STATUS_PROTOCOL_ERROR,
+    self, ok_body, put_str, put_u32, put_u64, ProtoError, Request, OUTCOME_CANCELLED,
+    OUTCOME_COMPLETED, OUTCOME_EXHAUSTED, REASON_DEADLINE, REASON_FAULT, REASON_MEMORY,
+    REASON_NONE, REASON_STEPS, REASON_TASK_FAILURE, SERVED_CACHE, SERVED_INDEX, SERVED_PROVER,
+    STATUS_OK, STATUS_PROTOCOL_ERROR,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -78,19 +78,16 @@ fn interrupt_codes(i: Interrupt) -> (u8, u8) {
     }
 }
 
-/// Build an OK body: governed outcome + reason + optional payload.
-/// Since protocol v2 the spend rides in the response header, so bodies
-/// for matching answers are byte-identical warm-vs-cold.
-fn ok_body(outcome: u8, reason: u8, payload: Option<Vec<u8>>) -> Vec<u8> {
-    let mut buf = vec![outcome, reason];
-    match payload {
-        None => buf.push(0),
-        Some(p) => {
-            buf.push(1);
-            buf.extend_from_slice(&p);
+/// An OK body for a decided answer's payload, or for the interrupt
+/// that stopped it (no payload).
+fn outcome_body(answer: Result<Vec<u8>, Interrupt>) -> Vec<u8> {
+    match answer {
+        Ok(p) => ok_body(OUTCOME_COMPLETED, REASON_NONE, Some(p)),
+        Err(i) => {
+            let (oc, rc) = interrupt_codes(i);
+            ok_body(oc, rc, None)
         }
     }
-    buf
 }
 
 /// Map a `Governed<T>` plus a payload serializer onto an OK body.
@@ -226,17 +223,11 @@ fn told_atom(voc: &Vocabulary, s: &str) -> Option<summa_dl::concept::ConceptId> 
     voc.find_concept(t)
 }
 
-/// Build the `Executed` for an index-decided pair: one charged step,
-/// the same completed body bytes the cold prover would produce.
-fn index_answer(holds: bool, epoch: u64, budget: &Budget) -> Executed {
+/// Build the `Executed` for an answer the index decided: one charged
+/// step, the same completed body bytes the cold path would produce.
+fn index_answer(epoch: u64, budget: &Budget, payload: impl FnOnce() -> Vec<u8>) -> Executed {
     let mut meter = budget.meter();
-    let body = match meter.charge(1) {
-        Ok(()) => ok_body(OUTCOME_COMPLETED, REASON_NONE, Some(vec![u8::from(holds)])),
-        Err(i) => {
-            let (oc, rc) = interrupt_codes(i);
-            ok_body(oc, rc, None)
-        }
-    };
+    let body = outcome_body(meter.charge(1).map(|()| payload()));
     Executed {
         status: STATUS_OK,
         body,
@@ -265,7 +256,7 @@ fn subsumes_with(
         if let (Some(sub_id), Some(sup_id)) = (told_atom(&snap.voc, sub), told_atom(&snap.voc, sup))
         {
             if let Some(holds) = w.index.subsumes(sup_id, sub_id) {
-                return index_answer(holds, snap.epoch, budget);
+                return index_answer(snap.epoch, budget, || vec![u8::from(holds)]);
             }
         }
     }
@@ -288,7 +279,7 @@ fn subsumes_with(
         // matches the cold path byte-for-byte.
         if let (Concept::Atom(a), Concept::Atom(b)) = (&sub_c, &sup_c) {
             if let Some(holds) = w.index.subsumes(*b, *a) {
-                return index_answer(holds, snap.epoch, budget);
+                return index_answer(snap.epoch, budget, || vec![u8::from(holds)]);
             }
         }
     }
@@ -299,24 +290,16 @@ fn subsumes_with(
     // sub ⊑ sup  iff  sub ⊓ ¬sup is unsatisfiable.
     let query = Concept::and(vec![sub_c, Concept::not(sup_c)]);
     let answer = reasoner.sat_metered(&query, &mut meter);
-    let spend = meter.spend();
-    let body = match answer {
-        Ok(sat) => ok_body(OUTCOME_COMPLETED, REASON_NONE, Some(vec![u8::from(!sat)])),
-        Err(i) => {
-            let (oc, rc) = interrupt_codes(i);
-            ok_body(oc, rc, None)
-        }
-    };
     Executed {
         status: STATUS_OK,
-        body,
+        body: outcome_body(answer.map(|sat| vec![u8::from(!sat)])),
         epoch: snap.epoch,
         served: if warm.is_some() {
             SERVED_CACHE
         } else {
             SERVED_PROVER
         },
-        spend,
+        spend: meter.spend(),
     }
 }
 
@@ -324,9 +307,9 @@ fn subsumes_with(
 /// lookups for told subsumption, the index's verified rows for
 /// `classify`, and the epoch-shared
 /// [`SatCache`](summa_dl::cache::SatCache) (plus index-assisted
-/// most-specific filtering) for realization. Falls back to
-/// [`execute`] — the cold conformance baseline — whenever the
-/// snapshot has no warm state or the op has no warm variant.
+/// most-specific filtering) for realization. Answers exactly as
+/// [`execute`] — the cold conformance baseline — whenever the snapshot
+/// has no warm state or the op has no warm variant.
 ///
 /// Every warm answer is built only from index rows that passed their
 /// checksums. `subsumes` and `realize` reach the index through
@@ -346,78 +329,26 @@ fn subsumes_with(
 /// budgets, the outcome — which is why the server gates the warm path
 /// off for step-capped and fault-injected configurations).
 pub fn execute_warm(store: &SnapshotStore, req: &Request, budget: &Budget) -> Executed {
-    match req {
-        Request::Subsumes { snapshot, sub, sup } => {
-            let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
-            };
-            subsumes_with(&snap, sub, sup, budget, snap.warm.as_ref())
-        }
-        Request::Classify { snapshot } => {
-            let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
-            };
-            let Some(rows) = snap.warm.as_ref().and_then(|w| w.index.verified_rows()) else {
-                return execute(store, req, budget);
-            };
-            // The verified rows are the closure the cold path's
-            // classifier computes, so the payload bytes are identical;
-            // serving them costs one charged step.
-            let mut meter = budget.meter();
-            let body = match meter.charge(1) {
-                Ok(()) => ok_body(
-                    OUTCOME_COMPLETED,
-                    REASON_NONE,
-                    Some(hierarchy_payload(rows, &snap.voc)),
-                ),
-                Err(i) => {
-                    let (oc, rc) = interrupt_codes(i);
-                    ok_body(oc, rc, None)
-                }
-            };
-            Executed {
-                status: STATUS_OK,
-                epoch: snap.epoch,
-                served: SERVED_INDEX,
-                spend: meter.spend(),
-                body,
-            }
-        }
-        Request::Realize { snapshot, abox } => {
-            let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
-            };
-            let Some(w) = snap.warm.as_ref() else {
-                return execute(store, req, budget);
-            };
-            let mut voc = snap.voc.clone();
-            let parsed = match parse_abox(abox, &mut voc) {
-                Ok(a) => a,
-                Err(e) => return Executed::proto(ProtoError::ParseError(e), snap.epoch),
-            };
-            let run = Realize::new(&snap.tbox, &parsed, &voc)
-                .cache(Arc::clone(&w.cache))
-                .index(&w.index)
-                .run(budget);
-            let body = governed_body(&run.governed, |real| {
-                realization_payload(real, &parsed, &voc)
-            });
-            Executed {
-                status: STATUS_OK,
-                epoch: snap.epoch,
-                served: SERVED_CACHE,
-                spend: run.spend,
-                body,
-            }
-        }
-        _ => execute(store, req, budget),
-    }
+    execute_with(store, req, budget, true)
 }
 
 /// Execute one request against the store under the given per-request
 /// budget. This function **is** the conformance baseline — see the
 /// module docs.
 pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Executed {
+    execute_with(store, req, budget, false)
+}
+
+/// The one body behind [`execute`] and [`execute_warm`]: each op
+/// resolves its snapshot once, and with `warm` answers from that
+/// snapshot's warm state when it has one.
+pub(crate) fn execute_with(
+    store: &SnapshotStore,
+    req: &Request,
+    budget: &Budget,
+    warm: bool,
+) -> Executed {
+    let unknown = |name: &String| Executed::proto(ProtoError::UnknownSnapshot(name.clone()), 0);
     match req {
         Request::Ping => Executed {
             status: STATUS_OK,
@@ -428,14 +359,22 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
         },
         Request::Subsumes { snapshot, sub, sup } => {
             let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
+                return unknown(snapshot);
             };
-            subsumes_with(&snap, sub, sup, budget, None)
+            subsumes_with(&snap, sub, sup, budget, snap.warm.as_ref().filter(|_| warm))
         }
         Request::Classify { snapshot } => {
             let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
+                return unknown(snapshot);
             };
+            let warm_rows =
+                (snap.warm.as_ref().filter(|_| warm)).and_then(|w| w.index.verified_rows());
+            if let Some(rows) = warm_rows {
+                // The verified rows are the closure the cold path's
+                // classifier computes, so the payload bytes are
+                // identical.
+                return index_answer(snap.epoch, budget, || hierarchy_payload(rows, &snap.voc));
+            }
             // A fresh private cache per run: within-request reuse only,
             // so the spend's cache counters are history-independent.
             let run = Classify::new(&snap.tbox, &snap.voc).run(budget);
@@ -450,21 +389,30 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
         }
         Request::Realize { snapshot, abox } => {
             let Some(snap) = store.get(snapshot) else {
-                return Executed::proto(ProtoError::UnknownSnapshot(snapshot.clone()), 0);
+                return unknown(snapshot);
             };
             let mut voc = snap.voc.clone();
             let parsed = match parse_abox(abox, &mut voc) {
                 Ok(a) => a,
                 Err(e) => return Executed::proto(ProtoError::ParseError(e), snap.epoch),
             };
-            let run = Realize::new(&snap.tbox, &parsed, &voc).run(budget);
+            let w = snap.warm.as_ref().filter(|_| warm);
+            let mut realize = Realize::new(&snap.tbox, &parsed, &voc);
+            if let Some(w) = w {
+                realize = realize.cache(Arc::clone(&w.cache)).index(&w.index);
+            }
+            let run = realize.run(budget);
             let body = governed_body(&run.governed, |real| {
                 realization_payload(real, &parsed, &voc)
             });
             Executed {
                 status: STATUS_OK,
                 epoch: snap.epoch,
-                served: SERVED_PROVER,
+                served: if w.is_some() {
+                    SERVED_CACHE
+                } else {
+                    SERVED_PROVER
+                },
                 spend: run.spend,
                 body,
             }
@@ -482,35 +430,28 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
                 return Executed::proto(ProtoError::UnknownDefinition(definition.clone()), 0);
             };
             let mut meter = budget.meter();
-            let body = match meter.charge(1) {
-                Err(i) => {
-                    let (oc, rc) = interrupt_codes(i);
-                    ok_body(oc, rc, None)
-                }
-                Ok(()) => {
-                    // Panic isolation mirrors the critique's judge
-                    // cells: a panicking judge degrades to Unknown.
-                    let judged = catch_unwind(AssertUnwindSafe(|| d.admits(a, None)));
-                    let (verdict, reason) = match judged {
-                        Ok(j) => (verdict_code(j.verdict), j.reason),
-                        Err(payload) => {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".to_string());
-                            (
-                                verdict_code(Verdict::Unknown),
-                                format!("judge panicked: {msg}"),
-                            )
-                        }
-                    };
-                    let mut p = Vec::new();
-                    p.push(verdict);
-                    put_str(&mut p, &reason);
-                    ok_body(OUTCOME_COMPLETED, REASON_NONE, Some(p))
-                }
-            };
+            let body = outcome_body(meter.charge(1).map(|()| {
+                // Panic isolation mirrors the critique's judge cells: a
+                // panicking judge degrades to Unknown.
+                let judged = catch_unwind(AssertUnwindSafe(|| d.admits(a, None)));
+                let (verdict, reason) = match judged {
+                    Ok(j) => (verdict_code(j.verdict), j.reason),
+                    Err(payload) => {
+                        let msg = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "non-string panic payload".to_string());
+                        (
+                            verdict_code(Verdict::Unknown),
+                            format!("judge panicked: {msg}"),
+                        )
+                    }
+                };
+                let mut p = vec![verdict];
+                put_str(&mut p, &reason);
+                p
+            }));
             Executed {
                 status: STATUS_OK,
                 epoch: 0,

@@ -1,15 +1,24 @@
 //! The TCP reasoning server: accept loop, per-connection handlers,
 //! admission control, and graceful drain.
 //!
-//! ## Admission and backpressure
+//! ## One admission path
 //!
-//! Every decoded request passes four gates before it is queued:
-//! draining? queue full? tenant over its in-flight cap? tenant over
-//! its step quota? Failing any gate produces a **typed**
-//! [`wire::Overload`] response on the same connection — overload is
-//! never expressed as a disconnect. Admitted requests are answered
-//! exactly once, even across injected worker faults (a worker degrades
-//! them to typed engine errors, never silence).
+//! A decoded request takes one of two paths. A `stats` or `telemetry`
+//! scrape is answered inline from server state, so observability keeps
+//! working during overload. Every other request — `load_snapshot`
+//! included — is admitted and answered by a queue worker. Admission
+//! runs four gates, in this order, under the queue lock: draining?
+//! tenant over its in-flight cap? tenant over its step quota? queue
+//! full? Failing any gate produces a **typed** [`wire::Overload`]
+//! response on the same connection — overload is never expressed as a
+//! disconnect. Admitted requests are answered exactly once, even
+//! across injected worker faults (a worker degrades them to typed
+//! engine errors, never silence).
+//!
+//! Each tenant id resolves to one record on its first request: its
+//! in-flight count, consumed steps and telemetry series. The record
+//! lives as long as the server. Ids are at most [`wire::MAX_TENANT`]
+//! bytes; how many distinct ids a server sees is not bounded.
 //!
 //! ## Drain accounting
 //!
@@ -18,14 +27,13 @@
 //! *written*, then closes connections and joins every thread. The
 //! final [`ServeStats`] must reconcile: `accepted == completed`, and
 //! every frame ever read is accounted as completed, overload-rejected,
-//! protocol-rejected, or admin-answered.
+//! protocol-rejected, or a scrape.
 
-use crate::ops;
 use crate::snapshot::SnapshotStore;
-use crate::telemetry::{TelemetryConfig, TelemetryPlane};
+use crate::telemetry::{TelemetryConfig, TelemetryPlane, TenantTelemetry};
 use crate::wire::{
-    self, Envelope, FrameError, Overload, ProtoError, Request, Response, STATUS_OVERLOADED,
-    STATUS_PROTOCOL_ERROR,
+    self, Envelope, FrameError, Overload, ProtoError, Request, Response, STATUS_OK,
+    STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 use crate::worker::{worker_loop, Pending, Slot};
 use std::collections::{BTreeMap, VecDeque};
@@ -134,11 +142,25 @@ impl ServerConfig {
     }
 }
 
-/// Per-tenant admission ledger.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct TenantLedger {
-    pub pending: u64,
-    pub consumed_steps: u64,
+/// One tenant's record, resolved on its first request and shared by
+/// every request it sends: what admission checks, what its answers
+/// book, and its telemetry series.
+pub(crate) struct Tenant {
+    pub name: String,
+    /// Admitted requests not yet answered.
+    pub pending: AtomicU64,
+    /// Steps its answered requests spent.
+    pub consumed_steps: AtomicU64,
+    pub telemetry: Arc<TenantTelemetry>,
+}
+
+/// What admission guards under one lock: the bounded queue and every
+/// tenant's record.
+#[derive(Default)]
+pub(crate) struct Admission {
+    pub queue: VecDeque<Pending>,
+    /// One record per tenant id seen, kept for the server's lifetime.
+    tenants: BTreeMap<String, Arc<Tenant>>,
 }
 
 /// The server's counts: handles into the telemetry plane's registry,
@@ -225,13 +247,15 @@ pub struct ServeStats {
     pub rejected_protocol: u64,
     /// Requests answered with a typed overload rejection.
     pub rejected_overload: u64,
-    /// Admin requests (stats, snapshot loads) answered inline.
+    /// Scrapes (`stats`, `telemetry`) answered inline, outside
+    /// admission.
     pub admin: u64,
     /// Worker dispatches: one per admitted request a worker popped.
     pub batches: u64,
     /// High-water queue depth observed at admission.
     pub max_queue_depth: u64,
-    /// Snapshots installed over the wire.
+    /// Snapshots installed over the wire: admitted `load_snapshot`
+    /// requests a worker answered OK.
     pub snapshot_loads: u64,
     /// Connections dropped by the `serve.accept` chaos site.
     pub accept_faults: u64,
@@ -288,9 +312,9 @@ pub(crate) struct Shared {
     /// workers branch on this per request.
     pub warm: bool,
     pub store: SnapshotStore,
-    pub queue: Mutex<VecDeque<Pending>>,
+    /// The queue lock: the bounded queue and the tenant records.
+    pub admission: Mutex<Admission>,
     pub queue_cv: Condvar,
-    pub tenants: Mutex<BTreeMap<String, TenantLedger>>,
     pub counters: ServeCounters,
     pub draining: AtomicBool,
     pub next_trace: AtomicU64,
@@ -336,9 +360,8 @@ impl Server {
             warm,
             store,
             telemetry,
-            queue: Mutex::new(VecDeque::new()),
+            admission: Mutex::new(Admission::default()),
             queue_cv: Condvar::new(),
-            tenants: Mutex::new(BTreeMap::new()),
             counters,
             draining: AtomicBool::new(false),
             next_trace: AtomicU64::new(0),
@@ -413,9 +436,10 @@ impl Server {
         loop {
             let queue_empty = self
                 .shared
-                .queue
+                .admission
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
+                .queue
                 .is_empty();
             // Admission raises the gauge inside the queue lock taken
             // just above, and a handler lowers it only after its
@@ -435,7 +459,7 @@ impl Server {
         {
             let _q = self
                 .shared
-                .queue
+                .admission
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             self.shared.queue_cv.notify_all();
@@ -539,7 +563,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-fn conn_loop(shared: &Arc<Shared>, stream: &mut TcpStream) {
+fn conn_loop(shared: &Shared, stream: &mut TcpStream) {
     loop {
         let frame = match wire::read_frame(&mut *stream) {
             Ok(None) | Err(FrameError::Io(_)) => break,
@@ -550,77 +574,66 @@ fn conn_loop(shared: &Arc<Shared>, stream: &mut TcpStream) {
         // Every frame read counts, answered or not, so the final
         // accounting stays exact.
         shared.counters.frames.fetch_add(1, Ordering::Relaxed);
-        match frame.map(|payload| wire::decode_request(&payload)) {
+        let open = match frame.map(|payload| wire::decode_request(&payload)) {
             // The stream cannot be re-synchronized after an oversize or
             // truncated frame: answer with the typed error, then close.
             Err(e) => {
                 reject_protocol(shared, stream, 0, e);
-                break;
+                false
             }
             // Malformed frame, intact framing: typed error, connection
             // stays usable.
             Ok(Err((e, id))) => reject_protocol(shared, stream, id, e),
-            Ok(Ok(env)) => {
-                if !dispatch(shared, stream, env) {
-                    break;
-                }
-            }
+            Ok(Ok(env)) => dispatch(shared, stream, env),
+        };
+        if !open {
+            break;
         }
     }
 }
 
-fn reject_protocol(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, e: ProtoError) {
-    shared
-        .counters
-        .rejected_protocol
-        .fetch_add(1, Ordering::Relaxed);
-    let resp = Response {
-        id,
-        status: STATUS_PROTOCOL_ERROR,
-        elapsed_ns: 0,
-        trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
-        epoch: 0,
-        served: wire::SERVED_PROVER,
-        spend: summa_guard::Spend::default(),
-        body: wire::protocol_error_body(&e),
-    };
-    let _ = send(stream, &resp);
+fn reject_protocol(shared: &Shared, stream: &mut TcpStream, id: u64, e: ProtoError) -> bool {
+    let body = wire::protocol_error_body(&e);
+    answer_inline(shared, stream, id, STATUS_PROTOCOL_ERROR, body)
 }
 
-fn reject_overload(
-    shared: &Arc<Shared>,
+/// Answer a frame that runs nothing — a scrape (`STATUS_OK`), or a
+/// protocol or overload rejection — and book it under its status's one
+/// count. The header carries no server time, epoch or spend. Returns
+/// `false` when the write fails.
+fn answer_inline(
+    shared: &Shared,
     stream: &mut TcpStream,
     id: u64,
-    o: Overload,
-    detail: &str,
-) {
-    shared
-        .counters
-        .rejected_overload
-        .fetch_add(1, Ordering::Relaxed);
+    status: u8,
+    body: Vec<u8>,
+) -> bool {
+    let count = match status {
+        STATUS_OK => &shared.counters.admin,
+        STATUS_OVERLOADED => &shared.counters.rejected_overload,
+        _ => &shared.counters.rejected_protocol,
+    };
+    count.fetch_add(1, Ordering::Relaxed);
     let resp = Response {
         id,
-        status: STATUS_OVERLOADED,
+        status,
         elapsed_ns: 0,
         trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
         epoch: 0,
         served: wire::SERVED_PROVER,
         spend: summa_guard::Spend::default(),
-        body: wire::overload_body(o, detail),
+        body,
     };
-    let _ = send(stream, &resp);
+    send(stream, &resp)
 }
 
-/// Route one decoded request. Returns `false` when the connection
-/// should close (write failure only — every protocol outcome keeps it
-/// open).
-fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool {
-    match &env.request {
-        // Admin surface: answered inline from server state, bypassing
-        // the queue (stats must work *during* overload, and loads must
-        // not contend with the requests reading current snapshots).
+/// Route one decoded request: a scrape is answered inline from server
+/// state, everything else is admitted. Returns `false` when the
+/// connection should close (write failure only — every protocol
+/// outcome keeps it open).
+fn dispatch(shared: &Shared, stream: &mut TcpStream, env: Envelope) -> bool {
+    let payload = match env.request {
         Request::Stats => {
-            shared.counters.admin.fetch_add(1, Ordering::Relaxed);
             let entries = shared.counters.stats().entries();
             let mut payload = Vec::new();
             wire::put_u32(&mut payload, entries.len() as u32);
@@ -628,185 +641,121 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 wire::put_str(&mut payload, k);
                 wire::put_u64(&mut payload, *v);
             }
-            let mut body = Vec::new();
-            body.push(wire::OUTCOME_COMPLETED);
-            body.push(wire::REASON_NONE);
-            body.push(1);
-            body.extend_from_slice(&payload);
-            let resp = Response {
-                id: env.id,
-                status: wire::STATUS_OK,
-                elapsed_ns: 0,
-                trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
-                epoch: 0,
-                served: wire::SERVED_PROVER,
-                spend: summa_guard::Spend::default(),
-                body,
-            };
-            send(stream, &resp)
+            payload
         }
-        // Telemetry scrapes answer inline for the same reason stats
-        // do: observability must keep working during overload. The
-        // body leads with its own version so scrape tooling can evolve
-        // independently of the protocol version.
+        // The body leads with its own version so scrape tooling can
+        // evolve independently of the protocol version.
         Request::Telemetry { format } => {
-            let text = match *format {
+            let text = match format {
                 wire::TELEMETRY_FORMAT_PROMETHEUS => shared.telemetry.prometheus_text(),
                 wire::TELEMETRY_FORMAT_CHROME_SLOWLOG => shared.telemetry.slow_log_chrome_json(),
                 _ => {
-                    reject_protocol(
-                        shared,
-                        stream,
-                        env.id,
-                        ProtoError::Malformed("unknown telemetry format"),
-                    );
-                    return true;
+                    let e = ProtoError::Malformed("unknown telemetry format");
+                    return reject_protocol(shared, stream, env.id, e);
                 }
             };
-            shared.counters.admin.fetch_add(1, Ordering::Relaxed);
-            let mut payload = Vec::new();
-            payload.push(wire::TELEMETRY_VERSION);
-            payload.push(*format);
+            let mut payload = vec![wire::TELEMETRY_VERSION, format];
             wire::put_str(&mut payload, &text);
-            let mut body = Vec::new();
-            body.push(wire::OUTCOME_COMPLETED);
-            body.push(wire::REASON_NONE);
-            body.push(1);
-            body.extend_from_slice(&payload);
-            let resp = Response {
-                id: env.id,
-                status: wire::STATUS_OK,
-                elapsed_ns: 0,
-                trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
-                epoch: 0,
-                served: wire::SERVED_PROVER,
-                spend: summa_guard::Spend::default(),
-                body,
+            payload
+        }
+        _ => return admit(shared, stream, env),
+    };
+    let body = wire::ok_body(wire::OUTCOME_COMPLETED, wire::REASON_NONE, Some(payload));
+    answer_inline(shared, stream, env.id, STATUS_OK, body)
+}
+
+/// Admit one request, wait for its worker's answer and write it, or
+/// answer why it was refused.
+fn admit(shared: &Shared, stream: &mut TcpStream, env: Envelope) -> bool {
+    let (id, op) = (env.id, env.request.op());
+    let (tenant, slot, admitted_at) = match enqueue(shared, env) {
+        Ok(admitted) => admitted,
+        Err(o) => {
+            let detail = match o {
+                Overload::Draining => "server draining",
+                Overload::TenantBusy => "tenant in-flight cap reached",
+                Overload::QuotaExhausted => "tenant step quota spent",
+                Overload::QueueFull => "request queue at capacity",
             };
-            send(stream, &resp)
+            let body = wire::overload_body(o, detail);
+            return answer_inline(shared, stream, id, STATUS_OVERLOADED, body);
         }
-        Request::LoadSnapshot { .. } => {
-            shared.counters.admin.fetch_add(1, Ordering::Relaxed);
-            let t0 = Instant::now();
-            let ex = ops::execute(&shared.store, &env.request, &shared.cfg.request_budget());
-            if ex.status == wire::STATUS_OK {
-                shared
-                    .counters
-                    .snapshot_loads
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let resp = Response {
-                id: env.id,
-                status: ex.status,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-                trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
-                epoch: ex.epoch,
-                served: ex.served,
-                spend: ex.spend,
-                body: ex.body,
-            };
-            send(stream, &resp)
-        }
-        _ => {
-            // Admission gates, cheapest first.
-            if shared.draining.load(Ordering::SeqCst) {
-                reject_overload(
-                    shared,
-                    stream,
-                    env.id,
-                    Overload::Draining,
-                    "server draining",
-                );
-                return true;
-            }
-            let op = env.request.op();
-            {
-                let mut tenants = shared
-                    .tenants
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let ledger = tenants.entry(env.tenant.clone()).or_default();
-                if ledger.pending >= shared.cfg.tenant_max_pending {
-                    drop(tenants);
-                    reject_overload(
-                        shared,
-                        stream,
-                        env.id,
-                        Overload::TenantBusy,
-                        "tenant in-flight cap reached",
-                    );
-                    return true;
-                }
-                if let Some(quota) = shared.cfg.tenant_step_quota {
-                    if ledger.consumed_steps >= quota {
-                        drop(tenants);
-                        reject_overload(
-                            shared,
-                            stream,
-                            env.id,
-                            Overload::QuotaExhausted,
-                            "tenant step quota spent",
-                        );
-                        return true;
-                    }
-                }
-                // Queue admission under the tenants lock so pending++
-                // and the queue push stay consistent.
-                let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                if q.len() >= shared.cfg.queue_capacity {
-                    drop(q);
-                    drop(tenants);
-                    reject_overload(
-                        shared,
-                        stream,
-                        env.id,
-                        Overload::QueueFull,
-                        "request queue at capacity",
-                    );
-                    return true;
-                }
-                ledger.pending += 1;
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let depth = (q.len() + 1) as u64;
-                shared
-                    .counters
-                    .max_queue_depth
-                    .fetch_max(depth, Ordering::Relaxed);
-                // Telemetry handle resolution piggybacks on this
-                // already-locked admission section; when disabled the
-                // cost is one relaxed load.
-                let telemetry_on = shared.telemetry.enabled();
-                let tenant_tel = telemetry_on.then(|| shared.telemetry.tenant(&env.tenant));
-                let tenant_name = telemetry_on.then(|| env.tenant.clone());
-                let admitted_at = Instant::now();
-                let start_ns = shared.telemetry.now_ns();
-                shared.telemetry.queue_depth_set(depth as i64);
-                shared.telemetry.in_flight_add(1);
-                let slot = Arc::new(Slot::new());
-                q.push_back(Pending {
-                    env,
-                    slot: Arc::clone(&slot),
-                    enqueued: admitted_at,
-                });
-                drop(q);
-                drop(tenants);
-                shared.queue_cv.notify_one();
-                let (resp, mut phases) = slot.wait();
-                let ser_t0 = Instant::now();
-                let ok = send(stream, &resp);
-                if let (Some(tel), Some(tenant)) = (tenant_tel, tenant_name) {
-                    phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;
-                    let total_ns = admitted_at.elapsed().as_nanos() as u64;
-                    shared
-                        .telemetry
-                        .observe_request(&tel, &tenant, op, &resp, phases, start_ns, total_ns);
-                }
-                // Lowered only once the request is in the books, so an
-                // in-flight count of zero means every answered request
-                // has been recorded.
-                shared.telemetry.in_flight_add(-1);
-                ok
-            }
-        }
+    };
+    shared.queue_cv.notify_one();
+    let (resp, mut phases) = slot.wait();
+    let ser_t0 = Instant::now();
+    let ok = send(stream, &resp);
+    if shared.telemetry.enabled() {
+        phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;
+        let total_ns = admitted_at.elapsed().as_nanos() as u64;
+        let start_ns = shared.telemetry.now_ns().saturating_sub(total_ns);
+        shared.telemetry.observe_request(
+            &tenant.telemetry,
+            &tenant.name,
+            op,
+            &resp,
+            phases,
+            start_ns,
+            total_ns,
+        );
     }
+    // Lowered only once the request is in the books, so an in-flight
+    // count of zero means every answered request has been recorded.
+    shared.telemetry.in_flight_add(-1);
+    ok
+}
+
+/// Run the admission gates and queue the request if it passes them
+/// all. The gates run in order — draining, tenant busy, quota, queue
+/// full — under the queue lock, so a tenant's check-and-increment is
+/// atomic and the drain sees every request admitted before it began.
+fn enqueue(shared: &Shared, env: Envelope) -> Result<(Arc<Tenant>, Arc<Slot>, Instant), Overload> {
+    let mut adm = shared
+        .admission
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if shared.draining.load(Ordering::SeqCst) {
+        return Err(Overload::Draining);
+    }
+    let tenant = match adm.tenants.get(&env.tenant) {
+        Some(t) => Arc::clone(t),
+        None => {
+            let t = Arc::new(Tenant {
+                name: env.tenant.clone(),
+                pending: AtomicU64::new(0),
+                consumed_steps: AtomicU64::new(0),
+                telemetry: shared.telemetry.tenant(&env.tenant),
+            });
+            adm.tenants.insert(env.tenant.clone(), Arc::clone(&t));
+            t
+        }
+    };
+    if tenant.pending.load(Ordering::Relaxed) >= shared.cfg.tenant_max_pending {
+        return Err(Overload::TenantBusy);
+    }
+    let consumed = tenant.consumed_steps.load(Ordering::Relaxed);
+    if shared.cfg.tenant_step_quota.is_some_and(|q| consumed >= q) {
+        return Err(Overload::QuotaExhausted);
+    }
+    if adm.queue.len() >= shared.cfg.queue_capacity {
+        return Err(Overload::QueueFull);
+    }
+    tenant.pending.fetch_add(1, Ordering::Relaxed);
+    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+    let depth = adm.queue.len() as u64 + 1;
+    shared
+        .counters
+        .max_queue_depth
+        .fetch_max(depth, Ordering::Relaxed);
+    shared.telemetry.queue_depth_set(depth as i64);
+    shared.telemetry.in_flight_add(1);
+    let slot = Arc::new(Slot::new());
+    let enqueued = Instant::now();
+    adm.queue.push_back(Pending {
+        env,
+        tenant: Arc::clone(&tenant),
+        slot: Arc::clone(&slot),
+        enqueued,
+    });
+    Ok((tenant, slot, enqueued))
 }

@@ -18,12 +18,12 @@
 //!   and return.
 //! * **Enabled writes are lock-free on the hot path.** Histogram and
 //!   gauge handles are resolved once — per-op/per-phase handles at
-//!   plane construction, per-tenant handles at admission (where the
-//!   tenant ledger lock is already held) — so the per-request path is
-//!   plain atomics. The only locks are at admission (piggybacking on
-//!   existing locks), in the slow-query log (taken only for requests
-//!   that already tripped tail sampling), and in the workers'
-//!   once-per-pop ring sampling.
+//!   plane construction, a tenant's handle on its first request, into
+//!   the tenant's record — so the per-request path is plain atomics.
+//!   The only locks are the plane's tenant map (taken once per
+//!   tenant), the slow-query log (taken only for requests that already
+//!   tripped tail sampling), and the workers' once-per-pop ring
+//!   sampling.
 //! * **Response bytes are untouched.** The plane observes `Response`
 //!   values after they are built; it never feeds back into bodies.
 //!
@@ -143,8 +143,6 @@ pub struct TelemetryConfig {
     pub slow_threshold_ns: Option<u64>,
     /// Bounded slow-query log capacity (evict-oldest past it).
     pub slow_log_capacity: usize,
-    /// Capacity of each gauge's time-series ring buffer.
-    pub ring_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
@@ -153,10 +151,12 @@ impl Default for TelemetryConfig {
             enabled: true,
             slow_threshold_ns: None,
             slow_log_capacity: 128,
-            ring_capacity: 256,
         }
     }
 }
+
+/// Capacity of each gauge's time-series ring buffer.
+const RING_CAPACITY: usize = 256;
 
 /// Why a request entered the slow-query log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,8 +195,8 @@ pub struct SlowQuery {
     pub total_ns: u64,
 }
 
-/// Cached per-tenant instrument handles, resolved once at admission.
-/// All writes through them are plain atomics.
+/// Cached per-tenant instrument handles, resolved on the tenant's
+/// first request. All writes through them are plain atomics.
 pub struct TenantTelemetry {
     /// Total request latency per op (admission → response written).
     /// Histogram counts double as per-op request counters, which is
@@ -294,8 +294,8 @@ impl TelemetryPlane {
             origin: Instant::now(),
             queue_depth,
             in_flight,
-            queue_depth_ring: SeriesRing::new(cfg.ring_capacity),
-            in_flight_ring: SeriesRing::new(cfg.ring_capacity),
+            queue_depth_ring: SeriesRing::new(RING_CAPACITY),
+            in_flight_ring: SeriesRing::new(RING_CAPACITY),
             tenants: Mutex::new(tenants),
             slow_log: Mutex::new(SlowLog::default()),
             scrapes: AtomicU64::new(0),
@@ -312,10 +312,6 @@ impl TelemetryPlane {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// The backing instrument registry: the server's counts, gauges
     /// and phase histograms (exposed for tests and benches).
     pub fn registry(&self) -> &Registry {
@@ -328,10 +324,10 @@ impl TelemetryPlane {
         self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Resolve (or create) the cached handle for `tenant`. Called at
-    /// admission, where the tenant ledger lock is already being taken;
-    /// past [`TENANT_CAP`] distinct tenants the overflow handle is
-    /// returned instead of growing the map.
+    /// Resolve (or create) the cached handle for `tenant`. The server
+    /// calls it once per tenant, on the tenant's first request; past
+    /// [`TENANT_CAP`] distinct tenants the overflow handle is returned
+    /// instead of growing the map.
     pub fn tenant(&self, tenant: &str) -> Arc<TenantTelemetry> {
         let mut map = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(t) = map.get(tenant) {

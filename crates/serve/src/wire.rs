@@ -56,6 +56,11 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// cannot balloon memory.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// Longest tenant id a request may carry, in bytes. The server keeps
+/// one admission record per distinct id for its lifetime, so the id
+/// is bounded here; the number of distinct ids is not.
+pub const MAX_TENANT: usize = 256;
+
 /// Response statuses.
 pub const STATUS_OK: u8 = 0;
 pub const STATUS_PROTOCOL_ERROR: u8 = 1;
@@ -85,16 +90,6 @@ pub const SERVED_PROVER: u8 = 0;
 pub const SERVED_INDEX: u8 = 1;
 /// Proved, but against the snapshot's epoch-shared `SatCache`.
 pub const SERVED_CACHE: u8 = 2;
-
-/// Human name of a `served` marker (benches, `serve_top`).
-pub fn served_name(s: u8) -> &'static str {
-    match s {
-        SERVED_PROVER => "prover",
-        SERVED_INDEX => "index",
-        SERVED_CACHE => "cache",
-        _ => "unknown",
-    }
-}
 
 /// Version of the `Telemetry` op's body layout. Bumped independently
 /// of [`PROTOCOL_VERSION`] so scrape tooling can evolve without
@@ -499,6 +494,9 @@ pub fn decode_request(payload: &[u8]) -> Result<Envelope, (ProtoError, u64)> {
     let id = r.u64().map_err(|e| (e, 0))?;
     let op = Op::from_u8(op_byte).ok_or((ProtoError::BadOp(op_byte), id))?;
     let tenant = r.str().map_err(|e| (e, id))?;
+    if tenant.len() > MAX_TENANT {
+        return Err((ProtoError::Malformed("tenant id longer than 256 bytes"), id));
+    }
     let request = (|| -> Result<Request, ProtoError> {
         Ok(match op {
             Op::Ping => Request::Ping,
@@ -660,6 +658,22 @@ pub struct OkBody {
     pub outcome: u8,
     pub reason: u8,
     pub payload: Option<Payload>,
+}
+
+/// Build an OK body: governed outcome, reason and optional payload,
+/// the `ok-body` layout of the module docs. Since protocol v2 the
+/// spend rides in the response header, so bodies for matching answers
+/// are byte-identical warm-vs-cold.
+pub fn ok_body(outcome: u8, reason: u8, payload: Option<Vec<u8>>) -> Vec<u8> {
+    let mut buf = vec![outcome, reason];
+    match payload {
+        None => buf.push(0),
+        Some(p) => {
+            buf.push(1);
+            buf.extend_from_slice(&p);
+        }
+    }
+    buf
 }
 
 /// Decode an OK body for the given op.

@@ -2,17 +2,20 @@
 //! admitted request off the bounded queue and answering it.
 //!
 //! A worker runs one request at a time, so a long request holds one
-//! worker while the others keep answering. Each request executes under
+//! worker while the others keep answering; a snapshot load holds its
+//! worker while a helper thread installs it. Each request executes under
 //! its own private budget inside [`crate::ops::execute`] (or
 //! [`crate::ops::execute_warm`], whose bodies are byte-identical by
 //! construction), so which worker answers, and in what order, never
 //! changes a body.
 
 use crate::ops;
-use crate::server::Shared;
+use crate::server::{Shared, Tenant};
 use crate::telemetry::PhaseNs;
-use crate::wire::{self, Envelope, Response, SERVED_CACHE, SERVED_INDEX, SERVED_PROVER};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::wire::{
+    self, Envelope, Request, Response, SERVED_CACHE, SERVED_INDEX, SERVED_PROVER, STATUS_OK,
+};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -20,6 +23,9 @@ use std::time::Instant;
 /// One admitted request waiting for its response.
 pub(crate) struct Pending {
     pub env: Envelope,
+    /// The sender's record, resolved at admission; the worker books
+    /// the answer on it.
+    pub tenant: Arc<Tenant>,
     pub slot: Arc<Slot>,
     /// Admission time — the telemetry plane's queue-wait phase starts
     /// here.
@@ -71,10 +77,13 @@ const ATTEMPTS: u32 = 3;
 pub(crate) fn worker_loop(shared: Arc<Shared>) {
     loop {
         let (p, depth) = {
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut q = shared
+                .admission
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(p) = q.pop_front() {
-                    break (p, q.len());
+                if let Some(p) = q.queue.pop_front() {
+                    break (p, q.queue.len());
                 }
                 if shared.draining.load(Ordering::SeqCst) {
                     return; // queue empty and no more admissions: done
@@ -125,17 +134,8 @@ fn run(shared: &Shared, p: Pending, popped_at: Instant) {
     let t0 = Instant::now();
     phases.pickup_ns = t0.saturating_duration_since(popped_at).as_nanos() as u64;
     let executed = if gated {
-        (0..ATTEMPTS).find_map(|_| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let rb = shared.cfg.request_budget();
-                if shared.warm {
-                    ops::execute_warm(&shared.store, &p.env.request, &rb)
-                } else {
-                    ops::execute(&shared.store, &p.env.request, &rb)
-                }
-            }))
-            .ok()
-        })
+        (0..ATTEMPTS)
+            .find_map(|_| catch_unwind(AssertUnwindSafe(|| execute(shared, &p.env.request))).ok())
     } else {
         None
     };
@@ -159,8 +159,24 @@ fn run(shared: &Shared, p: Pending, popped_at: Instant) {
     answer(shared, p, ex, elapsed_ns, phases);
 }
 
-/// Do the per-answer accounting (tenant ledger, counters, warm-path
-/// served attribution), then fill the request's slot.
+/// One execution attempt under a fresh request budget. A snapshot
+/// load runs on a helper thread the worker waits for: the worker still
+/// bounds installs and answers the load, but the install's
+/// milliseconds of work never run on a pool thread. Installs on the
+/// workers' own threads cost the `swap` workload's concurrent reader
+/// about a fifth of its goodput on a 2-vCPU host (DESIGN §12). A panic
+/// on the helper thread resumes here.
+fn execute(shared: &Shared, req: &Request) -> ops::Executed {
+    let rb = shared.cfg.request_budget();
+    let run = || ops::execute_with(&shared.store, req, &rb, shared.warm);
+    if !matches!(req, Request::LoadSnapshot { .. }) {
+        return run();
+    }
+    std::thread::scope(|s| s.spawn(run).join()).unwrap_or_else(|e| resume_unwind(e))
+}
+
+/// Do the per-answer accounting (the tenant's record, counters,
+/// warm-path served attribution), then fill the request's slot.
 fn answer(shared: &Shared, p: Pending, ex: ops::Executed, elapsed_ns: u64, phases: PhaseNs) {
     if ex.status == wire::STATUS_ENGINE_ERROR {
         shared
@@ -183,17 +199,19 @@ fn answer(shared: &Shared, p: Pending, ex: ops::Executed, elapsed_ns: u64, phase
         }
         _ => {}
     }
-    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut tenants = shared
-            .tenants
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(t) = tenants.get_mut(&p.env.tenant) {
-            t.pending = t.pending.saturating_sub(1);
-            t.consumed_steps = t.consumed_steps.saturating_add(ex.spend.steps);
-        }
+    if ex.status == STATUS_OK && matches!(p.env.request, Request::LoadSnapshot { .. }) {
+        shared
+            .counters
+            .snapshot_loads
+            .fetch_add(1, Ordering::Relaxed);
     }
+    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+    // Booked before the slot fills, so the tenant's next request is
+    // admitted against them.
+    p.tenant
+        .consumed_steps
+        .fetch_add(ex.spend.steps, Ordering::Relaxed);
+    p.tenant.pending.fetch_sub(1, Ordering::Relaxed);
     let resp = Response {
         id: p.env.id,
         status: ex.status,

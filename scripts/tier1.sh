@@ -113,8 +113,8 @@ cargo run -q -p summa-obs --example bench_diff -- \
     BENCH_install.json "$SMOKE/BENCH_install.json" \
     parse_allocs install_allocs
 
-# Serving soak lane: N concurrent tenants against the batched reasoning
-# server — zero dropped requests, bounded queue depth, typed overload
+# Serving soak lane: N concurrent tenants against the reasoning server's
+# queue workers — zero dropped requests, bounded queue depth, typed overload
 # rejections, and a drain-under-load whose accounting reconciles
 # exactly. The telemetry phase arms tail sampling, scrapes the
 # Telemetry op in both formats, and writes the payloads to target/.
@@ -138,8 +138,8 @@ cargo run -q -p summa-obs --example validate_json -- \
     target/telemetry_slowlog.json traceEvents
 echo "    telemetry_serve.prom + telemetry_slowlog.json: valid"
 
-# Serve bench smoke: batched vs unbatched scheduling plus cold vs warm
-# serving over real loopback TCP; the validator gates the report format
+# Serve bench smoke: cold vs warm serving over real loopback TCP; the
+# validator gates the report format
 # (including the warm-path speedup field — the 5x acceptance assert
 # itself only arms on non-smoke runs).
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench serve"

@@ -14,7 +14,7 @@ use summa_serve::client::Client;
 use summa_serve::server::{Server, ServerConfig};
 use summa_serve::wire::{
     decode_ok_body, decode_protocol_error, encode_request, Envelope, Op, Payload, Request,
-    MAX_FRAME, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
+    MAX_FRAME, MAX_TENANT, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 
 /// SplitMix64 — tiny, seedable, good enough for byte fuzz.
@@ -263,6 +263,38 @@ fn field_attacks_are_typed_and_resyncable() {
     let stats = server.shutdown();
     assert!(stats.reconciles(), "{stats:?}");
     assert_eq!(stats.rejected_protocol, 6);
+}
+
+/// Tenant ids are bounded: a [`MAX_TENANT`]-byte id is served, one
+/// byte more is a typed `Malformed` error on a connection that keeps
+/// serving, and the books reconcile.
+#[test]
+fn overlong_tenant_id_is_a_typed_error() {
+    let server = server();
+    let longest = "t".repeat(MAX_TENANT);
+    let mut served = Client::connect(server.addr(), &longest).expect("connects");
+    probe(&mut served);
+    let mut refused = Client::connect(server.addr(), &format!("{longest}t")).expect("connects");
+    let resp = refused.ping().expect("typed rejection, not a disconnect");
+    assert_eq!(resp.status, STATUS_PROTOCOL_ERROR);
+    let (code, msg) = decode_protocol_error(&resp.body).expect("typed");
+    assert_eq!(code, 3, "Malformed: {msg}");
+    // The same connection then serves an id at the bound.
+    let ping = encode_request(&Envelope {
+        id: 2,
+        tenant: longest,
+        request: Request::Ping,
+    });
+    refused.send_raw(&ping).expect("written");
+    let resp = refused
+        .try_read_response()
+        .expect("readable")
+        .expect("answered");
+    assert_eq!(resp.status, STATUS_OK);
+    drop((served, refused));
+    let stats = server.shutdown();
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!(stats.rejected_protocol, 1);
 }
 
 /// Interleaved tenants: hostile and honest clients share the server;

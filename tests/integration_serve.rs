@@ -6,8 +6,10 @@
 //! disconnect), snapshot hot-swap bumps epochs without breaking
 //! in-flight conformance, the server's `serve.accept` /
 //! `serve.batch` chaos sites and panics inside a request degrade to
-//! typed answers, never to dropped requests or lost workers, and a long
-//! request holds one queue worker, never the whole server.
+//! typed answers, never to dropped requests or lost workers, a long
+//! request holds one queue worker, never the whole server, and snapshot
+//! loads pass the same admission and queue workers as every other
+//! request.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -292,12 +294,22 @@ fn overload_rejections_are_typed_not_disconnects() {
         assert_eq!(kind, Overload::TenantBusy);
         assert!(!detail.is_empty());
     }
-    // Admin ops bypass admission and still work under overload.
+    // A snapshot load is admitted like any other request: refused the
+    // same typed way, and nothing is installed.
+    let resp = client
+        .load_snapshot("toy", "dog < animal\n")
+        .expect("typed rejection");
+    assert_eq!(resp.status, STATUS_OVERLOADED);
+    let (kind, _) = decode_overload(&resp.body).expect("typed body");
+    assert_eq!(kind, Overload::TenantBusy);
+    assert!(server.store().get("toy").is_none());
+    // Scrapes bypass admission and still work under overload.
     let stats = client.stats().expect("stats answered");
     assert_eq!(stats.status, STATUS_OK);
     drop(client);
     let stats = server.shutdown();
-    assert_eq!(stats.rejected_overload, 3);
+    assert_eq!(stats.rejected_overload, 4);
+    assert_eq!(stats.snapshot_loads, 0);
     assert!(stats.reconciles(), "{stats:?}");
 
     // Step quota of zero: QuotaExhausted, same contract.
@@ -409,6 +421,38 @@ fn batch_faults_retry_then_degrade_to_typed_errors() {
     assert!(stats.reconciles(), "{stats:?}");
 }
 
+/// The `serve.batch` gate covers snapshot loads as it covers every
+/// admitted request: a load whose gate fails on every attempt answers
+/// a typed engine error and installs nothing, and the next load
+/// installs.
+#[test]
+fn batch_gate_covers_snapshot_loads() {
+    let injector = FaultInjector::parse_plan(
+        "serve.batch@1=panic;serve.batch@2=panic;serve.batch@3=panic",
+        0,
+    )
+    .expect("plan");
+    let server = Server::start(ServerConfig {
+        pool_budget: Budget::unlimited().with_injector(Arc::new(injector)),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let mut client = Client::connect(server.addr(), "t").expect("connects");
+    let resp = client
+        .load_snapshot("toy", "dog < animal\n")
+        .expect("answered, not dropped");
+    assert_eq!(resp.status, STATUS_ENGINE_ERROR);
+    assert!(server.store().get("toy").is_none());
+    let resp = client
+        .load_snapshot("toy", "dog < animal\n")
+        .expect("answered");
+    assert_eq!(resp.status, STATUS_OK);
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.engine_errors, stats.snapshot_loads), (1, 1));
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
 /// A request whose execution panics on every attempt (a fresh request
 /// budget per attempt re-arms the plan's step fault) answers a typed
 /// engine error, and the server's only worker lives on: a `ping`,
@@ -511,6 +555,105 @@ fn long_request_does_not_hold_back_other_tenants() {
     drop(client);
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 2);
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// A draining server admits nothing more, snapshot loads included:
+/// while a long request keeps the drain open, a second tenant pings
+/// until the drain refuses it, and its `load_snapshot` is then refused
+/// the same typed way and installs nothing.
+#[test]
+fn draining_server_refuses_installs() {
+    let server = Server::start(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let long = Request::Subsumes {
+        snapshot: "animals-repaired".into(),
+        sub: pigeonhole_concept(),
+        sup: "bottom".into(),
+    };
+    let tenant_a = std::thread::spawn(move || {
+        let mut client = Client::connect(addr, "tenant-a").expect("connects");
+        client.call(long).expect("answered")
+    });
+    while server.stats().accepted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Served once before the drain, so the accept loop has this
+    // connection.
+    let mut client = Client::connect(addr, "tenant-b").expect("connects");
+    assert_eq!(client.ping().expect("answered").status, STATUS_OK);
+    let drain = std::thread::spawn(move || server.shutdown());
+    loop {
+        let resp = client.ping().expect("answered while draining");
+        if resp.status == STATUS_OK {
+            continue;
+        }
+        assert_eq!(resp.status, STATUS_OVERLOADED);
+        let (kind, _) = decode_overload(&resp.body).expect("typed body");
+        assert_eq!(kind, Overload::Draining);
+        break;
+    }
+    let resp = client
+        .load_snapshot("toy", "dog < animal\n")
+        .expect("answered while draining");
+    assert_eq!(resp.status, STATUS_OVERLOADED);
+    let (kind, _) = decode_overload(&resp.body).expect("typed body");
+    assert_eq!(kind, Overload::Draining);
+    assert_eq!(tenant_a.join().expect("tenant a").status, STATUS_OK);
+    drop(client);
+    let stats = drain.join().expect("drain");
+    assert_eq!(stats.snapshot_loads, 0);
+    assert!(stats.reconciles(), "{stats:?}");
+}
+
+/// Snapshot loads wait for a queue worker like any other request: at
+/// one worker, a load sent while a long request holds it is answered
+/// after the long request, and both bodies equal the direct calls.
+#[test]
+fn installs_are_bounded_by_the_workers() {
+    let cfg = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let long = Request::Subsumes {
+        snapshot: "animals-repaired".into(),
+        sub: pigeonhole_concept(),
+        sup: "bottom".into(),
+    };
+    let load = Request::LoadSnapshot {
+        name: "toy".into(),
+        axioms: "dog < animal\n".into(),
+    };
+    let want = baseline(&cfg, &[long.clone(), load.clone()]);
+    let server = Server::start(cfg).expect("server starts");
+    let addr = server.addr();
+    let tenant_a = std::thread::spawn(move || {
+        let mut client = Client::connect(addr, "tenant-a").expect("connects");
+        client.call(long).expect("answered")
+    });
+    while server.stats().accepted == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut client = Client::connect(addr, "tenant-b").expect("connects");
+    let resp_load = client.call(load).expect("answered");
+    let resp_long = tenant_a.join().expect("tenant a");
+    // Trace ids are handed out as answers are built.
+    assert!(
+        resp_load.trace_id > resp_long.trace_id,
+        "the load was answered before the long request"
+    );
+    for (resp, want) in [(&resp_long, &want[0]), (&resp_load, &want[1])] {
+        assert_eq!(resp.status, want.status);
+        assert_eq!(resp.body, want.body);
+    }
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 2);
+    assert_eq!(stats.snapshot_loads, 1);
     assert!(stats.reconciles(), "{stats:?}");
 }
 
