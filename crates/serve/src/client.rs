@@ -4,7 +4,10 @@
 //! request ids are assigned monotonically per connection. The client
 //! is deliberately thin — encode, frame, read, decode — so the
 //! conformance suite can compare served bytes against direct library
-//! calls without a client-side abstraction in the way.
+//! calls without a client-side abstraction in the way. Each request
+//! leaves in one write ([`wire::write_frame`]); only
+//! [`Client::send_bytes`] puts bytes on the wire unframed, so fuzz
+//! cases can split or break a frame on purpose.
 
 use crate::wire::{self, Envelope, Request, Response};
 use std::io::{self, Write};

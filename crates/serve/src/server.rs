@@ -41,7 +41,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use summa_guard::obs::metrics::Registry;
@@ -323,8 +323,9 @@ pub(crate) struct Shared {
     /// gauges, phase histograms, slow-query log. Always present; its
     /// enabled flag gates histograms, rings and tail sampling.
     pub telemetry: TelemetryPlane,
-    /// Clones of live connection streams, for shutdown.
-    pub conns: Mutex<Vec<TcpStream>>,
+    /// A clone of each live connection's stream, keyed by connection
+    /// id, for shutdown. Its handler removes it on exit.
+    pub conns: Mutex<BTreeMap<u64, TcpStream>>,
 }
 
 /// A running reasoning server bound to a local TCP port.
@@ -366,7 +367,7 @@ impl Server {
             draining: AtomicBool::new(false),
             next_trace: AtomicU64::new(0),
             tracer,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(BTreeMap::new()),
         });
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -468,13 +469,7 @@ impl Server {
             let _ = h.join();
         }
         // Unblock handler reads; clients already got every response.
-        for conn in self
-            .shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
+        for conn in lock_conns(&self.shared).values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(
@@ -505,7 +500,7 @@ fn accept_loop(
     shared: Arc<Shared>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
@@ -530,23 +525,29 @@ fn accept_loop(
             continue;
         }
         if let Ok(clone) = stream.try_clone() {
-            shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(clone);
+            lock_conns(&shared).insert(id, clone);
         }
         let conn_shared = Arc::clone(&shared);
-        if let Ok(handle) = std::thread::Builder::new()
+        match std::thread::Builder::new()
             .name("serve-conn".into())
-            .spawn(move || handle_conn(conn_shared, stream))
+            .spawn(move || handle_conn(conn_shared, id, stream))
         {
-            conn_handles
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(handle);
+            Ok(handle) => {
+                let mut handles = conn_handles.lock().unwrap_or_else(PoisonError::into_inner);
+                // A finished handler has nothing left to join.
+                handles.retain(|h| !h.is_finished());
+                handles.push(handle);
+            }
+            Err(_) => {
+                lock_conns(&shared).remove(&id);
+            }
         }
     }
+}
+
+/// The drain's connection clones (a poisoned lock is still usable).
+fn lock_conns(shared: &Shared) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
+    shared.conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Write a response frame; IO errors just end the connection (the
@@ -555,12 +556,12 @@ fn send(stream: &mut TcpStream, resp: &Response) -> bool {
     wire::write_frame(stream, &wire::encode_response(resp)).is_ok()
 }
 
-fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
+fn handle_conn(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
     conn_loop(&shared, &mut stream);
-    // A clone of this socket lives in `shared.conns` (for drain), so
-    // dropping our handle would NOT close the connection — shut the
-    // socket down explicitly so the peer sees EOF.
+    // Shut the socket down so the peer sees EOF at once, then drop the
+    // drain's clone: with our own handle it closes the descriptor.
     let _ = stream.shutdown(std::net::Shutdown::Both);
+    lock_conns(&shared).remove(&id);
 }
 
 fn conn_loop(shared: &Shared, stream: &mut TcpStream) {

@@ -2,7 +2,11 @@
 //!
 //! Every message on the wire is one **frame**: a little-endian `u32`
 //! payload length followed by that many payload bytes. Frames longer
-//! than [`MAX_FRAME`] are rejected before allocation. Inside a frame:
+//! than [`MAX_FRAME`] are rejected before allocation. [`write_frame`]
+//! hands the prefix and the payload to the socket in one vectored
+//! write, so with `TCP_NODELAY` a frame the socket takes whole leaves
+//! as one segment; [`read_frame`] still accepts a frame split anywhere.
+//! Inside a frame:
 //!
 //! ```text
 //! request  := version:u8 op:u8 request_id:u64 tenant:str op-body
@@ -42,7 +46,7 @@
 //! engine-error-body   := message:str              (status = 3)
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use summa_guard::Spend;
 
 /// Protocol version understood by this build. Version 2 moved the
@@ -856,11 +860,29 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(payload))
 }
 
-/// Write one frame (length prefix + payload).
+/// Write one frame (length prefix + payload) in one vectored write, so
+/// a socket that takes the frame whole costs one system call and, under
+/// `TCP_NODELAY`, one segment: a prefix written on its own would leave
+/// as a segment of its own and wake the reader for four bytes it
+/// cannot use. A short write resumes where it stopped.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() as u32 <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -1036,6 +1058,85 @@ mod tests {
             read_frame(&mut cursor),
             Err(FrameError::Truncated)
         ));
+    }
+
+    /// A `Write` that takes at most `max` bytes per call, across the
+    /// slices of a vectored write in order, and counts its calls.
+    struct Sink {
+        max: usize,
+        calls: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Sink {
+        fn new(max: usize) -> Sink {
+            Sink {
+                max,
+                calls: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.max - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn a_frame_is_one_write_when_the_sink_takes_it_whole() {
+        let mut sink = Sink::new(usize::MAX);
+        let payloads: [&[u8]; 3] = [b"hello", &[7; 1000], b""];
+        let mut expected = Vec::new();
+        for (i, payload) in payloads.into_iter().enumerate() {
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.calls, i + 1, "one call per frame");
+            expected.extend(framed(payload));
+        }
+        assert_eq!(sink.bytes, expected);
+    }
+
+    #[test]
+    fn short_writes_resume_where_they_stopped() {
+        let payload = b"subsumes car motorvehicle";
+        // 1 and 3 bytes per call take part of the prefix; 5 takes the
+        // prefix and one payload byte.
+        for max in [1, 3, 5] {
+            let mut sink = Sink::new(max);
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.bytes, framed(payload), "at most {max} bytes a call");
+            assert_eq!(sink.calls, (4 + payload.len()).div_ceil(max));
+        }
+    }
+
+    #[test]
+    fn an_empty_payload_writes_the_prefix_alone() {
+        let mut sink = Sink::new(usize::MAX);
+        write_frame(&mut sink, b"").unwrap();
+        assert_eq!(sink.bytes, 0u32.to_le_bytes());
+        assert_eq!(sink.calls, 1);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use summa_dl::parser::MAX_NESTING;
 use summa_serve::client::Client;
 use summa_serve::server::{Server, ServerConfig};
 use summa_serve::wire::{
-    decode_ok_body, decode_protocol_error, encode_request, Envelope, Op, Payload, Request,
-    MAX_FRAME, MAX_TENANT, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
+    decode_ok_body, decode_protocol_error, encode_request, encode_response, Envelope, Op, Payload,
+    Request, Response, MAX_FRAME, MAX_TENANT, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 
 /// SplitMix64 — tiny, seedable, good enough for byte fuzz.
@@ -263,6 +263,55 @@ fn field_attacks_are_typed_and_resyncable() {
     let stats = server.shutdown();
     assert!(stats.reconciles(), "{stats:?}");
     assert_eq!(stats.rejected_protocol, 6);
+}
+
+/// A peer may split a frame anywhere. A `subsumes` frame sent as the
+/// bare length prefix, then its payload 1 or 7 bytes at a time, is
+/// answered exactly as the same frame sent whole, on a connection that
+/// keeps serving.
+#[test]
+fn split_frames_are_served_like_whole_ones() {
+    let server = server();
+    let mut client = Client::connect(server.addr(), "split").expect("connects");
+    let payload = encode_request(&Envelope {
+        id: 1,
+        tenant: "split".into(),
+        request: Request::Subsumes {
+            snapshot: "vehicles".into(),
+            sub: "car".into(),
+            sup: "motorvehicle".into(),
+        },
+    });
+    // The header's wall clock and trace handle vary per request; every
+    // other field, and the body, must not.
+    let read_answer = |client: &mut Client| {
+        let resp = client
+            .try_read_response()
+            .expect("readable")
+            .expect("answered");
+        assert_eq!(resp.status, STATUS_OK);
+        encode_response(&Response {
+            elapsed_ns: 0,
+            trace_id: 0,
+            ..resp
+        })
+    };
+    client.send_raw(&payload).expect("written");
+    let whole = read_answer(&mut client);
+    for piece in [1, 7] {
+        client
+            .send_bytes(&(payload.len() as u32).to_le_bytes())
+            .expect("prefix written");
+        for chunk in payload.chunks(piece) {
+            client.send_bytes(chunk).expect("piece written");
+        }
+        assert_eq!(read_answer(&mut client), whole, "{piece}-byte pieces");
+    }
+    probe(&mut client);
+    drop(client);
+    let stats = server.shutdown();
+    assert!(stats.reconciles(), "{stats:?}");
+    assert_eq!(stats.rejected_protocol, 0);
 }
 
 /// Tenant ids are bounded: a [`MAX_TENANT`]-byte id is served, one
