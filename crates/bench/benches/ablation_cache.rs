@@ -13,7 +13,7 @@ use summa_guard::Budget;
 
 fn classify_fresh_per_query(tbox: &TBox, voc: &Vocabulary) -> usize {
     // The cache-less baseline: a new reasoner for every pairwise test.
-    let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+    let atoms = tbox.atoms();
     let mut pairs = 0;
     for &sub in &atoms {
         for &sup in &atoms {

@@ -75,12 +75,12 @@ const SHARDS: usize = 16;
 /// building a concept.
 pub fn tbox_fingerprint(tbox: &TBox) -> u64 {
     let mut acc: u64 = 0x5361_6e74_696e_6906; // arbitrary nonzero seed
-    for (l, r) in tbox.gci_refs() {
+    tbox.for_each_gci(|l, r| {
         let mut h = DefaultHasher::new();
-        hash_nnf(&l, &mut h);
+        hash_nnf(l, &mut h);
         hash_nnf(r, &mut h);
         acc = acc.wrapping_add(h.finish());
-    }
+    });
     acc
 }
 

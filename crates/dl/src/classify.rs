@@ -192,7 +192,7 @@ struct ToldIndex {
 
 impl ToldIndex {
     fn build(tbox: &TBox) -> Self {
-        let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+        let atoms = tbox.atoms();
         let n = atoms.len();
         let pos: BTreeMap<ConceptId, usize> =
             atoms.iter().enumerate().map(|(i, &a)| (a, i)).collect();
@@ -617,7 +617,7 @@ pub fn classify_brute_force_governed(
     tbox: &TBox,
     budget: &Budget,
 ) -> (Governed<ClassHierarchy>, ClassifyStats) {
-    let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+    let atoms = tbox.atoms();
     let mut meter = budget.meter();
     let _span = meter
         .span("dl.classify")
@@ -676,7 +676,7 @@ impl Classifier for ElClassifier {
         // saturated state — no per-pair `subsumes` probes (each of
         // which would re-check saturation and re-resolve both atoms).
         self.saturate();
-        let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+        let atoms = tbox.atoms();
         Ok(ClassHierarchy {
             subsumers: self.current_named_subsumers(&atoms),
         })
@@ -688,7 +688,7 @@ impl Classifier for ElClassifier {
         _voc: &Vocabulary,
         budget: &Budget,
     ) -> Governed<ClassHierarchy> {
-        let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+        let atoms = tbox.atoms();
         let mut meter = budget.meter();
         let _span = meter.span("dl.classify.el").with("atoms", atoms.len());
         // The read-out costs one step per named pair, charged before it
@@ -697,7 +697,7 @@ impl Classifier for ElClassifier {
         // alone do not bound the hierarchy's size.
         let charged = self
             .saturate_metered(&mut meter)
-            .and_then(|()| meter.charge(self.named_pairs(&atoms)));
+            .and_then(|()| meter.charge(self.named_pairs()));
         match charged {
             Ok(()) => Governed::Completed(ClassHierarchy {
                 subsumers: self.current_named_subsumers(&atoms),

@@ -246,8 +246,8 @@ impl ElClassifier {
         norm.bottom = norm.fresh();
         // One walk over the borrowed GCIs checks the fragment and
         // atomizes: the first GCI outside EL is the one reported.
-        for (l, r) in tbox.gci_refs() {
-            let (Some(la), Some(ra)) = (norm.atomize(&l), norm.atomize(r)) else {
+        tbox.try_for_each_gci(|l, r| {
+            let (Some(la), Some(ra)) = (norm.atomize(l), norm.atomize(r)) else {
                 return Err(DlError::OutsideFragment {
                     reasoner: "EL",
                     detail: format!(
@@ -258,7 +258,8 @@ impl ElClassifier {
                 });
             };
             norm.axioms.push(NfAxiom::Sub(la, ra));
-        }
+            Ok(())
+        })?;
         let n = norm.n_atoms as usize;
         Ok(ElClassifier {
             n_atoms: norm.n_atoms,
@@ -507,31 +508,26 @@ impl ElClassifier {
     }
 
     /// How many pairs [`current_named_subsumers`](Self::current_named_subsumers)
-    /// returns for `atoms`, counted on the rows without building them:
-    /// every requested name for an unsatisfiable row, else the row's
-    /// requested names, plus the reflexive pair where the row lacks it.
-    /// An upper bound when `atoms` repeats a name.
-    pub(crate) fn named_pairs(&self, atoms: &[ConceptId]) -> u64 {
-        let mut wanted = vec![0; self.words];
-        for a in atoms.iter().filter_map(|&c| self.atom_of(c)) {
-            set_bit(&mut wanted, a);
-        }
-        let everything: u64 = wanted.iter().map(|w| u64::from(w.count_ones())).sum();
-        atoms
-            .iter()
-            .map(|sub| {
-                let Some((a, row)) = self.atom_of(*sub).and_then(|a| Some((a, self.row(a)?)))
-                else {
+    /// returns for the TBox's names, counted on the rows without
+    /// building them: every name for an unsatisfiable row, else the
+    /// row's names, plus the reflexive pair where the row lacks it.
+    /// User atom `a` is name rank `a`, so the names are each row's
+    /// first bits.
+    pub(crate) fn named_pairs(&self) -> u64 {
+        let n = self.names.len();
+        let (full, rest) = (n / 64, n % 64);
+        (0..n as Atom)
+            .map(|a| {
+                let Some(row) = self.row(a) else {
                     return 1;
                 };
                 if has_bit(row, self.bottom) {
-                    return everything;
+                    return n as u64;
                 }
-                let named: u64 = row
-                    .iter()
-                    .zip(&wanted)
-                    .map(|(r, w)| u64::from((r & w).count_ones()))
-                    .sum();
+                let mut named: u64 = row[..full].iter().map(|w| u64::from(w.count_ones())).sum();
+                if rest > 0 {
+                    named += u64::from((row[full] & ((1 << rest) - 1)).count_ones());
+                }
                 named + u64::from(!has_bit(row, a))
             })
             .sum()
@@ -557,11 +553,10 @@ impl ElClassifier {
         &mut self,
         meter: &mut Meter,
     ) -> std::result::Result<HierarchyIndex, Interrupt> {
-        let names = self.names.clone();
-        let n = names.len();
+        let n = self.names.len();
         let _span = meter.span("dl.el.index").with("atoms", n);
         self.saturate_metered(meter)?;
-        meter.charge(self.named_pairs(&names))?;
+        meter.charge(self.named_pairs())?;
         let words = n.div_ceil(64);
         // The bits of a row's last word that stand for names.
         let tail = u64::MAX >> (words * 64 - n);
@@ -578,7 +573,7 @@ impl ElClassifier {
             packed[words - 1] &= tail;
             set_bit(packed, x);
         }
-        Ok(HierarchyIndex::from_rows(names, ancestors))
+        Ok(HierarchyIndex::from_rows(self.names.clone(), ancestors))
     }
 
     /// Does `sup` subsume `sub` (both named concepts) under the TBox?
@@ -1467,7 +1462,7 @@ mod tests {
         let (vt, at) = (vehicles_tbox_el(&p), animals_tbox_el(&p));
         for (t, voc) in [(&vt, &p.voc), (&at, &p.voc), (&dt, &dvoc), (&rt, &rvoc)] {
             let mut el = ElClassifier::new(t, voc).expect("in fragment");
-            let names: Vec<ConceptId> = t.atoms().into_iter().collect();
+            let names = t.atoms();
             assert_eq!(el.names, names);
             assert_eq!(
                 (el.top, el.bottom),
@@ -1568,7 +1563,7 @@ mod tests {
         let (voc, t, _) = generate::random_el(12, 2, 16, 7);
         cases.push((voc, t));
         for (voc, t) in &cases {
-            let atoms: Vec<ConceptId> = t.atoms().into_iter().collect();
+            let atoms = t.atoms();
             for max in [0, 10, 60, u64::MAX] {
                 let mut el = ElClassifier::new(t, voc).expect("in fragment");
                 let _ = el.saturate_metered(&mut Budget::new().with_steps(max).meter());
@@ -1577,7 +1572,7 @@ mod tests {
                     .values()
                     .map(BTreeSet::len)
                     .sum();
-                assert_eq!(el.named_pairs(&atoms), built as u64, "at {max} steps");
+                assert_eq!(el.named_pairs(), built as u64, "at {max} steps");
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Terminological boxes (TBoxes): general concept inclusion axioms.
 
 use crate::concept::{Concept, ConceptId, RoleId, Vocabulary};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 
 /// A terminological axiom.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,23 +84,36 @@ impl TBox {
         self.axioms.iter().flat_map(Axiom::to_gcis).collect()
     }
 
-    /// The GCIs of [`gcis`](Self::gcis), in the same order, borrowed
-    /// from the axioms instead of copied. Only a disjointness axiom
-    /// builds its left side, the conjunction `a ⊓ b`.
-    pub(crate) fn gci_refs(&self) -> impl Iterator<Item = (Cow<'_, Concept>, &Concept)> {
-        self.axioms.iter().flat_map(|ax| {
-            let (first, second) = match ax {
-                Axiom::Subsume { lhs, rhs } => ((Cow::Borrowed(lhs), rhs), None),
+    /// Visit the GCIs of [`gcis`](Self::gcis), in the same order, in
+    /// one plain loop over the axioms: each side is borrowed, and only
+    /// a disjointness axiom builds one, its conjunction `a ⊓ b`. Stops
+    /// at the first `Err` of `f` and returns it.
+    pub(crate) fn try_for_each_gci<E>(
+        &self,
+        mut f: impl FnMut(&Concept, &Concept) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for ax in &self.axioms {
+            match ax {
+                Axiom::Subsume { lhs, rhs } => f(lhs, rhs)?,
                 Axiom::Equiv { lhs, rhs } => {
-                    ((Cow::Borrowed(lhs), rhs), Some((Cow::Borrowed(rhs), lhs)))
+                    f(lhs, rhs)?;
+                    f(rhs, lhs)?;
                 }
                 Axiom::Disjoint { a, b } => {
-                    let both = Concept::and(vec![a.clone(), b.clone()]);
-                    ((Cow::Owned(both), &Concept::Bottom), None)
+                    f(&Concept::and(vec![a.clone(), b.clone()]), &Concept::Bottom)?;
                 }
-            };
-            std::iter::once(first).chain(second)
-        })
+            }
+        }
+        Ok(())
+    }
+
+    /// [`try_for_each_gci`](Self::try_for_each_gci) with an `f` that
+    /// visits every GCI.
+    pub(crate) fn for_each_gci(&self, mut f: impl FnMut(&Concept, &Concept)) {
+        let Ok(()) = self.try_for_each_gci(|l, r| {
+            f(l, r);
+            Ok::<(), Infallible>(())
+        });
     }
 
     /// The *internalization* of each GCI as a universal constraint in
@@ -112,14 +125,14 @@ impl TBox {
             .collect()
     }
 
-    /// All atomic concepts mentioned, gathered in a single pass over
-    /// the axioms and sorted into one set.
-    pub fn atoms(&self) -> BTreeSet<ConceptId> {
+    /// All atomic concepts mentioned, ascending and without repeats,
+    /// gathered in a single pass over the axioms.
+    pub fn atoms(&self) -> Vec<ConceptId> {
         let mut out = Vec::new();
         self.for_each_atom(|c| out.push(c));
         out.sort_unstable();
         out.dedup();
-        BTreeSet::from_iter(out)
+        out
     }
 
     /// Visit every atom occurrence of every axiom, repeats included.
@@ -136,22 +149,25 @@ impl TBox {
     /// All roles mentioned.
     pub fn roles(&self) -> BTreeSet<RoleId> {
         let mut out = BTreeSet::new();
-        for (l, r) in self.gci_refs() {
+        self.for_each_gci(|l, r| {
             out.extend(l.roles());
             out.extend(r.roles());
-        }
+        });
         out
     }
 
     /// True when every axiom is in the EL fragment (no ≡ with non-EL
     /// sides, no negation/disjunction/∀/number restrictions).
     pub fn is_el(&self) -> bool {
-        self.gci_refs().all(|(l, r)| l.is_el() && r.is_el())
+        self.try_for_each_gci(|l, r| (l.is_el() && r.is_el()).then_some(()).ok_or(()))
+            .is_ok()
     }
 
     /// Total size (constructors) of all axioms.
     pub fn size(&self) -> usize {
-        self.gci_refs().map(|(l, r)| l.size() + r.size()).sum()
+        let mut size = 0;
+        self.for_each_gci(|l, r| size += l.size() + r.size());
+        size
     }
 
     /// Render the whole TBox against a vocabulary, one axiom per line.
@@ -198,7 +214,7 @@ mod tests {
     /// The borrowing walk yields exactly `gcis()`, in order, on every
     /// axiom kind.
     #[test]
-    fn gci_refs_equal_gcis() {
+    fn gci_walk_equals_gcis() {
         let mut v = Vocabulary::new();
         let [a, b, c] = ["A", "B", "C"].map(|n| Concept::atom(v.concept(n)));
         let r = v.role("r");
@@ -207,12 +223,22 @@ mod tests {
         t.equiv(b.clone(), Concept::and(vec![a.clone(), c.clone()]));
         t.disjoint(c.clone(), a.clone());
         t.subsume(Concept::Top, c);
-        let walked: Vec<(Concept, Concept)> = t
-            .gci_refs()
-            .map(|(l, r)| (l.into_owned(), r.clone()))
-            .collect();
+        let mut walked: Vec<(Concept, Concept)> = Vec::new();
+        t.for_each_gci(|l, r| walked.push((l.clone(), r.clone())));
         assert_eq!(walked, t.gcis());
         assert_eq!(walked.len(), 5);
+        // The fallible walk stops at the first error: the fourth GCI,
+        // the disjointness axiom's.
+        let mut seen = 0;
+        let stopped = t.try_for_each_gci(|_, r| {
+            seen += 1;
+            if *r == Concept::Bottom {
+                Err(seen)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stopped, Err(4));
     }
 
     #[test]

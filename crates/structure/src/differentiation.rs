@@ -35,7 +35,7 @@ pub struct DifferentiationOutcome {
 /// (unordered distinct pairs of atoms whose pinned neighborhoods are
 /// isomorphic).
 pub fn count_internal_collapses(tbox: &TBox, voc: &Vocabulary, depth: usize) -> usize {
-    let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+    let atoms = tbox.atoms();
     let mut n = 0;
     for (i, &a) in atoms.iter().enumerate() {
         for &b in &atoms[i + 1..] {
@@ -65,7 +65,7 @@ pub fn differentiate_greedily(
     let mut current = tbox.clone();
     let mut added = 0;
     for round in 0..max_rounds {
-        let atoms: Vec<ConceptId> = current.atoms().into_iter().collect();
+        let atoms = current.atoms();
         let mut collapsed_pair: Option<(ConceptId, ConceptId)> = None;
         'search: for (i, &a) in atoms.iter().enumerate() {
             for &b in &atoms[i + 1..] {

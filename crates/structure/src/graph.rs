@@ -60,7 +60,7 @@ pub struct DefGraph {
 impl DefGraph {
     /// Extract the definition graph of a whole TBox.
     pub fn from_tbox(tbox: &TBox, voc: &Vocabulary, mode: LabelMode) -> Self {
-        let atoms: Vec<ConceptId> = tbox.atoms().into_iter().collect();
+        let atoms = tbox.atoms();
         let nodes: Vec<String> = atoms
             .iter()
             .map(|&a| match mode {

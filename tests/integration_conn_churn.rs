@@ -1,11 +1,12 @@
 //! Connection churn must not leak: a server that has answered and
-//! closed many short connections holds no descriptor and no thread
-//! handle for them, and shutdown still closes the connections that are
-//! live.
+//! closed many short connections holds no descriptor, no thread and no
+//! thread handle for them, and shutdown still closes the connections
+//! that are live.
 //!
-//! The test counts the process's open descriptors, so it is the only
-//! test in its binary: tests in one binary run in parallel, and a
-//! neighbour's sockets would move the count.
+//! The test counts the process's open descriptors and threads, so it
+//! is the only test in its binary: tests in one binary run in
+//! parallel, and a neighbour's sockets or servers would move the
+//! counts.
 
 #[cfg(target_os = "linux")]
 #[test]
@@ -18,6 +19,15 @@ fn closed_connections_release_their_descriptors() {
     let open_descriptors = || {
         std::fs::read_dir("/proc/self/fd")
             .expect("/proc/self/fd is readable")
+            .count()
+    };
+    // Live connection threads: each serves a connection or waits its
+    // turn in `accept`.
+    let conn_threads = || {
+        std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task is readable")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == "serve-conn")
             .count()
     };
     let server = Server::start(ServerConfig {
@@ -33,15 +43,25 @@ fn closed_connections_release_their_descriptors() {
         assert_eq!(client.ping().expect("answered").status, STATUS_OK);
     }
     let deadline = Instant::now() + Duration::from_secs(2);
-    let mut open = open_descriptors();
-    while open > start + 3 && Instant::now() < deadline {
+    let (mut open, mut threads) = (open_descriptors(), conn_threads());
+    while (open > start + 3 || threads != 1) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
-        open = open_descriptors();
+        (open, threads) = (open_descriptors(), conn_threads());
     }
     assert!(
         open <= start + 3,
         "{open} descriptors open after 200 closed connections, {start} before"
     );
+    // Only the thread waiting in `accept` is left, and it stays: each
+    // connection thread started exactly one successor. A closed
+    // connection's thread can linger a moment, so the count is read
+    // again after a pause.
+    assert_eq!(
+        threads, 1,
+        "connection threads after 200 closed connections"
+    );
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(conn_threads(), 1, "connection threads a moment later");
     assert!(server.stats().reconciles(), "{:?}", server.stats());
 
     // Shutdown still closes a connection that is live: its client reads
@@ -52,4 +72,11 @@ fn closed_connections_release_their_descriptors() {
     assert!(stats.reconciles(), "{stats:?}");
     assert_eq!(stats.completed, 201);
     assert!(live.try_read_response().expect("clean close").is_none());
+    // Shutdown joined every connection thread; an exited thread can
+    // stay listed for a moment after its join.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while conn_threads() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(conn_threads(), 0, "connection threads after shutdown");
 }
