@@ -1,19 +1,16 @@
-//! The TCP reasoning server: connection threads, admission control,
-//! and graceful drain.
+//! The TCP reasoning server: accept loop, per-connection handlers,
+//! admission control, and graceful drain.
 //!
-//! ## Connection threads
+//! ## Accepting
 //!
-//! Connection threads take turns accepting. Exactly one of them waits
-//! in `accept`; when a connection arrives it starts its successor,
-//! which waits in `accept` next, and then serves the connection it
-//! accepted until the peer leaves. So a new connection's first frame
-//! is read by a thread that is already running, not by one spawned for
-//! it. A connection the `serve.accept` chaos site faults, or one whose
-//! successor cannot be started, is dropped before any frame is read,
-//! and the same thread keeps accepting. After a failed `accept` the
-//! thread pauses for [`ACCEPT_BACKOFF`] before it tries again: at the
-//! descriptor limit `accept` fails with `EMFILE` and leaves the
-//! connection queued, so an immediate retry would spin.
+//! One `serve-accept` thread owns the listening socket and starts a
+//! `serve-conn` handler thread for each connection it accepts. A
+//! connection the `serve.accept` chaos site faults, or one whose
+//! handler cannot be started, is dropped before any frame is read.
+//! After a failed `accept` the loop pauses for [`ACCEPT_BACKOFF`]
+//! before it tries again: at the descriptor limit `accept` fails with
+//! `EMFILE` and leaves the connection queued, so an immediate retry
+//! would spin.
 //!
 //! ## One admission path
 //!
@@ -36,7 +33,7 @@
 //!
 //! ## Drain accounting
 //!
-//! [`Server::shutdown`] ends the turns at accepting, lets the workers
+//! [`Server::shutdown`] stops the accept loop, lets the workers
 //! drain the queue, waits for the last admitted response to be
 //! *written*, then closes connections and joins every thread. The
 //! final [`ServeStats`] must reconcile: `accepted == completed`, and
@@ -62,8 +59,8 @@ use summa_guard::obs::metrics::Registry;
 use summa_guard::obs::Tracer;
 use summa_guard::{Budget, FaultInjector};
 
-/// How long a connection thread waits after a failed `accept` before
-/// it tries again.
+/// How long the accept loop waits after a failed `accept` before it
+/// tries again.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// Server tuning knobs. The defaults suit tests and small deployments;
@@ -322,7 +319,8 @@ impl ServeStats {
     }
 }
 
-/// State shared between the connection threads and the queue workers.
+/// State shared between the accept loop, connection handlers, and the
+/// queue workers.
 pub(crate) struct Shared {
     pub cfg: ServerConfig,
     /// `cfg.warm_eligible()`, resolved once at startup — the queue
@@ -340,22 +338,18 @@ pub(crate) struct Shared {
     /// gauges, phase histograms, slow-query log. Always present; its
     /// enabled flag gates histograms, rings and tail sampling.
     pub telemetry: TelemetryPlane,
-    /// The listening socket the connection threads take turns
-    /// accepting on.
-    listener: TcpListener,
     /// A clone of each live connection's stream, keyed by connection
-    /// id, for shutdown. Its thread removes it on exit.
+    /// id, for shutdown. Its handler removes it on exit.
     pub conns: Mutex<BTreeMap<u64, TcpStream>>,
-    /// Every connection thread not yet seen finished, for shutdown to
-    /// join.
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running reasoning server bound to a local TCP port.
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    accept_handle: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -388,10 +382,9 @@ impl Server {
             draining: AtomicBool::new(false),
             next_trace: AtomicU64::new(0),
             tracer,
-            listener,
             conns: Mutex::new(BTreeMap::new()),
-            conn_threads: Mutex::new(Vec::new()),
         });
+        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let workers = (0..shared.cfg.threads.max(1))
             .map(|_| {
@@ -401,12 +394,19 @@ impl Server {
                     .spawn(move || worker_loop(worker_shared))
             })
             .collect::<io::Result<Vec<_>>>()?;
-        spawn_conn_thread(&shared, 0)?;
+
+        let accept_shared = Arc::clone(&shared);
+        let accept_conns = Arc::clone(&conn_handles);
+        let accept_handle = std::thread::Builder::new()
+            .name("serve-accept".into())
+            .spawn(move || accept_loop(listener, accept_shared, accept_conns))?;
 
         Ok(Server {
             addr,
             shared,
+            accept_handle: Some(accept_handle),
             workers,
+            conn_handles,
         })
     }
 
@@ -440,9 +440,12 @@ impl Server {
     fn shutdown_inner(&mut self) -> ServeStats {
         let _span = self.shared.tracer.span("serve.drain");
         self.shared.draining.store(true, Ordering::SeqCst);
-        // Wake the connection thread waiting in `accept` with a dummy
-        // connection; it sees the drain flag and starts no successor.
+        // Wake the accept loop with a dummy connection; it checks the
+        // drain flag and exits.
         let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.accept_handle.take() {
+            let _ = h.join();
+        }
         // Let the workers drain the queue and the handlers write the
         // last admitted responses.
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -480,22 +483,18 @@ impl Server {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        // Unblock connection reads; clients already got every response.
+        // Unblock handler reads; clients already got every response.
         for conn in lock_conns(&self.shared).values() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        // A thread that registered its connection just before the drain
-        // began may still start a successor, which ends at the dummy
-        // connection. Each thread lists its successor before it ends,
-        // so take the list again until a join round finds it empty.
-        loop {
-            let threads = std::mem::take(&mut *lock_conn_threads(&self.shared));
-            if threads.is_empty() {
-                break;
-            }
-            for h in threads {
-                let _ = h.join();
-            }
+        let handles: Vec<JoinHandle<()>> = std::mem::take(
+            &mut *self
+                .conn_handles
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for h in handles {
+            let _ = h.join();
         }
         let stats = self.shared.counters.stats();
         self.shared.tracer.add("serve.drained", 1);
@@ -505,50 +504,23 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if !self.workers.is_empty() {
+        if self.accept_handle.is_some() || !self.workers.is_empty() {
             let _ = self.shutdown_inner();
         }
     }
 }
 
-/// Start connection thread `id`: it accepts connection `id`, and its
-/// successor, if it starts one, is thread `id + 1`.
-fn spawn_conn_thread(shared: &Arc<Shared>, id: u64) -> io::Result<()> {
-    let thread_shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("serve-conn".into())
-        .spawn(move || serve_conn(thread_shared, id))?;
-    let mut threads = lock_conn_threads(shared);
-    // A finished connection thread has nothing left to join.
-    threads.retain(|h| !h.is_finished());
-    threads.push(handle);
-    Ok(())
-}
-
-/// A connection thread's life: take the next turn at accepting, then
-/// serve the connection accepted.
-fn serve_conn(shared: Arc<Shared>, id: u64) {
-    let Some(mut stream) = accept_turn(&shared, id) else {
-        return;
-    };
-    conn_loop(&shared, &mut stream);
-    // Shut the socket down so the peer sees EOF at once, then drop the
-    // drain's clone: with our own handle it closes the descriptor.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    lock_conns(&shared).remove(&id);
-}
-
-/// Accept until a connection passes the accept gate, register it for
-/// the drain as connection `id`, and start the successor that accepts
-/// next. `None` once the drain has begun: the turns end here.
-fn accept_turn(shared: &Arc<Shared>, id: u64) -> Option<TcpStream> {
-    loop {
-        let accepted = shared.listener.accept();
+fn accept_loop(
+    listener: TcpListener,
+    shared: Arc<Shared>,
+    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+) {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if shared.draining.load(Ordering::SeqCst) {
-            return None;
+            break;
         }
-        let stream = match accepted {
-            Ok((stream, _)) => stream,
+        let stream = match stream {
+            Ok(s) => s,
             // At the descriptor limit `accept` fails at once and leaves
             // the connection queued: pause instead of spinning.
             Err(_) => {
@@ -572,23 +544,24 @@ fn accept_turn(shared: &Arc<Shared>, id: u64) -> Option<TcpStream> {
                 .fetch_add(1, Ordering::Relaxed);
             continue;
         }
+        if let Ok(clone) = stream.try_clone() {
+            lock_conns(&shared).insert(id, clone);
+        }
+        let conn_shared = Arc::clone(&shared);
+        match std::thread::Builder::new()
+            .name("serve-conn".into())
+            .spawn(move || handle_conn(conn_shared, id, stream))
         {
-            // The drain closes the connections it finds here only after
-            // it has set the flag, so checking the flag under this lock
-            // either registers the connection in time to be closed or
-            // drops it unserved.
-            let mut conns = lock_conns(shared);
-            if shared.draining.load(Ordering::SeqCst) {
-                return None;
+            Ok(handle) => {
+                let mut handles = conn_handles.lock().unwrap_or_else(PoisonError::into_inner);
+                // A finished handler has nothing left to join.
+                handles.retain(|h| !h.is_finished());
+                handles.push(handle);
             }
-            if let Ok(clone) = stream.try_clone() {
-                conns.insert(id, clone);
+            Err(_) => {
+                lock_conns(&shared).remove(&id);
             }
         }
-        if spawn_conn_thread(shared, id + 1).is_ok() {
-            return Some(stream);
-        }
-        lock_conns(shared).remove(&id);
     }
 }
 
@@ -597,18 +570,18 @@ fn lock_conns(shared: &Shared) -> MutexGuard<'_, BTreeMap<u64, TcpStream>> {
     shared.conns.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The connection threads to join (a poisoned lock is still usable).
-fn lock_conn_threads(shared: &Shared) -> MutexGuard<'_, Vec<JoinHandle<()>>> {
-    shared
-        .conn_threads
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Write a response frame; IO errors just end the connection (the
 /// peer left — nothing to answer anymore).
 fn send(stream: &mut TcpStream, resp: &Response) -> bool {
     wire::write_frame(stream, &wire::encode_response(resp)).is_ok()
+}
+
+fn handle_conn(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
+    conn_loop(&shared, &mut stream);
+    // Shut the socket down so the peer sees EOF at once, then drop the
+    // drain's clone: with our own handle it closes the descriptor.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+    lock_conns(&shared).remove(&id);
 }
 
 fn conn_loop(shared: &Shared, stream: &mut TcpStream) {
