@@ -33,12 +33,13 @@
 //!
 //! ## Drain accounting
 //!
-//! [`Server::shutdown`] stops the accept loop, lets the workers
-//! drain the queue, waits for the last admitted response to be
-//! *written*, then closes connections and joins every thread. The
-//! final [`ServeStats`] must reconcile: `accepted == completed`, and
-//! every frame ever read is accounted as completed, overload-rejected,
-//! protocol-rejected, or a scrape.
+//! [`Server::shutdown`] stops the accept loop, which closes the
+//! listening socket, so a new connection is refused from then on. It
+//! lets the workers drain the queue, waits for the last admitted
+//! response to be *written*, then closes connections and joins every
+//! thread. The final [`ServeStats`] must reconcile: `accepted ==
+//! completed`, and every frame ever read is accounted as completed,
+//! overload-rejected, protocol-rejected, or a scrape.
 
 use crate::snapshot::SnapshotStore;
 use crate::telemetry::{TelemetryConfig, TelemetryPlane, TenantTelemetry};

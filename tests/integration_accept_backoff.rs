@@ -1,7 +1,7 @@
 //! A failed `accept` must not spin. At the process's descriptor limit
 //! `accept` fails with `EMFILE` at once and leaves the connection
-//! queued, so a connection thread that retried at once would burn a
-//! core until a descriptor frees up.
+//! queued, so an accept loop that retried at once would burn a core
+//! until a descriptor frees up.
 //!
 //! The test takes every free descriptor of the process, so it is the
 //! only test in its binary: tests in one binary run in parallel, and a
