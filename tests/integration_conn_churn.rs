@@ -9,6 +9,10 @@
 //! counts.
 
 #[cfg(target_os = "linux")]
+#[path = "support/pigeonhole.rs"]
+mod pigeonhole;
+
+#[cfg(target_os = "linux")]
 #[test]
 fn closed_connections_release_their_descriptors() {
     use std::io::ErrorKind;
@@ -106,7 +110,11 @@ fn closed_connections_release_their_descriptors() {
     let long = std::thread::spawn(move || {
         let mut client = Client::connect(addr, "long").expect("connects");
         client
-            .subsumes("animals-repaired", &pigeonhole_concept(), "bottom")
+            .subsumes(
+                "animals-repaired",
+                &pigeonhole::pigeonhole_concept(),
+                "bottom",
+            )
             .expect("answered")
     });
     while server.stats().accepted == 0 {
@@ -127,26 +135,4 @@ fn closed_connections_release_their_descriptors() {
     assert_eq!(long.join().expect("long client").status, STATUS_OK);
     let stats = drain.join().expect("drain");
     assert!(stats.reconciles(), "{stats:?}");
-}
-
-/// An unsatisfiable propositional concept the prover refutes only by
-/// search (~0.5 s of tableau work): the pigeonhole principle for 5
-/// pigeons in 4 holes, times two free choices that double the search
-/// twice.
-#[cfg(target_os = "linux")]
-fn pigeonhole_concept() -> String {
-    const HOLES: usize = 4;
-    let mut parts = vec!["(a0 | b0)".to_string(), "(a1 | b1)".to_string()];
-    for i in 0..=HOLES {
-        let holes: Vec<String> = (0..HOLES).map(|j| format!("p{i}h{j}")).collect();
-        parts.push(format!("({})", holes.join(" | ")));
-    }
-    for j in 0..HOLES {
-        for i in 0..=HOLES {
-            for k in (i + 1)..=HOLES {
-                parts.push(format!("(~p{i}h{j} | ~p{k}h{j})"));
-            }
-        }
-    }
-    parts.join(" & ")
 }

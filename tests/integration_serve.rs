@@ -24,6 +24,10 @@ use summa_serve::wire::{
     SERVED_PROVER, STATUS_ENGINE_ERROR, STATUS_OK, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
 
+#[path = "support/pigeonhole.rs"]
+mod pigeonhole;
+use pigeonhole::pigeonhole_concept;
+
 /// The fixed chaos plan the conformance runs replay on both sides.
 /// Each request executes under a **fresh** injector (fresh arrival
 /// counters), so the plan's firing pattern is a pure function of the
@@ -476,26 +480,6 @@ fn panicking_request_leaves_its_worker_serving() {
     let stats = server.shutdown();
     assert_eq!(stats.engine_errors, 1);
     assert!(stats.reconciles(), "{stats:?}");
-}
-
-/// An unsatisfiable propositional concept the prover refutes only by
-/// search: the pigeonhole principle for 5 pigeons in 4 holes, times two
-/// free choices that double the search twice (~0.5 s of tableau work).
-fn pigeonhole_concept() -> String {
-    const HOLES: usize = 4;
-    let mut parts = vec!["(a0 | b0)".to_string(), "(a1 | b1)".to_string()];
-    for i in 0..=HOLES {
-        let holes: Vec<String> = (0..HOLES).map(|j| format!("p{i}h{j}")).collect();
-        parts.push(format!("({})", holes.join(" | ")));
-    }
-    for j in 0..HOLES {
-        for i in 0..=HOLES {
-            for k in (i + 1)..=HOLES {
-                parts.push(format!("(~p{i}h{j} | ~p{k}h{j})"));
-            }
-        }
-    }
-    parts.join(" & ")
 }
 
 /// A long prover request holds one queue worker, not the server: while
